@@ -12,6 +12,10 @@ draw.  theta_gradient therefore differentiates the expected-loss surrogate
 
 which gives d L / d theta = (loss_paired - loss_pseudo) * r * (1 - r).
 The realized batches still follow the rounded counts.
+
+The two pools never change during a fit, so prepare_pools validates and
+sorts them once into SamplePool arrays; each training step's build_batch
+call then only draws from them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -80,6 +85,89 @@ def sampling_ratio(state: AmsState) -> float:
     return sigmoid(state.theta)
 
 
+class SamplePool:
+    """An immutable AMS pool: samples that are all paired or all unpaired.
+
+    Ids are unique within a pool.  The samples are kept sorted by id, with
+    `ids` and `labels` as read-only int64 arrays in that order, and
+    `class_counts` maps each label to its number of samples; iterating a
+    pool yields its samples.  An unpaired pool built with `donors` is
+    checked against that paired pool: the donor pool is nonempty, the two
+    pools share no id, and every class of the unpaired pool has a donor.
+    build_batch draws from such a pair without checking it again.
+    """
+
+    __slots__ = ("samples", "ids", "labels", "class_counts", "donors")
+
+    def __init__(
+        self,
+        samples: Sequence[Sample],
+        paired: bool,
+        donors: Optional["SamplePool"] = None,
+    ):
+        if paired and donors is not None:
+            raise UsageError("only an unpaired pool draws from a donor pool")
+        if donors is not None and not donors:
+            raise ProtocolError(
+                "paired pool is empty: every batch needs at least one genuine pair"
+            )
+        samples = list(samples)
+        for s in samples:
+            if s.paired != paired:
+                detail = "has no modality-B features" if paired else "is paired"
+                kind = "paired" if paired else "unpaired"
+                raise UsageError(f"sample {s.id} in the {kind} pool {detail}")
+        if donors is not None:
+            overlap = np.intersect1d(donors.ids, [s.id for s in samples])
+            if overlap.size:
+                raise UsageError(
+                    f"pools must be disjoint, shared ids: {overlap[:5].tolist()}"
+                )
+            for s in samples:
+                if s.label not in donors.class_counts:
+                    raise DonorExhaustionError(
+                        f"class {s.label} has unpaired samples but no paired donor"
+                    )
+        samples.sort(key=lambda s: s.id)
+        ids = np.array([s.id for s in samples], dtype=np.int64)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise UsageError(f"ids repeat within a pool: {repeated[:5].tolist()}")
+        labels = np.array([s.label for s in samples], dtype=np.int64)
+        ids.flags.writeable = False
+        labels.flags.writeable = False
+        classes, counts = np.unique(labels, return_counts=True)
+        class_counts = MappingProxyType(dict(zip(classes.tolist(), counts.tolist())))
+        for name, value in (
+            ("samples", tuple(samples)), ("ids", ids), ("labels", labels),
+            ("class_counts", class_counts), ("donors", donors),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SamplePool is immutable, cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __iter__(self) -> Iterator[Sample]:
+        return iter(self.samples)
+
+
+def prepare_pools(
+    paired_pool: Sequence[Sample], unpaired_pool: Sequence[Sample]
+) -> tuple[SamplePool, SamplePool]:
+    """Validate and sort the genuine-pair and pseudo-pair pools once.
+
+    Raises what build_batch raises for bad pools: ProtocolError for an empty
+    paired pool, UsageError for a sample in the wrong pool or an id repeated
+    within or across the pools, DonorExhaustionError for an unpaired class
+    without a paired donor.
+    """
+    paired = SamplePool(paired_pool, paired=True)
+    return paired, SamplePool(unpaired_pool, paired=False, donors=paired)
+
+
 def build_batch(
     paired_pool: Sequence[Sample],
     unpaired_pool: Sequence[Sample],
@@ -93,69 +181,90 @@ def build_batch(
     paired sample may appear once as its own genuine pair and once as a
     donor, but never donates twice).  When pseudo-pairs cannot fill the
     remainder, unused genuine pairs top the batch up; any residual gap is
-    reported via `shortfall` rather than padded.  Deterministic given seed.
+    reported via `shortfall` rather than padded.  Deterministic given seed,
+    and independent of the order of either pool.
+
+    Pools from prepare_pools are drawn from directly; any other pools are
+    prepared first, which validates and sorts them on every call.
     """
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     if not (0.0 <= r <= 1.0):
         raise RangeError(f"sampling ratio must be in [0, 1], got {r}")
-    if not paired_pool:
-        raise ProtocolError("paired pool is empty: every batch needs at least one genuine pair")
-    for s in paired_pool:
-        if not s.paired:
-            raise UsageError(f"sample {s.id} in the paired pool has no modality-B features")
-    for s in unpaired_pool:
-        if s.paired:
-            raise UsageError(f"sample {s.id} in the unpaired pool is paired")
-    paired_ids = {s.id for s in paired_pool}
-    overlap = paired_ids & {s.id for s in unpaired_pool}
-    if overlap:
-        raise UsageError(f"pools must be disjoint, shared ids: {sorted(overlap)[:5]}")
-
-    donor_classes = {s.label for s in paired_pool}
-    for s in unpaired_pool:
-        if s.label not in donor_classes:
-            raise DonorExhaustionError(
-                f"class {s.label} has unpaired samples but no paired donor"
-            )
+    if not (isinstance(unpaired_pool, SamplePool) and unpaired_pool.donors is paired_pool):
+        paired_pool, unpaired_pool = prepare_pools(paired_pool, unpaired_pool)
 
     rng = np.random.default_rng(seed)
-    paired_sorted = sorted(paired_pool, key=lambda s: s.id)
-    unpaired_sorted = sorted(unpaired_pool, key=lambda s: s.id)
-
-    n_genuine = min(math.ceil(r * batch_size), len(paired_sorted), batch_size)
-    paired_order = [paired_sorted[i] for i in rng.permutation(len(paired_sorted))]
-    genuine = paired_order[:n_genuine]
-
-    donors_by_class: dict[int, list[Sample]] = {}
-    for s in paired_order:
-        donors_by_class.setdefault(s.label, []).append(s)
+    n_genuine = min(math.ceil(r * batch_size), len(paired_pool), batch_size)
+    order = rng.permutation(len(paired_pool))
 
     remainder = batch_size - n_genuine
     pseudo = []
-    if remainder > 0 and unpaired_sorted:
-        recipient_order = [unpaired_sorted[i] for i in rng.permutation(len(unpaired_sorted))]
-        for rec in recipient_order:
-            if len(pseudo) == remainder:
-                break
-            pool = donors_by_class.get(rec.label, [])
-            if not pool:
-                continue
-            donor = pool.pop()
-            pseudo.append((rec.id, donor.id, rec.label))
+    if remainder > 0 and len(unpaired_pool):
+        recipients = rng.permutation(len(unpaired_pool))
+        pseudo = _pseudo_pairs(paired_pool, unpaired_pool, order, recipients, remainder)
 
-    still_short = batch_size - n_genuine - len(pseudo)
-    if still_short > 0:
-        extra = paired_order[n_genuine : n_genuine + still_short]
-        genuine = genuine + extra
-
+    # Unused genuine pairs, in draw order, top up what pseudo-pairs left open.
+    genuine = paired_pool.ids[order[: max(n_genuine, batch_size - len(pseudo))]].tolist()
     shortfall = batch_size - len(genuine) - len(pseudo)
     return BatchPlan(
-        genuine=tuple(s.id for s in genuine),
+        genuine=tuple(genuine),
         pseudo=tuple(pseudo),
         unpaired_student_only=tuple(p[0] for p in pseudo),
         shortfall=shortfall,
     )
+
+
+def _pseudo_pairs(
+    paired_pool: SamplePool,
+    unpaired_pool: SamplePool,
+    order: np.ndarray,
+    recipients: np.ndarray,
+    remainder: int,
+) -> list:
+    """(recipient id, donor id, class) triples for one batch.
+
+    Recipients are taken in draw order.  Each class hands out its donors in
+    reverse paired draw order, one per recipient, so a recipient of
+    within-class rank k is served if its class has more than k donors, and
+    the first `remainder` served recipients are kept.  A rank over a prefix
+    of an order equals its rank over the whole order, so both scans grow a
+    prefix until it holds what the batch needs instead of walking whole pools.
+    """
+    donor_counts = paired_pool.class_counts
+    n = remainder
+    while True:
+        labels = unpaired_pool.labels[recipients[:n]]
+        served = np.zeros(len(labels), dtype=bool)
+        for c in unpaired_pool.class_counts:
+            is_c = labels == c
+            served |= is_c & (np.cumsum(is_c) <= donor_counts[c])
+        chosen = np.flatnonzero(served)[:remainder]
+        if len(chosen) == remainder or n >= len(recipients):
+            break
+        n *= 2
+    labels = labels[chosen]
+
+    # The served recipients of a class have ranks 0, 1, ..., so they take
+    # that class's first donors in reverse draw order, in recipient order.
+    reverse = order[::-1]
+    needed = {c: int((labels == c).sum()) for c in set(labels.tolist())}
+    m = len(chosen)
+    while True:
+        window = reverse[:m]
+        window_labels = paired_pool.labels[window]
+        class_donors = {c: window[window_labels == c][:k] for c, k in needed.items()}
+        if all(len(class_donors[c]) == k for c, k in needed.items()):
+            break
+        m *= 2
+    donors = np.empty(len(chosen), dtype=np.int64)
+    for c, found in class_donors.items():
+        donors[labels == c] = found
+    return list(zip(
+        unpaired_pool.ids[recipients[chosen]].tolist(),
+        paired_pool.ids[donors].tolist(),
+        labels.tolist(),
+    ))
 
 
 def theta_gradient(state: AmsState, loss_paired: float, loss_pseudo: float) -> float:

@@ -415,9 +415,29 @@ def _checked_keys(d: dict, allowed, context: str) -> None:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
 
 
+def _checked_numbers(d: dict, ints: tuple, reals: tuple, section: str) -> dict:
+    """Copy of d whose listed fields hold numbers, the `ints` ones integral.
+
+    JSON may hold "3", true or 2.5 where a count is meant; left alone these
+    escape validate() as a TypeError or pass as a wrong value.  An integral
+    float such as 3.0 is accepted for an integer field and stored as an int.
+    """
+    out = dict(d)
+    for key in (k for k in ints + reals if k in out):
+        value = out[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+        if key in ints:
+            if not float(value).is_integer():
+                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+            out[key] = int(value)
+    return out
+
+
 def _weights_from_dict(d: dict) -> LossWeights:
     _checked_keys(d, ("tea", "stu", "kl", "pair", "proto"), "loss_weights")
-    return LossWeights(**d)
+    return LossWeights(**_checked_numbers(d, (), ("tea", "stu", "kl", "pair", "proto"),
+                                          "loss_weights"))
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
@@ -440,6 +460,10 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         "dataset",
     )
     ds.setdefault("missing_rate", 0.0)
+    ds = _checked_numbers(
+        ds, ("num_classes", "samples_per_class", "dim_a", "dim_b", "seed"),
+        ("class_separation", "noise_scale", "missing_rate"), "dataset",
+    )
     dataset = DatasetConfig(**ds)
 
     tr = dict(d.get("train", {}))
@@ -450,6 +474,11 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
          "proto_strategy", "proto_momentum", "proto_assignment", "pcm_on_pseudo",
          "two_stage", "grad_clip", "seed"),
         "train",
+    )
+    tr = _checked_numbers(
+        tr, ("epochs", "batch_size", "seed"),
+        ("learning_rate", "weight_decay", "kd_temperature", "sim_temperature",
+         "fixed_ratio", "proto_momentum", "grad_clip"), "train",
     )
     if "loss_weights" in tr:
         tr["loss_weights"] = _weights_from_dict(tr["loss_weights"])
@@ -489,7 +518,9 @@ def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[in
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ProtocolError(f"{path} is empty: a metrics CSV needs a header row")
         expected = ["method", "scenario", "fold", "mcc", "auc", "sen", "spe"]
         if header != expected:
             raise ProtocolError(f"unexpected metrics header {header}, wanted {expected}")

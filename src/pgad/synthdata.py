@@ -268,7 +268,9 @@ def import_dataset_csv(path) -> list[Sample]:
     """Read a dataset written by export_dataset_csv."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ProtocolError(f"{path} is empty: a dataset CSV needs a header row")
         dim_a = sum(1 for h in header if h.startswith("a_"))
         dim_b = sum(1 for h in header if h.startswith("b_"))
         samples = []

@@ -29,7 +29,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ams import AmsState, BatchPlan, build_batch, sampling_ratio, theta_gradient
+from .ams import (
+    AmsState,
+    BatchPlan,
+    build_batch,
+    prepare_pools,
+    sampling_ratio,
+    theta_gradient,
+)
 from .errors import (
     ConfigError,
     EmptyBatchError,
@@ -448,7 +455,8 @@ def fit(
     """Train teacher, student, and theta jointly (or in two stages) over epochs.
 
     Runs epochs * ceil(N / batch_size) steps, each on a freshly sampled
-    batch plan.  Deterministic given (nets' initial parameters, cfg.seed).
+    batch plan drawn from pools prepared once, before the first step.
+    Deterministic given (nets' initial parameters, cfg.seed).
     """
     cfg.validate()
     if not samples:
@@ -466,6 +474,7 @@ def fit(
             raise ConfigError(f"sample {s.id} has label {s.label}, head expects "
                               f"[0, {teacher.num_classes})")
     samples_by_id = {s.id: s for s in samples}
+    paired_pool, unpaired_pool = prepare_pools(paired, unpaired)
 
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     stages = ("teacher", "student") if cfg.two_stage else (None,)
@@ -489,7 +498,7 @@ def fit(
             for _ in range(steps_per_epoch):
                 r = sampling_ratio(ams_state)
                 plan = build_batch(
-                    paired, unpaired, cfg.batch_size, r,
+                    paired_pool, unpaired_pool, cfg.batch_size, r,
                     derive_seed(cfg.seed, "batch", global_step),
                 )
                 lr = cosine_lr(stage_step, stage_total, cfg.learning_rate)

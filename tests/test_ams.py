@@ -1,14 +1,19 @@
 """Batch composition between genuine and pseudo pairs, and the theta surrogate."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgad.ams import (
     AmsState,
+    SamplePool,
     build_batch,
     export_ams_trace_csv,
+    prepare_pools,
     sampling_ratio,
     sigmoid,
     theta_gradient,
@@ -21,12 +26,12 @@ from pgad.errors import (
     RangeError,
     UsageError,
 )
-from pgad.synthdata import DatasetConfig, generate_dataset
+from pgad.synthdata import DatasetConfig, Sample, generate_dataset
 
 
-def pools(missing_rate=0.5, spc=20, seed=3):
+def pools(missing_rate=0.5, spc=20, seed=3, num_classes=2):
     cfg = DatasetConfig(
-        num_classes=2, samples_per_class=spc, dim_a=4, dim_b=4,
+        num_classes=num_classes, samples_per_class=spc, dim_a=4, dim_b=4,
         class_separation=3.0, noise_scale=1.0, missing_rate=missing_rate, seed=seed,
     )
     ds = generate_dataset(cfg)
@@ -161,6 +166,134 @@ def test_build_batch_donor_class_missing():
     class1_unpaired = [s for s in unpaired if s.label == 1]
     with pytest.raises(DonorExhaustionError):
         build_batch(class0_paired, class1_unpaired, 8, 0.5, seed=0)
+
+
+# sha256 of the plans below, recorded from the list-based composer that
+# sorted and scanned both pools on every call; the array draw must give the
+# same plans byte for byte.
+GOLDEN_PLANS_SHA256 = "43d139e221ee1c12f71440e8a0e99a18cea4281d47ad865d49fddcabecfef788"
+
+
+@pytest.mark.parametrize("prepared", [False, True])
+def test_build_batch_plans_match_golden_digest(prepared):
+    cases = [
+        (*pools(rate, 30, 17, num_classes=3)[1:], 16, r)
+        for rate in (0.2, 0.5, 0.7)
+        for r in (0.0, 0.25, 0.5, 1.0)
+    ]
+    cases.append((*pools(0.1, 20, 5)[1:], 16, 0.25))  # 4 recipients: genuine top-up
+    for r in (0.0, 0.5):  # one donor per class: recipients skipped, top-up, shortfall
+        cases.append((*pools(0.9, 10, 5, num_classes=3)[1:], 16, r))
+    cases.append((pools(0.0, 3, 5)[1], [], 10, 0.2))  # 6 paired, no unpaired: shortfall
+    digest = hashlib.sha256()
+    for paired, unpaired, batch_size, r in cases:
+        args = prepare_pools(paired, unpaired) if prepared else (paired, unpaired)
+        for seed in range(50):
+            plan = build_batch(*args, batch_size, r, seed)
+            digest.update(repr((plan.genuine, plan.pseudo, plan.shortfall)).encode())
+    assert digest.hexdigest() == GOLDEN_PLANS_SHA256
+
+
+def reference_plan(paired_pool, unpaired_pool, batch_size, r, seed):
+    """The list-based composer, kept as the reference for the array draw."""
+    rng = np.random.default_rng(seed)
+    paired_sorted = sorted(paired_pool, key=lambda s: s.id)
+    unpaired_sorted = sorted(unpaired_pool, key=lambda s: s.id)
+    n_genuine = min(math.ceil(r * batch_size), len(paired_sorted), batch_size)
+    paired_order = [paired_sorted[i] for i in rng.permutation(len(paired_sorted))]
+    donors_by_class = {}
+    for s in paired_order:
+        donors_by_class.setdefault(s.label, []).append(s)
+    remainder = batch_size - n_genuine
+    pseudo = []
+    if remainder > 0 and unpaired_sorted:
+        for i in rng.permutation(len(unpaired_sorted)):
+            rec = unpaired_sorted[i]
+            if len(pseudo) == remainder:
+                break
+            if donors_by_class.get(rec.label):
+                pseudo.append((rec.id, donors_by_class[rec.label].pop().id, rec.label))
+    still_short = max(0, batch_size - n_genuine - len(pseudo))
+    genuine = [s.id for s in paired_order[: n_genuine + still_short]]
+    return tuple(genuine), tuple(pseudo), batch_size - len(genuine) - len(pseudo)
+
+
+@st.composite
+def random_pools(draw):
+    num_classes = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+    is_paired = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    is_paired[0] = True
+    feat = np.zeros(2)
+    samples = [Sample(id=i, label=c, feat_a=feat, feat_b=feat if p else None)
+               for i, c, p in zip(ids, labels, is_paired)]
+    paired = [s for s in samples if s.paired]
+    donor_classes = {s.label for s in paired}
+    unpaired = [s for s in samples if not s.paired and s.label in donor_classes]
+    return paired, unpaired
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_pair=random_pools(), batch_size=st.integers(2, 24),
+       r=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       shuffle_seed=st.integers(0, 2**16))
+def test_build_batch_prepared_pools_match_plain_lists_and_reference(
+    pool_pair, batch_size, r, seed, shuffle_seed
+):
+    paired, unpaired = pool_pair
+    rng = np.random.default_rng(shuffle_seed)
+    shuffled = ([paired[i] for i in rng.permutation(len(paired))],
+                [unpaired[i] for i in rng.permutation(len(unpaired))])
+    plan = build_batch(*prepare_pools(paired, unpaired), batch_size, r, seed)
+    assert plan == build_batch(*shuffled, batch_size, r, seed)
+    assert (plan.genuine, plan.pseudo, plan.shortfall) == reference_plan(
+        *shuffled, batch_size, r, seed
+    )
+
+    by_id = {s.id: s for s in paired + unpaired}
+    assert len(set(plan.genuine)) == len(plan.genuine)
+    assert all(by_id[g].paired for g in plan.genuine)
+    recipients = [rec for rec, _, _ in plan.pseudo]
+    donors = [donor for _, donor, _ in plan.pseudo]
+    assert len(set(recipients)) == len(recipients)
+    assert len(set(donors)) == len(donors)
+    for rec, donor, label in plan.pseudo:
+        assert not by_id[rec].paired and by_id[donor].paired
+        assert by_id[rec].label == by_id[donor].label == label
+    assert len(plan.genuine) + len(plan.pseudo) + plan.shortfall == batch_size
+    assert plan.shortfall >= 0
+
+
+def test_sample_pool_is_sorted_read_only_and_iterable():
+    _, paired, unpaired = pools()
+    paired_pool, unpaired_pool = prepare_pools(paired[::-1], unpaired)
+    assert list(paired_pool.ids) == sorted(s.id for s in paired)
+    assert [s.id for s in paired_pool] == list(paired_pool.ids)
+    assert list(paired_pool.labels) == [s.label for s in paired_pool]
+    assert len(paired_pool) == len(paired) and unpaired_pool.donors is paired_pool
+    with pytest.raises(ValueError):
+        paired_pool.ids[0] = -1
+    with pytest.raises(AttributeError):
+        paired_pool.donors = unpaired_pool
+
+
+def test_sample_pool_errors():
+    ds, paired, unpaired = pools()
+    with pytest.raises(UsageError, match="in the paired pool has no modality-B"):
+        SamplePool(ds, paired=True)  # mixed paired and unpaired samples
+    with pytest.raises(UsageError, match="in the unpaired pool is paired"):
+        SamplePool(ds, paired=False)
+    with pytest.raises(UsageError):
+        SamplePool(paired, paired=True, donors=SamplePool(paired, paired=True))
+    with pytest.raises(ProtocolError):
+        prepare_pools([], unpaired)
+    with pytest.raises(UsageError, match=rf"ids repeat within a pool: \[{paired[1].id}\]"):
+        build_batch(paired + paired[1:2], unpaired, 8, 0.5, seed=0)
+    twin = Sample(id=paired[0].id, label=paired[0].label, feat_a=paired[0].feat_a, feat_b=None)
+    with pytest.raises(UsageError, match=rf"shared ids: \[{twin.id}\]"):
+        prepare_pools(paired, unpaired + [twin])
 
 
 def test_theta_gradient_surrogate_closed_form():

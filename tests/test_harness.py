@@ -448,3 +448,55 @@ def test_cli_error_paths(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: ConfigError")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "epochs", "3"),
+    ("train", "epochs", True),
+    ("train", "batch_size", 8.5),
+    ("train", "learning_rate", "1e-3"),
+    ("dataset", "samples_per_class", "12"),
+    ("dataset", "noise_scale", "1.0"),
+])
+def test_cli_run_rejects_mistyped_numbers(tmp_path, capsys, section, key, value):
+    d = scenario_dict()
+    d[section][key] = value
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ConfigError")
+    assert f"{section}.{key}" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_from_dict_accepts_integral_floats():
+    d = scenario_dict()
+    d["train"]["epochs"] = 2.0
+    cfg = scenario_from_dict(d)
+    assert cfg.train.epochs == 2 and isinstance(cfg.train.epochs, int)
+
+
+def test_cli_compare_on_empty_metrics_csv(tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_text("")
+    rc = cli_main(["compare", "--summary", str(tmp_path), "--baseline", "baseline"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ProtocolError")
+    assert "metrics.csv is empty" in captured.err
+
+
+def test_cli_export_embeddings_on_empty_data_csv(tmp_path, capsys):
+    from pgad.nets import save_checkpoint
+
+    ckpt = tmp_path / "student.txt"
+    save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
+    data_path = tmp_path / "empty.csv"
+    data_path.write_text("")
+    rc = cli_main(["export-embeddings", "--checkpoint", str(ckpt),
+                   "--data", str(data_path), "--out", str(tmp_path / "emb.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ProtocolError")
+    assert "empty.csv is empty" in captured.err
