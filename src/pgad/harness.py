@@ -434,6 +434,13 @@ def _checked_numbers(d: dict, ints: tuple, reals: tuple, section: str) -> dict:
     return out
 
 
+def _checked_bools(d: dict, keys: tuple, section: str) -> None:
+    """JSON "false" is a truthy string; only true and false may switch a mechanism."""
+    for key in (k for k in keys if k in d):
+        if not isinstance(d[key], bool):
+            raise ConfigError(f"{section}.{key} must be true or false, got {d[key]!r}")
+
+
 def _weights_from_dict(d: dict) -> LossWeights:
     _checked_keys(d, ("tea", "stu", "kl", "pair", "proto"), "loss_weights")
     return LossWeights(**_checked_numbers(d, (), ("tea", "stu", "kl", "pair", "proto"),
@@ -480,15 +487,17 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         ("learning_rate", "weight_decay", "kd_temperature", "sim_temperature",
          "fixed_ratio", "proto_momentum", "grad_clip"), "train",
     )
+    _checked_bools(tr, ("pcm_enabled", "pcm_on_pseudo", "two_stage"), "train")
     if "loss_weights" in tr:
         tr["loss_weights"] = _weights_from_dict(tr["loss_weights"])
     train = TrainConfig(**tr)
 
     arms = []
-    for raw in d["arms"]:
+    for index, raw in enumerate(d["arms"]):
         a = dict(raw)
         _checked_keys(a, ("name", "pcm", "ams", "proto_strategy", "loss_weights", "rates"),
                       "arm")
+        _checked_bools(a, ("pcm",), f"arms[{index}]")
         if "loss_weights" in a:
             a["loss_weights"] = _weights_from_dict(a["loss_weights"])
         if "rates" in a and a["rates"] is not None:

@@ -6,7 +6,9 @@ quantities are computed via max-shifted log-sum-exp throughout; this also
 guarantees nonnegative values numerically, not just mathematically.
 
 Gradient conventions:
-  ce_loss     -> gradient wrt logits, (softmax - onehot) / N
+  ce_loss     -> per-row values and their gradient wrt the logits,
+                 softmax - onehot; the batch loss is their mean, with
+                 gradient (softmax - onehot) / N
   kd_loss     -> gradient wrt STUDENT logits only, T * (p_s - p_t) / N
                  (the teacher side is a constant)
   pair_loss   -> gradient wrt the similarity matrix entries
@@ -87,8 +89,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(z))
 
 
-def ce_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch."""
+def ce_loss(logits: np.ndarray, labels):
+    """Per-row softmax cross-entropy and its gradient wrt the logits.
+
+    Returns (negative log-likelihoods of shape (N,), softmax - onehot).  The
+    batch loss is the mean of the first, with gradient the second over N; a
+    subset's loss is the mean of a slice, as each row depends on its own
+    logits only.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"expected logits matrix (N, C), got shape {logits.shape}")
@@ -102,10 +110,11 @@ def ce_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
         raise LabelError(f"labels must lie in [0, {c})")
 
     logp = _log_softmax(logits)
-    value = float(-logp[np.arange(n), labels].mean())
+    rows = np.arange(n)
+    nll = -logp[rows, labels]
     grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    return value, grad / n
+    grad[rows, labels] -= 1.0
+    return nll, grad
 
 
 def kd_loss(

@@ -6,6 +6,13 @@ trainable parameters as one flat vector in a fixed documented order
 row-major order, then bias), so optimizers and finite-difference checks
 can treat a network as a single point in R^n.
 
+The parameters live in that order in flat float64 buffers: every Mlp
+weight and bias is a C-contiguous view into its net's buffer, and
+set_params writes the buffer in place, so the views stay bound.
+bind_joint_params moves a teacher and a student into one buffer laid out
+as [teacher | student | theta]; an in-place optimizer step on that buffer
+is then the update of both nets.
+
 Backward passes consume a single-slot cache written by the most recent
 forward pass.  Calling backward twice, or before any forward, raises
 UsageError instead of silently reusing stale activations.
@@ -70,36 +77,57 @@ class Mlp:
         spec.validate()
         self.spec = spec
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        draws = []
         widths = spec.layer_widths
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             s = 1.0 / math.sqrt(fan_in)
-            self.weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-            self.biases.append(rng.uniform(-s, s, size=(fan_out,)))
+            draws.append(rng.uniform(-s, s, size=(fan_out, fan_in)).ravel())
+            draws.append(rng.uniform(-s, s, size=(fan_out,)))
+        self._flat = np.concatenate(draws)
+        self._bind_views()
         self._cache: Optional[dict] = None
+
+    def _bind_views(self) -> None:
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray] = []
+        offset = 0
+        widths = self.spec.layer_widths
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            self.weights.append(self._flat[offset : offset + fan_out * fan_in]
+                                .reshape(fan_out, fan_in))
+            offset += fan_out * fan_in
+            self.biases.append(self._flat[offset : offset + fan_out])
+            offset += fan_out
 
     @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._flat.size
+
+    def bind(self, buffer: np.ndarray) -> None:
+        """Copy the parameters into `buffer` and keep them there from now on.
+
+        `buffer` is a C-contiguous float64 vector of length param_count,
+        usually a slice of a larger buffer; every weight and bias becomes a
+        view into it.
+        """
+        if (buffer.dtype != np.float64 or buffer.shape != (self.param_count,)
+                or not buffer.flags.c_contiguous):
+            raise ShapeError(
+                f"expected a C-contiguous float64 buffer of length {self.param_count}, "
+                f"got {buffer.dtype} {buffer.shape}"
+            )
+        buffer[...] = self._flat
+        self._flat = buffer
+        self._bind_views()
 
     def get_params(self) -> np.ndarray:
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel())
-            chunks.append(b.ravel())
-        return np.concatenate(chunks)
+        return self._flat.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.param_count,):
             raise ShapeError(f"expected flat vector of length {self.param_count}, got {flat.shape}")
-        offset = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[offset : offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            self.biases[i] = flat[offset : offset + b.size].copy()
-            offset += b.size
+        self._flat[...] = flat
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -217,7 +245,7 @@ class TeacherNet:
         return sum(p.param_count for p in self._parts)
 
     def get_params(self) -> np.ndarray:
-        return np.concatenate([p.get_params() for p in self._parts])
+        return np.concatenate([p._flat for p in self._parts])
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
@@ -267,7 +295,7 @@ class StudentNet:
         return sum(p.param_count for p in self._parts)
 
     def get_params(self) -> np.ndarray:
-        return np.concatenate([p.get_params() for p in self._parts])
+        return np.concatenate([p._flat for p in self._parts])
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
@@ -294,21 +322,6 @@ def teacher_forward(net: TeacherNet, a: np.ndarray, b: np.ndarray) -> tuple[np.n
     return fused, logits
 
 
-def teacher_backward(net: TeacherNet, grad_fused: np.ndarray, grad_logits: np.ndarray) -> np.ndarray:
-    """Flat parameter gradient given upstream grads at the fused feature and logits.
-
-    Both upstream grads refer to the same (most recent) teacher_forward batch;
-    passing zeros for one of them is the way to say "no signal on this output".
-    """
-    g_head, g_fused_from_head = net.head.backward(np.atleast_2d(grad_logits))
-    total_fused = np.atleast_2d(grad_fused) + g_fused_from_head
-    g_fusion, g_concat = net.fusion.backward(total_fused)
-    feat = net.feat_dim
-    g_enc_a, _ = net.enc_a.backward(g_concat[:, :feat])
-    g_enc_b, _ = net.enc_b.backward(g_concat[:, feat:])
-    return np.concatenate([g_enc_a, g_enc_b, g_fusion, g_head])
-
-
 def student_forward(net: StudentNet, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (features, logits) for a batch (or single vector) of modality-A inputs."""
     a2, single = _as_batch(a, net.enc_a.spec.in_dim, "modality a")
@@ -319,12 +332,26 @@ def student_forward(net: StudentNet, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     return feat, logits
 
 
-def student_backward(net: StudentNet, grad_feat: np.ndarray, grad_logits: np.ndarray) -> np.ndarray:
-    """Flat parameter gradient given upstream grads at the feature and logits."""
-    g_head, g_feat_from_head = net.head.backward(np.atleast_2d(grad_logits))
-    total_feat = np.atleast_2d(grad_feat) + g_feat_from_head
-    g_enc, _ = net.enc_a.backward(total_feat)
-    return np.concatenate([g_enc, g_head])
+def bind_joint_params(teacher: TeacherNet, student: StudentNet, theta: float) -> np.ndarray:
+    """One flat float64 buffer [teacher | student | theta] that both nets live in.
+
+    Copies the nets' current parameters into a new buffer and binds every
+    weight and bias of both nets to it (see Mlp.bind), so writing the buffer
+    in place updates the nets.  The last entry holds `theta`.
+    """
+    parts = teacher._parts + student._parts
+    buffer = np.empty(sum(p.param_count for p in parts) + 1)
+    offset = 0
+    for p in parts:
+        p.bind(buffer[offset : offset + p.param_count])
+        offset += p.param_count
+    buffer[-1] = theta
+    return buffer
+
+
+def bound_to(buffer: np.ndarray, *nets) -> bool:
+    """Whether every part of the given nets keeps its parameters in `buffer`."""
+    return all(p._flat.base is buffer for net in nets for p in net._parts)
 
 
 _NET_KINDS = {"teacher": TeacherNet, "student": StudentNet}
@@ -356,24 +383,57 @@ def save_checkpoint(net, path) -> None:
             fh.write(repr(float(v)) + "\n")
 
 
+def _checked_spec(info, path, name: str) -> MlpSpec:
+    """The MlpSpec a checkpoint header gives for part `name`."""
+    widths = info.get("layer_widths") if isinstance(info, dict) else None
+    activation = info.get("activation") if isinstance(info, dict) else None
+    if (not isinstance(widths, list) or not isinstance(activation, str)
+            or not all(isinstance(w, int) and not isinstance(w, bool) for w in widths)):
+        raise ProtocolError(
+            f"{path}: checkpoint header needs integer layer_widths and an activation "
+            f"under specs.{name}"
+        )
+    spec = MlpSpec(tuple(widths), activation)
+    try:
+        spec.validate()
+    except ConfigError as exc:
+        raise ProtocolError(f"{path}: specs.{name}: {exc}") from None
+    return spec
+
+
 def load_checkpoint(path):
-    """Rebuild a TeacherNet or StudentNet from a save_checkpoint file."""
+    """Rebuild a TeacherNet or StudentNet from a save_checkpoint file.
+
+    A header that is not a JSON object naming a known kind and a valid spec
+    for every part, or a value line that is not a number, raises
+    ProtocolError naming the file.
+    """
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        values = [float(line) for line in fh if line.strip()]
-    kind = header.get("kind")
-    if kind not in _NET_KINDS:
-        raise ProtocolError(f"unknown checkpoint kind {kind!r}")
-    parts = {}
-    for name in _PART_NAMES[kind]:
-        spec_info = header["specs"][name]
-        spec = MlpSpec(tuple(spec_info["layer_widths"]), spec_info["activation"])
-        parts[name] = Mlp(spec, seed=0)
-    net = _NET_KINDS[kind](**parts)
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise ProtocolError(f"{path}: checkpoint header is not JSON: {exc}") from None
+        try:
+            values = [float(line) for line in fh if line.strip()]
+        except ValueError as exc:
+            raise ProtocolError(f"{path}: checkpoint value is not a number: {exc}") from None
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if not isinstance(kind, str) or kind not in _NET_KINDS:
+        raise ProtocolError(f"{path}: unknown checkpoint kind {kind!r}")
+    specs = header.get("specs")
+    if not isinstance(specs, dict):
+        raise ProtocolError(f"{path}: checkpoint header has no specs")
+    parts = {name: Mlp(_checked_spec(specs.get(name), path, name), seed=0)
+             for name in _PART_NAMES[kind]}
+    try:
+        net = _NET_KINDS[kind](**parts)
+    except ConfigError as exc:
+        raise ProtocolError(f"{path}: {exc}") from None
     flat = np.array(values, dtype=np.float64)
     if flat.shape != (net.param_count,):
         raise ProtocolError(
-            f"checkpoint holds {flat.size} values but the architecture needs {net.param_count}"
+            f"{path}: checkpoint holds {flat.size} values but the architecture needs "
+            f"{net.param_count}"
         )
     net.set_params(flat)
     return net

@@ -4,6 +4,13 @@ One step does, in order: batch composition, teacher and student forwards,
 prototype refresh from the batch's genuine pairs, loss evaluation, one
 joint Adam update over [teacher params | student params | theta].
 
+fit prepares everything a step reads once, before the first step: the
+training set as id-sorted TrainData columns, which a step gathers its rows
+from by index, and one parameter buffer [teacher | student | theta] that
+both nets are bound to (nets.bind_joint_params), which Adam updates in
+place.  Cross-entropy is computed once per logit matrix, per row, and the
+theta surrogate's subset losses are means over slices of those rows.
+
 Loss routing per batch:
   l_tea   cross-entropy on teacher logits, genuine + pseudo rows
   l_stu   cross-entropy on student logits, all modality-A rows
@@ -32,6 +39,7 @@ import numpy as np
 from .ams import (
     AmsState,
     BatchPlan,
+    SamplePool,
     build_batch,
     prepare_pools,
     sampling_ratio,
@@ -44,6 +52,7 @@ from .errors import (
     ProtocolError,
     RangeError,
     ShapeError,
+    UsageError,
 )
 from .losses import (
     KD_TEMPERATURE_DEFAULT,
@@ -57,7 +66,7 @@ from .losses import (
     similarity_matrix,
     total_loss,
 )
-from .nets import StudentNet, TeacherNet
+from .nets import StudentNet, TeacherNet, bind_joint_params, bound_to
 from .prototypes import (
     PROTO_MOMENTUM_DEFAULT,
     PrototypeSet,
@@ -139,6 +148,55 @@ class AdamState:
 
 
 @dataclass(frozen=True)
+class TrainData:
+    """A training set as read-only columns in ascending id order.
+
+    Unpaired samples have NaN feat_b rows, so gathering one as a modality-B
+    input makes the step's losses non-finite instead of passing silently.
+    """
+
+    ids: np.ndarray
+    labels: np.ndarray
+    feat_a: np.ndarray
+    feat_b: np.ndarray
+
+    @classmethod
+    def from_pools(cls, paired: SamplePool, unpaired: SamplePool) -> "TrainData":
+        """Columns of a pool pair from prepare_pools.
+
+        Each pool is already id-sorted with unique ids, the two are disjoint
+        and the paired one is nonempty, so merging their ids gives the rows.
+        """
+        if unpaired.donors is not paired:
+            raise UsageError("TrainData needs the pool pair that prepare_pools returns")
+        samples = paired.samples + unpaired.samples
+        ids = np.concatenate((paired.ids, unpaired.ids))
+        order = np.argsort(ids, kind="stable")
+        feat_a = np.stack([s.feat_a for s in samples]).astype(np.float64, copy=False)
+        feat_b = np.full((len(samples), paired.samples[0].feat_b.shape[0]), np.nan)
+        feat_b[: len(paired)] = np.stack([s.feat_b for s in paired])
+        columns = (
+            ids[order],
+            np.concatenate((paired.labels, unpaired.labels))[order],
+            feat_a[order],
+            feat_b[order],
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return cls(*columns)
+
+    def rows(self, ids) -> np.ndarray:
+        """Row indices of the given sample ids, in their order."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self.ids, ids)
+        found = self.ids.take(rows, mode="clip")
+        if not np.array_equal(found, ids):
+            unknown = ids[found != ids][:5].tolist()
+            raise ProtocolError(f"ids not in the training data: {unknown}")
+        return rows
+
+
+@dataclass(frozen=True)
 class StepTrace:
     step: int
     report: LossReport
@@ -182,28 +240,33 @@ def adam_update(
     weight_decay: float,
     decay_mask: Optional[np.ndarray] = None,
     update_mask: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, AdamState]:
-    """One Adam step with decoupled weight decay.
+) -> None:
+    """One Adam step with decoupled weight decay, in place.
 
-    decay_mask zeroes the decay term for selected entries (theta); an
-    update_mask freezes entries entirely (two-stage training).
+    Updates `params`, `state.m`, `state.v` and `state.t`.  decay_mask zeroes
+    the decay term for selected entries (theta); an update_mask freezes
+    entries entirely (two-stage training).
     """
-    params = np.asarray(params, dtype=np.float64)
+    if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
+        raise ShapeError("params must be a float64 array, updated in place")
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
     t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    decay = params if decay_mask is None else params * decay_mask
-    step_vec = lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * decay)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    step_vec = state.m / (1.0 - ADAM_BETA1**t)
+    step_vec /= np.sqrt(state.v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+    step_vec += weight_decay * (params if decay_mask is None else params * decay_mask)
+    step_vec *= lr
     if update_mask is not None:
-        step_vec = step_vec * update_mask
-    return params - step_vec, AdamState(m=m, v=v, t=t)
+        step_vec *= update_mask
+    params -= step_vec
+    state.t = t
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -222,21 +285,10 @@ def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
     return grads
 
 
-def _gather(samples_by_id: dict, ids, attr: str) -> np.ndarray:
-    return np.stack([getattr(samples_by_id[i], attr) for i in ids])
-
-
-def _ce_or_zero(logits: np.ndarray, labels: np.ndarray):
-    if logits.shape[0] == 0:
-        return 0.0
-    value, _ = ce_loss(logits, labels)
-    return value
-
-
 def step_gradients(
     teacher: TeacherNet,
     student: StudentNet,
-    samples_by_id: dict,
+    data: TrainData,
     plan: BatchPlan,
     effective_protos: Optional[PrototypeSet],
     ams_state: AmsState,
@@ -257,14 +309,14 @@ def step_gradients(
     if n_g == 0:
         raise ProtocolError("batch has no genuine pair")
 
-    recipient_ids = [p[0] for p in plan.pseudo]
-    donor_ids = [p[1] for p in plan.pseudo]
-    a_rows = list(plan.genuine) + recipient_ids
-    b_rows = list(plan.genuine) + donor_ids
-    labels = np.array([samples_by_id[i].label for i in a_rows], dtype=np.int64)
-
-    feats_a = _gather(samples_by_id, a_rows, "feat_a")
-    feats_b = np.stack([samples_by_id[i].feat_b for i in b_rows])
+    # Rows: genuine pairs, then recipients (modality A) or donors (modality B).
+    pseudo = np.array(plan.pseudo, dtype=np.int64).reshape(n_p, 3)
+    rows = data.rows(np.concatenate((plan.genuine, pseudo[:, 0], pseudo[:, 1])))
+    a_rows = rows[: n_g + n_p]
+    b_rows = np.concatenate((rows[:n_g], rows[n_g + n_p :]))
+    labels = data.labels[a_rows]
+    feats_a = data.feat_a[a_rows]
+    feats_b = data.feat_b[b_rows]
 
     h_a = teacher.enc_a.forward(feats_a)
     h_b = teacher.enc_b.forward(feats_b)
@@ -279,12 +331,15 @@ def step_gradients(
     d_feat_s = np.zeros_like(feat_s)
     d_h_b = np.zeros_like(h_b)
 
+    n = n_g + n_p
     if w.tea > 0.0:
-        l_tea, g = ce_loss(logits_t, labels)
-        d_logits_t += w.tea * g
+        nll_t, g = ce_loss(logits_t, labels)
+        l_tea = float(nll_t.mean())
+        d_logits_t += w.tea * (g / n)
     if w.stu > 0.0:
-        l_stu, g = ce_loss(logits_s, labels)
-        d_logits_s += w.stu * g
+        nll_s, g = ce_loss(logits_s, labels)
+        l_stu = float(nll_s.mean())
+        d_logits_s += w.stu * (g / n)
     if w.kl > 0.0:
         l_kl, g = kd_loss(logits_s[:n_g], logits_t[:n_g], cfg.kd_temperature)
         d_logits_s[:n_g] += w.kl * g
@@ -316,70 +371,72 @@ def step_gradients(
     feat = teacher.feat_dim
     g_enc_a_t, _ = teacher.enc_a.backward(d_concat[:, :feat])
     g_enc_b_t, _ = teacher.enc_b.backward(d_concat[:, feat:] + d_h_b)
-    g_teacher = np.concatenate([g_enc_a_t, g_enc_b_t, g_fusion, g_head_t])
 
     g_head_s, d_feat_head = student.head.backward(d_logits_s)
     g_enc_s, _ = student.enc_a.backward(d_feat_head + d_feat_s)
-    g_student = np.concatenate([g_enc_s, g_head_s])
 
     g_theta = 0.0
     if ams_state.mode == "dynamic" and n_p > 0:
         loss_genuine = (
-            (w.tea * _ce_or_zero(logits_t[:n_g], labels[:n_g]) if w.tea > 0.0 else 0.0)
-            + (w.stu * _ce_or_zero(logits_s[:n_g], labels[:n_g]) if w.stu > 0.0 else 0.0)
+            (w.tea * float(nll_t[:n_g].mean()) if w.tea > 0.0 else 0.0)
+            + (w.stu * float(nll_s[:n_g].mean()) if w.stu > 0.0 else 0.0)
             + w.kl * l_kl
             + w.pair * l_pair
         )
         loss_pseudo = (
-            (w.tea * _ce_or_zero(logits_t[n_g:], labels[n_g:]) if w.tea > 0.0 else 0.0)
-            + (w.stu * _ce_or_zero(logits_s[n_g:], labels[n_g:]) if w.stu > 0.0 else 0.0)
+            (w.tea * float(nll_t[n_g:].mean()) if w.tea > 0.0 else 0.0)
+            + (w.stu * float(nll_s[n_g:].mean()) if w.stu > 0.0 else 0.0)
             + w.proto * l_proto
         )
         g_theta = theta_gradient(ams_state, loss_genuine, loss_pseudo)
 
-    grads = np.concatenate([g_teacher, g_student, [g_theta]])
+    grads = np.concatenate(
+        [g_enc_a_t, g_enc_b_t, g_fusion, g_head_t, g_enc_s, g_head_s, [g_theta]]
+    )
     return report, grads
 
 
 def train_step(
     teacher: TeacherNet,
     student: StudentNet,
-    samples_by_id: dict,
+    data: TrainData,
     plan: BatchPlan,
     protos: PrototypeSet,
     ams_state: AmsState,
+    params: np.ndarray,
     adam: AdamState,
     cfg: TrainConfig,
     lr: float,
     step: int,
     weights: Optional[LossWeights] = None,
     update_mask: Optional[np.ndarray] = None,
-) -> tuple[PrototypeSet, AmsState, AdamState, StepTrace]:
-    """Run one training step; mutates the nets, returns new auxiliary state.
+) -> tuple[PrototypeSet, AmsState, StepTrace]:
+    """Run one training step; returns the new prototypes and AMS state.
 
-    `protos` is the running set under the "paired" strategy and a fixed
-    epoch-level set under "all".  `weights` overrides cfg.loss_weights
-    (two-stage training masks terms per stage).
+    `params` is the buffer [teacher | student | theta] that both nets are
+    bound to (nets.bind_joint_params); the step's Adam update writes it and
+    `adam` in place, which updates the nets.  `protos` is the running set
+    under the "paired" strategy and a fixed epoch-level set under "all".
+    `weights` overrides cfg.loss_weights (two-stage training masks terms
+    per stage).
     """
     n_g, n_p = len(plan.genuine), len(plan.pseudo)
     if n_g == 0:
         raise ProtocolError(f"step {step}: batch has no genuine pair")
+    if not bound_to(params, teacher, student):
+        raise UsageError("teacher and student must be bound to params (bind_joint_params)")
 
     n_stale = 0
     effective_protos: Optional[PrototypeSet] = None
     new_protos = protos
     if cfg.pcm_enabled:
         if cfg.proto_strategy == "paired":
-            genuine_labels = np.array(
-                [samples_by_id[i].label for i in plan.genuine], dtype=np.int64
-            )
-            feats_a = _gather(samples_by_id, plan.genuine, "feat_a")
-            feats_b = np.stack([samples_by_id[i].feat_b for i in plan.genuine])
-            h_a = teacher.enc_a.forward(feats_a)
-            h_b = teacher.enc_b.forward(feats_b)
+            genuine = data.rows(plan.genuine)
+            h_a = teacher.enc_a.forward(data.feat_a[genuine])
+            h_b = teacher.enc_b.forward(data.feat_b[genuine])
             fused = teacher.fusion.forward(np.concatenate([h_a, h_b], axis=1))
             batch_protos = compute_batch_prototypes(
-                fused, genuine_labels, teacher.num_classes
+                fused, data.labels[genuine], teacher.num_classes
             )
             new_protos = update_running_prototypes(protos, batch_protos, cfg.proto_momentum)
             effective_protos = with_fallback(batch_protos, new_protos)
@@ -390,25 +447,18 @@ def train_step(
 
     try:
         report, grads = step_gradients(
-            teacher, student, samples_by_id, plan, effective_protos,
+            teacher, student, data, plan, effective_protos,
             ams_state, cfg, weights,
         )
     except NumericHealthError as exc:
         raise NumericHealthError(f"step {step}: {exc}") from exc
 
-    params = np.concatenate([teacher.get_params(), student.get_params(), [ams_state.theta]])
+    params[-1] = ams_state.theta  # ams_state holds theta between steps
     grads = clip_global_norm(grads, cfg.grad_clip)
     decay_mask = np.ones_like(params)
     decay_mask[-1] = 0.0
-    new_params, new_adam = adam_update(
-        params, grads, adam, lr, cfg.weight_decay, decay_mask, update_mask
-    )
-
-    p_t = teacher.param_count
-    p_s = student.param_count
-    teacher.set_params(new_params[:p_t])
-    student.set_params(new_params[p_t : p_t + p_s])
-    new_ams = replace(ams_state, theta=float(new_params[-1]))
+    adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask, update_mask)
+    new_ams = replace(ams_state, theta=float(params[-1]))
 
     trace = StepTrace(
         step=step,
@@ -420,7 +470,7 @@ def train_step(
         n_pseudo=n_p,
         n_stale=n_stale,
     )
-    return new_protos, new_ams, new_adam, trace
+    return new_protos, new_ams, trace
 
 
 def _stage_masks(teacher: TeacherNet, student: StudentNet, stage: Optional[str]):
@@ -473,13 +523,14 @@ def fit(
         if not (0 <= s.label < teacher.num_classes):
             raise ConfigError(f"sample {s.id} has label {s.label}, head expects "
                               f"[0, {teacher.num_classes})")
-    samples_by_id = {s.id: s for s in samples}
     paired_pool, unpaired_pool = prepare_pools(paired, unpaired)
+    data = TrainData.from_pools(paired_pool, unpaired_pool)
 
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     stages = ("teacher", "student") if cfg.two_stage else (None,)
 
     ams_state = AmsState(theta=0.0, mode=cfg.ams_mode, fixed_ratio=cfg.fixed_ratio)
+    params = bind_joint_params(teacher, student, ams_state.theta)
     protos = empty_prototypes(teacher.num_classes, teacher.feat_dim)
     epoch_traces: list[EpochTrace] = []
     global_step = 0
@@ -502,8 +553,8 @@ def fit(
                     derive_seed(cfg.seed, "batch", global_step),
                 )
                 lr = cosine_lr(stage_step, stage_total, cfg.learning_rate)
-                protos, ams_state, adam, trace = train_step(
-                    teacher, student, samples_by_id, plan, protos, ams_state,
+                protos, ams_state, trace = train_step(
+                    teacher, student, data, plan, protos, ams_state, params,
                     adam, cfg, lr, global_step, weights, update_mask,
                 )
                 step_traces.append(trace)

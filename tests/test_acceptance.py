@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pgad.ams import AmsState, build_batch, sampling_ratio
+from pgad.ams import AmsState, build_batch, prepare_pools, sampling_ratio
 from pgad.evaluation import (
     auc,
     bonferroni,
@@ -33,13 +33,22 @@ from pgad.losses import (
     proto_loss,
     similarity_matrix,
 )
-from pgad.nets import Mlp, MlpSpec, StudentNet, TeacherNet, student_forward, teacher_forward
+from pgad.nets import (
+    Mlp,
+    MlpSpec,
+    StudentNet,
+    TeacherNet,
+    bind_joint_params,
+    student_forward,
+    teacher_forward,
+)
 from pgad.prototypes import PrototypeSet, compute_batch_prototypes, empty_prototypes
 from pgad.seeding import derive_seed
 from pgad.synthdata import DatasetConfig, generate_dataset
 from pgad.trainer import (
     AdamState,
     TrainConfig,
+    TrainData,
     cosine_lr,
     global_prototypes,
     step_gradients,
@@ -92,11 +101,11 @@ def _check_ce_instance(rng):
 
     logits = net.forward(x)
     _, g = ce_loss(logits, labels)
-    analytic, _ = net.backward(g)
+    analytic, _ = net.backward(g / n)
 
     def f(p):
         net.set_params(p)
-        return ce_loss(net.forward(x), labels)[0]
+        return ce_loss(net.forward(x), labels)[0].mean()
 
     return rel_err(analytic, fd_grad(f, net.get_params()))
 
@@ -195,7 +204,8 @@ def _total_instance(rng):
     paired = [s for s in samples if s.paired]
     unpaired = [s for s in samples if not s.paired]
     by_id = {s.id: s for s in samples}
-    plan = build_batch(paired, unpaired, 6, 0.5, int(rng.integers(2**31)))
+    pools = prepare_pools(paired, unpaired)
+    plan = build_batch(*pools, 6, 0.5, int(rng.integers(2**31)))
 
     teacher = TeacherNet.create(dim_a, dim_b, 2, feat_dim=3, hidden_width=4,
                                 seed=int(rng.integers(2**31)))
@@ -208,25 +218,25 @@ def _total_instance(rng):
         sim_temperature=float(rng.uniform(0.2, 1.0)),
     )
     state = AmsState(theta=float(rng.uniform(-1.0, 1.0)), mode="dynamic")
-    return teacher, student, by_id, plan, protos, cfg, state
+    return teacher, student, by_id, TrainData.from_pools(*pools), plan, protos, cfg, state
 
 
 def _check_total_instance(rng):
     """Full-objective gradient: student by FD on the reported total, teacher
     by FD on the distillation-frozen part it actually optimizes, theta by FD
     on the expected-loss surrogate."""
-    teacher, student, by_id, plan, protos, cfg, state = _total_instance(rng)
+    teacher, student, by_id, data, plan, protos, cfg, state = _total_instance(rng)
     w = cfg.loss_weights
     n_g = len(plan.genuine)
 
-    report, grads = step_gradients(teacher, student, by_id, plan, protos, state, cfg)
+    report, grads = step_gradients(teacher, student, data, plan, protos, state, cfg)
     p_t = teacher.param_count
     t_base = teacher.get_params().copy()
     s_base = student.get_params().copy()
 
     def f_student(p):
         student.set_params(p)
-        rep, _ = step_gradients(teacher, student, by_id, plan, protos, state, cfg)
+        rep, _ = step_gradients(teacher, student, data, plan, protos, state, cfg)
         return rep.total
 
     err_s = rel_err(grads[p_t:-1], fd_grad(f_student, s_base))
@@ -247,18 +257,18 @@ def _check_total_instance(rng):
         fused = teacher.fusion.forward(np.concatenate([h_a, h_b], axis=1))
         logits_t = teacher.head.forward(fused)
         sims, _ = similarity_matrix(feat_s_const[:n_g], h_b, cfg.sim_temperature)
-        return w.tea * ce_loss(logits_t, labels)[0] + w.pair * pair_loss(sims, positives)[0]
+        return w.tea * ce_loss(logits_t, labels)[0].mean() + w.pair * pair_loss(sims, positives)[0]
 
     err_t = rel_err(grads[:p_t], fd_grad(f_teacher, t_base))
     teacher.set_params(t_base)
 
     _, logits_t = teacher_forward(teacher, feats_a, feats_b)
     _, logits_s = student_forward(student, feats_a)
-    lg = (w.tea * ce_loss(logits_t[:n_g], labels[:n_g])[0]
-          + w.stu * ce_loss(logits_s[:n_g], labels[:n_g])[0]
+    lg = (w.tea * ce_loss(logits_t[:n_g], labels[:n_g])[0].mean()
+          + w.stu * ce_loss(logits_s[:n_g], labels[:n_g])[0].mean()
           + w.kl * report.l_kl + w.pair * report.l_pair)
-    lq = (w.tea * ce_loss(logits_t[n_g:], labels[n_g:])[0]
-          + w.stu * ce_loss(logits_s[n_g:], labels[n_g:])[0]
+    lq = (w.tea * ce_loss(logits_t[n_g:], labels[n_g:])[0].mean()
+          + w.stu * ce_loss(logits_s[n_g:], labels[n_g:])[0].mean()
           + w.proto * report.l_proto)
 
     def f_theta(th):
@@ -638,8 +648,10 @@ def test_c9_degenerates_to_plain_distillation():
     student = StudentNet.create(8, 2, feat_dim=8, hidden_width=12, seed=2)
 
     total_steps = 50
+    data = TrainData.from_pools(*prepare_pools(paired, []))
     adam = AdamState.zeros(teacher.param_count + student.param_count + 1)
     ams = AmsState(theta=0.0, mode="none")
+    params = bind_joint_params(teacher, student, ams.theta)
     protos = empty_prototypes(2, teacher.feat_dim)
     worst = 0.0
 
@@ -660,8 +672,8 @@ def test_c9_degenerates_to_plain_distillation():
         ref_total = ref_tea + ref_stu + 0.5 * ref_kd
 
         lr = cosine_lr(step, total_steps, cfg.learning_rate)
-        protos, ams, adam, trace = train_step(
-            teacher, student, by_id, plan, protos, ams, adam, cfg, lr, step,
+        protos, ams, trace = train_step(
+            teacher, student, data, plan, protos, ams, params, adam, cfg, lr, step,
         )
         rep = trace.report
         assert rep.l_pair == 0.0 and rep.l_proto == 0.0

@@ -471,6 +471,58 @@ def test_cli_run_rejects_mistyped_numbers(tmp_path, capsys, section, key, value)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "two_stage", "false"),
+    ("train", "pcm_enabled", "false"),
+    ("train", "pcm_on_pseudo", 0),
+    ("arms[0]", "pcm", "false"),
+    ("arms[1]", "pcm", 1),
+])
+def test_cli_run_rejects_non_bool_switches(tmp_path, capsys, section, key, value):
+    d = scenario_dict()
+    target = d["arms"][int(section[5])] if section.startswith("arms") else d[section]
+    target[key] = value
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ConfigError")
+    assert f"{section}.{key}" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_from_dict_keeps_bool_switches():
+    d = scenario_dict()
+    d["train"].update(two_stage=True, pcm_enabled=False, proto_strategy="none",
+                      pcm_on_pseudo=False)
+    d["arms"][1]["pcm"] = True
+    cfg = scenario_from_dict(d)
+    assert cfg.train.two_stage is True and cfg.train.pcm_enabled is False
+    assert cfg.train.pcm_on_pseudo is False and cfg.arms[1].pcm is True
+
+
+def test_cli_export_embeddings_on_checkpoint_without_specs(tmp_path, capsys):
+    from pgad.nets import save_checkpoint
+
+    ds = generate_dataset(replace(tiny_dataset_cfg(), missing_rate=0.5))
+    data_path = tmp_path / "data.csv"
+    export_dataset_csv(ds, data_path)
+    ckpt = tmp_path / "student.txt"
+    save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
+    lines = ckpt.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["specs"]
+    ckpt.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    rc = cli_main(["export-embeddings", "--checkpoint", str(ckpt),
+                   "--data", str(data_path), "--out", str(tmp_path / "emb.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ProtocolError")
+    assert "student.txt" in captured.err
+    assert not (tmp_path / "emb.csv").exists()
+
+
 def test_scenario_from_dict_accepts_integral_floats():
     d = scenario_dict()
     d["train"]["epochs"] = 2.0

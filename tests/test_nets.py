@@ -9,11 +9,11 @@ from pgad.nets import (
     MlpSpec,
     StudentNet,
     TeacherNet,
+    bind_joint_params,
+    bound_to,
     load_checkpoint,
     save_checkpoint,
-    student_backward,
     student_forward,
-    teacher_backward,
     teacher_forward,
 )
 
@@ -71,6 +71,50 @@ def test_mlp_param_round_trip():
     assert np.array_equal(net.get_params(), new)
     with pytest.raises(ShapeError):
         net.set_params(new[:-1])
+
+
+def test_mlp_weights_are_views_that_set_params_keeps_bound():
+    net = Mlp(MlpSpec((4, 6, 2)), seed=0)
+    weights, biases = list(net.weights), list(net.biases)
+    new = np.arange(net.param_count, dtype=np.float64)
+    net.set_params(new)
+    assert all(a is b for a, b in zip(net.weights + net.biases, weights + biases))
+    assert all(w.flags.c_contiguous for w in net.weights)
+    assert np.array_equal(net.weights[0], new[:24].reshape(6, 4))
+    assert np.array_equal(net.biases[0], new[24:30])
+    assert np.array_equal(net.weights[1], new[30:42].reshape(2, 6))
+    assert np.array_equal(net.biases[1], new[42:])
+
+
+def test_bind_joint_params_layout_and_in_place_updates():
+    t = TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=1)
+    s = StudentNet.create(4, 2, feat_dim=3, hidden_width=5, seed=2)
+    before_t, before_s = t.get_params(), s.get_params()
+    x = np.random.default_rng(0).standard_normal((3, 4))
+    _, logits = student_forward(s, x)
+
+    buf = bind_joint_params(t, s, 0.25)
+    assert np.array_equal(buf, np.concatenate([before_t, before_s, [0.25]]))
+    assert bound_to(buf, t, s) and not bound_to(buf.copy(), t)
+    assert np.array_equal(student_forward(s, x)[1], logits)  # same values, new home
+
+    buf[: t.param_count] += 1.0
+    assert np.array_equal(t.get_params(), before_t + 1.0)
+    assert np.array_equal(s.get_params(), before_s)
+    s.set_params(before_s * 2.0)  # writes the buffer, so the binding holds
+    assert bound_to(buf, s)
+    assert np.array_equal(buf[t.param_count : -1], before_s * 2.0)
+    assert buf[-1] == 0.25
+
+
+def test_mlp_bind_rejects_bad_buffers():
+    net = Mlp(MlpSpec((3, 2)), seed=0)
+    with pytest.raises(ShapeError):
+        net.bind(np.zeros(net.param_count + 1))
+    with pytest.raises(ShapeError):
+        net.bind(np.zeros(2 * net.param_count)[::2])
+    with pytest.raises(ShapeError):
+        net.bind(np.zeros(net.param_count, dtype=np.float32))
 
 
 def test_mlp_final_layer_is_affine():
@@ -216,7 +260,12 @@ def test_teacher_backward_matches_fd():
     base = t.get_params().copy()
     t.set_params(base)
     teacher_forward(t, a, b)
-    analytic = teacher_backward(t, gf, gl)
+    # the chain step_gradients runs, parts concatenated in the documented order
+    g_head, d_fused = t.head.backward(gl)
+    g_fusion, d_concat = t.fusion.backward(gf + d_fused)
+    g_enc_a, _ = t.enc_a.backward(d_concat[:, : t.feat_dim])
+    g_enc_b, _ = t.enc_b.backward(d_concat[:, t.feat_dim :])
+    analytic = np.concatenate([g_enc_a, g_enc_b, g_fusion, g_head])
     fd = fd_grad(f, base)
     t.set_params(base)
     assert max_rel_err(analytic, fd) < 1e-4
@@ -237,7 +286,9 @@ def test_student_forward_backward_matches_fd():
     base = s.get_params().copy()
     s.set_params(base)
     student_forward(s, x)
-    analytic = student_backward(s, gf, gl)
+    g_head, d_feat = s.head.backward(gl)
+    g_enc, _ = s.enc_a.backward(gf + d_feat)
+    analytic = np.concatenate([g_enc, g_head])
     fd = fd_grad(f, base)
     s.set_params(base)
     assert max_rel_err(analytic, fd) < 1e-4
@@ -285,6 +336,45 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
     with pytest.raises(UsageError):
         save_checkpoint({"not": "a net"}, tmp_path / "no.txt")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda h: h.pop("specs"),
+    lambda h: h["specs"].pop("head"),
+    lambda h: h["specs"]["enc_a"].pop("layer_widths"),
+    lambda h: h["specs"]["enc_a"].update(layer_widths="3,3,2"),
+    lambda h: h["specs"]["enc_a"].update(layer_widths=[3, 0, 2]),
+    lambda h: h["specs"]["head"].update(activation=None),
+    lambda h: h["specs"]["head"].update(activation="sigmoid"),
+    lambda h: h["specs"]["head"].update(layer_widths=[5, 2]),
+    lambda h: h.update(specs=[]),
+    lambda h: h.update(kind=[]),
+    lambda h: h.update(kind={}),
+    lambda h: h.clear(),
+])
+def test_checkpoint_rejects_bad_header_naming_the_file(tmp_path, corrupt):
+    import json
+
+    path = tmp_path / "ck.txt"
+    save_checkpoint(StudentNet.create(3, 2, feat_dim=2, hidden_width=3, seed=0), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    corrupt(header)
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(ProtocolError, match="ck.txt"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_json_header_and_non_numeric_values(tmp_path):
+    path = tmp_path / "ck.txt"
+    path.write_text("not json\n0.5\n")
+    with pytest.raises(ProtocolError, match="ck.txt"):
+        load_checkpoint(path)
+    save_checkpoint(StudentNet.create(3, 2, feat_dim=2, hidden_width=3, seed=0), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + ["0.5x"]) + "\n")
+    with pytest.raises(ProtocolError, match="ck.txt"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_reexport_identical(tmp_path):

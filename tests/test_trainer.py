@@ -1,20 +1,33 @@
 """Training loop pieces: optimizer, schedule, loss routing, full fits."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pgad.ams import AmsState, build_batch, sampling_ratio
-from pgad.errors import ConfigError, EmptyBatchError, ProtocolError, RangeError, ShapeError
+from pgad.ams import AmsState, SamplePool, build_batch, prepare_pools, sampling_ratio
+from pgad.errors import (
+    ConfigError,
+    EmptyBatchError,
+    NumericHealthError,
+    ProtocolError,
+    RangeError,
+    ShapeError,
+    UsageError,
+)
 from pgad.losses import LossWeights, ce_loss, kd_loss, pair_loss, proto_loss, similarity_matrix
-from pgad.nets import StudentNet, TeacherNet, student_forward, teacher_forward
+from pgad.nets import StudentNet, TeacherNet, bind_joint_params, student_forward, teacher_forward
 from pgad.prototypes import compute_batch_prototypes, empty_prototypes
 from pgad.synthdata import DatasetConfig, generate_dataset
 from pgad.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     TrainConfig,
+    TrainData,
     adam_update,
     clip_global_norm,
     cosine_lr,
@@ -34,6 +47,10 @@ def make_data(missing_rate=0.5, spc=16, seed=5, dim=6, separation=5.0):
     )
     ds = generate_dataset(cfg)
     return ds, [s for s in ds if s.paired], [s for s in ds if not s.paired]
+
+
+def train_data(paired, unpaired):
+    return TrainData.from_pools(*prepare_pools(paired, unpaired))
 
 
 def make_nets(dim=6, feat=4, hidden=8, seed=0):
@@ -75,19 +92,22 @@ def test_train_config_defaults_and_validation():
 def test_adam_first_step_is_signed_lr():
     params = np.zeros(3)
     grads = np.array([10.0, -0.5, 2.0])
-    new, state = adam_update(params, grads, AdamState.zeros(3), lr=0.1, weight_decay=0.0)
-    assert np.allclose(new, [-0.1, 0.1, -0.1], atol=1e-7)
+    state = AdamState.zeros(3)
+    assert adam_update(params, grads, state, lr=0.1, weight_decay=0.0) is None
+    assert np.allclose(params, [-0.1, 0.1, -0.1], atol=1e-7)
     assert state.t == 1
 
 
 def test_adam_decoupled_weight_decay():
     params = np.array([2.0, -2.0])
     zeros = np.zeros(2)
-    new, _ = adam_update(params, zeros, AdamState.zeros(2), lr=0.1, weight_decay=0.5)
+    new = params.copy()
+    adam_update(new, zeros, AdamState.zeros(2), lr=0.1, weight_decay=0.5)
     assert np.allclose(new, 0.95 * params, atol=1e-12)
 
-    masked, _ = adam_update(params, zeros, AdamState.zeros(2), lr=0.1, weight_decay=0.5,
-                            decay_mask=np.array([1.0, 0.0]))
+    masked = params.copy()
+    adam_update(masked, zeros, AdamState.zeros(2), lr=0.1, weight_decay=0.5,
+                decay_mask=np.array([1.0, 0.0]))
     assert masked[0] == pytest.approx(0.95 * 2.0)
     assert masked[1] == params[1]
 
@@ -95,17 +115,17 @@ def test_adam_decoupled_weight_decay():
 def test_adam_update_mask_freezes_entries():
     params = np.array([1.0, 1.0])
     grads = np.array([5.0, 5.0])
-    new, _ = adam_update(params, grads, AdamState.zeros(2), lr=0.1, weight_decay=0.0,
-                         update_mask=np.array([0.0, 1.0]))
-    assert new[0] == 1.0
-    assert new[1] != 1.0
+    adam_update(params, grads, AdamState.zeros(2), lr=0.1, weight_decay=0.0,
+                update_mask=np.array([0.0, 1.0]))
+    assert params[0] == 1.0
+    assert params[1] != 1.0
 
 
 def test_adam_state_accumulates():
     state = AdamState.zeros(1)
     params = np.array([0.0])
     for _ in range(5):
-        params, state = adam_update(params, np.array([1.0]), state, 0.01, 0.0)
+        adam_update(params, np.array([1.0]), state, 0.01, 0.0)
     assert state.t == 5
     assert params[0] == pytest.approx(-0.05, abs=1e-6)  # steady unit step of lr
 
@@ -113,6 +133,37 @@ def test_adam_state_accumulates():
 def test_adam_shape_error():
     with pytest.raises(ShapeError):
         adam_update(np.zeros(2), np.zeros(3), AdamState.zeros(2), 0.1, 0.0)
+    with pytest.raises(ShapeError):  # in place needs a float64 array to write
+        adam_update([0.0, 0.0], np.zeros(2), AdamState.zeros(2), 0.1, 0.0)
+
+
+def reference_adam(params, grads, m, v, t, lr, weight_decay, decay_mask, update_mask):
+    """Out-of-place Adam with decoupled decay, in the operation order of the trainer."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    step_vec = lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * (params * decay_mask))
+    return params - step_vec * update_mask, m, v
+
+
+def test_adam_in_place_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    n = 50
+    params = rng.standard_normal(n)
+    decay_mask = np.ones(n)
+    decay_mask[-1] = 0.0
+    update_mask = (rng.random(n) < 0.7).astype(np.float64)
+    state = AdamState.zeros(n)
+    ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    for t in range(1, 8):
+        grads = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
+        lr = float(rng.uniform(1e-4, 1e-2))
+        adam_update(params, grads, state, lr, 5e-5, decay_mask, update_mask)
+        ref, m, v = reference_adam(ref, grads, m, v, t, lr, 5e-5, decay_mask, update_mask)
+        assert np.array_equal(params, ref)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.t == t
 
 
 def test_cosine_lr_schedule():
@@ -130,6 +181,9 @@ def test_cosine_lr_schedule():
 def test_clip_global_norm():
     g = np.array([3.0, 4.0])
     assert np.array_equal(clip_global_norm(g, 10.0), g)
+    # The benchmark tracer counts clipped steps as calls that return a new array.
+    assert clip_global_norm(g, 10.0) is g
+    assert clip_global_norm(g, 1.0) is not g
     clipped = clip_global_norm(g, 1.0)
     assert np.linalg.norm(clipped) == pytest.approx(1.0)
     assert np.allclose(clipped, g / 5.0)
@@ -141,7 +195,7 @@ def test_clip_global_norm():
 def mixed_plan(ds, paired, unpaired, batch_size=10, seed=0):
     plan = build_batch(paired, unpaired, batch_size, 0.5, seed)
     assert plan.pseudo, "fixture needs pseudo rows"
-    return plan, {s.id: s for s in ds}
+    return plan, train_data(paired, unpaired)
 
 
 def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
@@ -157,8 +211,8 @@ def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
     feat_s, logits_s = student_forward(student, feats_a)
     h_b = teacher.enc_b.forward(feats_b)
 
-    l_tea = ce_loss(logits_t, labels)[0]
-    l_stu = ce_loss(logits_s, labels)[0]
+    l_tea = ce_loss(logits_t, labels)[0].mean()
+    l_stu = ce_loss(logits_s, labels)[0].mean()
     l_kl = kd_loss(logits_s[:n_g], logits_t[:n_g], cfg.kd_temperature)[0]
     sims, _ = similarity_matrix(feat_s[:n_g], h_b, cfg.sim_temperature)
     l_pair = pair_loss(sims, [(i, i) for i in range(n_g)])[0]
@@ -168,15 +222,15 @@ def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
 
 def test_step_gradients_terms_match_direct_composition():
     ds, paired, unpaired = make_data()
-    plan, by_id = mixed_plan(ds, paired, unpaired)
+    plan, data = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
     protos = global_prototypes(teacher, paired)
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
     state = AmsState(theta=0.3, mode="dynamic")
 
-    report, grads = step_gradients(teacher, student, by_id, plan, protos, state, cfg)
+    report, grads = step_gradients(teacher, student, data, plan, protos, state, cfg)
     l_tea, l_stu, l_kl, l_pair, l_proto, labels, logits_t, logits_s = manual_report_terms(
-        teacher, student, by_id, plan, protos, cfg
+        teacher, student, {s.id: s for s in ds}, plan, protos, cfg
     )
     assert report.l_tea == pytest.approx(l_tea, abs=1e-12)
     assert report.l_stu == pytest.approx(l_stu, abs=1e-12)
@@ -189,11 +243,11 @@ def test_step_gradients_terms_match_direct_composition():
     # theta entry follows the expected-loss surrogate on the weighted subsets
     n_g = len(plan.genuine)
     w = cfg.loss_weights
-    lg = (w.tea * ce_loss(logits_t[:n_g], labels[:n_g])[0]
-          + w.stu * ce_loss(logits_s[:n_g], labels[:n_g])[0]
+    lg = (w.tea * ce_loss(logits_t[:n_g], labels[:n_g])[0].mean()
+          + w.stu * ce_loss(logits_s[:n_g], labels[:n_g])[0].mean()
           + w.kl * l_kl + w.pair * l_pair)
-    lq = (w.tea * ce_loss(logits_t[n_g:], labels[n_g:])[0]
-          + w.stu * ce_loss(logits_s[n_g:], labels[n_g:])[0]
+    lq = (w.tea * ce_loss(logits_t[n_g:], labels[n_g:])[0].mean()
+          + w.stu * ce_loss(logits_s[n_g:], labels[n_g:])[0].mean()
           + w.proto * l_proto)
     r = sampling_ratio(state)
     assert grads[-1] == pytest.approx((lg - lq) * r * (1 - r), abs=1e-12)
@@ -201,13 +255,13 @@ def test_step_gradients_terms_match_direct_composition():
 
 def test_step_gradients_zero_weights_skip_terms():
     ds, paired, unpaired = make_data()
-    plan, by_id = mixed_plan(ds, paired, unpaired)
+    plan, data = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=1, stu=0, kl=0, pair=0, proto=0),
                       pcm_enabled=False, proto_strategy="none")
     state = AmsState(mode="none")
 
-    report, grads = step_gradients(teacher, student, by_id, plan, None, state, cfg)
+    report, grads = step_gradients(teacher, student, data, plan, None, state, cfg)
     assert report.l_stu == report.l_kl == report.l_pair == report.l_proto == 0.0
     assert report.total == report.l_tea
     # the student receives no signal from a teacher-only objective
@@ -218,11 +272,11 @@ def test_step_gradients_zero_weights_skip_terms():
 
 def test_step_gradients_student_only_leaves_teacher_untouched():
     ds, paired, unpaired = make_data()
-    plan, by_id = mixed_plan(ds, paired, unpaired)
+    plan, data = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=0, stu=1, kl=0, pair=0, proto=0),
                       pcm_enabled=False, proto_strategy="none")
-    report, grads = step_gradients(teacher, student, by_id, plan, None,
+    report, grads = step_gradients(teacher, student, data, plan, None,
                                    AmsState(mode="none"), cfg)
     assert np.abs(grads[: teacher.param_count]).max() == 0.0
     assert report.l_tea == 0.0 and report.l_stu > 0.0
@@ -231,11 +285,11 @@ def test_step_gradients_student_only_leaves_teacher_untouched():
 def test_step_gradients_theta_zero_without_pseudo_rows():
     ds, paired, unpaired = make_data(missing_rate=0.0)
     plan = build_batch(paired, unpaired, 8, 1.0, seed=1)
-    by_id = {s.id: s for s in ds}
+    data = train_data(paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig()
     report, grads = step_gradients(
-        teacher, student, by_id, plan, global_prototypes(teacher, paired),
+        teacher, student, data, plan, global_prototypes(teacher, paired),
         AmsState(theta=0.4, mode="dynamic"), cfg,
     )
     assert grads[-1] == 0.0
@@ -245,23 +299,23 @@ def test_step_gradients_theta_zero_without_pseudo_rows():
 def test_step_gradients_rejects_all_pseudo_batch():
     ds, paired, unpaired = make_data()
     plan = build_batch(paired, unpaired, 8, 0.0, seed=0)
-    by_id = {s.id: s for s in ds}
+    data = train_data(paired, unpaired)
     teacher, student = make_nets()
     with pytest.raises(ProtocolError):
-        step_gradients(teacher, student, by_id, plan, None,
+        step_gradients(teacher, student, data, plan, None,
                        AmsState(mode="dynamic"), TrainConfig())
 
 
 def test_step_gradients_matches_fd_on_student_params():
     """End-to-end derivative of the weighted objective wrt student params."""
     ds, paired, unpaired = make_data(spc=8, dim=4)
-    plan, by_id = mixed_plan(ds, paired, unpaired, batch_size=6, seed=2)
+    plan, data = mixed_plan(ds, paired, unpaired, batch_size=6, seed=2)
     teacher, student = make_nets(dim=4, feat=3, hidden=4)
     protos = global_prototypes(teacher, paired)
     cfg = TrainConfig(proto_assignment="true_class")
     state = AmsState(theta=0.0, mode="dynamic")
 
-    _, grads = step_gradients(teacher, student, by_id, plan, protos, state, cfg)
+    _, grads = step_gradients(teacher, student, data, plan, protos, state, cfg)
     analytic = grads[teacher.param_count : -1]
 
     base = student.get_params().copy()
@@ -272,7 +326,7 @@ def test_step_gradients_matches_fd_on_student_params():
             p = base.copy()
             p[i] += sign * h
             student.set_params(p)
-            rep, _ = step_gradients(teacher, student, by_id, plan, protos, state, cfg)
+            rep, _ = step_gradients(teacher, student, data, plan, protos, state, cfg)
             fd[i] += sign * rep.total
         fd[i] /= 2 * h
     student.set_params(base)
@@ -283,25 +337,32 @@ def test_step_gradients_matches_fd_on_student_params():
 # ------------------------------------------------------------ train_step
 
 
+def bound_nets(theta=0.0):
+    """Fresh nets bound to one parameter buffer, with a matching Adam state."""
+    teacher, student = make_nets()
+    params = bind_joint_params(teacher, student, theta)
+    return teacher, student, params, AdamState.zeros(params.size)
+
+
 def test_train_step_updates_params_and_prototypes():
     ds, paired, unpaired = make_data()
-    plan, by_id = mixed_plan(ds, paired, unpaired)
-    teacher, student = make_nets()
+    plan, data = mixed_plan(ds, paired, unpaired)
+    teacher, student, params, adam = bound_nets()
     cfg = TrainConfig(proto_assignment="true_class")
     protos = empty_prototypes(2, teacher.feat_dim)
     before_t = teacher.get_params().copy()
     before_s = student.get_params().copy()
 
-    new_protos, new_ams, new_adam, trace = train_step(
-        teacher, student, by_id, plan, protos,
-        AmsState(theta=0.0, mode="dynamic"), AdamState.zeros(
-            teacher.param_count + student.param_count + 1
-        ), cfg, lr=1e-3, step=0,
+    new_protos, new_ams, trace = train_step(
+        teacher, student, data, plan, protos,
+        AmsState(theta=0.0, mode="dynamic"), params, adam, cfg, lr=1e-3, step=0,
     )
     assert not np.array_equal(teacher.get_params(), before_t)
     assert not np.array_equal(student.get_params(), before_s)
+    assert np.array_equal(params, np.concatenate(
+        [teacher.get_params(), student.get_params(), [new_ams.theta]]))
     assert not new_protos.stale.any()  # both classes seen in the genuine rows
-    assert new_adam.t == 1
+    assert adam.t == 1
     assert trace.n_genuine == len(plan.genuine)
     assert trace.n_pseudo == len(plan.pseudo)
     assert trace.theta != 0.0  # dynamic theta moved
@@ -310,14 +371,12 @@ def test_train_step_updates_params_and_prototypes():
 
 def test_train_step_theta_frozen_outside_dynamic():
     ds, paired, unpaired = make_data()
-    plan, by_id = mixed_plan(ds, paired, unpaired)
-    teacher, student = make_nets()
+    plan, data = mixed_plan(ds, paired, unpaired)
+    teacher, student, params, adam = bound_nets()
     cfg = TrainConfig(ams_mode="none")
-    _, new_ams, _, trace = train_step(
-        teacher, student, by_id, plan, empty_prototypes(2, teacher.feat_dim),
-        AmsState(theta=0.0, mode="none"), AdamState.zeros(
-            teacher.param_count + student.param_count + 1
-        ), cfg, lr=1e-3, step=0,
+    _, new_ams, trace = train_step(
+        teacher, student, data, plan, empty_prototypes(2, teacher.feat_dim),
+        AmsState(theta=0.0, mode="none"), params, adam, cfg, lr=1e-3, step=0,
     )
     assert new_ams.theta == 0.0
     assert trace.ratio == 1.0
@@ -326,13 +385,74 @@ def test_train_step_theta_frozen_outside_dynamic():
 def test_train_step_requires_genuine_rows():
     ds, paired, unpaired = make_data()
     plan = build_batch(paired, unpaired, 8, 0.0, seed=0)
-    by_id = {s.id: s for s in ds}
-    teacher, student = make_nets()
+    teacher, student, params, adam = bound_nets()
     with pytest.raises(ProtocolError):
-        train_step(teacher, student, by_id, plan, empty_prototypes(2, teacher.feat_dim),
-                   AmsState(mode="dynamic"), AdamState.zeros(
-                       teacher.param_count + student.param_count + 1
-                   ), TrainConfig(), lr=1e-3, step=0)
+        train_step(teacher, student, train_data(paired, unpaired), plan,
+                   empty_prototypes(2, teacher.feat_dim), AmsState(mode="dynamic"),
+                   params, adam, TrainConfig(), lr=1e-3, step=0)
+
+
+def test_train_step_requires_nets_bound_to_params():
+    ds, paired, unpaired = make_data()
+    plan, data = mixed_plan(ds, paired, unpaired)
+    teacher, student, params, adam = bound_nets()
+    with pytest.raises(UsageError):
+        train_step(teacher, student, data, plan, empty_prototypes(2, teacher.feat_dim),
+                   AmsState(mode="dynamic"), params.copy(), adam, TrainConfig(),
+                   lr=1e-3, step=0)
+
+
+# ------------------------------------------------------------ TrainData
+
+
+def test_train_data_columns_are_id_sorted_and_read_only():
+    ds, _, _ = make_data()
+    shuffled = [ds[i] for i in np.random.default_rng(0).permutation(len(ds))]
+    data = train_data([s for s in shuffled if s.paired], [s for s in shuffled if not s.paired])
+    by_id = {s.id: s for s in ds}
+    assert np.array_equal(data.ids, sorted(by_id))
+    for row, i in enumerate(data.ids.tolist()):
+        s = by_id[i]
+        assert data.labels[row] == s.label
+        assert np.array_equal(data.feat_a[row], s.feat_a)
+        if s.paired:
+            assert np.array_equal(data.feat_b[row], s.feat_b)
+        else:
+            assert np.isnan(data.feat_b[row]).all()
+    for column in (data.ids, data.labels, data.feat_a, data.feat_b):
+        assert not column.flags.writeable
+
+
+def test_train_data_rows_lookup():
+    ds, paired, unpaired = make_data()
+    data = train_data(paired, unpaired)
+    ids = [ds[5].id, ds[0].id, ds[5].id]
+    assert data.ids[data.rows(ids)].tolist() == ids
+    assert data.rows([]).size == 0
+    with pytest.raises(ProtocolError):
+        data.rows([ds[0].id, max(s.id for s in ds) + 1])
+    with pytest.raises(ProtocolError):
+        data.rows([min(s.id for s in ds) - 1])
+
+
+def test_train_data_needs_a_prepared_pool_pair():
+    _, paired, unpaired = make_data()
+    _, unpaired_pool = prepare_pools(paired, unpaired)
+    with pytest.raises(UsageError):
+        TrainData.from_pools(SamplePool(paired, paired=True), unpaired_pool)
+
+
+def test_unpaired_feat_b_gathered_as_a_donor_fails_loudly():
+    """A plan naming an unpaired sample as donor must not train silently."""
+    ds, paired, unpaired = make_data()
+    plan, data = mixed_plan(ds, paired, unpaired)
+    rec, _, cls = plan.pseudo[0]
+    bad = replace(plan, pseudo=((rec, rec, cls),) + plan.pseudo[1:])
+    teacher, student = make_nets()
+    with pytest.raises(NumericHealthError):
+        step_gradients(teacher, student, data, bad, None, AmsState(mode="fixed"),
+                       TrainConfig(ams_mode="fixed", pcm_enabled=False,
+                                   proto_strategy="none"))
 
 
 # ------------------------------------------------------------ fit
@@ -475,3 +595,46 @@ def test_export_trace_csv_layout(tmp_path):
     assert lines[0] == "epoch,l_tea,l_stu,l_kl,l_pair,l_proto,total,theta,ratio,lr"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0"
+
+
+# ------------------------------------------------------------ golden fits
+
+# The six acceptance-grid arms: (pcm, ams mode, prototype strategy, weights).
+GRID_ARMS = {
+    "baseline": (False, "none", "none", LossWeights(1, 1, 0.5, 0, 0)),
+    "pcm": (True, "none", "paired", LossWeights(1, 1, 0.5, 0, 0.5)),
+    "ams_fixed": (True, "fixed", "paired", LossWeights(1, 1, 0.5, 0.5, 0.5)),
+    "full": (True, "dynamic", "paired", LossWeights(1, 1, 0.5, 0.5, 0.5)),
+    "proto_none_ams": (False, "dynamic", "none", LossWeights(1, 1, 0.5, 0, 0)),
+    "proto_all": (True, "dynamic", "all", LossWeights(1, 1, 0.5, 0.5, 0.5)),
+}
+
+# sha256 of golden_fit_bytes(), recorded before the training step was
+# rewritten over column arrays and one parameter buffer.
+GOLDEN_FIT_DIGEST = "204869743006cbf3890bcd2c24cb99d6d7744ff6c1a141ebd88c6c6d9329fa23"
+
+
+def golden_fit_bytes() -> bytes:
+    """Every output of small fits of each grid arm, single- and two-stage."""
+    ds, _, _ = make_data(missing_rate=0.5, spc=16)
+    chunks = []
+    for name, (pcm, ams, strategy, weights) in GRID_ARMS.items():
+        for two_stage in (False, True):
+            cfg = fast_cfg(epochs=3, batch_size=8, loss_weights=weights, ams_mode=ams,
+                           pcm_enabled=pcm, proto_strategy=strategy, two_stage=two_stage)
+            result = fit(*make_nets(seed=13), ds, cfg)
+            protos = result.prototypes
+            chunks += [
+                name.encode(), bytes([two_stage]),
+                result.teacher.get_params().tobytes(),
+                result.student.get_params().tobytes(),
+                repr(result.epoch_traces).encode(),
+                repr(result.ams_state).encode(),
+                protos.values.tobytes(), protos.counts.tobytes(), protos.stale.tobytes(),
+                str(result.steps).encode(),
+            ]
+    return b"|".join(chunks)
+
+
+def test_fit_outputs_match_golden_digest():
+    assert hashlib.sha256(golden_fit_bytes()).hexdigest() == GOLDEN_FIT_DIGEST
