@@ -19,7 +19,6 @@ from .nets import MlpSpec, StudentNet, TeacherNet, load_checkpoint, save_checkpo
 from .prototypes import (
     PrototypeSet,
     compute_batch_prototypes,
-    nearest_prototype,
     update_running_prototypes,
 )
 from .synthdata import (
@@ -46,7 +45,7 @@ __all__ = [
     "compare_arms", "compute_batch_prototypes", "confusion", "cosine_lr",
     "export_dataset_csv", "export_folds_csv", "fit", "generate_dataset",
     "import_dataset_csv", "kd_loss", "load_checkpoint", "mcc",
-    "nearest_prototype", "pair_loss", "paired_ttest", "proto_loss",
+    "pair_loss", "paired_ttest", "proto_loss",
     "run_scenario", "sampling_ratio", "save_checkpoint", "sen_spe",
     "stratified_kfold", "theta_gradient", "train_step",
     "update_running_prototypes",

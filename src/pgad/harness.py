@@ -12,7 +12,7 @@ scenario config produces byte-identical CSVs.
 
 from __future__ import annotations
 
-import math
+import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,7 +29,6 @@ from .evaluation import (
     MetricsRecord,
     bonferroni,
     classification_metrics,
-    export_comparisons_csv,
     export_metrics_csv,
     paired_ttest,
 )
@@ -114,6 +113,13 @@ class CellSummary:
     mean: dict
     std: dict
     records: tuple
+
+    @classmethod
+    def from_records(cls, arm: str, rate: float, records: tuple) -> "CellSummary":
+        """Mean and sample standard deviation (ddof=1) of each metric over the folds."""
+        mean = {m: float(np.mean([r.get(m) for r in records])) for m in METRIC_NAMES}
+        std = {m: float(np.std([r.get(m) for r in records], ddof=1)) for m in METRIC_NAMES}
+        return cls(arm=arm, rate=rate, mean=mean, std=std, records=records)
 
 
 @dataclass(frozen=True)
@@ -285,13 +291,7 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
             fold_records = tuple(
                 records[(arm.name, float(rate), f)] for f in range(cfg.k_folds)
             )
-            mean = {m: float(np.mean([r.get(m) for r in fold_records])) for m in METRIC_NAMES}
-            std = {
-                m: float(np.std([r.get(m) for r in fold_records], ddof=1))
-                for m in METRIC_NAMES
-            }
-            cells.append(CellSummary(arm=arm.name, rate=float(rate), mean=mean,
-                                     std=std, records=fold_records))
+            cells.append(CellSummary.from_records(arm.name, float(rate), fold_records))
             for rec in fold_records:
                 metric_rows.append((arm.name, _scenario_tag(rate), rec))
 
@@ -303,8 +303,6 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
 
 
 def _export_summary_csv(summary: RunSummary, path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["method", "rate"]
@@ -340,8 +338,6 @@ def _export_report_md(cfg: ScenarioConfig, summary: RunSummary, path) -> None:
 
 def export_embeddings(student: StudentNet, samples: Sequence[Sample], path) -> None:
     """Write student features as CSV rows id,label,paired,h_0..h_{H-1}."""
-    import csv
-
     if not samples:
         raise UsageError("cannot export embeddings for an empty sample list")
     feats = np.stack([s.feat_a for s in samples])
@@ -522,8 +518,6 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[int] = None) -> RunSummary:
     """Rebuild a RunSummary from a metrics.csv written by run_scenario."""
-    import csv
-
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -552,8 +546,6 @@ def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[in
             (r for mth, rt, r in rows if mth == method and rt == rate),
             key=lambda r: r.fold,
         ))
-        mean = {m: float(np.mean([r.get(m) for r in recs])) for m in METRIC_NAMES}
-        std = {m: float(np.std([r.get(m) for r in recs], ddof=1)) for m in METRIC_NAMES}
-        cells.append(CellSummary(arm=method, rate=rate, mean=mean, std=std, records=recs))
+        cells.append(CellSummary.from_records(method, rate, recs))
     k = k_folds if k_folds is not None else (len(cells[0].records) if cells else 0)
     return RunSummary(scenario=scenario, k_folds=k, cells=tuple(cells))

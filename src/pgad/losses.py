@@ -145,21 +145,6 @@ def kd_loss(
     return value, grad
 
 
-def similarity(h_a: np.ndarray, h_b: np.ndarray, temperature: float) -> float:
-    """Temperature-scaled cosine similarity between two vectors."""
-    if temperature <= 0.0 or not math.isfinite(temperature):
-        raise RangeError(f"temperature must be positive, got {temperature}")
-    h_a = np.asarray(h_a, dtype=np.float64)
-    h_b = np.asarray(h_b, dtype=np.float64)
-    if h_a.ndim != 1 or h_b.ndim != 1 or h_a.shape != h_b.shape:
-        raise ShapeError(f"expected equal-length vectors, got {h_a.shape} and {h_b.shape}")
-    na = float(np.linalg.norm(h_a))
-    nb = float(np.linalg.norm(h_b))
-    if na < 1e-12 or nb < 1e-12:
-        raise DegenerateInputError("cosine similarity is undefined for a zero vector")
-    return float(h_a @ h_b) / (na * nb * temperature)
-
-
 def similarity_matrix(feats_a: np.ndarray, feats_b: np.ndarray, temperature: float):
     """All-pairs temperature-scaled cosine similarities plus a VJP.
 

@@ -13,6 +13,13 @@ bind_joint_params moves a teacher and a student into one buffer laid out
 as [teacher | student | theta]; an in-place optimizer step on that buffer
 is then the update of both nets.
 
+Each network has one forward and one backward chain here, and the
+trainer calls them: teacher_features (encoders and fusion),
+teacher_forward (those plus the head), teacher_backward, student_forward
+and student_backward.  A backward function returns the net's flat
+gradient in get_params order, so the gradient layout lives in this
+module only.  Inputs are 2-d batches.
+
 Backward passes consume a single-slot cache written by the most recent
 forward pass.  Calling backward twice, or before any forward, raises
 UsageError instead of silently reusing stale activations.
@@ -63,11 +70,11 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return np.tanh(z)
 
 
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
+def _act_grad(name: str, a: np.ndarray) -> np.ndarray:
+    """Derivative of the activation, from its output `a`."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return (a > 0.0).astype(np.float64)
+    return 1.0 - a * a
 
 
 class Mlp:
@@ -85,7 +92,7 @@ class Mlp:
             draws.append(rng.uniform(-s, s, size=(fan_out,)))
         self._flat = np.concatenate(draws)
         self._bind_views()
-        self._cache: Optional[dict] = None
+        self._cache: Optional[list] = None
 
     def _bind_views(self) -> None:
         self.weights: list[np.ndarray] = []
@@ -136,15 +143,13 @@ class Mlp:
         if x.shape[1] != self.spec.in_dim:
             raise ShapeError(f"expected input dim {self.spec.in_dim}, got {x.shape[1]}")
         acts = [x]
-        pre = []
         n_layers = len(self.weights)
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w.T + b
-            pre.append(z)
             h = z if i == n_layers - 1 else _act(self.spec.activation, z)
             acts.append(h)
-        self._cache = {"acts": acts, "pre": pre}
+        self._cache = acts
         return h
 
     def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,8 +159,7 @@ class Mlp:
         """
         if self._cache is None:
             raise UsageError("backward called without a pending forward pass")
-        cache, self._cache = self._cache, None
-        acts, pre = cache["acts"], cache["pre"]
+        acts, self._cache = self._cache, None
         grad_out = np.asarray(grad_out, dtype=np.float64)
         if grad_out.shape != acts[-1].shape:
             raise ShapeError(f"expected upstream grad of shape {acts[-1].shape}, got {grad_out.shape}")
@@ -166,7 +170,7 @@ class Mlp:
         delta = grad_out
         for i in range(n_layers - 1, -1, -1):
             if i != n_layers - 1:
-                delta = delta * _act_grad(self.spec.activation, pre[i])
+                delta = delta * _act_grad(self.spec.activation, acts[i + 1])
             grads_w[i] = delta.T @ acts[i]
             grads_b[i] = delta.sum(axis=0)
             delta = delta @ self.weights[i]
@@ -178,21 +182,46 @@ class Mlp:
         return np.concatenate(chunks), delta
 
 
-def _as_batch(x: np.ndarray, dim: int, name: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-        single = True
-    elif x.ndim == 2:
-        single = False
-    else:
-        raise ShapeError(f"{name}: expected 1-d or 2-d input, got shape {x.shape}")
-    if x.shape[1] != dim:
-        raise ShapeError(f"{name}: expected feature dim {dim}, got {x.shape[1]}")
-    return x, single
+class _Net:
+    """Parameter plumbing shared by TeacherNet and StudentNet.
+
+    `_parts` holds the sub-nets in get_params order: an encoder whose
+    output width is the feature dim first, the head last.  Each subclass
+    binds get_params and set_params in its own class body, so the two
+    classes keep separate entries that can be replaced one at a time
+    (the benchmark's tracer times them per class).
+    """
+
+    _parts: tuple
+
+    @property
+    def feat_dim(self) -> int:
+        return self._parts[0].spec.out_dim
+
+    @property
+    def num_classes(self) -> int:
+        return self._parts[-1].spec.out_dim
+
+    @property
+    def param_count(self) -> int:
+        return sum(p.param_count for p in self._parts)
 
 
-class TeacherNet:
+def _get_params(net: _Net) -> np.ndarray:
+    return np.concatenate([p._flat for p in net._parts])
+
+
+def _set_params(net: _Net, flat: np.ndarray) -> None:
+    flat = np.asarray(flat, dtype=np.float64)
+    if flat.shape != (net.param_count,):
+        raise ShapeError(f"expected flat vector of length {net.param_count}, got {flat.shape}")
+    offset = 0
+    for p in net._parts:
+        p.set_params(flat[offset : offset + p.param_count])
+        offset += p.param_count
+
+
+class TeacherNet(_Net):
     """Two-modality classifier: per-modality encoders, fusion MLP, linear head."""
 
     def __init__(self, enc_a: Mlp, enc_b: Mlp, fusion: Mlp, head: Mlp):
@@ -232,32 +261,11 @@ class TeacherNet:
         head = Mlp(MlpSpec((feat_dim, num_classes), activation), derive_seed(seed, "head"))
         return cls(enc_a, enc_b, fusion, head)
 
-    @property
-    def feat_dim(self) -> int:
-        return self.enc_a.spec.out_dim
-
-    @property
-    def num_classes(self) -> int:
-        return self.head.spec.out_dim
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.param_count for p in self._parts)
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([p._flat for p in self._parts])
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.param_count,):
-            raise ShapeError(f"expected flat vector of length {self.param_count}, got {flat.shape}")
-        offset = 0
-        for p in self._parts:
-            p.set_params(flat[offset : offset + p.param_count])
-            offset += p.param_count
+    get_params = _get_params
+    set_params = _set_params
 
 
-class StudentNet:
+class StudentNet(_Net):
     """Single-modality classifier: modality-A encoder plus linear head."""
 
     def __init__(self, enc_a: Mlp, head: Mlp):
@@ -282,54 +290,58 @@ class StudentNet:
         head = Mlp(MlpSpec((feat_dim, num_classes), activation), derive_seed(seed, "head"))
         return cls(enc_a, head)
 
-    @property
-    def feat_dim(self) -> int:
-        return self.enc_a.spec.out_dim
-
-    @property
-    def num_classes(self) -> int:
-        return self.head.spec.out_dim
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.param_count for p in self._parts)
-
-    def get_params(self) -> np.ndarray:
-        return np.concatenate([p._flat for p in self._parts])
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.param_count,):
-            raise ShapeError(f"expected flat vector of length {self.param_count}, got {flat.shape}")
-        offset = 0
-        for p in self._parts:
-            p.set_params(flat[offset : offset + p.param_count])
-            offset += p.param_count
+    get_params = _get_params
+    set_params = _set_params
 
 
-def teacher_forward(net: TeacherNet, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (fused features, logits) for a batch (or single pair) of inputs."""
-    a2, single_a = _as_batch(a, net.enc_a.spec.in_dim, "modality a")
-    b2, single_b = _as_batch(b, net.enc_b.spec.in_dim, "modality b")
-    if a2.shape[0] != b2.shape[0]:
-        raise ShapeError(f"batch sizes differ: a has {a2.shape[0]}, b has {b2.shape[0]}")
-    ha = net.enc_a.forward(a2)
-    hb = net.enc_b.forward(b2)
-    fused = net.fusion.forward(np.concatenate([ha, hb], axis=1))
-    logits = net.head.forward(fused)
-    if single_a and single_b:
-        return fused[0], logits[0]
-    return fused, logits
+def teacher_features(net: TeacherNet, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (modality-B embeddings h_b, fused features) for a batch of pairs."""
+    if len(a) != len(b):
+        raise ShapeError(f"batch sizes differ: a has {len(a)}, b has {len(b)}")
+    h_a = net.enc_a.forward(a)
+    h_b = net.enc_b.forward(b)
+    fused = net.fusion.forward(np.concatenate([h_a, h_b], axis=1))
+    return h_b, fused
+
+
+def teacher_forward(
+    net: TeacherNet, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (h_b, fused, logits): teacher_features followed by the head."""
+    h_b, fused = teacher_features(net, a, b)
+    return h_b, fused, net.head.forward(fused)
+
+
+def teacher_backward(net: TeacherNet, d_logits: np.ndarray, d_h_b: np.ndarray) -> np.ndarray:
+    """Flat gradient, in get_params order, through the last teacher_forward.
+
+    d_logits and d_h_b are the upstream gradients of its logits and of its
+    modality-B embeddings; the fused features reach a loss only through
+    the head.
+    """
+    g_head, d_fused = net.head.backward(d_logits)
+    g_fusion, d_concat = net.fusion.backward(d_fused)
+    feat = net.feat_dim
+    g_enc_a, _ = net.enc_a.backward(d_concat[:, :feat])
+    g_enc_b, _ = net.enc_b.backward(d_concat[:, feat:] + d_h_b)
+    return np.concatenate([g_enc_a, g_enc_b, g_fusion, g_head])
 
 
 def student_forward(net: StudentNet, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (features, logits) for a batch (or single vector) of modality-A inputs."""
-    a2, single = _as_batch(a, net.enc_a.spec.in_dim, "modality a")
-    feat = net.enc_a.forward(a2)
-    logits = net.head.forward(feat)
-    if single:
-        return feat[0], logits[0]
-    return feat, logits
+    """Return (features, logits) for a batch of modality-A inputs."""
+    feat = net.enc_a.forward(a)
+    return feat, net.head.forward(feat)
+
+
+def student_backward(net: StudentNet, d_logits: np.ndarray, d_feat: np.ndarray) -> np.ndarray:
+    """Flat gradient, in get_params order, through the last student_forward.
+
+    d_logits and d_feat are the upstream gradients of its logits and of
+    its features.
+    """
+    g_head, d_feat_head = net.head.backward(d_logits)
+    g_enc, _ = net.enc_a.backward(d_feat_head + d_feat)
+    return np.concatenate([g_enc, g_head])
 
 
 def bind_joint_params(teacher: TeacherNet, student: StudentNet, theta: float) -> np.ndarray:

@@ -123,25 +123,11 @@ def with_fallback(batch: PrototypeSet, fallback: PrototypeSet) -> PrototypeSet:
     return PrototypeSet(dim=batch.dim, values=values, counts=counts, stale=stale)
 
 
-def nearest_prototype(feat: np.ndarray, protos: PrototypeSet) -> tuple[int, float]:
-    """Class index and squared distance of the nearest usable prototype.
+def nearest_prototypes_batch(feats: np.ndarray, protos: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Class index and squared distance of each row's nearest usable prototype.
 
     Ties go to the lowest class index.
     """
-    feat = np.asarray(feat, dtype=np.float64)
-    if feat.shape != (protos.dim,):
-        raise ShapeError(f"expected feature of shape ({protos.dim},), got {feat.shape}")
-    usable = protos.usable()
-    if not usable.any():
-        raise ProtocolError("no usable prototype: every class is stale")
-    d2 = ((protos.values - feat) ** 2).sum(axis=1)
-    d2 = np.where(usable, d2, np.inf)
-    idx = int(np.argmin(d2))
-    return idx, float(d2[idx])
-
-
-def nearest_prototypes_batch(feats: np.ndarray, protos: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized nearest_prototype over rows; same tie rule (lowest index)."""
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != protos.dim:
         raise ShapeError(f"expected feature matrix (N, {protos.dim}), got shape {feats.shape}")

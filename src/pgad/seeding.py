@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 
 
@@ -46,7 +44,3 @@ def derive_seed(root: int, *parts) -> int:
         state = splitmix64(state ^ _token(part))
     return state
 
-
-def rng_for(root: int, *parts) -> np.random.Generator:
-    """A fresh PCG64 generator seeded from the derived child seed."""
-    return np.random.default_rng(derive_seed(root, *parts))

@@ -4,12 +4,20 @@ One step does, in order: batch composition, teacher and student forwards,
 prototype refresh from the batch's genuine pairs, loss evaluation, one
 joint Adam update over [teacher params | student params | theta].
 
+The networks' forward and backward chains, and the layout of their
+gradients, live in nets (teacher_features, teacher_forward,
+teacher_backward, student_forward, student_backward); this module only
+calls them.
+
 fit prepares everything a step reads once, before the first step: the
-training set as id-sorted TrainData columns, which a step gathers its rows
-from by index, and one parameter buffer [teacher | student | theta] that
-both nets are bound to (nets.bind_joint_params), which Adam updates in
-place.  Cross-entropy is computed once per logit matrix, per row, and the
-theta surrogate's subset losses are means over slices of those rows.
+training set as id-sorted TrainData columns, which a step (and the
+epoch-level prototypes of the "all" strategy) gathers its rows from by
+index, and one parameter buffer [teacher | student | theta] that both
+nets are bound to (nets.bind_joint_params), which Adam updates in
+place.  Gathering in id order makes a fit independent of the order of
+its input samples.  Cross-entropy is computed once per logit matrix, per
+row, and the theta surrogate's subset losses are means over slices of
+those rows.
 
 Loss routing per batch:
   l_tea   cross-entropy on teacher logits, genuine + pseudo rows
@@ -66,7 +74,17 @@ from .losses import (
     similarity_matrix,
     total_loss,
 )
-from .nets import StudentNet, TeacherNet, bind_joint_params, bound_to
+from .nets import (
+    StudentNet,
+    TeacherNet,
+    bind_joint_params,
+    bound_to,
+    student_backward,
+    student_forward,
+    teacher_backward,
+    teacher_features,
+    teacher_forward,
+)
 from .prototypes import (
     PROTO_MOMENTUM_DEFAULT,
     PrototypeSet,
@@ -153,12 +171,14 @@ class TrainData:
 
     Unpaired samples have NaN feat_b rows, so gathering one as a modality-B
     input makes the step's losses non-finite instead of passing silently.
+    paired_rows lists the rows of the paired samples, ascending.
     """
 
     ids: np.ndarray
     labels: np.ndarray
     feat_a: np.ndarray
     feat_b: np.ndarray
+    paired_rows: np.ndarray
 
     @classmethod
     def from_pools(cls, paired: SamplePool, unpaired: SamplePool) -> "TrainData":
@@ -180,6 +200,7 @@ class TrainData:
             np.concatenate((paired.labels, unpaired.labels))[order],
             feat_a[order],
             feat_b[order],
+            np.flatnonzero(order < len(paired)),
         )
         for column in columns:
             column.flags.writeable = False
@@ -302,7 +323,10 @@ def step_gradients(
     distillation term are constants with respect to the parameters; theta's
     entry comes from the expected-loss surrogate (0.0 outside dynamic mode
     or when the batch has no pseudo-pairs).  Runs its own forward passes,
-    so it is self-contained and safe to call for gradient checking.
+    so it is self-contained and safe to call for gradient checking.  The
+    gradient is nets.teacher_backward's, then nets.student_backward's,
+    then theta's; a non-finite or negative term raises NumericHealthError
+    from losses.total_loss.
     """
     w = cfg.loss_weights if weights is None else weights
     n_g, n_p = len(plan.genuine), len(plan.pseudo)
@@ -318,12 +342,8 @@ def step_gradients(
     feats_a = data.feat_a[a_rows]
     feats_b = data.feat_b[b_rows]
 
-    h_a = teacher.enc_a.forward(feats_a)
-    h_b = teacher.enc_b.forward(feats_b)
-    fused = teacher.fusion.forward(np.concatenate([h_a, h_b], axis=1))
-    logits_t = teacher.head.forward(fused)
-    feat_s = student.enc_a.forward(feats_a)
-    logits_s = student.head.forward(feat_s)
+    h_b, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
+    feat_s, logits_s = student_forward(student, feats_a)
 
     l_tea, l_stu, l_kl, l_pair, l_proto = 0.0, 0.0, 0.0, 0.0, 0.0
     d_logits_t = np.zeros_like(logits_t)
@@ -358,22 +378,9 @@ def step_gradients(
         if not empty:
             d_feat_s[n_g:] += w.proto * g
 
-    for name, value in (
-        ("l_tea", l_tea), ("l_stu", l_stu), ("l_kl", l_kl),
-        ("l_pair", l_pair), ("l_proto", l_proto),
-    ):
-        if not math.isfinite(value):
-            raise NumericHealthError(f"{name} is {value}")
     report = total_loss(l_tea, l_stu, l_kl, l_pair, l_proto, w)
-
-    g_head_t, d_fused = teacher.head.backward(d_logits_t)
-    g_fusion, d_concat = teacher.fusion.backward(d_fused)
-    feat = teacher.feat_dim
-    g_enc_a_t, _ = teacher.enc_a.backward(d_concat[:, :feat])
-    g_enc_b_t, _ = teacher.enc_b.backward(d_concat[:, feat:] + d_h_b)
-
-    g_head_s, d_feat_head = student.head.backward(d_logits_s)
-    g_enc_s, _ = student.enc_a.backward(d_feat_head + d_feat_s)
+    g_teacher = teacher_backward(teacher, d_logits_t, d_h_b)
+    g_student = student_backward(student, d_logits_s, d_feat_s)
 
     g_theta = 0.0
     if ams_state.mode == "dynamic" and n_p > 0:
@@ -390,10 +397,7 @@ def step_gradients(
         )
         g_theta = theta_gradient(ams_state, loss_genuine, loss_pseudo)
 
-    grads = np.concatenate(
-        [g_enc_a_t, g_enc_b_t, g_fusion, g_head_t, g_enc_s, g_head_s, [g_theta]]
-    )
-    return report, grads
+    return report, np.concatenate([g_teacher, g_student, [g_theta]])
 
 
 def train_step(
@@ -432,9 +436,7 @@ def train_step(
     if cfg.pcm_enabled:
         if cfg.proto_strategy == "paired":
             genuine = data.rows(plan.genuine)
-            h_a = teacher.enc_a.forward(data.feat_a[genuine])
-            h_b = teacher.enc_b.forward(data.feat_b[genuine])
-            fused = teacher.fusion.forward(np.concatenate([h_a, h_b], axis=1))
+            _, fused = teacher_features(teacher, data.feat_a[genuine], data.feat_b[genuine])
             batch_protos = compute_batch_prototypes(
                 fused, data.labels[genuine], teacher.num_classes
             )
@@ -544,7 +546,7 @@ def fit(
         stage_step = 0
         for _ in range(cfg.epochs):
             if cfg.pcm_enabled and cfg.proto_strategy == "all":
-                protos = global_prototypes(teacher, paired)
+                protos = global_prototypes(teacher, data)
             step_traces = []
             for _ in range(steps_per_epoch):
                 r = sampling_ratio(ams_state)
@@ -573,17 +575,11 @@ def fit(
     )
 
 
-def global_prototypes(teacher: TeacherNet, paired: Sequence[Sample]) -> PrototypeSet:
-    """Prototypes from all paired samples under the current teacher."""
-    if not paired:
-        raise ProtocolError("global prototypes need at least one paired sample")
-    feats_a = np.stack([s.feat_a for s in paired])
-    feats_b = np.stack([s.feat_b for s in paired])
-    h_a = teacher.enc_a.forward(feats_a)
-    h_b = teacher.enc_b.forward(feats_b)
-    fused = teacher.fusion.forward(np.concatenate([h_a, h_b], axis=1))
-    labels = np.array([s.label for s in paired], dtype=np.int64)
-    return compute_batch_prototypes(fused, labels, teacher.num_classes)
+def global_prototypes(teacher: TeacherNet, data: TrainData) -> PrototypeSet:
+    """Prototypes from all paired rows of `data`, in id order, under the current teacher."""
+    rows = data.paired_rows
+    _, fused = teacher_features(teacher, data.feat_a[rows], data.feat_b[rows])
+    return compute_batch_prototypes(fused, data.labels[rows], teacher.num_classes)
 
 
 def _epoch_trace(epoch: int, step_traces: list) -> EpochTrace:

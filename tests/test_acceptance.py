@@ -211,14 +211,15 @@ def _total_instance(rng):
                                 seed=int(rng.integers(2**31)))
     student = StudentNet.create(dim_a, 2, feat_dim=3, hidden_width=4,
                                 seed=int(rng.integers(2**31)))
-    protos = global_prototypes(teacher, paired)
+    data = TrainData.from_pools(*pools)
+    protos = global_prototypes(teacher, data)
     cfg = TrainConfig(
         proto_assignment="true_class",
         kd_temperature=float(rng.uniform(1.0, 3.0)),
         sim_temperature=float(rng.uniform(0.2, 1.0)),
     )
     state = AmsState(theta=float(rng.uniform(-1.0, 1.0)), mode="dynamic")
-    return teacher, student, by_id, TrainData.from_pools(*pools), plan, protos, cfg, state
+    return teacher, student, by_id, data, plan, protos, cfg, state
 
 
 def _check_total_instance(rng):
@@ -247,22 +248,19 @@ def _check_total_instance(rng):
     labels = np.array([by_id[i].label for i in a_rows])
     feats_a = np.stack([by_id[i].feat_a for i in a_rows])
     feats_b = np.stack([by_id[i].feat_b for i in b_rows])
-    feat_s_const = student.enc_a.forward(feats_a)
+    feat_s_const, _ = student_forward(student, feats_a)
     positives = [(i, i) for i in range(n_g)]
 
     def f_teacher(p):
         teacher.set_params(p)
-        h_a = teacher.enc_a.forward(feats_a)
-        h_b = teacher.enc_b.forward(feats_b)
-        fused = teacher.fusion.forward(np.concatenate([h_a, h_b], axis=1))
-        logits_t = teacher.head.forward(fused)
+        h_b, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
         sims, _ = similarity_matrix(feat_s_const[:n_g], h_b, cfg.sim_temperature)
         return w.tea * ce_loss(logits_t, labels)[0].mean() + w.pair * pair_loss(sims, positives)[0]
 
     err_t = rel_err(grads[:p_t], fd_grad(f_teacher, t_base))
     teacher.set_params(t_base)
 
-    _, logits_t = teacher_forward(teacher, feats_a, feats_b)
+    _, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
     _, logits_s = student_forward(student, feats_a)
     lg = (w.tea * ce_loss(logits_t[:n_g], labels[:n_g])[0].mean()
           + w.stu * ce_loss(logits_s[:n_g], labels[:n_g])[0].mean()
@@ -664,7 +662,7 @@ def test_c9_degenerates_to_plain_distillation():
         labels = np.array([by_id[i].label for i in plan.genuine])
         feats_a = np.stack([by_id[i].feat_a for i in plan.genuine])
         feats_b = np.stack([by_id[i].feat_b for i in plan.genuine])
-        _, logits_t = teacher_forward(teacher, feats_a, feats_b)
+        _, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
         _, logits_s = student_forward(student, feats_a)
         ref_tea = _manual_ce(logits_t, labels)
         ref_stu = _manual_ce(logits_s, labels)

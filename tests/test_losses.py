@@ -23,7 +23,6 @@ from pgad.losses import (
     kd_loss,
     pair_loss,
     proto_loss,
-    similarity,
     similarity_matrix,
     total_loss,
 )
@@ -197,31 +196,35 @@ def test_kd_errors():
 
 
 def test_similarity_frozen_example():
-    assert similarity(np.array([3.0, 4.0]), np.array([4.0, 3.0]), 0.5) == pytest.approx(
-        1.92, abs=1e-12
-    )
+    sims, _ = similarity_matrix(np.array([[3.0, 4.0]]), np.array([[4.0, 3.0]]), 0.5)
+    assert sims[0, 0] == pytest.approx(1.92, abs=1e-12)
 
 
 def test_similarity_self_is_inverse_temperature():
-    v = np.array([1.0, -2.0, 0.5])
-    assert similarity(v, v, 0.1) == pytest.approx(10.0, abs=1e-9)
+    v = np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -4.0]])
+    sims, _ = similarity_matrix(v, v, 0.1)
+    assert np.allclose(np.diag(sims), 10.0, rtol=0, atol=1e-9)
 
 
 def test_similarity_scale_invariance():
     rng = np.random.default_rng(6)
-    a = rng.standard_normal(5)
-    b = rng.standard_normal(5)
-    assert similarity(a, b, 0.3) == pytest.approx(similarity(3.0 * a, 0.5 * b, 0.3))
+    a = rng.standard_normal((3, 5))
+    b = rng.standard_normal((4, 5))
+    sims, _ = similarity_matrix(a, b, 0.3)
+    scaled, _ = similarity_matrix(3.0 * a, np.array([[0.5], [2.0], [1.0], [7.0]]) * b, 0.3)
+    assert np.allclose(scaled, sims, rtol=1e-12, atol=1e-12)
 
 
 def test_similarity_errors():
-    a = np.ones(3)
+    a = np.ones((1, 3))
     with pytest.raises(RangeError):
-        similarity(a, a, 0.0)
+        similarity_matrix(a, a, 0.0)
     with pytest.raises(ShapeError):
-        similarity(a, np.ones(4), 1.0)
+        similarity_matrix(a, np.ones((1, 4)), 1.0)
+    with pytest.raises(ShapeError):
+        similarity_matrix(np.ones(3), a, 1.0)
     with pytest.raises(DegenerateInputError):
-        similarity(a, np.zeros(3), 1.0)
+        similarity_matrix(a, np.zeros((1, 3)), 1.0)
 
 
 def test_similarity_matrix_agrees_with_pairwise_calls():
@@ -232,7 +235,8 @@ def test_similarity_matrix_agrees_with_pairwise_calls():
     assert sims.shape == (3, 5)
     for i in range(3):
         for j in range(5):
-            assert sims[i, j] == pytest.approx(similarity(a[i], b[j], 0.25), abs=1e-12)
+            ref = float(a[i] @ b[j]) / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]) * 0.25)
+            assert sims[i, j] == pytest.approx(ref, abs=1e-12)
 
 
 def test_similarity_matrix_vjp_matches_fd():

@@ -13,7 +13,10 @@ from pgad.nets import (
     bound_to,
     load_checkpoint,
     save_checkpoint,
+    student_backward,
     student_forward,
+    teacher_backward,
+    teacher_features,
     teacher_forward,
 )
 
@@ -230,18 +233,20 @@ def test_teacher_create_seed_isolation():
     assert not np.array_equal(d.enc_a.get_params(), d.enc_b.get_params())
 
 
-def test_teacher_forward_single_and_batch():
+def test_teacher_forward_shapes_and_batch_mismatch():
     t = TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=0)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 4))
     b = rng.standard_normal((6, 3))
-    fused, logits = teacher_forward(t, a, b)
-    assert fused.shape == (6, 3) and logits.shape == (6, 2)
-    f1, l1 = teacher_forward(t, a[0], b[0])
-    assert f1.shape == (3,) and l1.shape == (2,)
-    assert np.allclose(f1, fused[0]) and np.allclose(l1, logits[0])
+    h_b, fused, logits = teacher_forward(t, a, b)
+    assert h_b.shape == (6, 3) and fused.shape == (6, 3) and logits.shape == (6, 2)
+    h_b2, fused2 = teacher_features(t, a, b)
+    assert np.array_equal(h_b2, h_b) and np.array_equal(fused2, fused)
+    assert np.array_equal(logits, t.head.forward(fused))
     with pytest.raises(ShapeError):
         teacher_forward(t, a, b[:4])
+    with pytest.raises(ShapeError):
+        teacher_features(t, a[0], b[0])  # a single pair is not a batch
 
 
 def test_teacher_backward_matches_fd():
@@ -249,23 +254,18 @@ def test_teacher_backward_matches_fd():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((5, 3))
     b = rng.standard_normal((5, 3))
-    gf = rng.standard_normal((5, 2))
+    gh = rng.standard_normal((5, 2))
     gl = rng.standard_normal((5, 2))
 
     def f(flat):
         t.set_params(flat)
-        fused, logits = teacher_forward(t, a, b)
-        return float((fused * gf).sum() + (logits * gl).sum())
+        h_b, _, logits = teacher_forward(t, a, b)
+        return float((h_b * gh).sum() + (logits * gl).sum())
 
     base = t.get_params().copy()
     t.set_params(base)
     teacher_forward(t, a, b)
-    # the chain step_gradients runs, parts concatenated in the documented order
-    g_head, d_fused = t.head.backward(gl)
-    g_fusion, d_concat = t.fusion.backward(gf + d_fused)
-    g_enc_a, _ = t.enc_a.backward(d_concat[:, : t.feat_dim])
-    g_enc_b, _ = t.enc_b.backward(d_concat[:, t.feat_dim :])
-    analytic = np.concatenate([g_enc_a, g_enc_b, g_fusion, g_head])
+    analytic = teacher_backward(t, gl, gh)
     fd = fd_grad(f, base)
     t.set_params(base)
     assert max_rel_err(analytic, fd) < 1e-4
@@ -286,18 +286,18 @@ def test_student_forward_backward_matches_fd():
     base = s.get_params().copy()
     s.set_params(base)
     student_forward(s, x)
-    g_head, d_feat = s.head.backward(gl)
-    g_enc, _ = s.enc_a.backward(gf + d_feat)
-    analytic = np.concatenate([g_enc, g_head])
+    analytic = student_backward(s, gl, gf)
     fd = fd_grad(f, base)
     s.set_params(base)
     assert max_rel_err(analytic, fd) < 1e-4
 
 
-def test_student_single_input_promotion():
+def test_student_forward_rejects_single_vector():
     s = StudentNet.create(3, 2, feat_dim=2, hidden_width=4, seed=1)
-    feat, logits = student_forward(s, np.ones(3))
-    assert feat.shape == (2,) and logits.shape == (2,)
+    with pytest.raises(ShapeError):
+        student_forward(s, np.ones(3))
+    feat, logits = student_forward(s, np.ones((1, 3)))
+    assert feat.shape == (1, 2) and logits.shape == (1, 2)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -9,7 +9,6 @@ from pgad.prototypes import (
     compute_batch_prototypes,
     empty_prototypes,
     export_prototypes_csv,
-    nearest_prototype,
     nearest_prototypes_batch,
     update_running_prototypes,
     with_fallback,
@@ -152,23 +151,23 @@ def test_nearest_prototype_basic_and_ties():
     protos = PrototypeSet(dim=1, values=np.array([[0.0], [2.0]]),
                           counts=np.array([1, 1]),
                           stale=np.array([False, False]))
-    idx, d2 = nearest_prototype(np.array([0.4]), protos)
-    assert idx == 0 and d2 == pytest.approx(0.16)
-    # exact tie at the midpoint goes to the lowest index
-    idx_tie, _ = nearest_prototype(np.array([1.0]), protos)
-    assert idx_tie == 0
+    idx, d2 = nearest_prototypes_batch(np.array([[0.4], [1.0], [1.7]]), protos)
+    assert idx.tolist() == [0, 0, 1]  # the exact tie at 1.0 goes to the lowest index
+    assert d2[0] == pytest.approx(0.16) and d2[2] == pytest.approx(0.09)
 
 
 def test_nearest_prototype_skips_stale():
     protos = PrototypeSet(dim=1, values=np.array([[0.0], [2.0]]),
                           counts=np.array([0, 1]),
                           stale=np.array([True, False]))
-    idx, _ = nearest_prototype(np.array([0.1]), protos)
-    assert idx == 1
+    idx, _ = nearest_prototypes_batch(np.array([[0.1]]), protos)
+    assert idx.tolist() == [1]
     with pytest.raises(ProtocolError):
-        nearest_prototype(np.array([0.1]), empty_prototypes(2, 1))
+        nearest_prototypes_batch(np.array([[0.1]]), empty_prototypes(2, 1))
     with pytest.raises(ShapeError):
-        nearest_prototype(np.array([0.1, 0.2]), protos)
+        nearest_prototypes_batch(np.array([[0.1, 0.2]]), protos)
+    with pytest.raises(ShapeError):
+        nearest_prototypes_batch(np.array([0.1]), protos)
 
 
 def test_nearest_batch_agrees_with_scalar_version():
@@ -179,9 +178,9 @@ def test_nearest_batch_agrees_with_scalar_version():
     feats = rng.standard_normal((20, 3))
     idx, d2 = nearest_prototypes_batch(feats, protos)
     for i in range(20):
-        si, sd = nearest_prototype(feats[i], protos)
-        assert idx[i] == si
-        assert d2[i] == pytest.approx(sd, abs=1e-12)
+        ref = [((feats[i] - protos.values[c]) ** 2).sum() for c in (0, 2, 3)]
+        assert idx[i] == (0, 2, 3)[int(np.argmin(ref))]
+        assert d2[i] == pytest.approx(min(ref), abs=1e-12)
     with pytest.raises(ShapeError):
         nearest_prototypes_batch(feats[:, :2], protos)
     with pytest.raises(ProtocolError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pgad.seeding import derive_seed, rng_for, splitmix64
+from pgad.seeding import derive_seed, splitmix64
 
 
 def test_splitmix64_pinned_values():
@@ -54,12 +54,15 @@ def test_derive_seed_rejects_unhashable_part_types():
         derive_seed(0, None)
 
 
-def test_rng_for_reproducible_draws():
-    assert rng_for(7, "x").integers(0, 2**31) == 1538842965
-    a = rng_for(123, "noise", 4).standard_normal(8)
-    b = rng_for(123, "noise", 4).standard_normal(8)
+def test_derived_seed_generator_reproducible_draws():
+    def rng(root, *parts):
+        return np.random.default_rng(derive_seed(root, *parts))
+
+    assert rng(7, "x").integers(0, 2**31) == 1538842965
+    a = rng(123, "noise", 4).standard_normal(8)
+    b = rng(123, "noise", 4).standard_normal(8)
     assert np.array_equal(a, b)
-    c = rng_for(123, "noise", 5).standard_normal(8)
+    c = rng(123, "noise", 5).standard_normal(8)
     assert not np.array_equal(a, c)
 
 

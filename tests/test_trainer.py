@@ -207,9 +207,8 @@ def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
     feats_a = np.stack([by_id[i].feat_a for i in a_rows])
     feats_b = np.stack([by_id[i].feat_b for i in b_rows])
 
-    _, logits_t = teacher_forward(teacher, feats_a, feats_b)
+    h_b, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
     feat_s, logits_s = student_forward(student, feats_a)
-    h_b = teacher.enc_b.forward(feats_b)
 
     l_tea = ce_loss(logits_t, labels)[0].mean()
     l_stu = ce_loss(logits_s, labels)[0].mean()
@@ -224,7 +223,7 @@ def test_step_gradients_terms_match_direct_composition():
     ds, paired, unpaired = make_data()
     plan, data = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
-    protos = global_prototypes(teacher, paired)
+    protos = global_prototypes(teacher, data)
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
     state = AmsState(theta=0.3, mode="dynamic")
 
@@ -289,7 +288,7 @@ def test_step_gradients_theta_zero_without_pseudo_rows():
     teacher, student = make_nets()
     cfg = TrainConfig()
     report, grads = step_gradients(
-        teacher, student, data, plan, global_prototypes(teacher, paired),
+        teacher, student, data, plan, global_prototypes(teacher, data),
         AmsState(theta=0.4, mode="dynamic"), cfg,
     )
     assert grads[-1] == 0.0
@@ -311,7 +310,7 @@ def test_step_gradients_matches_fd_on_student_params():
     ds, paired, unpaired = make_data(spc=8, dim=4)
     plan, data = mixed_plan(ds, paired, unpaired, batch_size=6, seed=2)
     teacher, student = make_nets(dim=4, feat=3, hidden=4)
-    protos = global_prototypes(teacher, paired)
+    protos = global_prototypes(teacher, data)
     cfg = TrainConfig(proto_assignment="true_class")
     state = AmsState(theta=0.0, mode="dynamic")
 
@@ -528,14 +527,14 @@ def test_fit_two_stage_doubles_epoch_count():
 
 
 def test_fit_all_strategy_recomputes_prototypes_each_epoch():
-    ds, paired, _ = make_data(missing_rate=0.4)
+    ds, paired, unpaired = make_data(missing_rate=0.4)
     teacher, student = make_nets(seed=8)
     result = fit(teacher, student, ds, fast_cfg(epochs=4, proto_strategy="all"))
     # the final set must equal global prototypes under the start-of-epoch
     # teacher only if the teacher stopped moving, so just check usability
     assert not result.prototypes.stale.any()
-    fresh = global_prototypes(result.teacher, [s for s in ds if s.paired])
-    assert fresh.counts.sum() == len([s for s in ds if s.paired])
+    fresh = global_prototypes(result.teacher, train_data(paired, unpaired))
+    assert fresh.counts.sum() == len(paired)
 
 
 def test_fit_errors():
@@ -560,18 +559,20 @@ def replace_label(sample, label):
 
 
 def test_global_prototypes_matches_batch_means():
-    ds, paired, _ = make_data()
+    ds, paired, unpaired = make_data()
     teacher, _ = make_nets()
-    protos = global_prototypes(teacher, paired)
-    feats_a = np.stack([s.feat_a for s in paired])
-    feats_b = np.stack([s.feat_b for s in paired])
-    fused, _ = teacher_forward(teacher, feats_a, feats_b)
-    labels = np.array([s.label for s in paired])
+    shuffled = [paired[i] for i in np.random.default_rng(0).permutation(len(paired))]
+    protos = global_prototypes(teacher, train_data(shuffled, unpaired))
+    by_id = sorted(paired, key=lambda s: s.id)  # paired rows in id order
+    feats_a = np.stack([s.feat_a for s in by_id])
+    feats_b = np.stack([s.feat_b for s in by_id])
+    _, fused, _ = teacher_forward(teacher, feats_a, feats_b)
+    labels = np.array([s.label for s in by_id])
     expected = compute_batch_prototypes(fused, labels, 2)
-    assert np.allclose(protos.values, expected.values, atol=1e-12)
+    assert np.array_equal(protos.values, expected.values)
     assert np.array_equal(protos.counts, expected.counts)
     with pytest.raises(ProtocolError):
-        global_prototypes(teacher, [])
+        train_data([], unpaired)  # TrainData always holds a paired row
 
 
 def test_epoch_trace_averages_step_reports():
@@ -614,27 +615,43 @@ GRID_ARMS = {
 GOLDEN_FIT_DIGEST = "204869743006cbf3890bcd2c24cb99d6d7744ff6c1a141ebd88c6c6d9329fa23"
 
 
+def grid_cfg(name: str, two_stage: bool = False) -> TrainConfig:
+    pcm, ams, strategy, weights = GRID_ARMS[name]
+    return fast_cfg(epochs=3, batch_size=8, loss_weights=weights, ams_mode=ams,
+                    pcm_enabled=pcm, proto_strategy=strategy, two_stage=two_stage)
+
+
+def fit_result_chunks(result) -> list:
+    protos = result.prototypes
+    return [
+        result.teacher.get_params().tobytes(),
+        result.student.get_params().tobytes(),
+        repr(result.epoch_traces).encode(),
+        repr(result.ams_state).encode(),
+        protos.values.tobytes(), protos.counts.tobytes(), protos.stale.tobytes(),
+        str(result.steps).encode(),
+    ]
+
+
 def golden_fit_bytes() -> bytes:
     """Every output of small fits of each grid arm, single- and two-stage."""
     ds, _, _ = make_data(missing_rate=0.5, spc=16)
     chunks = []
-    for name, (pcm, ams, strategy, weights) in GRID_ARMS.items():
+    for name in GRID_ARMS:
         for two_stage in (False, True):
-            cfg = fast_cfg(epochs=3, batch_size=8, loss_weights=weights, ams_mode=ams,
-                           pcm_enabled=pcm, proto_strategy=strategy, two_stage=two_stage)
-            result = fit(*make_nets(seed=13), ds, cfg)
-            protos = result.prototypes
-            chunks += [
-                name.encode(), bytes([two_stage]),
-                result.teacher.get_params().tobytes(),
-                result.student.get_params().tobytes(),
-                repr(result.epoch_traces).encode(),
-                repr(result.ams_state).encode(),
-                protos.values.tobytes(), protos.counts.tobytes(), protos.stale.tobytes(),
-                str(result.steps).encode(),
-            ]
+            result = fit(*make_nets(seed=13), ds, grid_cfg(name, two_stage))
+            chunks += [name.encode(), bytes([two_stage])] + fit_result_chunks(result)
     return b"|".join(chunks)
 
 
 def test_fit_outputs_match_golden_digest():
     assert hashlib.sha256(golden_fit_bytes()).hexdigest() == GOLDEN_FIT_DIGEST
+
+
+@pytest.mark.parametrize("name", ["full", "proto_all"])
+def test_fit_ignores_the_order_of_its_samples(name):
+    ds, _, _ = make_data(missing_rate=0.5, spc=16)
+    shuffled = [ds[i] for i in np.random.default_rng(1).permutation(len(ds))]
+    sorted_fit = fit(*make_nets(seed=13), ds, grid_cfg(name))
+    shuffled_fit = fit(*make_nets(seed=13), shuffled, grid_cfg(name))
+    assert fit_result_chunks(shuffled_fit) == fit_result_chunks(sorted_fit)
