@@ -27,7 +27,6 @@ from .synthdata import (
     Sample,
     apply_missingness,
     export_dataset_csv,
-    export_folds_csv,
     generate_dataset,
     import_dataset_csv,
     stratified_kfold,
@@ -43,7 +42,7 @@ __all__ = [
     "StudentNet", "TTestResult", "TeacherNet", "TrainConfig", "adam_update",
     "apply_missingness", "auc", "bonferroni", "build_batch", "ce_loss",
     "compare_arms", "compute_batch_prototypes", "confusion", "cosine_lr",
-    "export_dataset_csv", "export_folds_csv", "fit", "generate_dataset",
+    "export_dataset_csv", "fit", "generate_dataset",
     "import_dataset_csv", "kd_loss", "load_checkpoint", "mcc",
     "pair_loss", "paired_ttest", "proto_loss",
     "run_scenario", "sampling_ratio", "save_checkpoint", "sen_spe",

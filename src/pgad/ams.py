@@ -13,9 +13,10 @@ draw.  theta_gradient therefore differentiates the expected-loss surrogate
 which gives d L / d theta = (loss_paired - loss_pseudo) * r * (1 - r).
 The realized batches still follow the rounded counts.
 
-The two pools never change during a fit, so prepare_pools validates and
-sorts them once into SamplePool arrays; each training step's build_batch
-call then only draws from them.
+prepare_pools validates a fit's training set once and returns it as two
+SamplePools of id-sorted, read-only columns: the genuine pairs, and the
+modality-A-only recipients, which have no modality-B column.  Each step's
+build_batch call draws ids from them and the trainer gathers their rows.
 """
 
 from __future__ import annotations
@@ -88,16 +89,18 @@ def sampling_ratio(state: AmsState) -> float:
 class SamplePool:
     """An immutable AMS pool: samples that are all paired or all unpaired.
 
-    Ids are unique within a pool.  The samples are kept sorted by id, with
-    `ids` and `labels` as read-only int64 arrays in that order, and
-    `class_counts` maps each label to its number of samples; iterating a
-    pool yields its samples.  An unpaired pool built with `donors` is
-    checked against that paired pool: the donor pool is nonempty, the two
-    pools share no id, and every class of the unpaired pool has a donor.
-    build_batch draws from such a pair without checking it again.
+    Ids are unique within a pool.  The samples are kept sorted by id, and
+    the pool's columns follow that order as read-only arrays: int64 `ids`
+    and `labels`, the `feat_a` matrix and, in a paired pool only, `feat_b`
+    (None in an unpaired pool).  `class_counts` maps each label to its
+    number of samples; iterating a pool yields its samples.  An unpaired
+    pool built with `donors` is checked against that paired pool: the donor
+    pool is nonempty, the two pools share no id, and every class of the
+    unpaired pool has a donor.  build_batch draws from such a pair without
+    checking it again.
     """
 
-    __slots__ = ("samples", "ids", "labels", "class_counts", "donors")
+    __slots__ = ("samples", "ids", "labels", "feat_a", "feat_b", "class_counts", "donors")
 
     def __init__(
         self,
@@ -134,12 +137,19 @@ class SamplePool:
         if repeated.size:
             raise UsageError(f"ids repeat within a pool: {repeated[:5].tolist()}")
         labels = np.array([s.label for s in samples], dtype=np.int64)
-        ids.flags.writeable = False
-        labels.flags.writeable = False
+        width = donors.feat_a.shape[1] if donors is not None else 0
+        feat_a = np.stack([s.feat_a for s in samples]) if samples else np.empty((0, width))
+        feat_b = None
+        if paired:
+            feat_b = np.stack([s.feat_b for s in samples]) if samples else np.empty((0, 0))
+        for column in (ids, labels, feat_a, feat_b):
+            if column is not None:
+                column.flags.writeable = False
         classes, counts = np.unique(labels, return_counts=True)
         class_counts = MappingProxyType(dict(zip(classes.tolist(), counts.tolist())))
         for name, value in (
             ("samples", tuple(samples)), ("ids", ids), ("labels", labels),
+            ("feat_a", feat_a), ("feat_b", feat_b),
             ("class_counts", class_counts), ("donors", donors),
         ):
             object.__setattr__(self, name, value)
@@ -152,6 +162,22 @@ class SamplePool:
 
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
+
+    def rows(self, ids) -> np.ndarray:
+        """Row indices of the given sample ids, in their order.
+
+        Raises ProtocolError for an id the pool does not hold.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self.ids, ids)
+        if len(self.ids):
+            known = self.ids.take(rows, mode="clip") == ids
+        else:
+            known = np.zeros(ids.shape, dtype=bool)
+        if not known.all():
+            kind = "paired" if self.feat_b is not None else "unpaired"
+            raise ProtocolError(f"ids not in the {kind} pool: {ids[~known][:5].tolist()}")
+        return rows
 
 
 def prepare_pools(

@@ -12,6 +12,7 @@ scenario config produces byte-identical CSVs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ from .evaluation import (
     paired_ttest,
 )
 from .losses import LossWeights
-from .nets import StudentNet, TeacherNet, save_checkpoint, student_forward
+from .nets import ACTIVATIONS, StudentNet, TeacherNet, save_checkpoint, student_forward
 from .prototypes import export_prototypes_csv
 from .seeding import derive_seed
 from .synthdata import DatasetConfig, Sample, generate_dataset, stratified_kfold
@@ -99,6 +100,10 @@ class ScenarioConfig:
                 raise ConfigError(f"missing rate {r} outside [0, 1]")
         if self.feat_dim < 1 or self.hidden_width < 1:
             raise ConfigError("feat_dim and hidden_width must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(
+                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
+            )
 
     def arm_rates(self, arm: ArmSpec) -> tuple:
         return tuple(arm.rates) if arm.rates is not None else tuple(self.missing_rates)
@@ -265,20 +270,12 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
     job_list = _build_jobs(cfg)
 
     records: dict = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(job, pool.submit(run_one, job)) for job in job_list]
-            for job, fut in futures:
-                try:
-                    records[(job.arm_name, job.rate, job.fold_index)] = fut.result()
-                except Exception as exc:
-                    raise ProtocolError(
-                        f"arm={job.arm_name} rate={job.rate} fold={job.fold_index} failed: {exc}"
-                    ) from exc
-    else:
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        results = pool.map(run_one, job_list) if pool else map(run_one, job_list)
         for job in job_list:
             try:
-                records[(job.arm_name, job.rate, job.fold_index)] = run_one(job)
+                records[(job.arm_name, job.rate, job.fold_index)] = next(results)
             except Exception as exc:
                 raise ProtocolError(
                     f"arm={job.arm_name} rate={job.rate} fold={job.fold_index} failed: {exc}"
@@ -430,6 +427,14 @@ def _checked_numbers(d: dict, ints: tuple, reals: tuple, section: str) -> dict:
     return out
 
 
+def _checked_rates(values, section: str) -> tuple:
+    """A JSON list of missing rates as a tuple of floats, each checked as a number."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{section} must be a list of numbers, got {values!r}")
+    checked = _checked_numbers(dict(enumerate(values)), (), tuple(range(len(values))), section)
+    return tuple(float(v) for v in checked.values())
+
+
 def _checked_bools(d: dict, keys: tuple, section: str) -> None:
     """JSON "false" is a truthy string; only true and false may switch a mechanism."""
     for key in (k for k in keys if k in d):
@@ -497,23 +502,23 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         if "loss_weights" in a:
             a["loss_weights"] = _weights_from_dict(a["loss_weights"])
         if "rates" in a and a["rates"] is not None:
-            a["rates"] = tuple(float(r) for r in a["rates"])
+            a["rates"] = _checked_rates(a["rates"], f"arms[{index}].rates")
         arms.append(ArmSpec(**a))
 
-    kwargs = dict(
+    sizes = ("k_folds", "feat_dim", "hidden_width")
+    kwargs = _checked_numbers({k: d[k] for k in sizes if k in d}, sizes, (), "scenario")
+    if "missing_rates" in d:
+        kwargs["missing_rates"] = _checked_rates(d["missing_rates"], "missing_rates")
+    if "activation" in d:
+        kwargs["activation"] = d["activation"]
+    return ScenarioConfig(
         name=d["name"],
         dataset=dataset,
         train=train,
         arms=tuple(arms),
-        k_folds=int(d.get("k_folds", 5)),
-        feat_dim=int(d.get("feat_dim", 16)),
-        hidden_width=int(d.get("hidden_width", 32)),
-        activation=str(d.get("activation", "tanh")),
         output_dir=str(d.get("output_dir", "out")),
+        **kwargs,
     )
-    if "missing_rates" in d:
-        kwargs["missing_rates"] = tuple(float(r) for r in d["missing_rates"])
-    return ScenarioConfig(**kwargs)
 
 
 def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[int] = None) -> RunSummary:

@@ -265,7 +265,11 @@ def export_dataset_csv(samples: Sequence[Sample], path) -> None:
 
 
 def import_dataset_csv(path) -> list[Sample]:
-    """Read a dataset written by export_dataset_csv."""
+    """Read a dataset written by export_dataset_csv.
+
+    A row whose cell count differs from the header's, or with a cell that
+    does not parse as a number, raises ProtocolError naming the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -275,24 +279,18 @@ def import_dataset_csv(path) -> list[Sample]:
         dim_b = sum(1 for h in header if h.startswith("b_"))
         samples = []
         for row in reader:
-            sid, label, paired_flag = int(row[0]), int(row[1]), bool(int(row[2]))
-            a = np.array([float(v) for v in row[3 : 3 + dim_a]], dtype=np.float64)
+            if len(row) != len(header):
+                raise ProtocolError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                    f"the header has {len(header)}")
             b_cells = row[3 + dim_a : 3 + dim_a + dim_b]
             has_b = any(cell != "" for cell in b_cells)
+            try:
+                sid, label, paired_flag = int(row[0]), int(row[1]), bool(int(row[2]))
+                a = np.array([float(v) for v in row[3 : 3 + dim_a]], dtype=np.float64)
+                b = np.array([float(v) for v in b_cells], dtype=np.float64) if has_b else None
+            except ValueError as exc:
+                raise ProtocolError(f"{path} line {reader.line_num}: {exc}") from exc
             if has_b != paired_flag:
                 raise ProtocolError(f"sample {sid}: paired flag disagrees with b_* columns")
-            b = np.array([float(v) for v in b_cells], dtype=np.float64) if has_b else None
             samples.append(Sample(id=sid, label=label, feat_a=a, feat_b=b))
     return samples
-
-
-def export_folds_csv(folds: Sequence[FoldSplit], path) -> None:
-    """Write fold assignments as CSV: fold,id,split in {train,test}."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "id", "split"])
-        for fold in folds:
-            for sid in fold.train_ids:
-                writer.writerow([fold.fold_index, sid, "train"])
-            for sid in fold.test_ids:
-                writer.writerow([fold.fold_index, sid, "test"])

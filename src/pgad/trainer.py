@@ -10,14 +10,15 @@ teacher_backward, student_forward, student_backward); this module only
 calls them.
 
 fit prepares everything a step reads once, before the first step: the
-training set as id-sorted TrainData columns, which a step (and the
-epoch-level prototypes of the "all" strategy) gathers its rows from by
-index, and one parameter buffer [teacher | student | theta] that both
-nets are bound to (nets.bind_joint_params), which Adam updates in
-place.  Gathering in id order makes a fit independent of the order of
-its input samples.  Cross-entropy is computed once per logit matrix, per
-row, and the theta surrogate's subset losses are means over slices of
-those rows.
+training set as the pool pair from ams.prepare_pools, whose id-sorted
+columns a step (and the epoch-level prototypes of the "all" strategy)
+gathers its rows from by index; one parameter buffer [teacher | student |
+theta] that both nets are bound to (nets.bind_joint_params), which Adam
+updates in place; and the mask that keeps weight decay off theta.
+Gathering in id order makes a fit independent of the order of its input
+samples.  Modality B is gathered from the paired pool only.  Cross-entropy
+is computed once per logit matrix, per row, and the theta surrogate's
+subset losses are means over slices of those rows.
 
 Loss routing per batch:
   l_tea   cross-entropy on teacher logits, genuine + pseudo rows
@@ -166,58 +167,6 @@ class AdamState:
 
 
 @dataclass(frozen=True)
-class TrainData:
-    """A training set as read-only columns in ascending id order.
-
-    Unpaired samples have NaN feat_b rows, so gathering one as a modality-B
-    input makes the step's losses non-finite instead of passing silently.
-    paired_rows lists the rows of the paired samples, ascending.
-    """
-
-    ids: np.ndarray
-    labels: np.ndarray
-    feat_a: np.ndarray
-    feat_b: np.ndarray
-    paired_rows: np.ndarray
-
-    @classmethod
-    def from_pools(cls, paired: SamplePool, unpaired: SamplePool) -> "TrainData":
-        """Columns of a pool pair from prepare_pools.
-
-        Each pool is already id-sorted with unique ids, the two are disjoint
-        and the paired one is nonempty, so merging their ids gives the rows.
-        """
-        if unpaired.donors is not paired:
-            raise UsageError("TrainData needs the pool pair that prepare_pools returns")
-        samples = paired.samples + unpaired.samples
-        ids = np.concatenate((paired.ids, unpaired.ids))
-        order = np.argsort(ids, kind="stable")
-        feat_a = np.stack([s.feat_a for s in samples]).astype(np.float64, copy=False)
-        feat_b = np.full((len(samples), paired.samples[0].feat_b.shape[0]), np.nan)
-        feat_b[: len(paired)] = np.stack([s.feat_b for s in paired])
-        columns = (
-            ids[order],
-            np.concatenate((paired.labels, unpaired.labels))[order],
-            feat_a[order],
-            feat_b[order],
-            np.flatnonzero(order < len(paired)),
-        )
-        for column in columns:
-            column.flags.writeable = False
-        return cls(*columns)
-
-    def rows(self, ids) -> np.ndarray:
-        """Row indices of the given sample ids, in their order."""
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = np.searchsorted(self.ids, ids)
-        found = self.ids.take(rows, mode="clip")
-        if not np.array_equal(found, ids):
-            unknown = ids[found != ids][:5].tolist()
-            raise ProtocolError(f"ids not in the training data: {unknown}")
-        return rows
-
-
-@dataclass(frozen=True)
 class StepTrace:
     step: int
     report: LossReport
@@ -309,7 +258,7 @@ def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
 def step_gradients(
     teacher: TeacherNet,
     student: StudentNet,
-    data: TrainData,
+    pools: tuple[SamplePool, SamplePool],
     plan: BatchPlan,
     effective_protos: Optional[PrototypeSet],
     ams_state: AmsState,
@@ -319,7 +268,9 @@ def step_gradients(
     """Weighted loss report and its gradient over [teacher | student | theta].
 
     This is the full objective of one step: terms with zero weight are
-    skipped and reported as 0.0.  Prototypes and the teacher side of the
+    skipped and reported as 0.0.  `pools` is the (paired, unpaired) pair
+    from ams.prepare_pools that the plan was drawn from; modality B comes
+    from the paired pool only.  Prototypes and the teacher side of the
     distillation term are constants with respect to the parameters; theta's
     entry comes from the expected-loss surrogate (0.0 outside dynamic mode
     or when the batch has no pseudo-pairs).  Runs its own forward passes,
@@ -334,13 +285,13 @@ def step_gradients(
         raise ProtocolError("batch has no genuine pair")
 
     # Rows: genuine pairs, then recipients (modality A) or donors (modality B).
+    paired, unpaired = pools
     pseudo = np.array(plan.pseudo, dtype=np.int64).reshape(n_p, 3)
-    rows = data.rows(np.concatenate((plan.genuine, pseudo[:, 0], pseudo[:, 1])))
-    a_rows = rows[: n_g + n_p]
-    b_rows = np.concatenate((rows[:n_g], rows[n_g + n_p :]))
-    labels = data.labels[a_rows]
-    feats_a = data.feat_a[a_rows]
-    feats_b = data.feat_b[b_rows]
+    b_rows = paired.rows(np.concatenate((plan.genuine, pseudo[:, 1])))
+    g_rows, r_rows = b_rows[:n_g], unpaired.rows(pseudo[:, 0])
+    labels = np.concatenate((paired.labels[g_rows], unpaired.labels[r_rows]))
+    feats_a = np.concatenate((paired.feat_a[g_rows], unpaired.feat_a[r_rows]))
+    feats_b = paired.feat_b[b_rows]
 
     h_b, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
     feat_s, logits_s = student_forward(student, feats_a)
@@ -403,7 +354,7 @@ def step_gradients(
 def train_step(
     teacher: TeacherNet,
     student: StudentNet,
-    data: TrainData,
+    pools: tuple[SamplePool, SamplePool],
     plan: BatchPlan,
     protos: PrototypeSet,
     ams_state: AmsState,
@@ -414,6 +365,7 @@ def train_step(
     step: int,
     weights: Optional[LossWeights] = None,
     update_mask: Optional[np.ndarray] = None,
+    decay_mask: Optional[np.ndarray] = None,
 ) -> tuple[PrototypeSet, AmsState, StepTrace]:
     """Run one training step; returns the new prototypes and AMS state.
 
@@ -422,7 +374,8 @@ def train_step(
     `adam` in place, which updates the nets.  `protos` is the running set
     under the "paired" strategy and a fixed epoch-level set under "all".
     `weights` overrides cfg.loss_weights (two-stage training masks terms
-    per stage).
+    per stage).  `decay_mask` keeps weight decay off theta; fit builds it
+    once (_decay_mask), and None builds it for this call.
     """
     n_g, n_p = len(plan.genuine), len(plan.pseudo)
     if n_g == 0:
@@ -435,10 +388,13 @@ def train_step(
     new_protos = protos
     if cfg.pcm_enabled:
         if cfg.proto_strategy == "paired":
-            genuine = data.rows(plan.genuine)
-            _, fused = teacher_features(teacher, data.feat_a[genuine], data.feat_b[genuine])
+            paired = pools[0]
+            genuine = paired.rows(plan.genuine)
+            _, fused = teacher_features(
+                teacher, paired.feat_a[genuine], paired.feat_b[genuine]
+            )
             batch_protos = compute_batch_prototypes(
-                fused, data.labels[genuine], teacher.num_classes
+                fused, paired.labels[genuine], teacher.num_classes
             )
             new_protos = update_running_prototypes(protos, batch_protos, cfg.proto_momentum)
             effective_protos = with_fallback(batch_protos, new_protos)
@@ -449,7 +405,7 @@ def train_step(
 
     try:
         report, grads = step_gradients(
-            teacher, student, data, plan, effective_protos,
+            teacher, student, pools, plan, effective_protos,
             ams_state, cfg, weights,
         )
     except NumericHealthError as exc:
@@ -457,8 +413,8 @@ def train_step(
 
     params[-1] = ams_state.theta  # ams_state holds theta between steps
     grads = clip_global_norm(grads, cfg.grad_clip)
-    decay_mask = np.ones_like(params)
-    decay_mask[-1] = 0.0
+    if decay_mask is None:
+        decay_mask = _decay_mask(params.size)
     adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask, update_mask)
     new_ams = replace(ams_state, theta=float(params[-1]))
 
@@ -473,6 +429,13 @@ def train_step(
         n_stale=n_stale,
     )
     return new_protos, new_ams, trace
+
+
+def _decay_mask(n: int) -> np.ndarray:
+    """Weight decay applies to every joint parameter but theta, the last."""
+    mask = np.ones(n)
+    mask[-1] = 0.0
+    return mask
 
 
 def _stage_masks(teacher: TeacherNet, student: StudentNet, stage: Optional[str]):
@@ -517,22 +480,22 @@ def fit(
         raise ConfigError(
             f"teacher fused dim {teacher.feat_dim} != student feature dim {student.feat_dim}"
         )
-    paired = [s for s in samples if s.paired]
-    unpaired = [s for s in samples if not s.paired]
-    if not paired:
-        raise ProtocolError("fit needs at least one genuine pair in the training set")
-    for s in samples:
-        if not (0 <= s.label < teacher.num_classes):
-            raise ConfigError(f"sample {s.id} has label {s.label}, head expects "
-                              f"[0, {teacher.num_classes})")
-    paired_pool, unpaired_pool = prepare_pools(paired, unpaired)
-    data = TrainData.from_pools(paired_pool, unpaired_pool)
+    pools = prepare_pools(
+        [s for s in samples if s.paired], [s for s in samples if not s.paired]
+    )
+    # prepare_pools gives every unpaired class a paired donor, so the paired
+    # pool holds every label of the training set.
+    labels = np.array(list(pools[0].class_counts))
+    if labels.min() < 0 or labels.max() >= teacher.num_classes:
+        raise ConfigError(f"training labels {labels.tolist()} outside the head's "
+                          f"[0, {teacher.num_classes})")
 
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     stages = ("teacher", "student") if cfg.two_stage else (None,)
 
     ams_state = AmsState(theta=0.0, mode=cfg.ams_mode, fixed_ratio=cfg.fixed_ratio)
     params = bind_joint_params(teacher, student, ams_state.theta)
+    decay_mask = _decay_mask(params.size)
     protos = empty_prototypes(teacher.num_classes, teacher.feat_dim)
     epoch_traces: list[EpochTrace] = []
     global_step = 0
@@ -546,18 +509,18 @@ def fit(
         stage_step = 0
         for _ in range(cfg.epochs):
             if cfg.pcm_enabled and cfg.proto_strategy == "all":
-                protos = global_prototypes(teacher, data)
+                protos = global_prototypes(teacher, pools)
             step_traces = []
             for _ in range(steps_per_epoch):
                 r = sampling_ratio(ams_state)
                 plan = build_batch(
-                    paired_pool, unpaired_pool, cfg.batch_size, r,
+                    *pools, cfg.batch_size, r,
                     derive_seed(cfg.seed, "batch", global_step),
                 )
                 lr = cosine_lr(stage_step, stage_total, cfg.learning_rate)
                 protos, ams_state, trace = train_step(
-                    teacher, student, data, plan, protos, ams_state, params,
-                    adam, cfg, lr, global_step, weights, update_mask,
+                    teacher, student, pools, plan, protos, ams_state, params,
+                    adam, cfg, lr, global_step, weights, update_mask, decay_mask,
                 )
                 step_traces.append(trace)
                 global_step += 1
@@ -575,11 +538,13 @@ def fit(
     )
 
 
-def global_prototypes(teacher: TeacherNet, data: TrainData) -> PrototypeSet:
-    """Prototypes from all paired rows of `data`, in id order, under the current teacher."""
-    rows = data.paired_rows
-    _, fused = teacher_features(teacher, data.feat_a[rows], data.feat_b[rows])
-    return compute_batch_prototypes(fused, data.labels[rows], teacher.num_classes)
+def global_prototypes(
+    teacher: TeacherNet, pools: tuple[SamplePool, SamplePool]
+) -> PrototypeSet:
+    """Prototypes from every genuine pair of `pools`, in id order, under the current teacher."""
+    paired = pools[0]
+    _, fused = teacher_features(teacher, paired.feat_a, paired.feat_b)
+    return compute_batch_prototypes(fused, paired.labels, teacher.num_classes)
 
 
 def _epoch_trace(epoch: int, step_traces: list) -> EpochTrace:

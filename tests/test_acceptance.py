@@ -48,7 +48,6 @@ from pgad.synthdata import DatasetConfig, generate_dataset
 from pgad.trainer import (
     AdamState,
     TrainConfig,
-    TrainData,
     cosine_lr,
     global_prototypes,
     step_gradients,
@@ -211,33 +210,32 @@ def _total_instance(rng):
                                 seed=int(rng.integers(2**31)))
     student = StudentNet.create(dim_a, 2, feat_dim=3, hidden_width=4,
                                 seed=int(rng.integers(2**31)))
-    data = TrainData.from_pools(*pools)
-    protos = global_prototypes(teacher, data)
+    protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(
         proto_assignment="true_class",
         kd_temperature=float(rng.uniform(1.0, 3.0)),
         sim_temperature=float(rng.uniform(0.2, 1.0)),
     )
     state = AmsState(theta=float(rng.uniform(-1.0, 1.0)), mode="dynamic")
-    return teacher, student, by_id, data, plan, protos, cfg, state
+    return teacher, student, by_id, pools, plan, protos, cfg, state
 
 
 def _check_total_instance(rng):
     """Full-objective gradient: student by FD on the reported total, teacher
     by FD on the distillation-frozen part it actually optimizes, theta by FD
     on the expected-loss surrogate."""
-    teacher, student, by_id, data, plan, protos, cfg, state = _total_instance(rng)
+    teacher, student, by_id, pools, plan, protos, cfg, state = _total_instance(rng)
     w = cfg.loss_weights
     n_g = len(plan.genuine)
 
-    report, grads = step_gradients(teacher, student, data, plan, protos, state, cfg)
+    report, grads = step_gradients(teacher, student, pools, plan, protos, state, cfg)
     p_t = teacher.param_count
     t_base = teacher.get_params().copy()
     s_base = student.get_params().copy()
 
     def f_student(p):
         student.set_params(p)
-        rep, _ = step_gradients(teacher, student, data, plan, protos, state, cfg)
+        rep, _ = step_gradients(teacher, student, pools, plan, protos, state, cfg)
         return rep.total
 
     err_s = rel_err(grads[p_t:-1], fd_grad(f_student, s_base))
@@ -646,7 +644,7 @@ def test_c9_degenerates_to_plain_distillation():
     student = StudentNet.create(8, 2, feat_dim=8, hidden_width=12, seed=2)
 
     total_steps = 50
-    data = TrainData.from_pools(*prepare_pools(paired, []))
+    pools = prepare_pools(paired, [])
     adam = AdamState.zeros(teacher.param_count + student.param_count + 1)
     ams = AmsState(theta=0.0, mode="none")
     params = bind_joint_params(teacher, student, ams.theta)
@@ -671,7 +669,7 @@ def test_c9_degenerates_to_plain_distillation():
 
         lr = cosine_lr(step, total_steps, cfg.learning_rate)
         protos, ams, trace = train_step(
-            teacher, student, data, plan, protos, ams, params, adam, cfg, lr, step,
+            teacher, student, pools, plan, protos, ams, params, adam, cfg, lr, step,
         )
         rep = trace.report
         assert rep.l_pair == 0.0 and rep.l_proto == 0.0

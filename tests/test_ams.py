@@ -279,6 +279,47 @@ def test_sample_pool_is_sorted_read_only_and_iterable():
         paired_pool.donors = unpaired_pool
 
 
+def test_sample_pool_columns_are_id_sorted_and_read_only():
+    ds, _, _ = pools()
+    shuffled = [ds[i] for i in np.random.default_rng(0).permutation(len(ds))]
+    pool_pair = prepare_pools([s for s in shuffled if s.paired],
+                              [s for s in shuffled if not s.paired])
+    by_id = {s.id: s for s in ds}
+    for pool in pool_pair:
+        assert np.array_equal(pool.ids, sorted(s.id for s in pool))
+        for row, i in enumerate(pool.ids.tolist()):
+            assert pool.labels[row] == by_id[i].label
+            assert np.array_equal(pool.feat_a[row], by_id[i].feat_a)
+            if pool.feat_b is not None:
+                assert np.array_equal(pool.feat_b[row], by_id[i].feat_b)
+        for column in (pool.ids, pool.labels, pool.feat_a, pool.feat_b):
+            if column is not None:
+                assert not column.flags.writeable
+    paired_pool, unpaired_pool = pool_pair
+    assert paired_pool.feat_b.shape == (len(paired_pool), 4)
+    assert unpaired_pool.feat_b is None  # no modality B to gather a donor from
+    _, empty = prepare_pools(paired_pool, [])
+    assert empty.feat_a.shape == (0, 4)  # as wide as its donors' columns
+
+
+def test_sample_pool_rows_lookup():
+    ds, paired, unpaired = pools()
+    paired_pool, unpaired_pool = prepare_pools(paired, unpaired)
+    ids = [paired[5].id, paired[0].id, paired[5].id]
+    assert paired_pool.ids[paired_pool.rows(ids)].tolist() == ids
+    assert paired_pool.rows([]).size == 0
+    with pytest.raises(ProtocolError, match="not in the paired pool"):
+        paired_pool.rows([paired[0].id, max(s.id for s in ds) + 1])
+    with pytest.raises(ProtocolError):
+        paired_pool.rows([min(s.id for s in ds) - 1])
+    with pytest.raises(ProtocolError, match="not in the unpaired pool"):
+        unpaired_pool.rows([paired[0].id])
+    _, empty = prepare_pools(paired, [])
+    assert empty.rows([]).size == 0
+    with pytest.raises(ProtocolError, match=rf"\[{unpaired[0].id}\]"):
+        empty.rows([unpaired[0].id])
+
+
 def test_sample_pool_errors():
     ds, paired, unpaired = pools()
     with pytest.raises(UsageError, match="in the paired pool has no modality-B"):

@@ -46,3 +46,31 @@ def test_hooked_functions_keep_the_parameters_their_hooks_read(traced):
     params = inspect.signature(ams.build_batch).parameters
     assert {"paired_pool", "unpaired_pool", "batch_size", "seed"} <= set(params)
 
+
+
+def test_traced_fit_runs_the_build_batch_hook(traced, tmp_path):
+    """The hook on ams.build_batch reads the pools a fit passes; a tiny serial
+    fit under the tracer must count batch rows and record no hook failure."""
+    import pgad.cli  # noqa: F401  (Tracer.install patches every traced module)
+    import tracing
+    from pgad import trainer
+    from pgad.nets import StudentNet, TeacherNet
+    from pgad.synthdata import DatasetConfig, generate_dataset
+
+    samples = generate_dataset(DatasetConfig(
+        num_classes=2, samples_per_class=16, dim_a=4, dim_b=4, class_separation=4.0,
+        noise_scale=1.0, missing_rate=0.5, seed=1,
+    ))
+    teacher = TeacherNet.create(4, 4, 2, feat_dim=3, hidden_width=4, seed=2)
+    student = StudentNet.create(4, 2, feat_dim=3, hidden_width=4, seed=3)
+    tracer = tracing.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        trainer.fit(teacher, student, samples, trainer.TrainConfig(epochs=2, batch_size=8))
+        tracer.flush()
+    finally:
+        tracer.uninstall()
+    metrics, failures, _ = tracing.collect(str(tmp_path), jobs=1)
+    assert failures == []
+    assert metrics["ams.build_batch.calls"][0] > 0
+    assert metrics["ams.batch_rows"][0] > 0

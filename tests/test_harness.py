@@ -492,6 +492,44 @@ def test_cli_run_rejects_non_bool_switches(tmp_path, capsys, section, key, value
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("k_folds", 2.7, "scenario.k_folds"),
+    ("feat_dim", True, "scenario.feat_dim"),
+    ("hidden_width", "6", "scenario.hidden_width"),
+    ("missing_rates", ["0.5"], "missing_rates.0"),
+    ("missing_rates", [True], "missing_rates.0"),
+    ("missing_rates", "0.5", "missing_rates must be a list"),
+    ("arms[1].rates", [0.2, "0.5"], "arms[1].rates.1"),
+])
+def test_cli_run_rejects_mistyped_scenario_fields(tmp_path, capsys, key, value, named):
+    d = scenario_dict()
+    if key == "arms[1].rates":
+        d["arms"][1]["rates"] = value
+    else:
+        d[key] = value
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ConfigError")
+    assert named in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_rejects_unknown_activation_before_any_job(tmp_path, capsys):
+    d = scenario_dict()
+    d["activation"] = "sigmoid"
+    cfg_path = tmp_path / "act.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ConfigError")
+    assert "activation" in captured.err
+    assert not (tmp_path / "o" / "traces").exists()
+
+
 def test_scenario_from_dict_keeps_bool_switches():
     d = scenario_dict()
     d["train"].update(two_stage=True, pcm_enabled=False, proto_strategy="none",
@@ -552,3 +590,27 @@ def test_cli_export_embeddings_on_empty_data_csv(tmp_path, capsys):
     assert rc == 1
     assert captured.err.startswith("error: ProtocolError")
     assert "empty.csv is empty" in captured.err
+
+
+@pytest.mark.parametrize("row,problem", [
+    ("0,1", "2 cells, the header has"),
+    ("x,1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "invalid literal"),
+    ("0,1,1,0.5,0.5,abc,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "could not convert"),
+])
+def test_cli_export_embeddings_on_malformed_data_row(tmp_path, capsys, row, problem):
+    from pgad.nets import save_checkpoint
+
+    ckpt = tmp_path / "student.txt"
+    save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
+    ds = generate_dataset(replace(tiny_dataset_cfg(), missing_rate=0.5))
+    data_path = tmp_path / "bad.csv"
+    export_dataset_csv(ds, data_path)  # 3 + 5 + 5 columns
+    lines = data_path.read_text().splitlines()
+    data_path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+    rc = cli_main(["export-embeddings", "--checkpoint", str(ckpt),
+                   "--data", str(data_path), "--out", str(tmp_path / "emb.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ProtocolError")
+    assert "bad.csv line 3:" in captured.err and problem in captured.err
+    assert not (tmp_path / "emb.csv").exists()

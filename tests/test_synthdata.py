@@ -15,7 +15,6 @@ from pgad.synthdata import (
     Sample,
     apply_missingness,
     export_dataset_csv,
-    export_folds_csv,
     generate_dataset,
     import_dataset_csv,
     round_half_up,
@@ -213,16 +212,6 @@ def test_dataset_csv_rejects_empty_and_flag_mismatch(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ProtocolError):
         import_dataset_csv(path)
-
-
-def test_folds_csv_layout(tmp_path):
-    ds = generate_dataset(small_cfg(samples_per_class=4))
-    folds = stratified_kfold(ds, 2, seed=1)
-    path = tmp_path / "folds.csv"
-    export_folds_csv(folds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "fold,id,split"
-    assert len(lines) == 1 + 2 * len(ds)  # every sample appears once per fold
 
 
 def test_fuzz_missingness_counts_and_determinism():

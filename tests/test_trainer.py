@@ -7,11 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pgad.ams import AmsState, SamplePool, build_batch, prepare_pools, sampling_ratio
+from pgad.ams import AmsState, build_batch, prepare_pools, sampling_ratio
 from pgad.errors import (
     ConfigError,
     EmptyBatchError,
-    NumericHealthError,
     ProtocolError,
     RangeError,
     ShapeError,
@@ -27,7 +26,6 @@ from pgad.trainer import (
     ADAM_EPS,
     AdamState,
     TrainConfig,
-    TrainData,
     adam_update,
     clip_global_norm,
     cosine_lr,
@@ -47,10 +45,6 @@ def make_data(missing_rate=0.5, spc=16, seed=5, dim=6, separation=5.0):
     )
     ds = generate_dataset(cfg)
     return ds, [s for s in ds if s.paired], [s for s in ds if not s.paired]
-
-
-def train_data(paired, unpaired):
-    return TrainData.from_pools(*prepare_pools(paired, unpaired))
 
 
 def make_nets(dim=6, feat=4, hidden=8, seed=0):
@@ -195,7 +189,7 @@ def test_clip_global_norm():
 def mixed_plan(ds, paired, unpaired, batch_size=10, seed=0):
     plan = build_batch(paired, unpaired, batch_size, 0.5, seed)
     assert plan.pseudo, "fixture needs pseudo rows"
-    return plan, train_data(paired, unpaired)
+    return plan, prepare_pools(paired, unpaired)
 
 
 def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
@@ -221,13 +215,13 @@ def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
 
 def test_step_gradients_terms_match_direct_composition():
     ds, paired, unpaired = make_data()
-    plan, data = mixed_plan(ds, paired, unpaired)
+    plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
-    protos = global_prototypes(teacher, data)
+    protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
     state = AmsState(theta=0.3, mode="dynamic")
 
-    report, grads = step_gradients(teacher, student, data, plan, protos, state, cfg)
+    report, grads = step_gradients(teacher, student, pools, plan, protos, state, cfg)
     l_tea, l_stu, l_kl, l_pair, l_proto, labels, logits_t, logits_s = manual_report_terms(
         teacher, student, {s.id: s for s in ds}, plan, protos, cfg
     )
@@ -254,13 +248,13 @@ def test_step_gradients_terms_match_direct_composition():
 
 def test_step_gradients_zero_weights_skip_terms():
     ds, paired, unpaired = make_data()
-    plan, data = mixed_plan(ds, paired, unpaired)
+    plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=1, stu=0, kl=0, pair=0, proto=0),
                       pcm_enabled=False, proto_strategy="none")
     state = AmsState(mode="none")
 
-    report, grads = step_gradients(teacher, student, data, plan, None, state, cfg)
+    report, grads = step_gradients(teacher, student, pools, plan, None, state, cfg)
     assert report.l_stu == report.l_kl == report.l_pair == report.l_proto == 0.0
     assert report.total == report.l_tea
     # the student receives no signal from a teacher-only objective
@@ -271,11 +265,11 @@ def test_step_gradients_zero_weights_skip_terms():
 
 def test_step_gradients_student_only_leaves_teacher_untouched():
     ds, paired, unpaired = make_data()
-    plan, data = mixed_plan(ds, paired, unpaired)
+    plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=0, stu=1, kl=0, pair=0, proto=0),
                       pcm_enabled=False, proto_strategy="none")
-    report, grads = step_gradients(teacher, student, data, plan, None,
+    report, grads = step_gradients(teacher, student, pools, plan, None,
                                    AmsState(mode="none"), cfg)
     assert np.abs(grads[: teacher.param_count]).max() == 0.0
     assert report.l_tea == 0.0 and report.l_stu > 0.0
@@ -284,11 +278,11 @@ def test_step_gradients_student_only_leaves_teacher_untouched():
 def test_step_gradients_theta_zero_without_pseudo_rows():
     ds, paired, unpaired = make_data(missing_rate=0.0)
     plan = build_batch(paired, unpaired, 8, 1.0, seed=1)
-    data = train_data(paired, unpaired)
+    pools = prepare_pools(paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig()
     report, grads = step_gradients(
-        teacher, student, data, plan, global_prototypes(teacher, data),
+        teacher, student, pools, plan, global_prototypes(teacher, pools),
         AmsState(theta=0.4, mode="dynamic"), cfg,
     )
     assert grads[-1] == 0.0
@@ -298,23 +292,23 @@ def test_step_gradients_theta_zero_without_pseudo_rows():
 def test_step_gradients_rejects_all_pseudo_batch():
     ds, paired, unpaired = make_data()
     plan = build_batch(paired, unpaired, 8, 0.0, seed=0)
-    data = train_data(paired, unpaired)
+    pools = prepare_pools(paired, unpaired)
     teacher, student = make_nets()
     with pytest.raises(ProtocolError):
-        step_gradients(teacher, student, data, plan, None,
+        step_gradients(teacher, student, pools, plan, None,
                        AmsState(mode="dynamic"), TrainConfig())
 
 
 def test_step_gradients_matches_fd_on_student_params():
     """End-to-end derivative of the weighted objective wrt student params."""
     ds, paired, unpaired = make_data(spc=8, dim=4)
-    plan, data = mixed_plan(ds, paired, unpaired, batch_size=6, seed=2)
+    plan, pools = mixed_plan(ds, paired, unpaired, batch_size=6, seed=2)
     teacher, student = make_nets(dim=4, feat=3, hidden=4)
-    protos = global_prototypes(teacher, data)
+    protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(proto_assignment="true_class")
     state = AmsState(theta=0.0, mode="dynamic")
 
-    _, grads = step_gradients(teacher, student, data, plan, protos, state, cfg)
+    _, grads = step_gradients(teacher, student, pools, plan, protos, state, cfg)
     analytic = grads[teacher.param_count : -1]
 
     base = student.get_params().copy()
@@ -325,7 +319,7 @@ def test_step_gradients_matches_fd_on_student_params():
             p = base.copy()
             p[i] += sign * h
             student.set_params(p)
-            rep, _ = step_gradients(teacher, student, data, plan, protos, state, cfg)
+            rep, _ = step_gradients(teacher, student, pools, plan, protos, state, cfg)
             fd[i] += sign * rep.total
         fd[i] /= 2 * h
     student.set_params(base)
@@ -345,7 +339,7 @@ def bound_nets(theta=0.0):
 
 def test_train_step_updates_params_and_prototypes():
     ds, paired, unpaired = make_data()
-    plan, data = mixed_plan(ds, paired, unpaired)
+    plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student, params, adam = bound_nets()
     cfg = TrainConfig(proto_assignment="true_class")
     protos = empty_prototypes(2, teacher.feat_dim)
@@ -353,7 +347,7 @@ def test_train_step_updates_params_and_prototypes():
     before_s = student.get_params().copy()
 
     new_protos, new_ams, trace = train_step(
-        teacher, student, data, plan, protos,
+        teacher, student, pools, plan, protos,
         AmsState(theta=0.0, mode="dynamic"), params, adam, cfg, lr=1e-3, step=0,
     )
     assert not np.array_equal(teacher.get_params(), before_t)
@@ -370,11 +364,11 @@ def test_train_step_updates_params_and_prototypes():
 
 def test_train_step_theta_frozen_outside_dynamic():
     ds, paired, unpaired = make_data()
-    plan, data = mixed_plan(ds, paired, unpaired)
+    plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student, params, adam = bound_nets()
     cfg = TrainConfig(ams_mode="none")
     _, new_ams, trace = train_step(
-        teacher, student, data, plan, empty_prototypes(2, teacher.feat_dim),
+        teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
         AmsState(theta=0.0, mode="none"), params, adam, cfg, lr=1e-3, step=0,
     )
     assert new_ams.theta == 0.0
@@ -386,70 +380,31 @@ def test_train_step_requires_genuine_rows():
     plan = build_batch(paired, unpaired, 8, 0.0, seed=0)
     teacher, student, params, adam = bound_nets()
     with pytest.raises(ProtocolError):
-        train_step(teacher, student, train_data(paired, unpaired), plan,
+        train_step(teacher, student, prepare_pools(paired, unpaired), plan,
                    empty_prototypes(2, teacher.feat_dim), AmsState(mode="dynamic"),
                    params, adam, TrainConfig(), lr=1e-3, step=0)
 
 
 def test_train_step_requires_nets_bound_to_params():
     ds, paired, unpaired = make_data()
-    plan, data = mixed_plan(ds, paired, unpaired)
+    plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student, params, adam = bound_nets()
     with pytest.raises(UsageError):
-        train_step(teacher, student, data, plan, empty_prototypes(2, teacher.feat_dim),
+        train_step(teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
                    AmsState(mode="dynamic"), params.copy(), adam, TrainConfig(),
                    lr=1e-3, step=0)
 
 
-# ------------------------------------------------------------ TrainData
-
-
-def test_train_data_columns_are_id_sorted_and_read_only():
-    ds, _, _ = make_data()
-    shuffled = [ds[i] for i in np.random.default_rng(0).permutation(len(ds))]
-    data = train_data([s for s in shuffled if s.paired], [s for s in shuffled if not s.paired])
-    by_id = {s.id: s for s in ds}
-    assert np.array_equal(data.ids, sorted(by_id))
-    for row, i in enumerate(data.ids.tolist()):
-        s = by_id[i]
-        assert data.labels[row] == s.label
-        assert np.array_equal(data.feat_a[row], s.feat_a)
-        if s.paired:
-            assert np.array_equal(data.feat_b[row], s.feat_b)
-        else:
-            assert np.isnan(data.feat_b[row]).all()
-    for column in (data.ids, data.labels, data.feat_a, data.feat_b):
-        assert not column.flags.writeable
-
-
-def test_train_data_rows_lookup():
-    ds, paired, unpaired = make_data()
-    data = train_data(paired, unpaired)
-    ids = [ds[5].id, ds[0].id, ds[5].id]
-    assert data.ids[data.rows(ids)].tolist() == ids
-    assert data.rows([]).size == 0
-    with pytest.raises(ProtocolError):
-        data.rows([ds[0].id, max(s.id for s in ds) + 1])
-    with pytest.raises(ProtocolError):
-        data.rows([min(s.id for s in ds) - 1])
-
-
-def test_train_data_needs_a_prepared_pool_pair():
-    _, paired, unpaired = make_data()
-    _, unpaired_pool = prepare_pools(paired, unpaired)
-    with pytest.raises(UsageError):
-        TrainData.from_pools(SamplePool(paired, paired=True), unpaired_pool)
-
-
 def test_unpaired_feat_b_gathered_as_a_donor_fails_loudly():
-    """A plan naming an unpaired sample as donor must not train silently."""
+    """A plan naming an unpaired sample as donor must not train silently:
+    modality B is looked up in the paired pool only."""
     ds, paired, unpaired = make_data()
-    plan, data = mixed_plan(ds, paired, unpaired)
+    plan, pools = mixed_plan(ds, paired, unpaired)
     rec, _, cls = plan.pseudo[0]
     bad = replace(plan, pseudo=((rec, rec, cls),) + plan.pseudo[1:])
     teacher, student = make_nets()
-    with pytest.raises(NumericHealthError):
-        step_gradients(teacher, student, data, bad, None, AmsState(mode="fixed"),
+    with pytest.raises(ProtocolError, match=rf"ids not in the paired pool: \[{rec}\]"):
+        step_gradients(teacher, student, pools, bad, None, AmsState(mode="fixed"),
                        TrainConfig(ams_mode="fixed", pcm_enabled=False,
                                    proto_strategy="none"))
 
@@ -533,7 +488,7 @@ def test_fit_all_strategy_recomputes_prototypes_each_epoch():
     # the final set must equal global prototypes under the start-of-epoch
     # teacher only if the teacher stopped moving, so just check usability
     assert not result.prototypes.stale.any()
-    fresh = global_prototypes(result.teacher, train_data(paired, unpaired))
+    fresh = global_prototypes(result.teacher, prepare_pools(paired, unpaired))
     assert fresh.counts.sum() == len(paired)
 
 
@@ -562,7 +517,7 @@ def test_global_prototypes_matches_batch_means():
     ds, paired, unpaired = make_data()
     teacher, _ = make_nets()
     shuffled = [paired[i] for i in np.random.default_rng(0).permutation(len(paired))]
-    protos = global_prototypes(teacher, train_data(shuffled, unpaired))
+    protos = global_prototypes(teacher, prepare_pools(shuffled, unpaired))
     by_id = sorted(paired, key=lambda s: s.id)  # paired rows in id order
     feats_a = np.stack([s.feat_a for s in by_id])
     feats_b = np.stack([s.feat_b for s in by_id])
@@ -572,7 +527,7 @@ def test_global_prototypes_matches_batch_means():
     assert np.array_equal(protos.values, expected.values)
     assert np.array_equal(protos.counts, expected.counts)
     with pytest.raises(ProtocolError):
-        train_data([], unpaired)  # TrainData always holds a paired row
+        prepare_pools([], unpaired)  # the paired pool always holds a row
 
 
 def test_epoch_trace_averages_step_reports():
