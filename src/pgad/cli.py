@@ -29,7 +29,6 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(
             cfg, dataset=dataclasses.replace(cfg.dataset, seed=args.seed)
         )
-    os.makedirs(cfg.output_dir, exist_ok=True)
     summary = run_scenario(cfg, jobs=args.jobs)
     for cell in summary.cells:
         parts = " ".join(f"{m}={cell.mean[m]:.4f}±{cell.std[m]:.4f}"

@@ -16,8 +16,8 @@ import contextlib
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import softmax
@@ -53,7 +53,7 @@ class ArmSpec:
     ams: str = "dynamic"
     proto_strategy: str = "paired"
     loss_weights: LossWeights = field(default_factory=LossWeights)
-    rates: Optional[tuple] = None  # per-arm override of the scenario's rate sweep
+    rates: Optional[tuple[float, ...]] = None  # per-arm override of the scenario's rate sweep
 
     def validate(self) -> None:
         if not self.name or any(ch in self.name for ch in ",/\\ "):
@@ -71,8 +71,8 @@ class ScenarioConfig:
     name: str
     dataset: DatasetConfig
     train: TrainConfig
-    arms: tuple
-    missing_rates: tuple = DEFAULT_MISSING_RATES
+    arms: tuple[ArmSpec, ...]
+    missing_rates: tuple[float, ...] = DEFAULT_MISSING_RATES
     k_folds: int = 5
     feat_dim: int = 16
     hidden_width: int = 32
@@ -95,6 +95,12 @@ class ScenarioConfig:
             raise ConfigError(f"arm names must be unique, got {names}")
         for arm in self.arms:
             arm.validate()
+            if not self.arm_rates(arm):
+                raise ConfigError(f"arm {arm.name}: no missing rates to run")
+            try:
+                self.arm_train(arm).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"arm {arm.name}: {exc}") from exc
         for r in self.missing_rates:
             if not (0.0 <= r <= 1.0):
                 raise ConfigError(f"missing rate {r} outside [0, 1]")
@@ -107,6 +113,11 @@ class ScenarioConfig:
 
     def arm_rates(self, arm: ArmSpec) -> tuple:
         return tuple(arm.rates) if arm.rates is not None else tuple(self.missing_rates)
+
+    def arm_train(self, arm: ArmSpec) -> TrainConfig:
+        """The scenario's training config with the arm's mechanisms switched in."""
+        return replace(self.train, loss_weights=arm.loss_weights, ams_mode=arm.ams,
+                       pcm_enabled=arm.pcm, proto_strategy=arm.proto_strategy)
 
 
 @dataclass(frozen=True)
@@ -230,15 +241,11 @@ def _build_jobs(cfg: ScenarioConfig) -> list:
 
     jobs = []
     for arm in cfg.arms:
+        arm_cfg = cfg.arm_train(arm)
         for rate in cfg.arm_rates(arm):
             for fold in folds:
                 train_cfg = replace(
-                    cfg.train,
-                    loss_weights=arm.loss_weights,
-                    ams_mode=arm.ams,
-                    pcm_enabled=arm.pcm,
-                    proto_strategy=arm.proto_strategy,
-                    seed=derive_seed(root, "train", float(rate), fold.fold_index),
+                    arm_cfg, seed=derive_seed(root, "train", float(rate), fold.fold_index)
                 )
                 stem = f"{arm.name}_rate{_rate_tag(rate)}_fold{fold.fold_index}"
                 jobs.append(RunJob(
@@ -402,123 +409,65 @@ def compare_arms(
     return results
 
 
-def _checked_keys(d: dict, allowed, context: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
+# Values a scenario JSON may omit although the dataclass field has no default.
+_JSON_DEFAULTS = {(ScenarioConfig, "train"): TrainConfig(), (DatasetConfig, "missing_rate"): 0.0}
 
 
-def _checked_numbers(d: dict, ints: tuple, reals: tuple, section: str) -> dict:
-    """Copy of d whose listed fields hold numbers, the `ints` ones integral.
+def _read(tp, value, path: str):
+    """`value` parsed from JSON as the declared type `tp`; ConfigError names `path`.
 
-    JSON may hold "3", true or 2.5 where a count is meant; left alone these
-    escape validate() as a TypeError or pass as a wrong value.  An integral
-    float such as 3.0 is accepted for an integer field and stored as an int.
+    A dataclass is read from an object of its fields, a tuple from a list,
+    an Optional from null or its inner type.  Numbers are never strings or
+    booleans, and an integral float such as 3.0 is stored as an int.
     """
-    out = dict(d)
-    for key in (k for k in ints + reals if k in out):
-        value = out[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-        if key in ints:
-            if not float(value).is_integer():
-                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-            out[key] = int(value)
-    return out
-
-
-def _checked_rates(values, section: str) -> tuple:
-    """A JSON list of missing rates as a tuple of floats, each checked as a number."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{section} must be a list of numbers, got {values!r}")
-    checked = _checked_numbers(dict(enumerate(values)), (), tuple(range(len(values))), section)
-    return tuple(float(v) for v in checked.values())
-
-
-def _checked_bools(d: dict, keys: tuple, section: str) -> None:
-    """JSON "false" is a truthy string; only true and false may switch a mechanism."""
-    for key in (k for k in keys if k in d):
-        if not isinstance(d[key], bool):
-            raise ConfigError(f"{section}.{key} must be true or false, got {d[key]!r}")
-
-
-def _weights_from_dict(d: dict) -> LossWeights:
-    _checked_keys(d, ("tea", "stu", "kl", "pair", "proto"), "loss_weights")
-    return LossWeights(**_checked_numbers(d, (), ("tea", "stu", "kl", "pair", "proto"),
-                                          "loss_weights"))
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+        known = {f.name: f for f in fields(tp)}
+        unknown = sorted(set(value) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown {path} fields: {unknown}")
+        hints = get_type_hints(tp)
+        kwargs = {}
+        for name, f in known.items():
+            if name in value:
+                kwargs[name] = _read(hints[name], value[name], f"{path}.{name}")
+            elif (tp, name) in _JSON_DEFAULTS:
+                kwargs[name] = _JSON_DEFAULTS[tp, name]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{path} is missing required field {name!r}")
+        return tp(**kwargs)
+    if get_origin(tp) is Union:  # Optional[inner]
+        return None if value is None else _read(get_args(tp)[0], value, path)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        item = get_args(tp)[0]
+        # records in a list are named arms[1], numbers missing_rates.0
+        sub = "{}[{}]" if is_dataclass(item) else "{}.{}"
+        return tuple(_read(item, v, sub.format(path, i)) for i, v in enumerate(value))
+    if tp in (bool, str):
+        if not isinstance(value, tp):
+            kind = "true or false" if tp is bool else "a string"
+            raise ConfigError(f"{path} must be {kind}, got {value!r}")
+        return value
+    if tp not in (int, float):
+        raise TypeError(f"{path}: no JSON reading for declared type {tp!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    if tp is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path} is out of range for a float, got {value!r}") from None
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a JSON-shaped dict mirroring its field names."""
-    _checked_keys(
-        d,
-        ("name", "dataset", "train", "arms", "missing_rates", "k_folds",
-         "feat_dim", "hidden_width", "activation", "output_dir"),
-        "scenario",
-    )
-    for key in ("name", "dataset", "arms"):
-        if key not in d:
-            raise ConfigError(f"scenario config is missing required field {key!r}")
-
-    ds = dict(d["dataset"])
-    _checked_keys(
-        ds,
-        ("num_classes", "samples_per_class", "dim_a", "dim_b", "class_separation",
-         "noise_scale", "missing_rate", "seed"),
-        "dataset",
-    )
-    ds.setdefault("missing_rate", 0.0)
-    ds = _checked_numbers(
-        ds, ("num_classes", "samples_per_class", "dim_a", "dim_b", "seed"),
-        ("class_separation", "noise_scale", "missing_rate"), "dataset",
-    )
-    dataset = DatasetConfig(**ds)
-
-    tr = dict(d.get("train", {}))
-    _checked_keys(
-        tr,
-        ("epochs", "batch_size", "learning_rate", "weight_decay", "kd_temperature",
-         "sim_temperature", "loss_weights", "ams_mode", "fixed_ratio", "pcm_enabled",
-         "proto_strategy", "proto_momentum", "proto_assignment", "pcm_on_pseudo",
-         "two_stage", "grad_clip", "seed"),
-        "train",
-    )
-    tr = _checked_numbers(
-        tr, ("epochs", "batch_size", "seed"),
-        ("learning_rate", "weight_decay", "kd_temperature", "sim_temperature",
-         "fixed_ratio", "proto_momentum", "grad_clip"), "train",
-    )
-    _checked_bools(tr, ("pcm_enabled", "pcm_on_pseudo", "two_stage"), "train")
-    if "loss_weights" in tr:
-        tr["loss_weights"] = _weights_from_dict(tr["loss_weights"])
-    train = TrainConfig(**tr)
-
-    arms = []
-    for index, raw in enumerate(d["arms"]):
-        a = dict(raw)
-        _checked_keys(a, ("name", "pcm", "ams", "proto_strategy", "loss_weights", "rates"),
-                      "arm")
-        _checked_bools(a, ("pcm",), f"arms[{index}]")
-        if "loss_weights" in a:
-            a["loss_weights"] = _weights_from_dict(a["loss_weights"])
-        if "rates" in a and a["rates"] is not None:
-            a["rates"] = _checked_rates(a["rates"], f"arms[{index}].rates")
-        arms.append(ArmSpec(**a))
-
-    sizes = ("k_folds", "feat_dim", "hidden_width")
-    kwargs = _checked_numbers({k: d[k] for k in sizes if k in d}, sizes, (), "scenario")
-    if "missing_rates" in d:
-        kwargs["missing_rates"] = _checked_rates(d["missing_rates"], "missing_rates")
-    if "activation" in d:
-        kwargs["activation"] = d["activation"]
-    return ScenarioConfig(
-        name=d["name"],
-        dataset=dataset,
-        train=train,
-        arms=tuple(arms),
-        output_dir=str(d.get("output_dir", "out")),
-        **kwargs,
-    )
+    return _read(ScenarioConfig, d, "scenario")
 
 
 def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[int] = None) -> RunSummary:
@@ -533,12 +482,17 @@ def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[in
         if header != expected:
             raise ProtocolError(f"unexpected metrics header {header}, wanted {expected}")
         for row in reader:
-            method, scen, fold = row[0], row[1], int(row[2])
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(expected):
+                raise ProtocolError(f"{where}: {len(row)} cells, the header has {len(expected)}")
+            method, scen = row[0], row[1]
             if not scen.startswith("rate="):
-                raise ProtocolError(f"unparseable scenario tag {scen!r}")
-            rate = float(scen[len("rate="):])
-            rec = MetricsRecord(fold=fold, mcc=float(row[3]), auc=float(row[4]),
-                                sen=float(row[5]), spe=float(row[6]))
+                raise ProtocolError(f"{where}: unparseable scenario tag {scen!r}")
+            try:
+                rate = float(scen[len("rate="):])
+                rec = MetricsRecord(int(row[2]), *(float(v) for v in row[3:]))
+            except ValueError as exc:
+                raise ProtocolError(f"{where}: {exc}") from exc
             rows.append((method, rate, rec))
 
     cells = []

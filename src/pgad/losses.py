@@ -11,7 +11,8 @@ Gradient conventions:
                  gradient (softmax - onehot) / N
   kd_loss     -> gradient wrt STUDENT logits only, T * (p_s - p_t) / N
                  (the teacher side is a constant)
-  pair_loss   -> gradient wrt the similarity matrix entries
+  pair_loss   -> gradient wrt the similarity matrix entries; row i's
+                 partner is column i
   proto_loss  -> gradient wrt the unpaired features; the nearest-prototype
                  assignment is piecewise constant, so no gradient flows
                  through the argmin and prototypes themselves are constants
@@ -178,11 +179,11 @@ def similarity_matrix(feats_a: np.ndarray, feats_b: np.ndarray, temperature: flo
     return sims, vjp
 
 
-def pair_loss(sim_matrix: np.ndarray, positives) -> tuple[float, np.ndarray]:
-    """Softmax-over-candidates loss anchoring each row at its genuine partner.
+def pair_loss(sim_matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Softmax-over-candidates loss anchoring row i at its genuine partner, column i.
 
-    `positives` must assign exactly one partner column to every row of the
-    similarity matrix; the denominator of each row runs over all columns.
+    The denominator of each row runs over all columns, so there must be at
+    least as many columns as rows.
     """
     sims = np.asarray(sim_matrix, dtype=np.float64)
     if sims.ndim != 2:
@@ -190,24 +191,15 @@ def pair_loss(sim_matrix: np.ndarray, positives) -> tuple[float, np.ndarray]:
     n_a, n_b = sims.shape
     if n_a == 0 or n_b == 0:
         raise EmptyBatchError("pair_loss needs a nonempty similarity matrix")
-
-    pos_col = np.full(n_a, -1, dtype=np.int64)
-    for i, j in positives:
-        if not (0 <= i < n_a) or not (0 <= j < n_b):
-            raise RangeError(f"positive ({i}, {j}) outside matrix of shape {sims.shape}")
-        if pos_col[i] != -1:
-            raise ProtocolError(f"row {i} has more than one positive")
-        pos_col[i] = j
-    missing = np.flatnonzero(pos_col == -1)
-    if missing.size:
-        raise ProtocolError(f"row {int(missing[0])} has no positive")
+    if n_b < n_a:
+        raise ShapeError(f"row i pairs with column i, but {sims.shape} has fewer columns than rows")
 
     shifted = sims - sims.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + sims.max(axis=1)
     rows = np.arange(n_a)
-    value = float((lse - sims[rows, pos_col]).mean())
+    value = float((lse - sims[rows, rows]).mean())
     grad = _softmax(sims)
-    grad[rows, pos_col] -= 1.0
+    grad[rows, rows] -= 1.0
     return value, grad / n_a
 
 

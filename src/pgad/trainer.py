@@ -316,7 +316,7 @@ def step_gradients(
         d_logits_s[:n_g] += w.kl * g
     if w.pair > 0.0:
         sims, vjp = similarity_matrix(feat_s[:n_g], h_b, cfg.sim_temperature)
-        l_pair, d_sims = pair_loss(sims, [(i, i) for i in range(n_g)])
+        l_pair, d_sims = pair_loss(sims)
         d_anchor, d_cand = vjp(d_sims)
         d_feat_s[:n_g] += w.pair * d_anchor
         d_h_b += w.pair * d_cand

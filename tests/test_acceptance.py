@@ -137,12 +137,11 @@ def _check_pair_instance(rng):
     x_a = rng.normal(size=(n, net_a.spec.in_dim))
     x_b = rng.normal(size=(m, net_b.spec.in_dim))
     tau = float(rng.uniform(0.2, 1.0))
-    positives = [(i, i) for i in range(n)]
 
     anchors = net_a.forward(x_a)
     cands = net_b.forward(x_b)
     sims, vjp = similarity_matrix(anchors, cands, tau)
-    _, d_sims = pair_loss(sims, positives)
+    _, d_sims = pair_loss(sims)
     d_anchor, d_cand = vjp(d_sims)
     g_a, _ = net_a.backward(d_anchor)
     g_b, _ = net_b.backward(d_cand)
@@ -154,7 +153,7 @@ def _check_pair_instance(rng):
         net_a.set_params(p[:n_a])
         net_b.set_params(p[n_a:])
         sims_f, _ = similarity_matrix(net_a.forward(x_a), net_b.forward(x_b), tau)
-        return pair_loss(sims_f, positives)[0]
+        return pair_loss(sims_f)[0]
 
     params = np.concatenate([net_a.get_params(), net_b.get_params()])
     return rel_err(analytic, fd_grad(f, params))
@@ -247,13 +246,12 @@ def _check_total_instance(rng):
     feats_a = np.stack([by_id[i].feat_a for i in a_rows])
     feats_b = np.stack([by_id[i].feat_b for i in b_rows])
     feat_s_const, _ = student_forward(student, feats_a)
-    positives = [(i, i) for i in range(n_g)]
 
     def f_teacher(p):
         teacher.set_params(p)
         h_b, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
         sims, _ = similarity_matrix(feat_s_const[:n_g], h_b, cfg.sim_temperature)
-        return w.tea * ce_loss(logits_t, labels)[0].mean() + w.pair * pair_loss(sims, positives)[0]
+        return w.tea * ce_loss(logits_t, labels)[0].mean() + w.pair * pair_loss(sims)[0]
 
     err_t = rel_err(grads[:p_t], fd_grad(f_teacher, t_base))
     teacher.set_params(t_base)

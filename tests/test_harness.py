@@ -3,11 +3,17 @@
 import json
 import math
 import os
-from dataclasses import replace
+import re
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pgad import harness
 from pgad.cli import main as cli_main
 from pgad.errors import ConfigError, ProtocolError, UsageError
 from pgad.evaluation import METRIC_NAMES, MetricsRecord, bonferroni
@@ -614,3 +620,203 @@ def test_cli_export_embeddings_on_malformed_data_row(tmp_path, capsys, row, prob
     assert captured.err.startswith("error: ProtocolError")
     assert "bad.csv line 3:" in captured.err and problem in captured.err
     assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda d: {**d, "dataset": 5}, "scenario.dataset must be an object"),
+    (lambda d: {**d, "arms": [5]}, "scenario.arms[0] must be an object"),
+    (lambda d: {**d, "train": {"loss_weights": 3}}, "scenario.train.loss_weights must be an object"),
+    (lambda d: {**d, "arms": [{"name": 5}]}, "scenario.arms[0].name must be a string"),
+    (lambda d: {**d, "name": 5}, "scenario.name must be a string"),
+    (lambda d: {**d, "output_dir": ["o"]}, "scenario.output_dir must be a string"),
+    (lambda d: [d], "scenario must be an object"),
+    (lambda d: {**d, "train": {"learning_rate": 10**400}},
+     "scenario.train.learning_rate is out of range for a float"),
+], ids=["dataset", "arm", "loss_weights", "arm_name", "name", "output_dir", "list", "huge"])
+def test_cli_run_rejects_mistyped_sections(tmp_path, capsys, build, named):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(build(scenario_dict())))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError") and named in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("ams", "bogus", "bogus"),
+    ("proto_strategy", "bogus", "proto_strategy"),
+    ("loss_weights", {"tea": -1}, "loss weight tea"),
+])
+def test_cli_run_rejects_bad_arm_settings_before_any_job(tmp_path, capsys, key, value, problem):
+    d = scenario_dict()
+    d["arms"][1][key] = value
+    cfg_path = tmp_path / "arm.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError: arm full:") and problem in err
+    assert not (tmp_path / "o" / "traces").exists()
+
+
+def test_cli_run_rejects_an_empty_sweep(tmp_path, capsys):
+    d = scenario_dict()
+    d["missing_rates"] = []
+    d["arms"][1]["rates"] = []
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError: arm baseline: no missing rates to run")
+    assert not (tmp_path / "o" / "traces").exists()
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("row,problem", [
+    ("baseline,rate=0.5", "2 cells, the header has 7"),
+    ("baseline,rate=0.5,0,x,0.5,0.5,0.5", "could not convert string to float: 'x'"),
+])
+def test_cli_compare_on_malformed_metrics_row(tmp_path, capsys, row, problem):
+    (tmp_path / "metrics.csv").write_text(
+        "method,scenario,fold,mcc,auc,sen,spe\n"
+        "baseline,rate=0.5,0,0.1,0.5,0.5,0.5\n" + row + "\n"
+    )
+    rc = cli_main(["compare", "--summary", str(tmp_path), "--baseline", "baseline"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ProtocolError")
+    assert "metrics.csv line 3:" in err and problem in err
+
+
+# ------------------------------------------------------------ scenario schema
+
+
+def test_scenario_reader_reads_a_field_added_to_a_config_dataclass(monkeypatch):
+    @dataclass(frozen=True)
+    class WiderTrain(TrainConfig):
+        warmup_epochs: int = 0
+
+    # the scenario's `train` annotation now resolves to the widened class
+    monkeypatch.setattr(harness, "TrainConfig", WiderTrain)
+    d = scenario_dict()
+    d["train"]["warmup_epochs"] = 3.0
+    cfg = scenario_from_dict(d)
+    assert isinstance(cfg.train, WiderTrain)
+    assert cfg.train.warmup_epochs == 3 and isinstance(cfg.train.warmup_epochs, int)
+    d["train"]["warmup_epochs"] = "3"
+    with pytest.raises(ConfigError, match=r"scenario\.train\.warmup_epochs must be a number"):
+        scenario_from_dict(d)
+
+
+def test_readme_quick_start_scenario_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"`scenario\.json`:\s*```json\n(.*?)```", readme, re.S)
+    assert block, "README.md lost its quick-start scenario.json block"
+    cfg = scenario_from_dict(json.loads(block.group(1)))
+    cfg.validate()
+    assert [a.name for a in cfg.arms] == ["baseline", "full"]
+
+
+# Fields a scenario JSON may omit although their dataclass gives no default.
+OMITTABLE = {(ScenarioConfig, "train"): TrainConfig(), (DatasetConfig, "missing_rate"): 0.0}
+
+
+def json_and_value(tp):
+    """Pairs (JSON value, the Python value it stands for) of a declared field type."""
+    if is_dataclass(tp):
+        return json_and_config(tp)
+    if get_origin(tp) is Union:  # Optional
+        return st.just((None, None)) | json_and_value(get_args(tp)[0])
+    if get_origin(tp) is tuple:
+        return st.lists(json_and_value(get_args(tp)[0]), max_size=3).map(
+            lambda pairs: ([j for j, _ in pairs], tuple(v for _, v in pairs))
+        )
+    if tp is bool:
+        return st.booleans().map(lambda b: (b, b))
+    if tp is str:
+        return st.text(max_size=6).map(lambda s: (s, s))
+    if tp is int:  # an integral float stands for the int
+        return st.integers(-2**40, 2**40).flatmap(
+            lambda n: st.sampled_from([(n, n), (float(n), n)])
+        )
+    assert tp is float
+    return (st.floats(allow_nan=False) | st.integers(-2**40, 2**40)).map(
+        lambda x: (x, float(x))
+    )
+
+
+@st.composite
+def json_and_config(draw, cls):
+    hints = get_type_hints(cls)
+    raw, kwargs = {}, {}
+    for f in fields(cls):
+        has_default = f.default is not MISSING or f.default_factory is not MISSING
+        if ((cls, f.name) in OMITTABLE or has_default) and draw(st.booleans()):
+            if (cls, f.name) in OMITTABLE:
+                kwargs[f.name] = OMITTABLE[cls, f.name]
+            continue
+        raw[f.name], kwargs[f.name] = draw(json_and_value(hints[f.name]))
+    return raw, cls(**kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=json_and_config(ScenarioConfig))
+def test_scenario_from_dict_builds_the_config_it_mirrors(pair):
+    raw, expected = pair
+    got = scenario_from_dict(raw)
+    assert got == expected
+    assert repr(got) == repr(expected)  # ints stay ints, floats become floats
+
+
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers() | st.floats(allow_nan=False),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers() | st.text(max_size=2), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+
+
+def json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def json_slots(value, path="scenario"):
+    """(path, container, key) of every value inside a JSON document, at any depth."""
+    if isinstance(value, dict):
+        children = [(f"{path}.{k}", k, v) for k, v in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{path}[{i}]" if isinstance(v, dict) else f"{path}.{i}", i, v)
+                    for i, v in enumerate(value)]
+    else:
+        children = []
+    for child_path, key, child in children:
+        yield child_path, value, key
+        yield from json_slots(child, child_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scenario_from_dict_names_any_mistyped_field(data):
+    raw, _ = data.draw(json_and_config(ScenarioConfig))
+    path, container, key = data.draw(st.sampled_from(list(json_slots(raw))))
+    valid = {json_kind(container[key])}
+    if path.endswith(".rates"):  # an arm's rates may be null or a list
+        valid |= {"null", "array"}
+    kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - valid)))
+    container[key] = data.draw(JSON_KINDS[kind])
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(raw)
+    assert path in str(err.value)

@@ -208,7 +208,7 @@ def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
     l_stu = ce_loss(logits_s, labels)[0].mean()
     l_kl = kd_loss(logits_s[:n_g], logits_t[:n_g], cfg.kd_temperature)[0]
     sims, _ = similarity_matrix(feat_s[:n_g], h_b, cfg.sim_temperature)
-    l_pair = pair_loss(sims, [(i, i) for i in range(n_g)])[0]
+    l_pair = pair_loss(sims)[0]
     l_proto = proto_loss(feat_s[n_g:], protos, cfg.proto_assignment, labels[n_g:])[0]
     return l_tea, l_stu, l_kl, l_pair, l_proto, labels, logits_t, logits_s
 
