@@ -1,5 +1,9 @@
 """Experiment harness: sweeps ablation arms over missing rates and folds.
 
+Each (arm, rate, fold) cell is one RunJob, which names only the scenario,
+the arm, the rate and the fold split; run_one derives the dataset, seeds,
+training config, net sizes and artifact paths from them.
+
 Within a scenario every arm sees identical data, missingness masks, fold
 memberships, and initial network weights; training seeds depend on
 (rate, fold) but never on the arm, so two arms whose configurations make
@@ -37,7 +41,7 @@ from .losses import LossWeights
 from .nets import ACTIVATIONS, StudentNet, TeacherNet, save_checkpoint, student_forward
 from .prototypes import export_prototypes_csv
 from .seeding import derive_seed
-from .synthdata import DatasetConfig, Sample, generate_dataset, stratified_kfold
+from .synthdata import DatasetConfig, FoldSplit, Sample, generate_dataset, stratified_kfold
 from .trainer import TrainConfig, export_trace_csv, fit
 
 DEFAULT_MISSING_RATES = (0.2, 0.5, 0.7)
@@ -84,6 +88,12 @@ class ScenarioConfig:
             raise ConfigError("scenario name must be nonempty")
         self.dataset.validate()
         self.train.validate()
+        # ArmSpec's defaults are TrainConfig's, so only a field every arm sets can differ
+        per_arm = self.arm_train(ArmSpec(name="default"))
+        for f in fields(TrainConfig):
+            if getattr(self.train, f.name) != getattr(per_arm, f.name):
+                raise ConfigError(f"train.{f.name} is set per arm, so each arm's own value "
+                                  "replaces it; set it on the arms instead")
         if self.dataset.num_classes != 2:
             raise ConfigError("the metric suite is binary; dataset.num_classes must be 2")
         if self.k_folds < 2:
@@ -140,8 +150,6 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class RunSummary:
-    scenario: str
-    k_folds: int
     cells: tuple
 
     def cell(self, arm: str, rate: float) -> CellSummary:
@@ -167,26 +175,12 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunJob:
-    """Everything one (arm, rate, fold) training run needs, picklable."""
+    """One (arm, rate, fold) cell of a scenario, picklable; run_one derives the rest."""
 
-    scenario_name: str
-    dataset: DatasetConfig
-    train_cfg: TrainConfig
-    arm_name: str
+    scenario: ScenarioConfig
+    arm: ArmSpec
     rate: float
-    fold_index: int
-    train_ids: tuple
-    test_ids: tuple
-    teacher_seed: int
-    student_seed: int
-    num_classes: int
-    feat_dim: int
-    hidden_width: int
-    activation: str
-    trace_path: str
-    ams_path: str
-    proto_path: str
-    checkpoint_path: str
+    fold: FoldSplit
 
 
 def _rate_tag(rate: float) -> str:
@@ -199,76 +193,49 @@ def _scenario_tag(rate: float) -> str:
 
 def run_one(job: RunJob) -> MetricsRecord:
     """Train and evaluate a single (arm, rate, fold) cell; writes its own files."""
-    samples = generate_dataset(replace(job.dataset, missing_rate=job.rate))
+    cfg, data, rate, fold = job.scenario, job.scenario.dataset, job.rate, job.fold.fold_index
+    samples = generate_dataset(replace(data, missing_rate=rate))
     by_id = {s.id: s for s in samples}
-    train_samples = [by_id[i] for i in job.train_ids]
-    test_samples = [by_id[i] for i in job.test_ids]
+    train_samples = [by_id[i] for i in job.fold.train_ids]
+    test_samples = [by_id[i] for i in job.fold.test_ids]
 
     teacher = TeacherNet.create(
-        job.dataset.dim_a, job.dataset.dim_b, job.num_classes,
-        job.feat_dim, job.hidden_width, job.activation, job.teacher_seed,
+        data.dim_a, data.dim_b, data.num_classes, cfg.feat_dim, cfg.hidden_width,
+        cfg.activation, derive_seed(data.seed, "init", "teacher", rate, fold),
     )
     student = StudentNet.create(
-        job.dataset.dim_a, job.num_classes,
-        job.feat_dim, job.hidden_width, job.activation, job.student_seed,
+        data.dim_a, data.num_classes, cfg.feat_dim, cfg.hidden_width,
+        cfg.activation, derive_seed(data.seed, "init", "student", rate, fold),
     )
-    result = fit(teacher, student, train_samples, job.train_cfg)
+    train_cfg = replace(cfg.arm_train(job.arm), seed=derive_seed(data.seed, "train", rate, fold))
+    result = fit(teacher, student, train_samples, train_cfg)
 
     labels = np.array([s.label for s in test_samples], dtype=np.int64)
     feats = np.stack([s.feat_a for s in test_samples])
     _, logits = student_forward(student, feats)
     scores = softmax(logits, axis=1)[:, 1]
     preds = np.argmax(logits, axis=1)
-    record = classification_metrics(labels, scores, preds, fold=job.fold_index)
+    record = classification_metrics(labels, scores, preds, fold=fold)
 
-    export_trace_csv(result.epoch_traces, job.trace_path)
+    stem = f"{job.arm.name}_rate{_rate_tag(rate)}_fold{fold}"
+    export_trace_csv(result.epoch_traces, os.path.join(cfg.output_dir, "traces", stem + ".csv"))
     export_ams_trace_csv(
-        [(t.epoch, t.theta, t.ratio) for t in result.epoch_traces], job.ams_path
+        [(t.epoch, t.theta, t.ratio) for t in result.epoch_traces],
+        os.path.join(cfg.output_dir, "ams", stem + ".csv"),
     )
-    export_prototypes_csv(result.prototypes, job.proto_path)
-    save_checkpoint(student, job.checkpoint_path)
+    export_prototypes_csv(result.prototypes,
+                          os.path.join(cfg.output_dir, "prototypes", stem + ".csv"))
+    save_checkpoint(student, os.path.join(cfg.output_dir, "checkpoints", stem + "_student.txt"))
     return record
 
 
 def _build_jobs(cfg: ScenarioConfig) -> list:
-    root = cfg.dataset.seed
     base = generate_dataset(replace(cfg.dataset, missing_rate=0.0))
-    folds = stratified_kfold(base, cfg.k_folds, derive_seed(root, "folds"))
-
-    out = cfg.output_dir
+    folds = stratified_kfold(base, cfg.k_folds, derive_seed(cfg.dataset.seed, "folds"))
     for sub in ("traces", "ams", "prototypes", "checkpoints"):
-        os.makedirs(os.path.join(out, sub), exist_ok=True)
-
-    jobs = []
-    for arm in cfg.arms:
-        arm_cfg = cfg.arm_train(arm)
-        for rate in cfg.arm_rates(arm):
-            for fold in folds:
-                train_cfg = replace(
-                    arm_cfg, seed=derive_seed(root, "train", float(rate), fold.fold_index)
-                )
-                stem = f"{arm.name}_rate{_rate_tag(rate)}_fold{fold.fold_index}"
-                jobs.append(RunJob(
-                    scenario_name=cfg.name,
-                    dataset=cfg.dataset,
-                    train_cfg=train_cfg,
-                    arm_name=arm.name,
-                    rate=float(rate),
-                    fold_index=fold.fold_index,
-                    train_ids=fold.train_ids,
-                    test_ids=fold.test_ids,
-                    teacher_seed=derive_seed(root, "init", "teacher", float(rate), fold.fold_index),
-                    student_seed=derive_seed(root, "init", "student", float(rate), fold.fold_index),
-                    num_classes=cfg.dataset.num_classes,
-                    feat_dim=cfg.feat_dim,
-                    hidden_width=cfg.hidden_width,
-                    activation=cfg.activation,
-                    trace_path=os.path.join(out, "traces", stem + ".csv"),
-                    ams_path=os.path.join(out, "ams", stem + ".csv"),
-                    proto_path=os.path.join(out, "prototypes", stem + ".csv"),
-                    checkpoint_path=os.path.join(out, "checkpoints", stem + "_student.txt"),
-                ))
-    return jobs
+        os.makedirs(os.path.join(cfg.output_dir, sub), exist_ok=True)
+    return [RunJob(cfg, arm, float(rate), fold)
+            for arm in cfg.arms for rate in cfg.arm_rates(arm) for fold in folds]
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
@@ -282,10 +249,11 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
         results = pool.map(run_one, job_list) if pool else map(run_one, job_list)
         for job in job_list:
             try:
-                records[(job.arm_name, job.rate, job.fold_index)] = next(results)
+                records[(job.arm.name, job.rate, job.fold.fold_index)] = next(results)
             except Exception as exc:
                 raise ProtocolError(
-                    f"arm={job.arm_name} rate={job.rate} fold={job.fold_index} failed: {exc}"
+                    f"arm={job.arm.name} rate={job.rate} fold={job.fold.fold_index} "
+                    f"failed: {exc}"
                 ) from exc
 
     cells = []
@@ -299,7 +267,7 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
             for rec in fold_records:
                 metric_rows.append((arm.name, _scenario_tag(rate), rec))
 
-    summary = RunSummary(scenario=cfg.name, k_folds=cfg.k_folds, cells=tuple(cells))
+    summary = RunSummary(cells=tuple(cells))
     export_metrics_csv(metric_rows, os.path.join(cfg.output_dir, "metrics.csv"))
     _export_summary_csv(summary, os.path.join(cfg.output_dir, "summary.csv"))
     _export_report_md(cfg, summary, os.path.join(cfg.output_dir, "report.md"))
@@ -470,7 +438,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     return _read(ScenarioConfig, d, "scenario")
 
 
-def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[int] = None) -> RunSummary:
+def load_summary_from_metrics_csv(path) -> RunSummary:
     """Rebuild a RunSummary from a metrics.csv written by run_scenario."""
     rows = []
     with open(path, newline="") as fh:
@@ -506,5 +474,4 @@ def load_summary_from_metrics_csv(path, scenario: str = "", k_folds: Optional[in
             key=lambda r: r.fold,
         ))
         cells.append(CellSummary.from_records(method, rate, recs))
-    k = k_folds if k_folds is not None else (len(cells[0].records) if cells else 0)
-    return RunSummary(scenario=scenario, k_folds=k, cells=tuple(cells))
+    return RunSummary(cells=tuple(cells))

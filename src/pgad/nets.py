@@ -63,6 +63,11 @@ class MlpSpec:
     def out_dim(self) -> int:
         return int(self.layer_widths[-1])
 
+    @property
+    def param_count(self) -> int:
+        widths = [int(w) for w in self.layer_widths]
+        return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
@@ -417,8 +422,10 @@ def load_checkpoint(path):
     """Rebuild a TeacherNet or StudentNet from a save_checkpoint file.
 
     A header that is not a JSON object naming a known kind and a valid spec
-    for every part, or a value line that is not a number, raises
-    ProtocolError naming the file.
+    for every part, a value line that is not a number, or a value count
+    other than the one the specs imply raises ProtocolError naming the file.
+    The count is checked before any part is built, so a header's widths
+    cannot make it allocate more than the file holds.
     """
     with open(path) as fh:
         try:
@@ -435,17 +442,15 @@ def load_checkpoint(path):
     specs = header.get("specs")
     if not isinstance(specs, dict):
         raise ProtocolError(f"{path}: checkpoint header has no specs")
-    parts = {name: Mlp(_checked_spec(specs.get(name), path, name), seed=0)
-             for name in _PART_NAMES[kind]}
+    part_specs = {name: _checked_spec(specs.get(name), path, name) for name in _PART_NAMES[kind]}
+    needed = sum(spec.param_count for spec in part_specs.values())
+    if len(values) != needed:  # checked before any part is allocated
+        raise ProtocolError(
+            f"{path}: checkpoint holds {len(values)} values but the architecture needs {needed}"
+        )
     try:
-        net = _NET_KINDS[kind](**parts)
+        net = _NET_KINDS[kind](**{name: Mlp(spec, seed=0) for name, spec in part_specs.items()})
     except ConfigError as exc:
         raise ProtocolError(f"{path}: {exc}") from None
-    flat = np.array(values, dtype=np.float64)
-    if flat.shape != (net.param_count,):
-        raise ProtocolError(
-            f"{path}: checkpoint holds {flat.size} values but the architecture needs "
-            f"{net.param_count}"
-        )
-    net.set_params(flat)
+    net.set_params(np.array(values, dtype=np.float64))
     return net

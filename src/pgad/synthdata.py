@@ -267,30 +267,45 @@ def export_dataset_csv(samples: Sequence[Sample], path) -> None:
 def import_dataset_csv(path) -> list[Sample]:
     """Read a dataset written by export_dataset_csv.
 
-    A row whose cell count differs from the header's, or with a cell that
-    does not parse as a number, raises ProtocolError naming the file and line.
+    The header must be id,label,paired,a_0..a_{n-1},b_0..b_{m-1} with n >= 1.
+    Another header, a row whose cell count differs from the header's, a cell
+    that does not parse as a number, a paired flag that disagrees with the
+    b_* cells, or text that is not CSV raises ProtocolError naming the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ProtocolError(f"{path} is empty: a dataset CSV needs a header row")
-        dim_a = sum(1 for h in header if h.startswith("a_"))
-        dim_b = sum(1 for h in header if h.startswith("b_"))
-        samples = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ProtocolError(f"{path} line {reader.line_num}: {len(row)} cells, "
-                                    f"the header has {len(header)}")
-            b_cells = row[3 + dim_a : 3 + dim_a + dim_b]
-            has_b = any(cell != "" for cell in b_cells)
-            try:
-                sid, label, paired_flag = int(row[0]), int(row[1]), bool(int(row[2]))
-                a = np.array([float(v) for v in row[3 : 3 + dim_a]], dtype=np.float64)
-                b = np.array([float(v) for v in b_cells], dtype=np.float64) if has_b else None
-            except ValueError as exc:
-                raise ProtocolError(f"{path} line {reader.line_num}: {exc}") from exc
-            if has_b != paired_flag:
-                raise ProtocolError(f"sample {sid}: paired flag disagrees with b_* columns")
-            samples.append(Sample(id=sid, label=label, feat_a=a, feat_b=b))
+        try:
+            return _read_dataset_rows(reader, path)
+        except csv.Error as exc:
+            raise ProtocolError(f"{path} line {reader.line_num}: {exc}") from exc
+
+
+def _read_dataset_rows(reader, path) -> list[Sample]:
+    header = next(reader, None)
+    if header is None:
+        raise ProtocolError(f"{path} is empty: a dataset CSV needs a header row")
+    dim_a = sum(1 for h in header if h.startswith("a_"))
+    dim_b = sum(1 for h in header if h.startswith("b_"))
+    expected = (["id", "label", "paired"] + [f"a_{i}" for i in range(dim_a)]
+                + [f"b_{i}" for i in range(dim_b)])
+    if dim_a < 1 or header != expected:
+        raise ProtocolError(f"{path}: dataset header must be id,label,paired,a_0..a_{{n-1}},"
+                            f"b_0..b_{{m-1}} with n >= 1, got {','.join(header)!r}")
+    samples = []
+    for row in reader:
+        if len(row) != len(header):
+            raise ProtocolError(f"{path} line {reader.line_num}: {len(row)} cells, "
+                                f"the header has {len(header)}")
+        b_cells = row[3 + dim_a :]
+        has_b = any(cell != "" for cell in b_cells)
+        try:
+            sid, label, paired_flag = int(row[0]), int(row[1]), bool(int(row[2]))
+            a = np.array([float(v) for v in row[3 : 3 + dim_a]], dtype=np.float64)
+            b = np.array([float(v) for v in b_cells], dtype=np.float64) if has_b else None
+        except ValueError as exc:
+            raise ProtocolError(f"{path} line {reader.line_num}: {exc}") from exc
+        if has_b != paired_flag:
+            raise ProtocolError(f"{path} line {reader.line_num}: sample {sid}: "
+                                "paired flag disagrees with b_* columns")
+        samples.append(Sample(id=sid, label=label, feat_a=a, feat_b=b))
     return samples

@@ -129,16 +129,14 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not (self.learning_rate > 0.0):
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (self.weight_decay >= 0.0):
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if not (self.kd_temperature > 0.0):
-            raise ConfigError(f"kd_temperature must be positive, got {self.kd_temperature}")
-        if not (self.sim_temperature > 0.0):
-            raise ConfigError(f"sim_temperature must be positive, got {self.sim_temperature}")
-        if not (self.grad_clip > 0.0):
-            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
+        for name in ("learning_rate", "kd_temperature", "sim_temperature", "grad_clip"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ConfigError(
+                f"weight_decay must be nonnegative and finite, got {self.weight_decay}"
+            )
         self.loss_weights.validate()
         AmsState(theta=0.0, mode=self.ams_mode, fixed_ratio=self.fixed_ratio).validate()
         if self.proto_strategy not in PROTO_STRATEGIES:

@@ -47,6 +47,30 @@ def test_hooked_functions_keep_the_parameters_their_hooks_read(traced):
     assert {"paired_pool", "unpaired_pool", "batch_size", "seed"} <= set(params)
 
 
+def test_run_one_takes_the_job_that_bench_wraps_and_pools_pickle(tmp_path):
+    """bench/run.py wraps harness.run_one as `run_one(job)`, and a pool sends
+    each job from _build_jobs to a worker by pickle."""
+    import pickle
+
+    from pgad import harness
+    from pgad.synthdata import DatasetConfig
+    from pgad.trainer import TrainConfig
+
+    assert list(inspect.signature(harness.run_one).parameters) == ["job"]
+    cfg = harness.ScenarioConfig(
+        name="guard",
+        dataset=DatasetConfig(num_classes=2, samples_per_class=6, dim_a=3, dim_b=3,
+                              class_separation=4.0, noise_scale=1.0, missing_rate=0.0, seed=1),
+        train=TrainConfig(epochs=1, batch_size=4),
+        arms=(harness.ArmSpec(name="full", rates=(0.2, 0.5)),),
+        k_folds=2,
+        output_dir=str(tmp_path / "out"),
+    )
+    jobs = harness._build_jobs(cfg)
+    assert len(jobs) == 4
+    for job in jobs:
+        assert pickle.loads(pickle.dumps(job)) == job
+
 
 def test_traced_fit_runs_the_build_batch_hook(traced, tmp_path):
     """The hook on ams.build_batch reads the pools a fit passes; a tiny serial

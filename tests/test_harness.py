@@ -186,8 +186,6 @@ def test_scenario_from_dict_rejects_unknowns():
 
 def test_run_scenario_summary_shape(tiny_run):
     cfg, summary, _ = tiny_run
-    assert summary.scenario == "tiny"
-    assert summary.k_folds == 2
     assert summary.arms() == ["baseline", "full"]
     assert summary.rates() == [0.5]
     assert len(summary.cells) == 2
@@ -252,8 +250,7 @@ def test_run_scenario_checkpoints_load(tiny_run):
 
 def test_load_summary_round_trip(tiny_run):
     cfg, summary, out = tiny_run
-    loaded = load_summary_from_metrics_csv(out / "metrics.csv", scenario="tiny")
-    assert loaded.k_folds == 2
+    loaded = load_summary_from_metrics_csv(out / "metrics.csv")
     assert loaded.arms() == summary.arms()
     for cell in summary.cells:
         other = loaded.cell(cell.arm, cell.rate)
@@ -317,7 +314,7 @@ def two_arm_summary(base_vals, other_vals, rate=0.5):
         CellSummary(arm="other", rate=rate, mean={}, std={},
                     records=fold_records(other_vals)),
     )
-    return RunSummary(scenario="s", k_folds=len(base_vals), cells=cells)
+    return RunSummary(cells=cells)
 
 
 def test_compare_arms_on_run(tiny_run):
@@ -354,17 +351,17 @@ def test_compare_arms_errors():
     summary = two_arm_summary([0.1, 0.2], [0.2, 0.3])
     with pytest.raises(ConfigError):
         compare_arms(summary, "nonexistent")
-    lonely = RunSummary(scenario="s", k_folds=2, cells=(summary.cells[0],))
+    lonely = RunSummary(cells=(summary.cells[0],))
     with pytest.raises(ConfigError):
         compare_arms(lonely, "baseline")
-    multi = RunSummary(scenario="s", k_folds=2, cells=(
+    multi = RunSummary(cells=(
         summary.cells[0],
         CellSummary(arm="other", rate=0.2, mean={}, std={},
                     records=fold_records([0.2, 0.3])),
     ))
     with pytest.raises(ConfigError):
         compare_arms(multi, "baseline")
-    mismatched = RunSummary(scenario="s", k_folds=2, cells=(
+    mismatched = RunSummary(cells=(
         summary.cells[0],
         CellSummary(arm="other", rate=0.5, mean={}, std={}, records=tuple(
             MetricsRecord(fold=i + 5, mcc=0.2, auc=0.5, sen=0.5, spe=0.5)
@@ -673,6 +670,61 @@ def test_cli_run_rejects_an_empty_sweep(tmp_path, capsys):
     assert err.startswith("error: ConfigError: arm baseline: no missing rates to run")
     assert not (tmp_path / "o" / "traces").exists()
     assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key", [
+    "learning_rate", "weight_decay", "kd_temperature", "sim_temperature", "grad_clip",
+])
+def test_cli_run_rejects_non_finite_training_numbers(tmp_path, capsys, key):
+    d = scenario_dict()
+    d["train"][key] = math.inf
+    cfg_path = tmp_path / "inf.json"
+    cfg_path.write_text(json.dumps(d))
+    assert f'"{key}": Infinity' in cfg_path.read_text()
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError") and f"{key} must be" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ams_mode", "fixed"),
+    ("pcm_enabled", False),
+    ("proto_strategy", "all"),
+    ("loss_weights", {"pair": 0}),
+])
+def test_cli_run_rejects_train_fields_that_each_arm_sets(tmp_path, capsys, key, value):
+    d = scenario_dict()
+    d["train"][key] = value
+    cfg_path = tmp_path / "per_arm.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: ConfigError: train.{key} is set per arm")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("header,row", [
+    ("id,label", "1,0"),
+    ("id,label,paired,b_0,b_1,b_2,b_3,b_4,a_0,a_1,a_2,a_3,a_4",
+     "1,0,1,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
+], ids=["no_features", "b_before_a"])
+def test_cli_export_embeddings_rejects_an_unexpected_data_header(tmp_path, capsys, header, row):
+    from pgad.nets import save_checkpoint
+
+    ckpt = tmp_path / "student.txt"
+    save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
+    data_path = tmp_path / "odd.csv"
+    data_path.write_text(f"{header}\n{row}\n")
+    rc = cli_main(["export-embeddings", "--checkpoint", str(ckpt),
+                   "--data", str(data_path), "--out", str(tmp_path / "emb.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ProtocolError") and "odd.csv: dataset header must be" in err
+    assert not (tmp_path / "emb.csv").exists()
 
 
 @pytest.mark.parametrize("row,problem", [

@@ -1,8 +1,13 @@
 """MLP forward/backward correctness, parameter flattening, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pgad import nets
 from pgad.errors import ConfigError, ProtocolError, ShapeError, UsageError
 from pgad.nets import (
     Mlp,
@@ -384,3 +389,71 @@ def test_checkpoint_reexport_identical(tmp_path):
     save_checkpoint(net, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_count_mismatch_builds_no_part(tmp_path, monkeypatch):
+    path = tmp_path / "ck.txt"
+    save_checkpoint(TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=9), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+
+    def no_mlp(spec, seed):
+        raise AssertionError(f"built an Mlp {spec.layer_widths} for a short checkpoint")
+
+    monkeypatch.setattr(nets, "Mlp", no_mlp)
+    with pytest.raises(ProtocolError, match=r"ck\.txt: checkpoint holds \d+ values"):
+        load_checkpoint(path)
+
+
+CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.just("line"), st.integers(0, 10**4),
+              st.text(st.sampled_from('0123456789-.e{}[]":, \n') | st.characters(
+                  exclude_categories=("Cs",)), max_size=8)),
+    st.tuples(st.just("cut"), st.integers(0, 10**4), st.integers(0, 400)),
+    # any width of any part to anything in 0..64
+    st.tuples(st.just("width"), st.integers(0, 3), st.integers(0, 2), st.integers(0, 64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["teacher", "student"]),
+       dims=st.tuples(*[st.integers(1, 8)] * 4), edit=CHECKPOINT_EDITS)
+def test_checkpoint_loads_an_edited_file_or_raises_protocol_error(tmp_path_factory, kind,
+                                                                  dims, edit):
+    dim_a, dim_b, feat, hidden = dims
+    net = (TeacherNet.create(dim_a, dim_b, 2, feat, hidden, seed=1) if kind == "teacher"
+           else StudentNet.create(dim_a, 2, feat, hidden, seed=1))
+    path = tmp_path_factory.mktemp("ck") / "ck.txt"
+    save_checkpoint(net, path)
+    lines = path.read_text().splitlines()
+    if edit[0] == "width":
+        header = json.loads(lines[0])
+        spec = list(header["specs"].values())[edit[1] % len(header["specs"])]
+        spec["layer_widths"][edit[2] % len(spec["layer_widths"])] = edit[3]
+        lines[0] = json.dumps(header)
+    elif edit[0] == "line":
+        lines[edit[1] % len(lines)] = edit[2]
+    else:
+        i = edit[1] % len(lines)
+        lines[i] = lines[i][: edit[2]]
+    path.write_text("\n".join(lines) + "\n")
+    with open(path) as fh:  # value lines as the reader sees them
+        fh.readline()
+        n_values = sum(1 for line in fh if line.strip())
+
+    built = []
+
+    class CountingMlp(nets.Mlp):
+        def __init__(self, spec, seed):
+            super().__init__(spec, seed)
+            built.append(self.param_count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "Mlp", CountingMlp)
+        try:
+            back = load_checkpoint(path)
+        except ProtocolError:
+            back = None
+    assert sum(built) <= n_values  # the header alone never sizes an allocation
+    if back is not None:
+        assert type(back) is type(net) and back.param_count == n_values

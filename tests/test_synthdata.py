@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgad.errors import (
     ConfigError,
@@ -212,6 +214,67 @@ def test_dataset_csv_rejects_empty_and_flag_mismatch(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ProtocolError):
         import_dataset_csv(path)
+
+
+@pytest.mark.parametrize("header,row", [
+    ("id,label", "1,0"),
+    ("id,label,paired", "1,0,0"),
+    ("id,label,paired,b_0,a_0", "1,0,1,0.5,0.25"),
+    ("id,label,paired,a_0,a_2", "1,0,0,0.5,0.25"),
+    ("label,id,paired,a_0", "0,1,0,0.5"),
+], ids=["no_features", "no_a", "b_before_a", "gap", "order"])
+def test_dataset_csv_rejects_a_header_other_than_the_exported_one(tmp_path, header, row):
+    path = tmp_path / "odd.csv"
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ProtocolError, match=r"odd\.csv: dataset header must be"):
+        import_dataset_csv(path)
+
+
+def test_dataset_csv_wraps_a_field_over_the_csv_size_limit(tmp_path):
+    ds = generate_dataset(small_cfg(dim_a=2, dim_b=2, samples_per_class=2))
+    path = tmp_path / "quoted.csv"
+    export_dataset_csv(ds, path)
+    lines = path.read_text().splitlines()
+    # an unclosed quote runs the field on to the end of a large file
+    path.write_text("\n".join(lines[:2] + ['"' + "0.5," * 40000]) + "\n")
+    with pytest.raises(ProtocolError, match="quoted.csv line"):
+        import_dataset_csv(path)
+
+
+# A replacement cell: mostly CSV structure and number syntax, some anything.
+CELL_TEXT = st.text(
+    st.sampled_from('0123456789-.,"\n\rabe_ ') | st.characters(exclude_categories=("Cs",)),
+    max_size=8,
+)
+CSV_EDITS = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 50), st.integers(0, 50), CELL_TEXT),
+    st.tuples(st.just("cut"), st.integers(0, 50), st.integers(0, 400)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=CSV_EDITS)
+@example(edit=("cell", 0, 0, "\n\n"))  # an empty header and an empty row
+@example(edit=("cell", 0, 0, "x,y\n1,0\n"))  # a two-column header and row
+@example(edit=("cell", 0, 3, "b_9"))  # a b_* column among the a_* ones
+def test_dataset_csv_reads_an_edited_file_back_or_raises_protocol_error(tmp_path_factory, edit):
+    path = tmp_path_factory.mktemp("edit") / "data.csv"
+    export_dataset_csv(generate_dataset(small_cfg(samples_per_class=3, missing_rate=0.5)), path)
+    lines = path.read_text().splitlines()
+    i = edit[1] % len(lines)
+    if edit[0] == "cell":
+        cells = lines[i].split(",")
+        cells[edit[2] % len(cells)] = edit[3]
+        lines[i] = ",".join(cells)
+    else:
+        lines[i] = lines[i][: edit[2]]
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        back = import_dataset_csv(path)
+    except ProtocolError:
+        return
+    assert all(s.feat_a.shape == (6,) for s in back)
+    assert all(s.feat_b is None or s.feat_b.shape == (5,) for s in back)
 
 
 def test_fuzz_missingness_counts_and_determinism():
