@@ -119,8 +119,6 @@ class TrainConfig:
     proto_strategy: str = "paired"
     proto_momentum: float = PROTO_MOMENTUM_DEFAULT
     proto_assignment: str = "nearest"
-    pcm_on_pseudo: bool = True
-    two_stage: bool = False
     grad_clip: float = GRAD_CLIP_DEFAULT
     seed: int = 0
 
@@ -207,13 +205,11 @@ def adam_update(
     lr: float,
     weight_decay: float,
     decay_mask: Optional[np.ndarray] = None,
-    update_mask: Optional[np.ndarray] = None,
 ) -> None:
     """One Adam step with decoupled weight decay, in place.
 
     Updates `params`, `state.m`, `state.v` and `state.t`.  decay_mask zeroes
-    the decay term for selected entries (theta); an update_mask freezes
-    entries entirely (two-stage training).
+    the decay term for selected entries (theta).
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise ShapeError("params must be a float64 array, updated in place")
@@ -231,8 +227,6 @@ def adam_update(
     step_vec /= np.sqrt(state.v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
     step_vec += weight_decay * (params if decay_mask is None else params * decay_mask)
     step_vec *= lr
-    if update_mask is not None:
-        step_vec *= update_mask
     params -= step_vec
     state.t = t
 
@@ -261,7 +255,6 @@ def step_gradients(
     effective_protos: Optional[PrototypeSet],
     ams_state: AmsState,
     cfg: TrainConfig,
-    weights: Optional[LossWeights] = None,
 ) -> tuple[LossReport, np.ndarray]:
     """Weighted loss report and its gradient over [teacher | student | theta].
 
@@ -277,7 +270,7 @@ def step_gradients(
     then theta's; a non-finite or negative term raises NumericHealthError
     from losses.total_loss.
     """
-    w = cfg.loss_weights if weights is None else weights
+    w = cfg.loss_weights
     n_g, n_p = len(plan.genuine), len(plan.pseudo)
     if n_g == 0:
         raise ProtocolError("batch has no genuine pair")
@@ -319,10 +312,8 @@ def step_gradients(
         d_feat_s[:n_g] += w.pair * d_anchor
         d_h_b += w.pair * d_cand
     if cfg.pcm_enabled and w.proto > 0.0 and effective_protos is not None:
-        pcm_rows = feat_s[n_g:] if cfg.pcm_on_pseudo else feat_s[:0]
-        pcm_labels = labels[n_g:] if cfg.pcm_on_pseudo else labels[:0]
         l_proto, g, empty = proto_loss(
-            pcm_rows, effective_protos, cfg.proto_assignment, pcm_labels
+            feat_s[n_g:], effective_protos, cfg.proto_assignment, labels[n_g:]
         )
         if not empty:
             d_feat_s[n_g:] += w.proto * g
@@ -361,8 +352,6 @@ def train_step(
     cfg: TrainConfig,
     lr: float,
     step: int,
-    weights: Optional[LossWeights] = None,
-    update_mask: Optional[np.ndarray] = None,
     decay_mask: Optional[np.ndarray] = None,
 ) -> tuple[PrototypeSet, AmsState, StepTrace]:
     """Run one training step; returns the new prototypes and AMS state.
@@ -371,13 +360,9 @@ def train_step(
     bound to (nets.bind_joint_params); the step's Adam update writes it and
     `adam` in place, which updates the nets.  `protos` is the running set
     under the "paired" strategy and a fixed epoch-level set under "all".
-    `weights` overrides cfg.loss_weights (two-stage training masks terms
-    per stage).  `decay_mask` keeps weight decay off theta; fit builds it
-    once (_decay_mask), and None builds it for this call.
+    `decay_mask` keeps weight decay off theta; fit builds it once
+    (_decay_mask), and None builds it for this call.
     """
-    n_g, n_p = len(plan.genuine), len(plan.pseudo)
-    if n_g == 0:
-        raise ProtocolError(f"step {step}: batch has no genuine pair")
     if not bound_to(params, teacher, student):
         raise UsageError("teacher and student must be bound to params (bind_joint_params)")
 
@@ -403,17 +388,16 @@ def train_step(
 
     try:
         report, grads = step_gradients(
-            teacher, student, pools, plan, effective_protos,
-            ams_state, cfg, weights,
+            teacher, student, pools, plan, effective_protos, ams_state, cfg
         )
-    except NumericHealthError as exc:
-        raise NumericHealthError(f"step {step}: {exc}") from exc
+    except (NumericHealthError, ProtocolError) as exc:
+        raise type(exc)(f"step {step}: {exc}") from exc
 
     params[-1] = ams_state.theta  # ams_state holds theta between steps
     grads = clip_global_norm(grads, cfg.grad_clip)
     if decay_mask is None:
         decay_mask = _decay_mask(params.size)
-    adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask, update_mask)
+    adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask)
     new_ams = replace(ams_state, theta=float(params[-1]))
 
     trace = StepTrace(
@@ -422,8 +406,8 @@ def train_step(
         ratio=sampling_ratio(new_ams),
         theta=new_ams.theta,
         lr=lr,
-        n_genuine=n_g,
-        n_pseudo=n_p,
+        n_genuine=len(plan.genuine),
+        n_pseudo=len(plan.pseudo),
         n_stale=n_stale,
     )
     return new_protos, new_ams, trace
@@ -436,36 +420,13 @@ def _decay_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _stage_masks(teacher: TeacherNet, student: StudentNet, stage: Optional[str]):
-    n = teacher.param_count + student.param_count + 1
-    if stage is None:
-        return None
-    mask = np.zeros(n)
-    mask[-1] = 1.0
-    if stage == "teacher":
-        mask[: teacher.param_count] = 1.0
-    elif stage == "student":
-        mask[teacher.param_count : -1] = 1.0
-    else:
-        raise ConfigError(f"unknown stage {stage!r}")
-    return mask
-
-
-def _stage_weights(w: LossWeights, stage: Optional[str]) -> LossWeights:
-    if stage is None:
-        return w
-    if stage == "teacher":
-        return LossWeights(tea=w.tea, stu=0.0, kl=0.0, pair=0.0, proto=0.0)
-    return LossWeights(tea=0.0, stu=w.stu, kl=w.kl, pair=w.pair, proto=w.proto)
-
-
 def fit(
     teacher: TeacherNet,
     student: StudentNet,
     samples: Sequence[Sample],
     cfg: TrainConfig,
 ) -> FitResult:
-    """Train teacher, student, and theta jointly (or in two stages) over epochs.
+    """Train teacher, student, and theta jointly over epochs.
 
     Runs epochs * ceil(N / batch_size) steps, each on a freshly sampled
     batch plan drawn from pools prepared once, before the first step.
@@ -489,42 +450,33 @@ def fit(
                           f"[0, {teacher.num_classes})")
 
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
-    stages = ("teacher", "student") if cfg.two_stage else (None,)
+    total_steps = cfg.epochs * steps_per_epoch
 
     ams_state = AmsState(theta=0.0, mode=cfg.ams_mode, fixed_ratio=cfg.fixed_ratio)
     params = bind_joint_params(teacher, student, ams_state.theta)
+    adam = AdamState.zeros(params.size)
     decay_mask = _decay_mask(params.size)
     protos = empty_prototypes(teacher.num_classes, teacher.feat_dim)
     epoch_traces: list[EpochTrace] = []
-    global_step = 0
-    epoch_index = 0
+    step = 0
 
-    for stage in stages:
-        adam = AdamState.zeros(teacher.param_count + student.param_count + 1)
-        update_mask = _stage_masks(teacher, student, stage)
-        weights = _stage_weights(cfg.loss_weights, stage)
-        stage_total = cfg.epochs * steps_per_epoch
-        stage_step = 0
-        for _ in range(cfg.epochs):
-            if cfg.pcm_enabled and cfg.proto_strategy == "all":
-                protos = global_prototypes(teacher, pools)
-            step_traces = []
-            for _ in range(steps_per_epoch):
-                r = sampling_ratio(ams_state)
-                plan = build_batch(
-                    *pools, cfg.batch_size, r,
-                    derive_seed(cfg.seed, "batch", global_step),
-                )
-                lr = cosine_lr(stage_step, stage_total, cfg.learning_rate)
-                protos, ams_state, trace = train_step(
-                    teacher, student, pools, plan, protos, ams_state, params,
-                    adam, cfg, lr, global_step, weights, update_mask, decay_mask,
-                )
-                step_traces.append(trace)
-                global_step += 1
-                stage_step += 1
-            epoch_traces.append(_epoch_trace(epoch_index, step_traces))
-            epoch_index += 1
+    for epoch in range(cfg.epochs):
+        if cfg.pcm_enabled and cfg.proto_strategy == "all":
+            protos = global_prototypes(teacher, pools)
+        step_traces = []
+        for _ in range(steps_per_epoch):
+            plan = build_batch(
+                *pools, cfg.batch_size, sampling_ratio(ams_state),
+                derive_seed(cfg.seed, "batch", step),
+            )
+            lr = cosine_lr(step, total_steps, cfg.learning_rate)
+            protos, ams_state, trace = train_step(
+                teacher, student, pools, plan, protos, ams_state, params,
+                adam, cfg, lr, step, decay_mask,
+            )
+            step_traces.append(trace)
+            step += 1
+        epoch_traces.append(_epoch_trace(epoch, step_traces))
 
     return FitResult(
         teacher=teacher,
@@ -532,7 +484,7 @@ def fit(
         epoch_traces=epoch_traces,
         ams_state=ams_state,
         prototypes=protos,
-        steps=global_step,
+        steps=step,
     )
 
 

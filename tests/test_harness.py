@@ -167,6 +167,7 @@ def test_scenario_from_dict_rejects_unknowns():
         lambda d: d.update(extra=1),
         lambda d: d["dataset"].update(rows=10),
         lambda d: d["train"].update(optimizer="sgd"),
+        lambda d: d["train"].update(two_stage=False),
         lambda d: d["arms"][0].update(color="red"),
         lambda d: d["train"]["loss_weights"].update(aux=1),
     ):
@@ -475,9 +476,7 @@ def test_cli_run_rejects_mistyped_numbers(tmp_path, capsys, section, key, value)
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("train", "two_stage", "false"),
     ("train", "pcm_enabled", "false"),
-    ("train", "pcm_on_pseudo", 0),
     ("arms[0]", "pcm", "false"),
     ("arms[1]", "pcm", 1),
 ])
@@ -535,12 +534,10 @@ def test_cli_run_rejects_unknown_activation_before_any_job(tmp_path, capsys):
 
 def test_scenario_from_dict_keeps_bool_switches():
     d = scenario_dict()
-    d["train"].update(two_stage=True, pcm_enabled=False, proto_strategy="none",
-                      pcm_on_pseudo=False)
+    d["train"].update(pcm_enabled=False, proto_strategy="none")
     d["arms"][1]["pcm"] = True
     cfg = scenario_from_dict(d)
-    assert cfg.train.two_stage is True and cfg.train.pcm_enabled is False
-    assert cfg.train.pcm_on_pseudo is False and cfg.arms[1].pcm is True
+    assert cfg.train.pcm_enabled is False and cfg.arms[1].pcm is True
 
 
 def test_cli_export_embeddings_on_checkpoint_without_specs(tmp_path, capsys):
