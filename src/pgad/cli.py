@@ -9,6 +9,7 @@ import os
 import sys
 
 from .errors import PgadError, UsageError
+from .evaluation import export_comparisons_csv
 from .harness import (
     compare_arms,
     export_embeddings,
@@ -53,8 +54,6 @@ def _cmd_compare(args) -> int:
     summary = load_summary_from_metrics_csv(metrics_path)
     results = compare_arms(summary, args.baseline, alpha=args.alpha, m=args.m,
                            rate=args.rate)
-    from .evaluation import export_comparisons_csv
-
     out_path = os.path.join(args.summary, "comparisons.csv")
     export_comparisons_csv(results, out_path)
     for r in results:

@@ -41,7 +41,14 @@ from .losses import LossWeights
 from .nets import ACTIVATIONS, StudentNet, TeacherNet, save_checkpoint, student_forward
 from .prototypes import export_prototypes_csv
 from .seeding import derive_seed
-from .synthdata import DatasetConfig, FoldSplit, Sample, generate_dataset, stratified_kfold
+from .synthdata import (
+    DatasetConfig,
+    FoldSplit,
+    Sample,
+    generate_dataset,
+    round_half_up,
+    stratified_kfold,
+)
 from .trainer import TrainConfig, export_trace_csv, fit
 
 DEFAULT_MISSING_RATES = (0.2, 0.5, 0.7)
@@ -103,17 +110,23 @@ class ScenarioConfig:
         names = [a.name for a in self.arms]
         if len(set(names)) != len(names):
             raise ConfigError(f"arm names must be unique, got {names}")
+        for r in self.missing_rates:
+            if not (0.0 <= r <= 1.0):
+                raise ConfigError(f"missing rate {r} outside [0, 1]")
+        spc = self.dataset.samples_per_class
         for arm in self.arms:
             arm.validate()
             if not self.arm_rates(arm):
                 raise ConfigError(f"arm {arm.name}: no missing rates to run")
+            for r in self.arm_rates(arm):
+                # missingness removes round_half_up(r * spc) samples from every class
+                if spc - round_half_up(r * spc) < 1:
+                    raise ConfigError(f"arm {arm.name}: missing rate {r} leaves no paired "
+                                      f"sample in a class of {spc}")
             try:
                 self.arm_train(arm).validate()
             except ConfigError as exc:
                 raise ConfigError(f"arm {arm.name}: {exc}") from exc
-        for r in self.missing_rates:
-            if not (0.0 <= r <= 1.0):
-                raise ConfigError(f"missing rate {r} outside [0, 1]")
         if self.feat_dim < 1 or self.hidden_width < 1:
             raise ConfigError("feat_dim and hidden_width must be >= 1")
         if self.activation not in ACTIVATIONS:
@@ -251,6 +264,8 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
             try:
                 records[(job.arm.name, job.rate, job.fold.fold_index)] = next(results)
             except Exception as exc:
+                if pool:  # no queued job starts once one has failed
+                    pool.shutdown(cancel_futures=True)
                 raise ProtocolError(
                     f"arm={job.arm.name} rate={job.rate} fold={job.fold.fold_index} "
                     f"failed: {exc}"

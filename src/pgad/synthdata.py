@@ -269,8 +269,10 @@ def import_dataset_csv(path) -> list[Sample]:
 
     The header must be id,label,paired,a_0..a_{n-1},b_0..b_{m-1} with n >= 1.
     Another header, a row whose cell count differs from the header's, a cell
-    that does not parse as a number, a paired flag that disagrees with the
-    b_* cells, or text that is not CSV raises ProtocolError naming the file.
+    that does not parse as a number, a negative label, an id repeated from an
+    earlier row, a paired flag other than 0 or 1 or one that disagrees with
+    the b_* cells, or text that is not CSV raises ProtocolError naming the
+    file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -291,21 +293,29 @@ def _read_dataset_rows(reader, path) -> list[Sample]:
     if dim_a < 1 or header != expected:
         raise ProtocolError(f"{path}: dataset header must be id,label,paired,a_0..a_{{n-1}},"
                             f"b_0..b_{{m-1}} with n >= 1, got {','.join(header)!r}")
-    samples = []
+    samples, seen = [], set()
     for row in reader:
+        where = f"{path} line {reader.line_num}"
         if len(row) != len(header):
-            raise ProtocolError(f"{path} line {reader.line_num}: {len(row)} cells, "
-                                f"the header has {len(header)}")
+            raise ProtocolError(f"{where}: {len(row)} cells, the header has {len(header)}")
         b_cells = row[3 + dim_a :]
         has_b = any(cell != "" for cell in b_cells)
         try:
-            sid, label, paired_flag = int(row[0]), int(row[1]), bool(int(row[2]))
+            sid, label = int(row[0]), int(row[1])
             a = np.array([float(v) for v in row[3 : 3 + dim_a]], dtype=np.float64)
             b = np.array([float(v) for v in b_cells], dtype=np.float64) if has_b else None
         except ValueError as exc:
-            raise ProtocolError(f"{path} line {reader.line_num}: {exc}") from exc
-        if has_b != paired_flag:
-            raise ProtocolError(f"{path} line {reader.line_num}: sample {sid}: "
+            raise ProtocolError(f"{where}: {exc}") from exc
+        if sid in seen:
+            raise ProtocolError(f"{where}: sample id {sid} repeats an earlier row")
+        if label < 0:
+            raise ProtocolError(f"{where}: sample {sid}: label must be >= 0, got {label}")
+        if row[2] not in ("0", "1"):
+            raise ProtocolError(f"{where}: sample {sid}: paired flag must be 0 or 1, "
+                                f"got {row[2]!r}")
+        if has_b != (row[2] == "1"):
+            raise ProtocolError(f"{where}: sample {sid}: "
                                 "paired flag disagrees with b_* columns")
+        seen.add(sid)
         samples.append(Sample(id=sid, label=label, feat_a=a, feat_b=b))
     return samples

@@ -9,6 +9,7 @@ import math
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,7 +556,7 @@ def test_c7_ams_ordering_and_ratio_trace(ablation_grid):
         seed_max = 0.0
         for fold in range(5):
             path = os.path.join(str(out), "ams", f"full_rate0.5_fold{fold}.csv")
-            rows = open(path).read().splitlines()
+            rows = Path(path).read_text().splitlines()
             assert rows[0] == "epoch,theta,ratio"
             ratios = [float(ln.split(",")[2]) for ln in rows[1:]]
             seed_max = max(seed_max, max(abs(r - 0.5) for r in ratios))
@@ -590,8 +591,8 @@ def test_c8_rerun_is_byte_identical(ablation_grid, tmp_path):
             for name in os.listdir(os.path.join(str(first_out), sub))
         )
     for rel in targets:
-        a = open(os.path.join(str(first_out), rel), "rb").read()
-        b = open(os.path.join(str(rerun_out), rel), "rb").read()
+        a = Path(first_out, rel).read_bytes()
+        b = Path(rerun_out, rel).read_bytes()
         compared += 1
         if a != b:
             mismatched.append(rel)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import time
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
@@ -293,8 +294,9 @@ def test_run_scenario_wraps_failures(tmp_path):
     with pytest.raises(ConfigError):
         run_scenario(bad)  # caught upfront by validate
     # per-job failures surface as ProtocolError with the cell named
-    doomed = replace(cfg, missing_rates=(1.0,))  # every row loses modality B
-    with pytest.raises(ProtocolError, match="rate=1.0 fold=0"):
+    # each class keeps one paired sample, and fold 0 trains on neither of them
+    doomed = replace(cfg, missing_rates=(0.95,))
+    with pytest.raises(ProtocolError, match="rate=0.95 fold=0"):
         run_scenario(doomed)
 
 
@@ -532,6 +534,46 @@ def test_cli_run_rejects_unknown_activation_before_any_job(tmp_path, capsys):
     assert not (tmp_path / "o" / "traces").exists()
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("missing_rates", [1.0], "arm baseline: missing rate 1.0 leaves no paired sample"),
+    # 12 per class: 0.95 removes round_half_up(11.4) = 11 and passes, 0.97 removes 12
+    ("arms[1].rates", [0.95, 0.97], "arm full: missing rate 0.97 leaves no paired sample"),
+])
+def test_cli_run_rejects_a_rate_that_leaves_a_class_unpaired(tmp_path, capsys, key, value,
+                                                             named):
+    d = scenario_dict(str(tmp_path / "o"))
+    if key == "arms[1].rates":
+        d["arms"][1]["rates"] = value
+    else:
+        d[key] = value
+    cfg_path = tmp_path / "rate.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError") and named in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def fail_first_job(job):
+    """run_one stand-in: the first job fails, every other one leaves a marker file."""
+    if job.arm.name == "baseline" and job.fold.fold_index == 0:
+        raise ValueError("first job fails")
+    time.sleep(0.2)
+    Path(job.scenario.output_dir, f"{job.arm.name}_{job.rate}_{job.fold.fold_index}").touch()
+
+
+def test_run_scenario_starts_no_queued_job_after_a_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "run_one", fail_first_job)
+    d = scenario_dict(str(tmp_path))
+    d["k_folds"] = 6  # 3 cells x 6 folds = 18 jobs
+    with pytest.raises(ProtocolError, match="arm=baseline rate=0.5 fold=0 failed"):
+        run_scenario(scenario_from_dict(d), jobs=2)
+    # only the jobs already handed to the 2 workers (and their queue) run on
+    assert len([p for p in tmp_path.iterdir() if p.is_file()]) <= 8
+
+
 def test_scenario_from_dict_keeps_bool_switches():
     d = scenario_dict()
     d["train"].update(pcm_enabled=False, proto_strategy="none")
@@ -596,6 +638,9 @@ def test_cli_export_embeddings_on_empty_data_csv(tmp_path, capsys):
     ("0,1", "2 cells, the header has"),
     ("x,1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "invalid literal"),
     ("0,1,1,0.5,0.5,abc,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "could not convert"),
+    ("99,1,2,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "paired flag must be 0 or 1, got '2'"),
+    ("99,-1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "label must be >= 0, got -1"),
+    ("0,1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "sample id 0 repeats an earlier row"),
 ])
 def test_cli_export_embeddings_on_malformed_data_row(tmp_path, capsys, row, problem):
     from pgad.nets import save_checkpoint

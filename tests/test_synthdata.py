@@ -1,5 +1,7 @@
 """Synthetic two-modality dataset: generation, missingness, folds, CSV round-trips."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -257,6 +259,9 @@ CSV_EDITS = st.one_of(
 @example(edit=("cell", 0, 0, "\n\n"))  # an empty header and an empty row
 @example(edit=("cell", 0, 0, "x,y\n1,0\n"))  # a two-column header and row
 @example(edit=("cell", 0, 3, "b_9"))  # a b_* column among the a_* ones
+@example(edit=("cell", 1, 2, "5"))  # a paired flag other than 0 or 1
+@example(edit=("cell", 1, 1, "-3"))  # a negative label
+@example(edit=("cell", 2, 0, "0"))  # the id of the row before
 def test_dataset_csv_reads_an_edited_file_back_or_raises_protocol_error(tmp_path_factory, edit):
     path = tmp_path_factory.mktemp("edit") / "data.csv"
     export_dataset_csv(generate_dataset(small_cfg(samples_per_class=3, missing_rate=0.5)), path)
@@ -275,6 +280,10 @@ def test_dataset_csv_reads_an_edited_file_back_or_raises_protocol_error(tmp_path
         return
     assert all(s.feat_a.shape == (6,) for s in back)
     assert all(s.feat_b is None or s.feat_b.shape == (5,) for s in back)
+    assert all(s.label >= 0 for s in back)
+    assert len({s.id for s in back}) == len(back)
+    with path.open(newline="") as fh:
+        assert all(row[2] in ("0", "1") for row in list(csv.reader(fh))[1:])
 
 
 def test_fuzz_missingness_counts_and_determinism():
