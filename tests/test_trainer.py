@@ -546,8 +546,8 @@ GRID_ARMS = {
     "proto_all": (True, "dynamic", "all", LossWeights(1, 1, 0.5, 0.5, 0.5)),
 }
 
-# sha256 of golden_fit_bytes(), recorded on the code that still had a
-# two-stage training mode, over its single-stage fits only.
+# sha256 of golden_fit_bytes(), recorded before the two-stage training mode
+# was removed; each arm keeps the zero byte that then marked a single-stage fit.
 GOLDEN_FIT_DIGEST = "0e371f88f8e356c8a3d5b4b6192257852eeb4459c87085e672530574a1904bb3"
 
 
