@@ -1,6 +1,6 @@
 """Prototype-guided adaptive distillation on synthetic two-modality data."""
 
-from .ams import AmsState, BatchPlan, build_batch, sampling_ratio, theta_gradient
+from .ams import BatchPlan, build_batch, sampling_ratio, theta_gradient
 from .errors import PgadError
 from .evaluation import (
     ComparisonResult,
@@ -36,7 +36,7 @@ from .trainer import TrainConfig, adam_update, cosine_lr, fit, train_step
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmsState", "ArmSpec", "BatchPlan", "ComparisonResult", "DatasetConfig",
+    "ArmSpec", "BatchPlan", "ComparisonResult", "DatasetConfig",
     "FoldSplit", "LossReport", "LossWeights", "MetricsRecord", "MlpSpec",
     "PgadError", "PrototypeSet", "RunSummary", "Sample", "ScenarioConfig",
     "StudentNet", "TTestResult", "TeacherNet", "TrainConfig", "adam_update",

@@ -11,7 +11,8 @@ draw.  theta_gradient therefore differentiates the expected-loss surrogate
     L(theta) = r * loss_paired + (1 - r) * loss_pseudo
 
 which gives d L / d theta = (loss_paired - loss_pseudo) * r * (1 - r).
-The realized batches still follow the rounded counts.
+The realized batches still follow the rounded counts.  theta itself lives
+in the trainer's parameter buffer; the functions here take plain values.
 
 prepare_pools validates a fit's training set once and returns it as two
 SamplePools of id-sorted, read-only columns: the genuine pairs, and the
@@ -50,21 +51,6 @@ def sigmoid(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class AmsState:
-    theta: float = 0.0
-    mode: str = "dynamic"
-    fixed_ratio: float = 0.5
-
-    def validate(self) -> None:
-        if self.mode not in AMS_MODES:
-            raise ConfigError(f"mode must be one of {AMS_MODES}, got {self.mode!r}")
-        if not math.isfinite(self.theta):
-            raise ConfigError(f"theta must be finite, got {self.theta}")
-        if not (0.0 <= self.fixed_ratio <= 1.0):
-            raise ConfigError(f"fixed_ratio must be in [0, 1], got {self.fixed_ratio}")
-
-
-@dataclass(frozen=True)
 class BatchPlan:
     genuine: tuple
     pseudo: tuple  # (recipient modality-A id, donor id, shared class) triples
@@ -76,14 +62,16 @@ class BatchPlan:
         return len(self.genuine) + len(self.pseudo)
 
 
-def sampling_ratio(state: AmsState) -> float:
-    """Share of the batch reserved for genuine pairs."""
-    state.validate()
-    if state.mode == "none":
+def sampling_ratio(mode: str, theta: float, fixed_ratio: float) -> float:
+    """Share of the batch reserved for genuine pairs (TrainConfig.validate checks
+    mode and fixed_ratio; a non-finite theta in dynamic mode is NumericHealthError)."""
+    if mode == "none":
         return 1.0
-    if state.mode == "fixed":
-        return state.fixed_ratio
-    return sigmoid(state.theta)
+    if mode == "fixed":
+        return fixed_ratio
+    if not math.isfinite(theta):
+        raise NumericHealthError(f"theta must be finite, got {theta}")
+    return sigmoid(theta)
 
 
 class SamplePool:
@@ -293,16 +281,13 @@ def _pseudo_pairs(
     ))
 
 
-def theta_gradient(state: AmsState, loss_paired: float, loss_pseudo: float) -> float:
+def theta_gradient(theta: float, loss_paired: float, loss_pseudo: float) -> float:
     """d(expected loss)/d(theta) under the surrogate described in the module docstring."""
-    state.validate()
-    if state.mode != "dynamic":
-        raise UsageError(f"theta is only trainable in dynamic mode, state is {state.mode!r}")
     if not math.isfinite(loss_paired) or not math.isfinite(loss_pseudo):
         raise NumericHealthError(
             f"subset losses must be finite, got paired={loss_paired}, pseudo={loss_pseudo}"
         )
-    r = sigmoid(state.theta)
+    r = sigmoid(theta)
     return (loss_paired - loss_pseudo) * r * (1.0 - r)
 
 

@@ -138,9 +138,10 @@ class ScenarioConfig:
         return tuple(arm.rates) if arm.rates is not None else tuple(self.missing_rates)
 
     def arm_train(self, arm: ArmSpec) -> TrainConfig:
-        """The scenario's training config with the arm's mechanisms switched in."""
+        """The scenario's training config with the arm's mechanisms switched in;
+        an arm with pcm off trains under prototype strategy "none"."""
         return replace(self.train, loss_weights=arm.loss_weights, ams_mode=arm.ams,
-                       pcm_enabled=arm.pcm, proto_strategy=arm.proto_strategy)
+                       proto_strategy=arm.proto_strategy if arm.pcm else "none")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ training set as the pool pair from ams.prepare_pools, whose id-sorted
 columns a step (and the epoch-level prototypes of the "all" strategy)
 gathers its rows from by index; one parameter buffer [teacher | student |
 theta] that both nets are bound to (nets.bind_joint_params), which Adam
-updates in place; and the mask that keeps weight decay off theta.
+updates in place; and the mask that keeps weight decay off theta.  theta is
+the buffer's last entry and is kept nowhere else: each step's trace carries
+the sampling ratio at the updated theta, and the next batch is drawn with it.
 Gathering in id order makes a fit independent of the order of its input
 samples.  Modality B is gathered from the paired pool only.  Cross-entropy
 is computed once per logit matrix, per row, and the theta surrogate's
@@ -40,13 +42,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ams import (
-    AmsState,
+    AMS_MODES,
     BatchPlan,
     SamplePool,
     build_batch,
@@ -115,7 +117,6 @@ class TrainConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
     ams_mode: str = "dynamic"
     fixed_ratio: float = 0.5
-    pcm_enabled: bool = True
     proto_strategy: str = "paired"
     proto_momentum: float = PROTO_MOMENTUM_DEFAULT
     proto_assignment: str = "nearest"
@@ -136,7 +137,10 @@ class TrainConfig:
                 f"weight_decay must be nonnegative and finite, got {self.weight_decay}"
             )
         self.loss_weights.validate()
-        AmsState(theta=0.0, mode=self.ams_mode, fixed_ratio=self.fixed_ratio).validate()
+        if self.ams_mode not in AMS_MODES:
+            raise ConfigError(f"ams_mode must be one of {AMS_MODES}, got {self.ams_mode!r}")
+        if not (0.0 <= self.fixed_ratio <= 1.0):
+            raise ConfigError(f"fixed_ratio must be in [0, 1], got {self.fixed_ratio}")
         if self.proto_strategy not in PROTO_STRATEGIES:
             raise ConfigError(
                 f"proto_strategy must be one of {PROTO_STRATEGIES}, got {self.proto_strategy!r}"
@@ -147,8 +151,6 @@ class TrainConfig:
             raise ConfigError(
                 f"proto_assignment must be 'nearest' or 'true_class', got {self.proto_assignment!r}"
             )
-        if self.pcm_enabled and self.proto_strategy == "none":
-            raise ConfigError("pcm_enabled requires a prototype strategy other than 'none'")
 
 
 @dataclass
@@ -192,8 +194,7 @@ class EpochTrace:
 class FitResult:
     teacher: TeacherNet
     student: StudentNet
-    epoch_traces: list
-    ams_state: AmsState
+    epoch_traces: list  # the last one holds the final theta and ratio
     prototypes: PrototypeSet
     steps: int
 
@@ -253,7 +254,7 @@ def step_gradients(
     pools: tuple[SamplePool, SamplePool],
     plan: BatchPlan,
     effective_protos: Optional[PrototypeSet],
-    ams_state: AmsState,
+    theta: float,
     cfg: TrainConfig,
 ) -> tuple[LossReport, np.ndarray]:
     """Weighted loss report and its gradient over [teacher | student | theta].
@@ -263,8 +264,9 @@ def step_gradients(
     from ams.prepare_pools that the plan was drawn from; modality B comes
     from the paired pool only.  Prototypes and the teacher side of the
     distillation term are constants with respect to the parameters; theta's
-    entry comes from the expected-loss surrogate (0.0 outside dynamic mode
-    or when the batch has no pseudo-pairs).  Runs its own forward passes,
+    entry comes from the expected-loss surrogate at `theta` (0.0 outside
+    dynamic mode or when the batch has no pseudo-pairs), and prototype
+    matching needs `effective_protos`.  Runs its own forward passes,
     so it is self-contained and safe to call for gradient checking.  The
     gradient is nets.teacher_backward's, then nets.student_backward's,
     then theta's; a non-finite or negative term raises NumericHealthError
@@ -311,7 +313,7 @@ def step_gradients(
         d_anchor, d_cand = vjp(d_sims)
         d_feat_s[:n_g] += w.pair * d_anchor
         d_h_b += w.pair * d_cand
-    if cfg.pcm_enabled and w.proto > 0.0 and effective_protos is not None:
+    if w.proto > 0.0 and effective_protos is not None:
         l_proto, g, empty = proto_loss(
             feat_s[n_g:], effective_protos, cfg.proto_assignment, labels[n_g:]
         )
@@ -323,7 +325,7 @@ def step_gradients(
     g_student = student_backward(student, d_logits_s, d_feat_s)
 
     g_theta = 0.0
-    if ams_state.mode == "dynamic" and n_p > 0:
+    if cfg.ams_mode == "dynamic" and n_p > 0:
         loss_genuine = (
             (w.tea * float(nll_t[:n_g].mean()) if w.tea > 0.0 else 0.0)
             + (w.stu * float(nll_s[:n_g].mean()) if w.stu > 0.0 else 0.0)
@@ -335,7 +337,7 @@ def step_gradients(
             + (w.stu * float(nll_s[n_g:].mean()) if w.stu > 0.0 else 0.0)
             + w.proto * l_proto
         )
-        g_theta = theta_gradient(ams_state, loss_genuine, loss_pseudo)
+        g_theta = theta_gradient(theta, loss_genuine, loss_pseudo)
 
     return report, np.concatenate([g_teacher, g_student, [g_theta]])
 
@@ -346,20 +348,20 @@ def train_step(
     pools: tuple[SamplePool, SamplePool],
     plan: BatchPlan,
     protos: PrototypeSet,
-    ams_state: AmsState,
     params: np.ndarray,
     adam: AdamState,
     cfg: TrainConfig,
     lr: float,
     step: int,
     decay_mask: Optional[np.ndarray] = None,
-) -> tuple[PrototypeSet, AmsState, StepTrace]:
-    """Run one training step; returns the new prototypes and AMS state.
+) -> tuple[PrototypeSet, StepTrace]:
+    """Run one training step; returns the new prototypes and the step's trace.
 
     `params` is the buffer [teacher | student | theta] that both nets are
     bound to (nets.bind_joint_params); the step's Adam update writes it and
-    `adam` in place, which updates the nets.  `protos` is the running set
-    under the "paired" strategy and a fixed epoch-level set under "all".
+    `adam` in place, which updates the nets and theta (params[-1]); the
+    trace's ratio is the one at the updated theta.  `protos` is the running
+    set under the "paired" strategy and a fixed epoch-level set under "all".
     `decay_mask` keeps weight decay off theta; fit builds it once
     (_decay_mask), and None builds it for this call.
     """
@@ -369,48 +371,44 @@ def train_step(
     n_stale = 0
     effective_protos: Optional[PrototypeSet] = None
     new_protos = protos
-    if cfg.pcm_enabled:
-        if cfg.proto_strategy == "paired":
-            paired = pools[0]
-            genuine = paired.rows(plan.genuine)
-            _, fused = teacher_features(
-                teacher, paired.feat_a[genuine], paired.feat_b[genuine]
-            )
-            batch_protos = compute_batch_prototypes(
-                fused, paired.labels[genuine], teacher.num_classes
-            )
-            new_protos = update_running_prototypes(protos, batch_protos, cfg.proto_momentum)
-            effective_protos = with_fallback(batch_protos, new_protos)
-            n_stale = int(batch_protos.stale.sum())
-        else:
-            effective_protos = protos
-            n_stale = int(protos.stale.sum())
+    if cfg.proto_strategy == "paired":
+        paired = pools[0]
+        genuine = paired.rows(plan.genuine)
+        _, fused = teacher_features(teacher, paired.feat_a[genuine], paired.feat_b[genuine])
+        batch_protos = compute_batch_prototypes(
+            fused, paired.labels[genuine], teacher.num_classes
+        )
+        new_protos = update_running_prototypes(protos, batch_protos, cfg.proto_momentum)
+        effective_protos = with_fallback(batch_protos, new_protos)
+        n_stale = int(batch_protos.stale.sum())
+    elif cfg.proto_strategy == "all":
+        effective_protos = protos
+        n_stale = int(protos.stale.sum())
 
     try:
         report, grads = step_gradients(
-            teacher, student, pools, plan, effective_protos, ams_state, cfg
+            teacher, student, pools, plan, effective_protos, float(params[-1]), cfg
         )
     except (NumericHealthError, ProtocolError) as exc:
         raise type(exc)(f"step {step}: {exc}") from exc
 
-    params[-1] = ams_state.theta  # ams_state holds theta between steps
     grads = clip_global_norm(grads, cfg.grad_clip)
     if decay_mask is None:
         decay_mask = _decay_mask(params.size)
     adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask)
-    new_ams = replace(ams_state, theta=float(params[-1]))
+    theta = float(params[-1])
 
     trace = StepTrace(
         step=step,
         report=report,
-        ratio=sampling_ratio(new_ams),
-        theta=new_ams.theta,
+        ratio=sampling_ratio(cfg.ams_mode, theta, cfg.fixed_ratio),
+        theta=theta,
         lr=lr,
         n_genuine=len(plan.genuine),
         n_pseudo=len(plan.pseudo),
         n_stale=n_stale,
     )
-    return new_protos, new_ams, trace
+    return new_protos, trace
 
 
 def _decay_mask(n: int) -> np.ndarray:
@@ -452,28 +450,28 @@ def fit(
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
 
-    ams_state = AmsState(theta=0.0, mode=cfg.ams_mode, fixed_ratio=cfg.fixed_ratio)
-    params = bind_joint_params(teacher, student, ams_state.theta)
+    params = bind_joint_params(teacher, student, 0.0)
     adam = AdamState.zeros(params.size)
     decay_mask = _decay_mask(params.size)
     protos = empty_prototypes(teacher.num_classes, teacher.feat_dim)
     epoch_traces: list[EpochTrace] = []
     step = 0
+    ratio = sampling_ratio(cfg.ams_mode, 0.0, cfg.fixed_ratio)
 
     for epoch in range(cfg.epochs):
-        if cfg.pcm_enabled and cfg.proto_strategy == "all":
+        if cfg.proto_strategy == "all":
             protos = global_prototypes(teacher, pools)
         step_traces = []
         for _ in range(steps_per_epoch):
             plan = build_batch(
-                *pools, cfg.batch_size, sampling_ratio(ams_state),
-                derive_seed(cfg.seed, "batch", step),
+                *pools, cfg.batch_size, ratio, derive_seed(cfg.seed, "batch", step)
             )
             lr = cosine_lr(step, total_steps, cfg.learning_rate)
-            protos, ams_state, trace = train_step(
-                teacher, student, pools, plan, protos, ams_state, params,
-                adam, cfg, lr, step, decay_mask,
+            protos, trace = train_step(
+                teacher, student, pools, plan, protos, params, adam, cfg, lr, step,
+                decay_mask,
             )
+            ratio = trace.ratio
             step_traces.append(trace)
             step += 1
         epoch_traces.append(_epoch_trace(epoch, step_traces))
@@ -482,7 +480,6 @@ def fit(
         teacher=teacher,
         student=student,
         epoch_traces=epoch_traces,
-        ams_state=ams_state,
         prototypes=protos,
         steps=step,
     )

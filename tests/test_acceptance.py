@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pgad.ams import AmsState, build_batch, prepare_pools, sampling_ratio
+from pgad.ams import build_batch, prepare_pools, sampling_ratio
 from pgad.evaluation import (
     auc,
     bonferroni,
@@ -216,26 +216,26 @@ def _total_instance(rng):
         kd_temperature=float(rng.uniform(1.0, 3.0)),
         sim_temperature=float(rng.uniform(0.2, 1.0)),
     )
-    state = AmsState(theta=float(rng.uniform(-1.0, 1.0)), mode="dynamic")
-    return teacher, student, by_id, pools, plan, protos, cfg, state
+    theta = float(rng.uniform(-1.0, 1.0))
+    return teacher, student, by_id, pools, plan, protos, cfg, theta
 
 
 def _check_total_instance(rng):
     """Full-objective gradient: student by FD on the reported total, teacher
     by FD on the distillation-frozen part it actually optimizes, theta by FD
     on the expected-loss surrogate."""
-    teacher, student, by_id, pools, plan, protos, cfg, state = _total_instance(rng)
+    teacher, student, by_id, pools, plan, protos, cfg, theta = _total_instance(rng)
     w = cfg.loss_weights
     n_g = len(plan.genuine)
 
-    report, grads = step_gradients(teacher, student, pools, plan, protos, state, cfg)
+    report, grads = step_gradients(teacher, student, pools, plan, protos, theta, cfg)
     p_t = teacher.param_count
     t_base = teacher.get_params().copy()
     s_base = student.get_params().copy()
 
     def f_student(p):
         student.set_params(p)
-        rep, _ = step_gradients(teacher, student, pools, plan, protos, state, cfg)
+        rep, _ = step_gradients(teacher, student, pools, plan, protos, theta, cfg)
         return rep.total
 
     err_s = rel_err(grads[p_t:-1], fd_grad(f_student, s_base))
@@ -271,7 +271,7 @@ def _check_total_instance(rng):
         return sig * lg + (1.0 - sig) * lq
 
     err_theta = rel_err(np.array([grads[-1]]),
-                        fd_grad(f_theta, np.array([state.theta])))
+                        fd_grad(f_theta, np.array([theta])))
     return max(err_s, err_t, err_theta)
 
 
@@ -629,7 +629,7 @@ def test_c9_degenerates_to_plain_distillation():
     weights zeroed, every step's report must equal hand-computed CE and KD."""
     cfg = TrainConfig(
         epochs=5, batch_size=16, learning_rate=1e-3, seed=5,
-        pcm_enabled=False, proto_strategy="none", ams_mode="none",
+        proto_strategy="none", ams_mode="none",
         loss_weights=LossWeights(1, 1, 0.5, 0, 0),
     )
     ds_cfg = DatasetConfig(
@@ -645,13 +645,12 @@ def test_c9_degenerates_to_plain_distillation():
     total_steps = 50
     pools = prepare_pools(paired, [])
     adam = AdamState.zeros(teacher.param_count + student.param_count + 1)
-    ams = AmsState(theta=0.0, mode="none")
-    params = bind_joint_params(teacher, student, ams.theta)
+    params = bind_joint_params(teacher, student, 0.0)
     protos = empty_prototypes(2, teacher.feat_dim)
     worst = 0.0
 
     for step in range(total_steps):
-        ratio = sampling_ratio(ams)
+        ratio = sampling_ratio(cfg.ams_mode, float(params[-1]), cfg.fixed_ratio)
         plan = build_batch(paired, [], cfg.batch_size, ratio,
                            derive_seed(cfg.seed, "batch", step))
         assert not plan.pseudo
@@ -667,12 +666,12 @@ def test_c9_degenerates_to_plain_distillation():
         ref_total = ref_tea + ref_stu + 0.5 * ref_kd
 
         lr = cosine_lr(step, total_steps, cfg.learning_rate)
-        protos, ams, trace = train_step(
-            teacher, student, pools, plan, protos, ams, params, adam, cfg, lr, step,
+        protos, trace = train_step(
+            teacher, student, pools, plan, protos, params, adam, cfg, lr, step,
         )
         rep = trace.report
         assert rep.l_pair == 0.0 and rep.l_proto == 0.0
-        assert ams.theta == 0.0 and trace.ratio == 1.0
+        assert params[-1] == 0.0 and trace.ratio == 1.0
         worst = max(
             worst,
             abs(rep.l_tea - ref_tea),

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgad.ams import (
-    AmsState,
     SamplePool,
     build_batch,
     export_ams_trace_csv,
@@ -27,6 +26,7 @@ from pgad.errors import (
     UsageError,
 )
 from pgad.synthdata import DatasetConfig, Sample, generate_dataset
+from pgad.trainer import TrainConfig
 
 
 def pools(missing_rate=0.5, spc=20, seed=3, num_classes=2):
@@ -50,23 +50,29 @@ def test_sigmoid_basics():
     assert sigmoid(1.5) + sigmoid(-1.5) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ams_state_validation():
-    AmsState().validate()
-    with pytest.raises(ConfigError):
-        AmsState(mode="auto").validate()
-    with pytest.raises(ConfigError):
-        AmsState(theta=math.nan).validate()
-    with pytest.raises(ConfigError):
-        AmsState(fixed_ratio=1.5).validate()
+def test_train_config_validates_the_sampling_settings():
+    TrainConfig().validate()
+    with pytest.raises(ConfigError, match="ams_mode must be one of"):
+        TrainConfig(ams_mode="auto").validate()
+    with pytest.raises(ConfigError, match="fixed_ratio must be in"):
+        TrainConfig(fixed_ratio=1.5).validate()
+    with pytest.raises(ConfigError, match="fixed_ratio must be in"):
+        TrainConfig(ams_mode="none", fixed_ratio=math.nan).validate()
 
 
 def test_sampling_ratio_per_mode():
-    assert sampling_ratio(AmsState(mode="none")) == 1.0
-    assert sampling_ratio(AmsState(mode="fixed", fixed_ratio=0.3)) == 0.3
-    assert sampling_ratio(AmsState(mode="dynamic", theta=0.0)) == 0.5
-    assert sampling_ratio(AmsState(mode="dynamic", theta=2.0)) == pytest.approx(
-        sigmoid(2.0)
-    )
+    assert sampling_ratio("none", 0.0, 0.5) == 1.0
+    assert sampling_ratio("fixed", 0.0, 0.3) == 0.3
+    assert sampling_ratio("dynamic", 0.0, 0.5) == 0.5
+    assert sampling_ratio("dynamic", 2.0, 0.5) == pytest.approx(sigmoid(2.0))
+
+
+def test_sampling_ratio_rejects_a_non_finite_theta():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericHealthError, match="theta must be finite"):
+            sampling_ratio("dynamic", theta, 0.5)
+    # outside dynamic mode theta is not read
+    assert sampling_ratio("fixed", math.nan, 0.3) == 0.3
 
 
 def test_build_batch_counts_and_membership():
@@ -339,9 +345,8 @@ def test_sample_pool_errors():
 
 def test_theta_gradient_surrogate_closed_form():
     for theta in (-2.0, -0.5, 0.0, 0.7, 3.0):
-        state = AmsState(theta=theta, mode="dynamic")
         r = sigmoid(theta)
-        got = theta_gradient(state, 2.0, 0.5)
+        got = theta_gradient(theta, 2.0, 0.5)
         assert got == pytest.approx((2.0 - 0.5) * r * (1 - r), abs=1e-12)
 
 
@@ -351,26 +356,23 @@ def test_theta_gradient_matches_fd_of_expected_loss():
     for theta in (-1.0, 0.0, 0.8):
         f = lambda th: sigmoid(th) * lp + (1 - sigmoid(th)) * lq
         fd = (f(theta + h) - f(theta - h)) / (2 * h)
-        got = theta_gradient(AmsState(theta=theta, mode="dynamic"), lp, lq)
+        got = theta_gradient(theta, lp, lq)
         assert got == pytest.approx(fd, abs=1e-8)
 
 
 def test_theta_gradient_sign_pushes_toward_cheaper_subset():
-    state = AmsState(theta=0.0, mode="dynamic")
     # pseudo subset cheaper: positive gradient lowers theta via descent,
     # shrinking the genuine share
-    assert theta_gradient(state, 2.0, 1.0) > 0
-    assert theta_gradient(state, 1.0, 2.0) < 0
-    assert theta_gradient(state, 1.5, 1.5) == 0.0
+    assert theta_gradient(0.0, 2.0, 1.0) > 0
+    assert theta_gradient(0.0, 1.0, 2.0) < 0
+    assert theta_gradient(0.0, 1.5, 1.5) == 0.0
 
 
 def test_theta_gradient_errors():
-    with pytest.raises(UsageError):
-        theta_gradient(AmsState(mode="fixed"), 1.0, 1.0)
     with pytest.raises(NumericHealthError):
-        theta_gradient(AmsState(mode="dynamic"), math.nan, 1.0)
+        theta_gradient(0.0, math.nan, 1.0)
     with pytest.raises(NumericHealthError):
-        theta_gradient(AmsState(mode="dynamic"), 1.0, math.inf)
+        theta_gradient(0.0, 1.0, math.inf)
 
 
 def test_ams_trace_csv(tmp_path):

@@ -30,9 +30,9 @@ from pgad.harness import (
     scenario_from_dict,
 )
 from pgad.losses import LossWeights
-from pgad.nets import StudentNet, load_checkpoint, student_forward
+from pgad.nets import StudentNet, TeacherNet, load_checkpoint, student_forward
 from pgad.synthdata import DatasetConfig, export_dataset_csv, generate_dataset
-from pgad.trainer import TrainConfig
+from pgad.trainer import TrainConfig, fit
 
 
 def tiny_dataset_cfg() -> DatasetConfig:
@@ -169,6 +169,7 @@ def test_scenario_from_dict_rejects_unknowns():
         lambda d: d["dataset"].update(rows=10),
         lambda d: d["train"].update(optimizer="sgd"),
         lambda d: d["train"].update(two_stage=False),
+        lambda d: d["train"].update(pcm_enabled=False),
         lambda d: d["arms"][0].update(color="red"),
         lambda d: d["train"]["loss_weights"].update(aux=1),
     ):
@@ -298,6 +299,25 @@ def test_run_scenario_wraps_failures(tmp_path):
     doomed = replace(cfg, missing_rates=(0.95,))
     with pytest.raises(ProtocolError, match="rate=0.95 fold=0"):
         run_scenario(doomed)
+
+
+@pytest.mark.parametrize("ams", ["none", "dynamic"])
+def test_an_arm_without_pcm_trains_under_prototype_strategy_none(tmp_path, ams):
+    """arm_train maps pcm off to strategy "none", so the arm's own strategy
+    leaves the fit's bits alone."""
+    cfg = tiny_scenario(str(tmp_path))
+    samples = generate_dataset(replace(cfg.dataset, missing_rate=0.5))
+    fits = set()
+    for strategy in ("none", "paired", "all"):
+        arm = ArmSpec(name="off", pcm=False, ams=ams, proto_strategy=strategy)
+        train = cfg.arm_train(arm)
+        assert train.proto_strategy == "none" and train.ams_mode == ams
+        teacher = TeacherNet.create(5, 5, 2, feat_dim=4, hidden_width=6, seed=1)
+        student = StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=2)
+        result = fit(teacher, student, samples, train)
+        assert all(t.l_proto == 0.0 for t in result.epoch_traces)
+        fits.add(student.get_params().tobytes() + repr(result.epoch_traces).encode())
+    assert len(fits) == 1
 
 
 # ------------------------------------------------------------ compare_arms
@@ -478,7 +498,6 @@ def test_cli_run_rejects_mistyped_numbers(tmp_path, capsys, section, key, value)
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("train", "pcm_enabled", "false"),
     ("arms[0]", "pcm", "false"),
     ("arms[1]", "pcm", 1),
 ])
@@ -576,10 +595,9 @@ def test_run_scenario_starts_no_queued_job_after_a_failure(tmp_path, monkeypatch
 
 def test_scenario_from_dict_keeps_bool_switches():
     d = scenario_dict()
-    d["train"].update(pcm_enabled=False, proto_strategy="none")
     d["arms"][1]["pcm"] = True
     cfg = scenario_from_dict(d)
-    assert cfg.train.pcm_enabled is False and cfg.arms[1].pcm is True
+    assert cfg.arms[0].pcm is False and cfg.arms[1].pcm is True
 
 
 def test_cli_export_embeddings_on_checkpoint_without_specs(tmp_path, capsys):
@@ -733,7 +751,6 @@ def test_cli_run_rejects_non_finite_training_numbers(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("key,value", [
     ("ams_mode", "fixed"),
-    ("pcm_enabled", False),
     ("proto_strategy", "all"),
     ("loss_weights", {"pair": 0}),
 ])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pgad.ams import AmsState, build_batch, prepare_pools, sampling_ratio
+from pgad.ams import build_batch, prepare_pools, sampling_ratio
 from pgad.errors import (
     ConfigError,
     EmptyBatchError,
@@ -74,10 +74,7 @@ def test_train_config_defaults_and_validation():
         replace(cfg, proto_momentum=1.0).validate()
     with pytest.raises(ConfigError):
         replace(cfg, proto_assignment="mode").validate()
-    # prototype matching needs prototypes to match against
-    with pytest.raises(ConfigError):
-        replace(cfg, pcm_enabled=True, proto_strategy="none").validate()
-    replace(cfg, pcm_enabled=False, proto_strategy="none").validate()
+    replace(cfg, proto_strategy="none").validate()  # prototype matching off
 
 
 # ------------------------------------------------------------ optimizer
@@ -209,9 +206,9 @@ def test_step_gradients_terms_match_direct_composition():
     teacher, student = make_nets()
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
-    state = AmsState(theta=0.3, mode="dynamic")
+    theta = 0.3
 
-    report, grads = step_gradients(teacher, student, pools, plan, protos, state, cfg)
+    report, grads = step_gradients(teacher, student, pools, plan, protos, theta, cfg)
     l_tea, l_stu, l_kl, l_pair, l_proto, labels, logits_t, logits_s = manual_report_terms(
         teacher, student, {s.id: s for s in ds}, plan, protos, cfg
     )
@@ -232,7 +229,7 @@ def test_step_gradients_terms_match_direct_composition():
     lq = (w.tea * ce_loss(logits_t[n_g:], labels[n_g:])[0].mean()
           + w.stu * ce_loss(logits_s[n_g:], labels[n_g:])[0].mean()
           + w.proto * l_proto)
-    r = sampling_ratio(state)
+    r = sampling_ratio(cfg.ams_mode, theta, cfg.fixed_ratio)
     assert grads[-1] == pytest.approx((lg - lq) * r * (1 - r), abs=1e-12)
 
 
@@ -241,10 +238,9 @@ def test_step_gradients_zero_weights_skip_terms():
     plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=1, stu=0, kl=0, pair=0, proto=0),
-                      pcm_enabled=False, proto_strategy="none")
-    state = AmsState(mode="none")
+                      ams_mode="none", proto_strategy="none")
 
-    report, grads = step_gradients(teacher, student, pools, plan, None, state, cfg)
+    report, grads = step_gradients(teacher, student, pools, plan, None, 0.0, cfg)
     assert report.l_stu == report.l_kl == report.l_pair == report.l_proto == 0.0
     assert report.total == report.l_tea
     # the student receives no signal from a teacher-only objective
@@ -258,9 +254,8 @@ def test_step_gradients_student_only_leaves_teacher_untouched():
     plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student = make_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=0, stu=1, kl=0, pair=0, proto=0),
-                      pcm_enabled=False, proto_strategy="none")
-    report, grads = step_gradients(teacher, student, pools, plan, None,
-                                   AmsState(mode="none"), cfg)
+                      ams_mode="none", proto_strategy="none")
+    report, grads = step_gradients(teacher, student, pools, plan, None, 0.0, cfg)
     assert np.abs(grads[: teacher.param_count]).max() == 0.0
     assert report.l_tea == 0.0 and report.l_stu > 0.0
 
@@ -272,8 +267,7 @@ def test_step_gradients_theta_zero_without_pseudo_rows():
     teacher, student = make_nets()
     cfg = TrainConfig()
     report, grads = step_gradients(
-        teacher, student, pools, plan, global_prototypes(teacher, pools),
-        AmsState(theta=0.4, mode="dynamic"), cfg,
+        teacher, student, pools, plan, global_prototypes(teacher, pools), 0.4, cfg,
     )
     assert grads[-1] == 0.0
     assert report.l_proto == 0.0  # no pseudo recipients to match
@@ -285,8 +279,7 @@ def test_step_gradients_rejects_all_pseudo_batch():
     pools = prepare_pools(paired, unpaired)
     teacher, student = make_nets()
     with pytest.raises(ProtocolError):
-        step_gradients(teacher, student, pools, plan, None,
-                       AmsState(mode="dynamic"), TrainConfig())
+        step_gradients(teacher, student, pools, plan, None, 0.0, TrainConfig())
 
 
 def test_step_gradients_matches_fd_on_student_params():
@@ -296,9 +289,8 @@ def test_step_gradients_matches_fd_on_student_params():
     teacher, student = make_nets(dim=4, feat=3, hidden=4)
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(proto_assignment="true_class")
-    state = AmsState(theta=0.0, mode="dynamic")
 
-    _, grads = step_gradients(teacher, student, pools, plan, protos, state, cfg)
+    _, grads = step_gradients(teacher, student, pools, plan, protos, 0.0, cfg)
     analytic = grads[teacher.param_count : -1]
 
     base = student.get_params().copy()
@@ -309,7 +301,7 @@ def test_step_gradients_matches_fd_on_student_params():
             p = base.copy()
             p[i] += sign * h
             student.set_params(p)
-            rep, _ = step_gradients(teacher, student, pools, plan, protos, state, cfg)
+            rep, _ = step_gradients(teacher, student, pools, plan, protos, 0.0, cfg)
             fd[i] += sign * rep.total
         fd[i] /= 2 * h
     student.set_params(base)
@@ -336,20 +328,19 @@ def test_train_step_updates_params_and_prototypes():
     before_t = teacher.get_params().copy()
     before_s = student.get_params().copy()
 
-    new_protos, new_ams, trace = train_step(
-        teacher, student, pools, plan, protos,
-        AmsState(theta=0.0, mode="dynamic"), params, adam, cfg, lr=1e-3, step=0,
+    new_protos, trace = train_step(
+        teacher, student, pools, plan, protos, params, adam, cfg, lr=1e-3, step=0,
     )
     assert not np.array_equal(teacher.get_params(), before_t)
     assert not np.array_equal(student.get_params(), before_s)
     assert np.array_equal(params, np.concatenate(
-        [teacher.get_params(), student.get_params(), [new_ams.theta]]))
+        [teacher.get_params(), student.get_params(), [trace.theta]]))
     assert not new_protos.stale.any()  # both classes seen in the genuine rows
     assert adam.t == 1
     assert trace.n_genuine == len(plan.genuine)
     assert trace.n_pseudo == len(plan.pseudo)
     assert trace.theta != 0.0  # dynamic theta moved
-    assert trace.ratio == pytest.approx(sampling_ratio(new_ams))
+    assert trace.ratio == sampling_ratio("dynamic", trace.theta, cfg.fixed_ratio)
 
 
 def test_train_step_theta_frozen_outside_dynamic():
@@ -357,11 +348,11 @@ def test_train_step_theta_frozen_outside_dynamic():
     plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student, params, adam = bound_nets()
     cfg = TrainConfig(ams_mode="none")
-    _, new_ams, trace = train_step(
+    _, trace = train_step(
         teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
-        AmsState(theta=0.0, mode="none"), params, adam, cfg, lr=1e-3, step=0,
+        params, adam, cfg, lr=1e-3, step=0,
     )
-    assert new_ams.theta == 0.0
+    assert params[-1] == trace.theta == 0.0
     assert trace.ratio == 1.0
 
 
@@ -371,8 +362,8 @@ def test_train_step_requires_genuine_rows():
     teacher, student, params, adam = bound_nets()
     with pytest.raises(ProtocolError, match="^step 0: batch has no genuine pair$"):
         train_step(teacher, student, prepare_pools(paired, unpaired), plan,
-                   empty_prototypes(2, teacher.feat_dim), AmsState(mode="dynamic"),
-                   params, adam, TrainConfig(), lr=1e-3, step=0)
+                   empty_prototypes(2, teacher.feat_dim), params, adam, TrainConfig(),
+                   lr=1e-3, step=0)
 
 
 def test_train_step_requires_nets_bound_to_params():
@@ -381,8 +372,7 @@ def test_train_step_requires_nets_bound_to_params():
     teacher, student, params, adam = bound_nets()
     with pytest.raises(UsageError):
         train_step(teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
-                   AmsState(mode="dynamic"), params.copy(), adam, TrainConfig(),
-                   lr=1e-3, step=0)
+                   params.copy(), adam, TrainConfig(), lr=1e-3, step=0)
 
 
 def test_unpaired_feat_b_gathered_as_a_donor_fails_loudly():
@@ -394,9 +384,8 @@ def test_unpaired_feat_b_gathered_as_a_donor_fails_loudly():
     bad = replace(plan, pseudo=((rec, rec, cls),) + plan.pseudo[1:])
     teacher, student = make_nets()
     with pytest.raises(ProtocolError, match=rf"ids not in the paired pool: \[{rec}\]"):
-        step_gradients(teacher, student, pools, bad, None, AmsState(mode="fixed"),
-                       TrainConfig(ams_mode="fixed", pcm_enabled=False,
-                                   proto_strategy="none"))
+        step_gradients(teacher, student, pools, bad, None, 0.0,
+                       TrainConfig(ams_mode="fixed", proto_strategy="none"))
 
 
 # ------------------------------------------------------------ fit
@@ -440,11 +429,11 @@ def test_fit_prototype_matching_inert_without_pseudo_rows():
     """With genuine-only batches the prototype arm cannot change training."""
     ds, _, _ = make_data(missing_rate=0.3)
     base_cfg = fast_cfg(
-        ams_mode="none", pcm_enabled=False, proto_strategy="none",
+        ams_mode="none", proto_strategy="none",
         loss_weights=LossWeights(1, 1, 0.5, 0, 0),
     )
     pcm_cfg = fast_cfg(
-        ams_mode="none", pcm_enabled=True, proto_strategy="paired",
+        ams_mode="none", proto_strategy="paired",
         loss_weights=LossWeights(1, 1, 0.5, 0, 0.5),
     )
     r_base = fit(*make_nets(seed=4), ds, base_cfg)
@@ -456,8 +445,7 @@ def test_fit_prototype_matching_inert_without_pseudo_rows():
 def test_fit_dynamic_theta_trains():
     ds, _, _ = make_data(missing_rate=0.5)
     result = fit(*make_nets(seed=6), ds, fast_cfg(epochs=15))
-    assert result.ams_state.mode == "dynamic"
-    assert result.ams_state.theta != 0.0
+    assert result.epoch_traces[-1].theta != 0.0
     ratios = [t.ratio for t in result.epoch_traces]
     assert any(abs(r - 0.5) > 1e-4 for r in ratios)
 
@@ -536,14 +524,15 @@ def test_export_trace_csv_layout(tmp_path):
 
 # ------------------------------------------------------------ golden fits
 
-# The six acceptance-grid arms: (pcm, ams mode, prototype strategy, weights).
+# The six acceptance-grid arms: (ams mode, prototype strategy, weights).
+# Prototype matching is on unless the strategy is "none".
 GRID_ARMS = {
-    "baseline": (False, "none", "none", LossWeights(1, 1, 0.5, 0, 0)),
-    "pcm": (True, "none", "paired", LossWeights(1, 1, 0.5, 0, 0.5)),
-    "ams_fixed": (True, "fixed", "paired", LossWeights(1, 1, 0.5, 0.5, 0.5)),
-    "full": (True, "dynamic", "paired", LossWeights(1, 1, 0.5, 0.5, 0.5)),
-    "proto_none_ams": (False, "dynamic", "none", LossWeights(1, 1, 0.5, 0, 0)),
-    "proto_all": (True, "dynamic", "all", LossWeights(1, 1, 0.5, 0.5, 0.5)),
+    "baseline": ("none", "none", LossWeights(1, 1, 0.5, 0, 0)),
+    "pcm": ("none", "paired", LossWeights(1, 1, 0.5, 0, 0.5)),
+    "ams_fixed": ("fixed", "paired", LossWeights(1, 1, 0.5, 0.5, 0.5)),
+    "full": ("dynamic", "paired", LossWeights(1, 1, 0.5, 0.5, 0.5)),
+    "proto_none_ams": ("dynamic", "none", LossWeights(1, 1, 0.5, 0, 0)),
+    "proto_all": ("dynamic", "all", LossWeights(1, 1, 0.5, 0.5, 0.5)),
 }
 
 # sha256 of golden_fit_bytes().  Each arm keeps the zero byte that once marked
@@ -552,9 +541,9 @@ GOLDEN_FIT_DIGEST = "39ced080365f664144fe087625ac2b9e08d15d66ab009c166d7368ca90d
 
 
 def grid_cfg(name: str) -> TrainConfig:
-    pcm, ams, strategy, weights = GRID_ARMS[name]
+    ams, strategy, weights = GRID_ARMS[name]
     return fast_cfg(epochs=3, batch_size=8, loss_weights=weights, ams_mode=ams,
-                    pcm_enabled=pcm, proto_strategy=strategy)
+                    proto_strategy=strategy)
 
 
 def fit_result_chunks(result) -> list:
