@@ -46,7 +46,6 @@ from .synthdata import (
     FoldSplit,
     Sample,
     generate_dataset,
-    round_half_up,
     stratified_kfold,
 )
 from .trainer import TrainConfig, export_trace_csv, fit
@@ -113,16 +112,13 @@ class ScenarioConfig:
         for r in self.missing_rates:
             if not (0.0 <= r <= 1.0):
                 raise ConfigError(f"missing rate {r} outside [0, 1]")
-        spc = self.dataset.samples_per_class
         for arm in self.arms:
             arm.validate()
-            if not self.arm_rates(arm):
+            rates = self.arm_rates(arm)
+            if not rates:
                 raise ConfigError(f"arm {arm.name}: no missing rates to run")
-            for r in self.arm_rates(arm):
-                # missingness removes round_half_up(r * spc) samples from every class
-                if spc - round_half_up(r * spc) < 1:
-                    raise ConfigError(f"arm {arm.name}: missing rate {r} leaves no paired "
-                                      f"sample in a class of {spc}")
+            if len(set(rates)) != len(rates):
+                raise ConfigError(f"arm {arm.name}: missing rates repeat, got {list(rates)}")
             try:
                 self.arm_train(arm).validate()
             except ConfigError as exc:
@@ -244,12 +240,44 @@ def run_one(job: RunJob) -> MetricsRecord:
 
 
 def _build_jobs(cfg: ScenarioConfig) -> list:
-    base = generate_dataset(replace(cfg.dataset, missing_rate=0.0))
-    folds = stratified_kfold(base, cfg.k_folds, derive_seed(cfg.dataset.seed, "folds"))
+    folds = stratified_kfold(generate_dataset(replace(cfg.dataset, missing_rate=0.0)),
+                             cfg.k_folds, derive_seed(cfg.dataset.seed, "folds"))
+    _check_training_splits(cfg, folds)
     for sub in ("traces", "ams", "prototypes", "checkpoints"):
         os.makedirs(os.path.join(cfg.output_dir, sub), exist_ok=True)
     return [RunJob(cfg, arm, float(rate), fold)
             for arm in cfg.arms for rate in cfg.arm_rates(arm) for fold in folds]
+
+
+def _check_training_splits(cfg: ScenarioConfig, folds) -> None:
+    """ConfigError, before any output exists, for a training split with no paired
+    sample of a class (ams.prepare_pools draws its donors from them).  Checks arm
+    x rate x fold x class in that order, building each rate's dataset once."""
+    paired_classes = {}  # rate -> per fold, the classes with a paired training sample
+    for rate in dict.fromkeys(r for arm in cfg.arms for r in cfg.arm_rates(arm)):
+        data = replace(cfg.dataset, missing_rate=rate)
+        paired = {s.id: s.label for s in generate_dataset(data) if s.paired}
+        paired_classes[rate] = [{paired[i] for i in f.train_ids if i in paired} for f in folds]
+    for arm in cfg.arms:
+        for rate in cfg.arm_rates(arm):
+            for fold, seen in zip(folds, paired_classes[rate]):
+                for c in range(cfg.dataset.num_classes):
+                    if c not in seen:
+                        raise ConfigError(
+                            f"arm {arm.name}: missing rate {rate} leaves no paired sample "
+                            f"of class {c} in the training split of fold {fold.fold_index}"
+                        )
+
+
+def _summary(rows) -> RunSummary:
+    """(arm, rate, record) rows as cells in order of first appearance, records by fold."""
+    cells: dict = {}
+    for arm, rate, record in rows:
+        cells.setdefault((arm, rate), []).append(record)
+    return RunSummary(cells=tuple(
+        CellSummary.from_records(arm, rate, tuple(sorted(records, key=lambda r: r.fold)))
+        for (arm, rate), records in cells.items()
+    ))
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
@@ -257,13 +285,13 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
     cfg.validate()
     job_list = _build_jobs(cfg)
 
-    records: dict = {}
+    rows = []  # (arm, rate, record) in job order: arm, then rate, then fold
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     with pool or contextlib.nullcontext():
         results = pool.map(run_one, job_list) if pool else map(run_one, job_list)
         for job in job_list:
             try:
-                records[(job.arm.name, job.rate, job.fold.fold_index)] = next(results)
+                rows.append((job.arm.name, job.rate, next(results)))
             except Exception as exc:
                 if pool:  # no queued job starts once one has failed
                     pool.shutdown(cancel_futures=True)
@@ -272,19 +300,9 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
                     f"failed: {exc}"
                 ) from exc
 
-    cells = []
-    metric_rows = []
-    for arm in cfg.arms:
-        for rate in cfg.arm_rates(arm):
-            fold_records = tuple(
-                records[(arm.name, float(rate), f)] for f in range(cfg.k_folds)
-            )
-            cells.append(CellSummary.from_records(arm.name, float(rate), fold_records))
-            for rec in fold_records:
-                metric_rows.append((arm.name, _scenario_tag(rate), rec))
-
-    summary = RunSummary(cells=tuple(cells))
-    export_metrics_csv(metric_rows, os.path.join(cfg.output_dir, "metrics.csv"))
+    summary = _summary(rows)
+    export_metrics_csv([(arm, _scenario_tag(rate), rec) for arm, rate, rec in rows],
+                       os.path.join(cfg.output_dir, "metrics.csv"))
     _export_summary_csv(summary, os.path.join(cfg.output_dir, "summary.csv"))
     _export_report_md(cfg, summary, os.path.join(cfg.output_dir, "report.md"))
     return summary
@@ -478,16 +496,4 @@ def load_summary_from_metrics_csv(path) -> RunSummary:
             except ValueError as exc:
                 raise ProtocolError(f"{where}: {exc}") from exc
             rows.append((method, rate, rec))
-
-    cells = []
-    seen = []
-    for method, rate, _ in rows:
-        if (method, rate) not in seen:
-            seen.append((method, rate))
-    for method, rate in seen:
-        recs = tuple(sorted(
-            (r for mth, rt, r in rows if mth == method and rt == rate),
-            key=lambda r: r.fold,
-        ))
-        cells.append(CellSummary.from_records(method, rate, recs))
-    return RunSummary(cells=tuple(cells))
+    return _summary(rows)

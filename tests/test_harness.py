@@ -101,6 +101,8 @@ def test_scenario_validation(tmp_path):
         replace(cfg, arms=(cfg.arms[0], cfg.arms[0])).validate()
     with pytest.raises(ConfigError):
         replace(cfg, missing_rates=(0.5, 1.2)).validate()
+    with pytest.raises(ConfigError, match="arm baseline: missing rates repeat"):
+        replace(cfg, missing_rates=(0.5, 0.5)).validate()
     with pytest.raises(ConfigError):
         replace(cfg, feat_dim=0).validate()
     with pytest.raises(ConfigError):
@@ -294,11 +296,11 @@ def test_run_scenario_wraps_failures(tmp_path):
     bad = replace(cfg, train=replace(cfg.train, batch_size=1))
     with pytest.raises(ConfigError):
         run_scenario(bad)  # caught upfront by validate
-    # per-job failures surface as ProtocolError with the cell named
-    # each class keeps one paired sample, and fold 0 trains on neither of them
-    doomed = replace(cfg, missing_rates=(0.95,))
-    with pytest.raises(ProtocolError, match="rate=0.95 fold=0"):
-        run_scenario(doomed)
+    # per-job failures surface as ProtocolError with the cell named: here the
+    # first job trains and then cannot write its trace file
+    (tmp_path / "traces" / "baseline_rate0.5_fold0.csv").mkdir(parents=True)
+    with pytest.raises(ProtocolError, match="^arm=baseline rate=0.5 fold=0 failed: "):
+        run_scenario(cfg)
 
 
 @pytest.mark.parametrize("ams", ["none", "dynamic"])
@@ -555,8 +557,11 @@ def test_cli_run_rejects_unknown_activation_before_any_job(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value,named", [
     ("missing_rates", [1.0], "arm baseline: missing rate 1.0 leaves no paired sample"),
-    # 12 per class: 0.95 removes round_half_up(11.4) = 11 and passes, 0.97 removes 12
-    ("arms[1].rates", [0.95, 0.97], "arm full: missing rate 0.97 leaves no paired sample"),
+    # 12 per class: 0.95 removes round_half_up(11.4) = 11, and the one paired sample
+    # left in each class is in fold 0's test split
+    ("arms[1].rates", [0.95, 0.97], "arm full: missing rate 0.95 leaves no paired sample"),
+    ("missing_rates", [0.95], "arm baseline: missing rate 0.95 leaves no paired sample of "
+                              "class 0 in the training split of fold 0"),
 ])
 def test_cli_run_rejects_a_rate_that_leaves_a_class_unpaired(tmp_path, capsys, key, value,
                                                              named):
