@@ -57,9 +57,6 @@ class LossWeights:
             if not (v >= 0.0) or not math.isfinite(v):
                 raise ConfigError(f"loss weight {name} must be a finite nonnegative real, got {v}")
 
-    def as_tuple(self) -> tuple:
-        return (self.tea, self.stu, self.kl, self.pair, self.proto)
-
 
 @dataclass(frozen=True)
 class LossReport:

@@ -148,7 +148,7 @@ def test_scenario_from_dict_round_trip():
     assert cfg.name == "tiny"
     assert cfg.dataset.missing_rate == 0.0  # filled default
     assert cfg.train.epochs == 2
-    assert cfg.train.loss_weights.as_tuple() == (1, 1, 0.5, 0.5, 0.5)
+    assert cfg.train.loss_weights == LossWeights(1, 1, 0.5, 0.5, 0.5)
     assert cfg.arms[0].loss_weights.pair == 0
     assert cfg.arms[1].rates == (0.2, 0.5)
     assert cfg.missing_rates == (0.5,)

@@ -414,7 +414,7 @@ def test_loss_weights_validation():
         LossWeights(proto=math.nan).validate()
     defaults = LossWeights()
     defaults.validate()
-    assert defaults.as_tuple() == (1.0, 1.0, 0.5, 0.5, 0.5)
+    assert defaults == LossWeights(1.0, 1.0, 0.5, 0.5, 0.5)
 
 
 def test_loss_report_fields():

@@ -61,7 +61,7 @@ def test_train_config_defaults_and_validation():
     cfg.validate()
     assert cfg.epochs == 100 and cfg.batch_size == 32
     assert cfg.learning_rate == 1e-4 and cfg.weight_decay == 5e-5
-    assert cfg.loss_weights.as_tuple() == (1.0, 1.0, 0.5, 0.5, 0.5)
+    assert cfg.loss_weights == LossWeights(1.0, 1.0, 0.5, 0.5, 0.5)
     with pytest.raises(ConfigError):
         replace(cfg, epochs=0).validate()
     with pytest.raises(ConfigError):
