@@ -14,10 +14,13 @@ which gives d L / d theta = (loss_paired - loss_pseudo) * r * (1 - r).
 The realized batches still follow the rounded counts.  theta itself lives
 in the trainer's parameter buffer; the functions here take plain values.
 
-prepare_pools validates a fit's training set once and returns it as two
-SamplePools of id-sorted, read-only columns: the genuine pairs, and the
-modality-A-only recipients, which have no modality-B column.  Each step's
-build_batch call draws ids from them and the trainer gathers their rows.
+prepare_pools takes a fit's training set as a synthdata.Dataset and the
+rows to train on, validates it once and returns it as two SamplePools of
+id-sorted, read-only columns gathered by row index: the genuine pairs, and
+the modality-A-only recipients, which have no modality-B column.  Each
+step's build_batch call draws ids from them and the trainer gathers their
+rows.  Lists of Samples are converted to a Dataset first, so the sample API
+runs the same checks.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
 )
 import numpy as np
 
-from .synthdata import Sample
+from .synthdata import Dataset, Sample
 
 AMS_MODES = ("none", "fixed", "dynamic")
 
@@ -75,26 +78,28 @@ def sampling_ratio(mode: str, theta: float, fixed_ratio: float) -> float:
 
 
 class SamplePool:
-    """An immutable AMS pool: samples that are all paired or all unpaired.
+    """An immutable AMS pool: rows of a dataset that are all paired or all unpaired.
 
-    Ids are unique within a pool.  The samples are kept sorted by id, and
-    the pool's columns follow that order as read-only arrays: int64 `ids`
-    and `labels`, the `feat_a` matrix and, in a paired pool only, `feat_b`
-    (None in an unpaired pool).  `class_counts` maps each label to its
-    number of samples; iterating a pool yields its samples.  An unpaired
-    pool built with `donors` is checked against that paired pool: the donor
-    pool is nonempty, the two pools share no id, and every class of the
-    unpaired pool has a donor.  build_batch draws from such a pair without
-    checking it again.
+    A pool takes `rows` of a Dataset (all of them by default), or a sequence
+    of Samples.  Ids are unique within a pool.  The pool's columns are its
+    rows sorted by id, as read-only arrays: int64 `ids` and `labels`, the
+    `feat_a` matrix and, in a paired pool only, `feat_b` (None in an
+    unpaired pool).  `class_counts` maps each label to its number of rows;
+    iterating a pool yields its rows as Samples.  An unpaired pool built
+    with `donors` is checked against that paired pool: the donor pool is
+    nonempty, the two pools share no id, and every class of the unpaired
+    pool has a donor.  build_batch draws from such a pair without checking
+    it again.
     """
 
-    __slots__ = ("samples", "ids", "labels", "feat_a", "feat_b", "class_counts", "donors")
+    __slots__ = ("ids", "labels", "feat_a", "feat_b", "class_counts", "donors")
 
     def __init__(
         self,
-        samples: Sequence[Sample],
+        data: "Dataset | Sequence[Sample]",
         paired: bool,
         donors: Optional["SamplePool"] = None,
+        rows: Optional[np.ndarray] = None,
     ):
         if paired and donors is not None:
             raise UsageError("only an unpaired pool draws from a donor pool")
@@ -102,42 +107,40 @@ class SamplePool:
             raise ProtocolError(
                 "paired pool is empty: every batch needs at least one genuine pair"
             )
-        samples = list(samples)
-        for s in samples:
-            if s.paired != paired:
-                detail = "has no modality-B features" if paired else "is paired"
-                kind = "paired" if paired else "unpaired"
-                raise UsageError(f"sample {s.id} in the {kind} pool {detail}")
+        if not isinstance(data, Dataset):
+            data = Dataset.from_samples(data)
+        rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.int64)
+        ids, labels = data.ids[rows], data.labels[rows]
+        wrong = np.flatnonzero(data.paired[rows] != paired)
+        if wrong.size:
+            detail = "has no modality-B features" if paired else "is paired"
+            kind = "paired" if paired else "unpaired"
+            raise UsageError(f"sample {ids[wrong[0]]} in the {kind} pool {detail}")
         if donors is not None:
-            overlap = np.intersect1d(donors.ids, [s.id for s in samples])
+            overlap = np.intersect1d(donors.ids, ids)
             if overlap.size:
                 raise UsageError(
                     f"pools must be disjoint, shared ids: {overlap[:5].tolist()}"
                 )
-            for s in samples:
-                if s.label not in donors.class_counts:
-                    raise DonorExhaustionError(
-                        f"class {s.label} has unpaired samples but no paired donor"
-                    )
-        samples.sort(key=lambda s: s.id)
-        ids = np.array([s.id for s in samples], dtype=np.int64)
+            lacking = np.flatnonzero(~np.isin(labels, list(donors.class_counts)))
+            if lacking.size:
+                raise DonorExhaustionError(
+                    f"class {labels[lacking[0]]} has unpaired samples but no paired donor"
+                )
+        order = np.argsort(ids, kind="stable")
+        rows, ids, labels = rows[order], ids[order], labels[order]
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if repeated.size:
             raise UsageError(f"ids repeat within a pool: {repeated[:5].tolist()}")
-        labels = np.array([s.label for s in samples], dtype=np.int64)
-        width = donors.feat_a.shape[1] if donors is not None else 0
-        feat_a = np.stack([s.feat_a for s in samples]) if samples else np.empty((0, width))
-        feat_b = None
-        if paired:
-            feat_b = np.stack([s.feat_b for s in samples]) if samples else np.empty((0, 0))
+        feat_a = data.feat_a[rows]
+        feat_b = data.feat_b[rows] if paired else None
         for column in (ids, labels, feat_a, feat_b):
             if column is not None:
                 column.flags.writeable = False
         classes, counts = np.unique(labels, return_counts=True)
         class_counts = MappingProxyType(dict(zip(classes.tolist(), counts.tolist())))
         for name, value in (
-            ("samples", tuple(samples)), ("ids", ids), ("labels", labels),
-            ("feat_a", feat_a), ("feat_b", feat_b),
+            ("ids", ids), ("labels", labels), ("feat_a", feat_a), ("feat_b", feat_b),
             ("class_counts", class_counts), ("donors", donors),
         ):
             object.__setattr__(self, name, value)
@@ -146,10 +149,12 @@ class SamplePool:
         raise AttributeError(f"SamplePool is immutable, cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Sample]:
-        return iter(self.samples)
+        feat_b = self.feat_b if self.feat_b is not None else [None] * len(self)
+        for i, c, a, b in zip(self.ids.tolist(), self.labels.tolist(), self.feat_a, feat_b):
+            yield Sample(id=i, label=c, feat_a=a, feat_b=b)
 
     def rows(self, ids) -> np.ndarray:
         """Row indices of the given sample ids, in their order.
@@ -168,18 +173,35 @@ class SamplePool:
         return rows
 
 
-def prepare_pools(
-    paired_pool: Sequence[Sample], unpaired_pool: Sequence[Sample]
-) -> tuple[SamplePool, SamplePool]:
-    """Validate and sort the genuine-pair and pseudo-pair pools once.
+def prepare_pools(data, rows) -> tuple[SamplePool, SamplePool]:
+    """A training set as its (paired, unpaired) pool pair, validated and sorted once.
 
-    Raises what build_batch raises for bad pools: ProtocolError for an empty
-    paired pool, UsageError for a sample in the wrong pool or an id repeated
-    within or across the pools, DonorExhaustionError for an unpaired class
-    without a paired donor.
+    `data` is a Dataset and `rows` the rows of it to train on, which its
+    paired mask splits between the pools.  The sample API's form, paired
+    Samples and unpaired Samples, is stacked into one Dataset and each
+    sample is checked to be in the right pool.  Raises what build_batch
+    raises for bad pools: ProtocolError for an empty paired pool,
+    UsageError for a sample in the wrong pool or an id repeated within or
+    across the pools, DonorExhaustionError for an unpaired class without a
+    paired donor.
     """
-    paired = SamplePool(paired_pool, paired=True)
-    return paired, SamplePool(unpaired_pool, paired=False, donors=paired)
+    if isinstance(data, Dataset):
+        rows = np.asarray(rows, dtype=np.int64)
+        is_paired = data.paired[rows]
+        paired_rows, unpaired_rows = rows[is_paired], rows[~is_paired]
+    else:
+        paired_samples = list(data)
+        data = Dataset.from_samples(paired_samples + list(rows))
+        paired_rows = np.arange(len(paired_samples))
+        unpaired_rows = np.arange(len(paired_samples), len(data))
+    paired = SamplePool(data, paired=True, rows=paired_rows)
+    return paired, SamplePool(data, paired=False, donors=paired, rows=unpaired_rows)
+
+
+def prepared(pools: Sequence) -> bool:
+    """Whether `pools` is a (paired, unpaired) pair that prepare_pools returned."""
+    return (len(pools) == 2 and isinstance(pools[1], SamplePool)
+            and pools[1].donors is pools[0])
 
 
 def build_batch(
@@ -205,7 +227,7 @@ def build_batch(
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     if not (0.0 <= r <= 1.0):
         raise RangeError(f"sampling ratio must be in [0, 1], got {r}")
-    if not (isinstance(unpaired_pool, SamplePool) and unpaired_pool.donors is paired_pool):
+    if not prepared((paired_pool, unpaired_pool)):
         paired_pool, unpaired_pool = prepare_pools(paired_pool, unpaired_pool)
 
     rng = np.random.default_rng(seed)

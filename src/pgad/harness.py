@@ -1,8 +1,12 @@
 """Experiment harness: sweeps ablation arms over missing rates and folds.
 
-Each (arm, rate, fold) cell is one RunJob, which names only the scenario,
-the arm, the rate and the fold split; run_one derives the dataset, seeds,
-training config, net sizes and artifact paths from them.
+Each (arm, rate, fold) cell is one RunJob: the scenario, the arm, the
+rate, the rate's dataset and the fold's test rows.  A scenario's data is
+drawn once, as columns: _build_jobs makes one feature draw, one
+missingness mask per rate and the folds as row indices, and every job of a
+rate shares that rate's synthdata.Dataset, whose arrays all rates share.
+run_one gathers the fold's training pools from the dataset by row index
+and derives the seeds, training config, net sizes and artifact paths.
 
 Within a scenario every arm sees identical data, missingness masks, fold
 memberships, and initial network weights; training seeds depend on
@@ -26,7 +30,7 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 import numpy as np
 from scipy.special import softmax
 
-from .ams import export_ams_trace_csv
+from .ams import export_ams_trace_csv, prepare_pools
 from .errors import ConfigError, ProtocolError, UsageError
 from .evaluation import (
     METRIC_NAMES,
@@ -41,13 +45,7 @@ from .losses import LossWeights
 from .nets import ACTIVATIONS, StudentNet, TeacherNet, save_checkpoint, student_forward
 from .prototypes import export_prototypes_csv
 from .seeding import derive_seed
-from .synthdata import (
-    DatasetConfig,
-    FoldSplit,
-    Sample,
-    generate_dataset,
-    stratified_kfold,
-)
+from .synthdata import Dataset, DatasetConfig, Sample, draw_datasets, kfold_rows
 from .trainer import TrainConfig, export_trace_csv, fit
 
 DEFAULT_MISSING_RATES = (0.2, 0.5, 0.7)
@@ -93,6 +91,12 @@ class ScenarioConfig:
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
         self.dataset.validate()
+        if self.dataset.missing_rate != 0.0:
+            raise ConfigError(
+                f"scenario.dataset.missing_rate is {self.dataset.missing_rate}, but a scenario "
+                "draws its missingness per rate: set the rates in missing_rates or in the "
+                "arms' rates and leave dataset.missing_rate at 0"
+            )
         self.train.validate()
         # ArmSpec's defaults are TrainConfig's, so only a field every arm sets can differ
         per_arm = self.arm_train(ArmSpec(name="default"))
@@ -185,12 +189,18 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunJob:
-    """One (arm, rate, fold) cell of a scenario, picklable; run_one derives the rest."""
+    """One (arm, rate, fold) cell of a scenario, picklable; run_one derives the rest.
+
+    `data` is the scenario's dataset at `rate`, and `test_rows` are the rows
+    of it that fold `fold` tests on; the other rows train.
+    """
 
     scenario: ScenarioConfig
     arm: ArmSpec
     rate: float
-    fold: FoldSplit
+    data: Dataset
+    fold: int
+    test_rows: tuple
 
 
 def _rate_tag(rate: float) -> str:
@@ -203,29 +213,27 @@ def _scenario_tag(rate: float) -> str:
 
 def run_one(job: RunJob) -> MetricsRecord:
     """Train and evaluate a single (arm, rate, fold) cell; writes its own files."""
-    cfg, data, rate, fold = job.scenario, job.scenario.dataset, job.rate, job.fold.fold_index
-    samples = generate_dataset(replace(data, missing_rate=rate))
-    by_id = {s.id: s for s in samples}
-    train_samples = [by_id[i] for i in job.fold.train_ids]
-    test_samples = [by_id[i] for i in job.fold.test_ids]
+    cfg, dims, rate, fold, data = job.scenario, job.scenario.dataset, job.rate, job.fold, job.data
+    test = np.array(job.test_rows, dtype=np.int64)
+    is_test = np.zeros(len(data), dtype=bool)
+    is_test[test] = True
+    pools = prepare_pools(data, np.flatnonzero(~is_test))
 
     teacher = TeacherNet.create(
-        data.dim_a, data.dim_b, data.num_classes, cfg.feat_dim, cfg.hidden_width,
-        cfg.activation, derive_seed(data.seed, "init", "teacher", rate, fold),
+        dims.dim_a, dims.dim_b, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
+        cfg.activation, derive_seed(dims.seed, "init", "teacher", rate, fold),
     )
     student = StudentNet.create(
-        data.dim_a, data.num_classes, cfg.feat_dim, cfg.hidden_width,
-        cfg.activation, derive_seed(data.seed, "init", "student", rate, fold),
+        dims.dim_a, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
+        cfg.activation, derive_seed(dims.seed, "init", "student", rate, fold),
     )
-    train_cfg = replace(cfg.arm_train(job.arm), seed=derive_seed(data.seed, "train", rate, fold))
-    result = fit(teacher, student, train_samples, train_cfg)
+    train_cfg = replace(cfg.arm_train(job.arm), seed=derive_seed(dims.seed, "train", rate, fold))
+    result = fit(teacher, student, pools, train_cfg)
 
-    labels = np.array([s.label for s in test_samples], dtype=np.int64)
-    feats = np.stack([s.feat_a for s in test_samples])
-    _, logits = student_forward(student, feats)
+    _, logits = student_forward(student, data.feat_a[test])
     scores = softmax(logits, axis=1)[:, 1]
     preds = np.argmax(logits, axis=1)
-    record = classification_metrics(labels, scores, preds, fold=fold)
+    record = classification_metrics(data.labels[test], scores, preds, fold=fold)
 
     stem = f"{job.arm.name}_rate{_rate_tag(rate)}_fold{fold}"
     export_trace_csv(result.epoch_traces, os.path.join(cfg.output_dir, "traces", stem + ".csv"))
@@ -240,32 +248,42 @@ def run_one(job: RunJob) -> MetricsRecord:
 
 
 def _build_jobs(cfg: ScenarioConfig) -> list:
-    folds = stratified_kfold(generate_dataset(replace(cfg.dataset, missing_rate=0.0)),
-                             cfg.k_folds, derive_seed(cfg.dataset.seed, "folds"))
-    _check_training_splits(cfg, folds)
+    """Every job of the scenario, from one feature draw, one mask per rate and
+    the folds' test rows."""
+    rates = tuple(dict.fromkeys(r for arm in cfg.arms for r in cfg.arm_rates(arm)))
+    datasets = dict(zip(rates, draw_datasets(cfg.dataset, rates)))
+    base = datasets[rates[0]]
+    folds = kfold_rows(base.ids, base.labels, cfg.k_folds,
+                       derive_seed(cfg.dataset.seed, "folds"))
+    _check_training_splits(cfg, datasets, folds)
     for sub in ("traces", "ams", "prototypes", "checkpoints"):
         os.makedirs(os.path.join(cfg.output_dir, sub), exist_ok=True)
-    return [RunJob(cfg, arm, float(rate), fold)
-            for arm in cfg.arms for rate in cfg.arm_rates(arm) for fold in folds]
+    folds = [tuple(rows.tolist()) for rows in folds]
+    return [RunJob(cfg, arm, float(rate), datasets[rate], fold, rows)
+            for arm in cfg.arms for rate in cfg.arm_rates(arm)
+            for fold, rows in enumerate(folds)]
 
 
-def _check_training_splits(cfg: ScenarioConfig, folds) -> None:
+def _check_training_splits(cfg: ScenarioConfig, datasets: dict, folds: list) -> None:
     """ConfigError, before any output exists, for a training split with no paired
-    sample of a class (ams.prepare_pools draws its donors from them).  Checks arm
-    x rate x fold x class in that order, building each rate's dataset once."""
+    sample of a class (ams.prepare_pools draws its donors from them).  `datasets`
+    maps each rate to its dataset and `folds` holds each fold's test rows.  Checks
+    arm x rate x fold x class in that order."""
     paired_classes = {}  # rate -> per fold, the classes with a paired training sample
-    for rate in dict.fromkeys(r for arm in cfg.arms for r in cfg.arm_rates(arm)):
-        data = replace(cfg.dataset, missing_rate=rate)
-        paired = {s.id: s.label for s in generate_dataset(data) if s.paired}
-        paired_classes[rate] = [{paired[i] for i in f.train_ids if i in paired} for f in folds]
+    for rate, data in datasets.items():
+        paired_classes[rate] = []
+        for test in folds:
+            train = data.paired.copy()
+            train[test] = False
+            paired_classes[rate].append(set(data.labels[train].tolist()))
     for arm in cfg.arms:
         for rate in cfg.arm_rates(arm):
-            for fold, seen in zip(folds, paired_classes[rate]):
+            for fold, seen in enumerate(paired_classes[rate]):
                 for c in range(cfg.dataset.num_classes):
                     if c not in seen:
                         raise ConfigError(
                             f"arm {arm.name}: missing rate {rate} leaves no paired sample "
-                            f"of class {c} in the training split of fold {fold.fold_index}"
+                            f"of class {c} in the training split of fold {fold}"
                         )
 
 
@@ -281,8 +299,11 @@ def _summary(rows) -> RunSummary:
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
-    """Run every (arm, rate, fold) cell, aggregate, and write all artifacts."""
+    """Run every (arm, rate, fold) cell on `jobs` worker processes (1 runs them
+    in this process), aggregate, and write all artifacts."""
     cfg.validate()
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
     job_list = _build_jobs(cfg)
 
     rows = []  # (arm, rate, record) in job order: arm, then rate, then fold
@@ -296,8 +317,7 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
                 if pool:  # no queued job starts once one has failed
                     pool.shutdown(cancel_futures=True)
                 raise ProtocolError(
-                    f"arm={job.arm.name} rate={job.rate} fold={job.fold.fold_index} "
-                    f"failed: {exc}"
+                    f"arm={job.arm.name} rate={job.rate} fold={job.fold} failed: {exc}"
                 ) from exc
 
     summary = _summary(rows)

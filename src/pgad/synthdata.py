@@ -5,18 +5,32 @@ vector, and a class label.  Both modalities are driven by a shared
 per-sample latent plus class-dependent means, so modality B carries real
 complementary information rather than independent noise.  Missingness is
 applied per class so the missing rate does not confound class balance.
+
+The data is held as columns: a Dataset has one row per sample and a
+`paired` mask saying whose modality B is observed.  The features do not
+depend on the missing rate, so draw_datasets makes one feature draw and
+masks it once per rate with paired_mask, and kfold_rows splits the rows into
+folds.  The sample API (Sample, generate_dataset, apply_missingness,
+stratified_kfold) adapts those same functions to lists of Sample objects.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSplitError, ProtocolError, RangeError, UsageError
+from .errors import (
+    ConfigError,
+    InfeasibleSplitError,
+    ProtocolError,
+    RangeError,
+    ShapeError,
+    UsageError,
+)
 from .seeding import derive_seed
 
 
@@ -32,6 +46,79 @@ class Sample:
     @property
     def paired(self) -> bool:
         return self.feat_b is not None
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Samples as read-only columns, one row per sample.
+
+    `ids` and `labels` are int64 vectors, `feat_a` and `feat_b` the (n, dim_a)
+    and (n, dim_b) feature matrices, and `paired` a bool mask: a row's
+    modality B is observed where it is True, and its `feat_b` row must not be
+    read where it is False.  Datasets masked from one draw share that draw's
+    arrays.  Two datasets are equal when all their columns are (NaN cells
+    compare equal), and a dataset unpickles with read-only columns again.
+    """
+
+    ids: np.ndarray
+    labels: np.ndarray
+    feat_a: np.ndarray
+    feat_b: np.ndarray
+    paired: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            column = np.asarray(getattr(self, f.name)).view()  # a view: the caller's flags stay
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+        n = len(self.ids)
+        if (self.ids.shape != (n,) or self.labels.shape != (n,) or self.paired.shape != (n,)
+                or self.feat_a.ndim != 2 or self.feat_b.ndim != 2
+                or len(self.feat_a) != n or len(self.feat_b) != n):
+            raise ShapeError(
+                f"dataset columns disagree: ids {self.ids.shape}, labels {self.labels.shape}, "
+                f"feat_a {self.feat_a.shape}, feat_b {self.feat_b.shape}, "
+                f"paired {self.paired.shape}"
+            )
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name),
+                           equal_nan=getattr(self, f.name).dtype.kind == "f")
+            for f in fields(self)
+        )
+
+    def __reduce__(self):
+        return Dataset, tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[Sample]) -> "Dataset":
+        """The columns of `samples`, in their order; unobserved `feat_b` rows are NaN."""
+        samples = list(samples)
+        dim_a = samples[0].feat_a.shape[0] if samples else 0
+        dim_b = next((s.feat_b.shape[0] for s in samples if s.paired), 0)
+        missing = np.full(dim_b, np.nan)
+        return cls(
+            ids=np.array([s.id for s in samples], dtype=np.int64),
+            labels=np.array([s.label for s in samples], dtype=np.int64),
+            feat_a=np.stack([s.feat_a for s in samples]) if samples else np.empty((0, dim_a)),
+            feat_b=(np.stack([s.feat_b if s.paired else missing for s in samples])
+                    if samples else np.empty((0, dim_b))),
+            paired=np.array([s.paired for s in samples], dtype=bool),
+        )
+
+    def samples(self) -> list[Sample]:
+        """The rows as Samples, each with its own copy of its features."""
+        return [
+            Sample(id=i, label=c, feat_a=a.copy(), feat_b=b.copy() if p else None)
+            for i, c, a, b, p in zip(self.ids.tolist(), self.labels.tolist(), self.feat_a,
+                                     self.feat_b, self.paired.tolist())
+        ]
 
 
 @dataclass(frozen=True)
@@ -111,6 +198,16 @@ access to B holds knowledge a student limited to A can still apply."""
 def generate_dataset(cfg: DatasetConfig) -> list[Sample]:
     """Generate `num_classes * samples_per_class` labeled two-modality samples.
 
+    The samples of draw_datasets(cfg, [cfg.missing_rate]): ids 0..n-1 in
+    class order, with exactly round(missing_rate * samples_per_class)
+    samples per class lacking feat_b.  Fully deterministic given (cfg, cfg.seed).
+    """
+    return draw_datasets(cfg, (cfg.missing_rate,))[0].samples()
+
+
+def draw_datasets(cfg: DatasetConfig, rates: Sequence[float]) -> tuple[Dataset, ...]:
+    """One feature draw from `cfg`, masked at each of `rates` (cfg.missing_rate is unused).
+
     Each sample draws a latent vector z = mu[class] + eps with unit Gaussian
     eps.  The latent splits into a shared block (coordinates 0..s-1) and a
     B-dominant block; class means place one third of their squared separation
@@ -127,8 +224,11 @@ def generate_dataset(cfg: DatasetConfig) -> list[Sample]:
     latent correlates the two modalities sample by sample.  The B-dominant
     block needs latent room: when min(dim_a, dim_b, 8) < 2 * num_classes the
     entire mean goes into the shared block and B degenerates to a correlated
-    copy of A.  Afterwards exactly round(missing_rate * samples_per_class)
-    samples per class lose feat_b.  Fully deterministic given (cfg, cfg.seed).
+    copy of A.  Ids are 0..n-1 in class order.  The features do not depend
+    on the rate, so the returned datasets share one set of id, label and
+    feature arrays and differ only in their paired_mask, drawn with the seed
+    derived from (cfg.seed, "missing") at every rate.  Fully deterministic
+    given (cfg, rates).
     """
     cfg.validate()
     rng = np.random.default_rng(derive_seed(cfg.seed, "gen"))
@@ -158,84 +258,99 @@ def generate_dataset(cfg: DatasetConfig) -> list[Sample]:
     mix_a = np.linalg.qr(rng.standard_normal((cfg.dim_a, latent_dim)))[0]
     mix_b = np.linalg.qr(rng.standard_normal((cfg.dim_b, latent_dim)))[0]
 
-    labels = np.repeat(np.arange(n_cls), spc)
+    labels = np.repeat(np.arange(n_cls, dtype=np.int64), spc)
     latents = means[labels] + rng.standard_normal((n, latent_dim))
     eps_a = rng.standard_normal((n, cfg.dim_a))
     eps_b = rng.standard_normal((n, cfg.dim_b))
 
-    feats_a = (latents * a_view) @ mix_a.T + cfg.noise_scale * eps_a
-    feats_b = latents @ mix_b.T + cfg.noise_scale * eps_b
+    drawn = Dataset(
+        ids=np.arange(n, dtype=np.int64),
+        labels=labels,
+        feat_a=(latents * a_view) @ mix_a.T + cfg.noise_scale * eps_a,
+        feat_b=latents @ mix_b.T + cfg.noise_scale * eps_b,
+        paired=np.ones(n, dtype=bool),
+    )
+    seed = derive_seed(cfg.seed, "missing")
+    return tuple(replace(drawn, paired=paired_mask(drawn.ids, drawn.labels, rate, seed))
+                 for rate in rates)
 
-    samples = [
-        Sample(id=i, label=int(labels[i]), feat_a=feats_a[i].copy(), feat_b=feats_b[i].copy())
-        for i in range(n)
-    ]
-    return apply_missingness(samples, cfg.missing_rate, derive_seed(cfg.seed, "missing"))
+
+def paired_mask(ids: np.ndarray, labels: np.ndarray, rate: float, seed: int) -> np.ndarray:
+    """Bool mask of the rows that keep modality B: round(rate * class size)
+    rows of each class lose it.
+
+    Classes are visited in label order, and within a class one permutation
+    picks rows in id order, so the mask depends only on (ids, labels, rate,
+    seed), not on row order.
+    """
+    if not (0.0 <= rate <= 1.0):
+        raise RangeError(f"missing rate must be in [0, 1], got {rate}")
+    rng = np.random.default_rng(seed)
+    paired = np.ones(len(ids), dtype=bool)
+    for label in np.unique(labels).tolist():
+        rows = _class_rows(ids, labels, label)
+        k = round_half_up(rate * len(rows))
+        paired[rows[rng.permutation(len(rows))[:k]]] = False
+    return paired
+
+
+def _class_rows(ids: np.ndarray, labels: np.ndarray, label: int) -> np.ndarray:
+    """Rows of class `label`, in id order."""
+    rows = np.flatnonzero(labels == label)
+    return rows[np.argsort(ids[rows], kind="stable")]
 
 
 def apply_missingness(samples: Sequence[Sample], rate: float, seed: int) -> list[Sample]:
     """Remove feat_b from round(rate * class size) samples per class.
 
     The input must be fully paired and is not modified; the returned list
-    preserves input order.  The removal mask depends only on (ids, labels,
-    rate, seed), not on list order.
+    preserves input order.  The removal mask is paired_mask's, so it depends
+    only on (ids, labels, rate, seed), not on list order.
     """
-    if not (0.0 <= rate <= 1.0):
-        raise RangeError(f"missing rate must be in [0, 1], got {rate}")
     for s in samples:
         if not s.paired:
             raise UsageError(f"apply_missingness requires fully paired input, sample {s.id} is unpaired")
-
-    rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for s in samples:
-        by_class.setdefault(s.label, []).append(s.id)
-
-    drop: set[int] = set()
-    for label in sorted(by_class):
-        ids = sorted(by_class[label])
-        k = round_half_up(rate * len(ids))
-        order = rng.permutation(len(ids))
-        drop.update(ids[j] for j in order[:k])
-
+    keep = paired_mask(np.array([s.id for s in samples], dtype=np.int64),
+                       np.array([s.label for s in samples], dtype=np.int64), rate, seed)
     return [
-        Sample(id=s.id, label=s.label, feat_a=s.feat_a, feat_b=None) if s.id in drop else s
-        for s in samples
+        s if kept else Sample(id=s.id, label=s.label, feat_a=s.feat_a, feat_b=None)
+        for s, kept in zip(samples, keep.tolist())
     ]
 
 
-def stratified_kfold(samples: Sequence[Sample], k: int, seed: int) -> list[FoldSplit]:
-    """Stratified k-fold assignment: per-fold class counts within +/-1 of n_c/k."""
+def kfold_rows(ids: np.ndarray, labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
+    """Stratified k-fold assignment: each fold's test rows, in row order.
+
+    Per-fold class counts are within +/-1 of n_c/k.  Like paired_mask, the
+    split depends only on (ids, labels, k, seed), not on row order.
+    """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
-    by_class: dict[int, list[int]] = {}
-    for s in samples:
-        by_class.setdefault(s.label, []).append(s.id)
-    for label in sorted(by_class):
-        if len(by_class[label]) < k:
-            raise InfeasibleSplitError(
-                f"class {label} has {len(by_class[label])} samples, fewer than k={k}"
-            )
+    classes, counts = np.unique(labels, return_counts=True)
+    for label, count in zip(classes.tolist(), counts.tolist()):
+        if count < k:
+            raise InfeasibleSplitError(f"class {label} has {count} samples, fewer than k={k}")
 
     rng = np.random.default_rng(seed)
-    test_sets: list[set[int]] = [set() for _ in range(k)]
-    for label in sorted(by_class):
-        ids = sorted(by_class[label])
-        order = rng.permutation(len(ids))
-        shuffled = [ids[j] for j in order]
-        q, r = divmod(len(shuffled), k)
-        start = 0
-        for fold in range(k):
-            size = q + (1 if fold < r else 0)
-            test_sets[fold].update(shuffled[start : start + size])
-            start += size
+    fold_of = np.empty(len(ids), dtype=np.int64)
+    for label in classes.tolist():
+        rows = _class_rows(ids, labels, label)
+        q, r = divmod(len(rows), k)
+        sizes = [q + 1] * r + [q] * (k - r)
+        fold_of[rows[rng.permutation(len(rows))]] = np.repeat(np.arange(k), sizes)
+    return [np.flatnonzero(fold_of == fold) for fold in range(k)]
 
-    all_ids = {s.id for s in samples}
+
+def stratified_kfold(samples: Sequence[Sample], k: int, seed: int) -> list[FoldSplit]:
+    """kfold_rows' split of `samples`, as the sorted ids of each fold."""
+    ids = np.array([s.id for s in samples], dtype=np.int64)
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    all_ids = set(ids.tolist())
     folds = []
-    for fold in range(k):
-        test_ids = tuple(sorted(test_sets[fold]))
-        train_ids = tuple(sorted(all_ids - test_sets[fold]))
-        folds.append(FoldSplit(fold_index=fold, train_ids=train_ids, test_ids=test_ids))
+    for fold, rows in enumerate(kfold_rows(ids, labels, k, seed)):
+        test_ids = set(ids[rows].tolist())
+        folds.append(FoldSplit(fold_index=fold, train_ids=tuple(sorted(all_ids - test_ids)),
+                               test_ids=tuple(sorted(test_ids))))
     return folds
 
 

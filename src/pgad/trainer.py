@@ -1,8 +1,9 @@
 """Training loop: loss routing, joint Adam updates, schedules, traces.
 
-One step does, in order: batch composition, teacher and student forwards,
-prototype refresh from the batch's genuine pairs, loss evaluation, one
-joint Adam update over [teacher params | student params | theta].
+One step does, in order: batch composition, one teacher and one student
+forward, prototype refresh from the teacher's fused features of the batch's
+genuine pairs, loss evaluation, one joint Adam update over [teacher params |
+student params | theta].
 
 The networks' forward and backward chains, and the layout of their
 gradients, live in nets (teacher_features, teacher_forward,
@@ -10,13 +11,14 @@ teacher_backward, student_forward, student_backward); this module only
 calls them.
 
 fit prepares everything a step reads once, before the first step: the
-training set as the pool pair from ams.prepare_pools, whose id-sorted
-columns a step (and the epoch-level prototypes of the "all" strategy)
-gathers its rows from by index; one parameter buffer [teacher | student |
-theta] that both nets are bound to (nets.bind_joint_params), which Adam
-updates in place; and the mask that keeps weight decay off theta.  theta is
-the buffer's last entry and is kept nowhere else: each step's trace carries
-the sampling ratio at the updated theta, and the next batch is drawn with it.
+training set as the pool pair from ams.prepare_pools (or takes that pair
+ready-made), whose id-sorted columns a step (and the epoch-level
+prototypes of the "all" strategy) gathers its rows from by index; one
+parameter buffer [teacher | student | theta] that both nets are bound to
+(nets.bind_joint_params), which Adam updates in place; and the mask that
+keeps weight decay off theta.  theta is the buffer's last entry and is kept
+nowhere else: each step's trace carries the sampling ratio at the updated
+theta, and the next batch is drawn with it.
 Gathering in id order makes a fit independent of the order of its input
 samples.  Modality B is gathered from the paired pool only.  Cross-entropy
 is computed once per logit matrix, per row, and the theta surrogate's
@@ -43,7 +45,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .ams import (
     SamplePool,
     build_batch,
     prepare_pools,
+    prepared,
     sampling_ratio,
     theta_gradient,
 )
@@ -97,7 +100,7 @@ from .prototypes import (
     with_fallback,
 )
 from .seeding import derive_seed
-from .synthdata import Sample
+from .synthdata import Dataset, Sample
 
 PROTO_STRATEGIES = ("none", "all", "paired")
 ADAM_BETA1 = 0.9
@@ -253,7 +256,7 @@ def step_gradients(
     student: StudentNet,
     pools: tuple[SamplePool, SamplePool],
     plan: BatchPlan,
-    effective_protos: Optional[PrototypeSet],
+    effective_protos: Union[PrototypeSet, Callable[[np.ndarray, np.ndarray], PrototypeSet], None],
     theta: float,
     cfg: TrainConfig,
 ) -> tuple[LossReport, np.ndarray]:
@@ -266,7 +269,11 @@ def step_gradients(
     distillation term are constants with respect to the parameters; theta's
     entry comes from the expected-loss surrogate at `theta` (0.0 outside
     dynamic mode or when the batch has no pseudo-pairs), and prototype
-    matching needs `effective_protos`.  Runs its own forward passes,
+    matching needs `effective_protos`.  `effective_protos` may also be a
+    callable, which is called once, right after the teacher forward, with
+    the fused features and labels of the genuine rows and returns the set
+    to match against; that is how train_step refreshes the batch prototypes
+    without a second teacher forward.  Runs its own forward passes,
     so it is self-contained and safe to call for gradient checking.  The
     gradient is nets.teacher_backward's, then nets.student_backward's,
     then theta's; a non-finite or negative term raises NumericHealthError
@@ -286,7 +293,9 @@ def step_gradients(
     feats_a = np.concatenate((paired.feat_a[g_rows], unpaired.feat_a[r_rows]))
     feats_b = paired.feat_b[b_rows]
 
-    h_b, _, logits_t = teacher_forward(teacher, feats_a, feats_b)
+    h_b, fused, logits_t = teacher_forward(teacher, feats_a, feats_b)
+    if callable(effective_protos):
+        effective_protos = effective_protos(fused[:n_g], labels[:n_g])
     feat_s, logits_s = student_forward(student, feats_a)
 
     l_tea, l_stu, l_kl, l_pair, l_proto = 0.0, 0.0, 0.0, 0.0, 0.0
@@ -369,18 +378,19 @@ def train_step(
         raise UsageError("teacher and student must be bound to params (bind_joint_params)")
 
     n_stale = 0
-    effective_protos: Optional[PrototypeSet] = None
+    effective_protos = None
     new_protos = protos
     if cfg.proto_strategy == "paired":
-        paired = pools[0]
-        genuine = paired.rows(plan.genuine)
-        _, fused = teacher_features(teacher, paired.feat_a[genuine], paired.feat_b[genuine])
-        batch_protos = compute_batch_prototypes(
-            fused, paired.labels[genuine], teacher.num_classes
-        )
-        new_protos = update_running_prototypes(protos, batch_protos, cfg.proto_momentum)
-        effective_protos = with_fallback(batch_protos, new_protos)
-        n_stale = int(batch_protos.stale.sum())
+
+        def refresh(fused: np.ndarray, labels: np.ndarray) -> PrototypeSet:
+            """Batch prototypes from the step's own teacher forward of the genuine rows."""
+            nonlocal new_protos, n_stale
+            batch_protos = compute_batch_prototypes(fused, labels, teacher.num_classes)
+            new_protos = update_running_prototypes(protos, batch_protos, cfg.proto_momentum)
+            n_stale = int(batch_protos.stale.sum())
+            return with_fallback(batch_protos, new_protos)
+
+        effective_protos = refresh
     elif cfg.proto_strategy == "all":
         effective_protos = protos
         n_stale = int(protos.stale.sum())
@@ -421,11 +431,13 @@ def _decay_mask(n: int) -> np.ndarray:
 def fit(
     teacher: TeacherNet,
     student: StudentNet,
-    samples: Sequence[Sample],
+    samples: Union[Sequence[Sample], tuple[SamplePool, SamplePool]],
     cfg: TrainConfig,
 ) -> FitResult:
     """Train teacher, student, and theta jointly over epochs.
 
+    `samples` is the training set: the (paired, unpaired) pool pair from
+    ams.prepare_pools, or a sequence of Samples, which is prepared here.
     Runs epochs * ceil(N / batch_size) steps, each on a freshly sampled
     batch plan drawn from pools prepared once, before the first step.
     Deterministic given (nets' initial parameters, cfg.seed).
@@ -437,8 +449,8 @@ def fit(
         raise ConfigError(
             f"teacher fused dim {teacher.feat_dim} != student feature dim {student.feat_dim}"
         )
-    pools = prepare_pools(
-        [s for s in samples if s.paired], [s for s in samples if not s.paired]
+    pools = samples if prepared(samples) else prepare_pools(
+        Dataset.from_samples(samples), np.arange(len(samples))
     )
     # prepare_pools gives every unpaired class a paired donor, so the paired
     # pool holds every label of the training set.
@@ -447,7 +459,7 @@ def fit(
         raise ConfigError(f"training labels {labels.tolist()} outside the head's "
                           f"[0, {teacher.num_classes})")
 
-    steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
+    steps_per_epoch = math.ceil((len(pools[0]) + len(pools[1])) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
 
     params = bind_joint_params(teacher, student, 0.0)

@@ -25,7 +25,7 @@ from pgad.errors import (
     RangeError,
     UsageError,
 )
-from pgad.synthdata import DatasetConfig, Sample, generate_dataset
+from pgad.synthdata import DatasetConfig, Sample, draw_datasets, generate_dataset
 from pgad.trainer import TrainConfig
 
 
@@ -341,6 +341,43 @@ def test_sample_pool_errors():
     twin = Sample(id=paired[0].id, label=paired[0].label, feat_a=paired[0].feat_a, feat_b=None)
     with pytest.raises(UsageError, match=rf"shared ids: \[{twin.id}\]"):
         prepare_pools(paired, unpaired + [twin])
+
+
+def test_pools_from_dataset_rows_equal_pools_from_sample_lists():
+    cfg = DatasetConfig(num_classes=3, samples_per_class=20, dim_a=4, dim_b=4,
+                        class_separation=3.0, noise_scale=1.0, missing_rate=0.0, seed=3)
+    (data,) = draw_datasets(cfg, (0.5,))
+    rows = np.random.default_rng(0).choice(len(data), 40, replace=False)  # any order
+    samples = data.samples()
+    chosen = [samples[i] for i in rows]
+    from_rows = prepare_pools(data, rows)
+    from_lists = prepare_pools([s for s in chosen if s.paired], [s for s in chosen if not s.paired])
+    for a, b in zip(from_rows, from_lists):
+        for name in ("ids", "labels", "feat_a", "feat_b"):
+            column = getattr(a, name)
+            assert (column is None) == (getattr(b, name) is None)
+            if column is not None:
+                assert column.tobytes() == getattr(b, name).tobytes()
+                assert column.shape == getattr(b, name).shape
+                assert not column.flags.writeable
+        assert a.class_counts == b.class_counts
+        assert [(s.id, s.label) for s in a] == [(s.id, s.label) for s in b]
+    assert from_rows[1].donors is from_rows[0]
+    assert build_batch(*from_rows, 16, 0.5, 4) == build_batch(*from_lists, 16, 0.5, 4)
+
+    no_paired = np.flatnonzero(~data.paired)
+    with pytest.raises(ProtocolError, match="paired pool is empty"):
+        prepare_pools(data, no_paired)
+    with pytest.raises(ProtocolError, match="paired pool is empty"):
+        prepare_pools([], [samples[i] for i in no_paired])
+    # class 2 keeps only unpaired rows: no donor for it
+    lacking = np.flatnonzero(data.paired | (data.labels == 2))
+    lacking = lacking[~((data.labels[lacking] == 2) & data.paired[lacking])]
+    with pytest.raises(DonorExhaustionError, match="class 2 has unpaired samples"):
+        prepare_pools(data, lacking)
+    kept = [samples[i] for i in lacking]
+    with pytest.raises(DonorExhaustionError, match="class 2 has unpaired samples"):
+        prepare_pools([s for s in kept if s.paired], [s for s in kept if not s.paired])
 
 
 def test_theta_gradient_surrogate_closed_form():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgad import harness
+from pgad import harness, synthdata
 from pgad.cli import main as cli_main
 from pgad.errors import ConfigError, ProtocolError, UsageError
 from pgad.evaluation import METRIC_NAMES, MetricsRecord, bonferroni
@@ -582,10 +582,10 @@ def test_cli_run_rejects_a_rate_that_leaves_a_class_unpaired(tmp_path, capsys, k
 
 def fail_first_job(job):
     """run_one stand-in: the first job fails, every other one leaves a marker file."""
-    if job.arm.name == "baseline" and job.fold.fold_index == 0:
+    if job.arm.name == "baseline" and job.fold == 0:
         raise ValueError("first job fails")
     time.sleep(0.2)
-    Path(job.scenario.output_dir, f"{job.arm.name}_{job.rate}_{job.fold.fold_index}").touch()
+    Path(job.scenario.output_dir, f"{job.arm.name}_{job.rate}_{job.fold}").touch()
 
 
 def test_run_scenario_starts_no_queued_job_after_a_failure(tmp_path, monkeypatch):
@@ -596,6 +596,81 @@ def test_run_scenario_starts_no_queued_job_after_a_failure(tmp_path, monkeypatch
         run_scenario(scenario_from_dict(d), jobs=2)
     # only the jobs already handed to the 2 workers (and their queue) run on
     assert len([p for p in tmp_path.iterdir() if p.is_file()]) <= 8
+
+
+def output_bytes(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_run_draws_the_features_once_and_writes_the_same_bytes_at_any_jobs(
+        tmp_path, monkeypatch, capsys):
+    """2 arms x 2 rates from one feature draw, in this process, whatever --jobs is."""
+    draws = []
+
+    def counted(cfg, rates):
+        draws.append(tuple(rates))
+        return real_draw(cfg, rates)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the harness builds no Sample lists")
+
+    real_draw = synthdata.draw_datasets
+    monkeypatch.setattr(harness, "draw_datasets", counted)
+    monkeypatch.setattr(synthdata, "draw_datasets", counted)
+    monkeypatch.setattr(synthdata, "generate_dataset", forbidden)
+    d = scenario_dict()
+    d["missing_rates"] = [0.2, 0.5]
+    cfg_path = tmp_path / "two_rates.json"
+    cfg_path.write_text(json.dumps(d))
+    outputs = []
+    for jobs in ("1", "2"):
+        draws.clear()
+        out = tmp_path / f"jobs{jobs}"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out),
+                         "--jobs", jobs]) == 0
+        assert draws == [(0.2, 0.5)]
+        outputs.append(output_bytes(out))
+    capsys.readouterr()
+    assert len(outputs[0]) == 3 + 4 * 2 * 2 * 2  # 2 arms x 2 rates x 2 folds
+    assert outputs[0] == outputs[1]
+
+    jobs = harness._build_jobs(scenario_from_dict(dict(d, output_dir=str(tmp_path / "b"))))
+    assert [(j.arm.name, j.rate, j.fold) for j in jobs][:3] == [
+        ("baseline", 0.2, 0), ("baseline", 0.2, 1), ("baseline", 0.5, 0)]
+    for job in jobs:  # one feature array behind every job
+        assert np.shares_memory(job.data.feat_a, jobs[0].data.feat_a)
+        assert job.data.paired is (jobs[0] if job.rate == 0.2 else jobs[2]).data.paired
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_run_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg_path = tmp_path / "s.json"
+    cfg_path.write_text(json.dumps(scenario_dict()))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                   "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: UsageError: jobs must be >= 1, got {jobs}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_rejects_a_dataset_missing_rate(tmp_path, capsys):
+    """The harness masks each rate of the sweep itself and never reads
+    dataset.missing_rate, so a value there would be silently ignored."""
+    d = scenario_dict()
+    d["dataset"]["missing_rate"] = 0.9
+    cfg_path = tmp_path / "rate.json"
+    cfg_path.write_text(json.dumps(d))
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ConfigError: scenario.dataset.missing_rate is 0.9")
+    assert "missing_rates" in err and "arms' rates" in err
+    assert not (tmp_path / "o").exists()
+    d["dataset"]["missing_rate"] = 0.0
+    scenario_from_dict(d).validate()
 
 
 def test_scenario_from_dict_keeps_bool_switches():

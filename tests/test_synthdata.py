@@ -1,6 +1,9 @@
 """Synthetic two-modality dataset: generation, missingness, folds, CSV round-trips."""
 
 import csv
+import hashlib
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +15,20 @@ from pgad.errors import (
     InfeasibleSplitError,
     ProtocolError,
     RangeError,
+    ShapeError,
     UsageError,
 )
 from pgad.synthdata import (
+    Dataset,
     DatasetConfig,
     Sample,
     apply_missingness,
+    draw_datasets,
     export_dataset_csv,
     generate_dataset,
     import_dataset_csv,
+    kfold_rows,
+    paired_mask,
     round_half_up,
     stratified_kfold,
 )
@@ -307,3 +315,108 @@ def test_sample_paired_property():
     assert not s.paired
     t = Sample(id=1, label=0, feat_a=np.zeros(3), feat_b=np.ones(2))
     assert t.paired
+
+
+# sha256 of generate_dataset's samples over DRAW_CONFIGS x RATES, recorded
+# from the per-sample generator that the columnar draw replaced.
+GOLDEN_DRAW_DIGEST = "776a96d61f04299ac9d0bc1e89a92485070b880434d542f5625ed251968b1653"
+DRAW_CONFIGS = [
+    dict(),
+    dict(num_classes=3, samples_per_class=17, dim_a=4, dim_b=9, seed=3),
+    dict(samples_per_class=5, dim_a=2, dim_b=2, seed=1),
+]
+RATES = (0.0, 0.2, 0.5, 0.7, 1.0)
+
+
+def test_generate_dataset_matches_golden_digest():
+    digest = hashlib.sha256()
+    for overrides in DRAW_CONFIGS:
+        for rate in RATES:
+            for s in generate_dataset(small_cfg(**overrides, missing_rate=rate)):
+                digest.update(repr((s.id, s.label)).encode() + s.feat_a.tobytes()
+                              + (s.feat_b.tobytes() if s.paired else b"-"))
+    assert digest.hexdigest() == GOLDEN_DRAW_DIGEST
+
+
+@pytest.mark.parametrize("overrides", DRAW_CONFIGS)
+def test_draw_datasets_equal_generate_dataset_bit_for_bit(overrides):
+    cfg = small_cfg(**overrides, missing_rate=0.9)  # draw_datasets masks at its rates only
+    datasets = draw_datasets(cfg, RATES)
+    assert len(datasets) == len(RATES)
+    for rate, data in zip(RATES, datasets):
+        samples = generate_dataset(replace(cfg, missing_rate=rate))
+        assert data.ids.tolist() == [s.id for s in samples]
+        assert data.labels.tolist() == [s.label for s in samples]
+        assert data.paired.tolist() == [s.paired for s in samples]
+        assert data.feat_a.tobytes() == np.stack([s.feat_a for s in samples]).tobytes()
+        paired_b = [s.feat_b for s in samples if s.paired]
+        if paired_b:
+            assert data.feat_b[data.paired].tobytes() == np.stack(paired_b).tobytes()
+        # one draw: every rate's dataset reads the same arrays
+        for name in ("ids", "labels", "feat_a", "feat_b"):
+            assert np.shares_memory(getattr(data, name), getattr(datasets[0], name))
+
+
+def reference_missing_ids(samples, rate, seed):
+    """The per-sample missingness loop the mask replaced: the ids losing feat_b."""
+    rng = np.random.default_rng(seed)
+    by_class = {}
+    for s in samples:
+        by_class.setdefault(s.label, []).append(s.id)
+    drop = set()
+    for label in sorted(by_class):
+        ids = sorted(by_class[label])
+        order = rng.permutation(len(ids))
+        drop.update(ids[j] for j in order[: round_half_up(rate * len(ids))])
+    return drop
+
+
+@pytest.mark.parametrize("rate", RATES + (0.33,))
+def test_paired_mask_matches_the_per_sample_reference_in_any_order(rate):
+    full = generate_dataset(small_cfg(num_classes=3, samples_per_class=13, dim_a=4, dim_b=4))
+    for shuffle_seed in range(3):
+        order = np.random.default_rng(shuffle_seed).permutation(len(full))
+        shuffled = [full[i] for i in order]
+        ids = np.array([s.id for s in shuffled])
+        labels = np.array([s.label for s in shuffled])
+        mask = paired_mask(ids, labels, rate, seed=21)
+        expected = reference_missing_ids(shuffled, rate, 21)
+        assert set(ids[~mask].tolist()) == expected
+        assert {s.id for s in apply_missingness(shuffled, rate, seed=21) if not s.paired} == expected
+    with pytest.raises(RangeError):
+        paired_mask(ids, labels, -0.1, seed=0)
+
+
+def test_kfold_rows_match_stratified_kfold_in_any_order():
+    ds = generate_dataset(small_cfg(num_classes=3, samples_per_class=11, dim_a=4, dim_b=4))
+    folds = stratified_kfold(ds, 4, seed=6)
+    order = np.random.default_rng(1).permutation(len(ds))
+    ids = np.array([ds[i].id for i in order])
+    labels = np.array([ds[i].label for i in order])
+    tests = kfold_rows(ids, labels, 4, seed=6)
+    assert [sorted(ids[rows].tolist()) for rows in tests] == [list(f.test_ids) for f in folds]
+    assert all(np.array_equal(rows, np.sort(rows)) for rows in tests)
+    assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(len(ds)))
+
+
+def test_dataset_columns_are_read_only_and_pickle_with_value_equality():
+    ds = generate_dataset(small_cfg(missing_rate=0.4))
+    data = Dataset.from_samples(ds)
+    assert len(data) == len(ds) and np.isnan(data.feat_b[~data.paired]).all()
+    for before, after in zip(ds, data.samples()):
+        assert (before.id, before.label, before.paired) == (after.id, after.label, after.paired)
+        assert np.array_equal(before.feat_a, after.feat_a)
+        assert after.feat_b is None or np.array_equal(before.feat_b, after.feat_b)
+    back = pickle.loads(pickle.dumps(data))
+    assert back == data
+    assert back != replace(data, paired=np.ones(len(data), dtype=bool))
+    for obj in (data, back):
+        for column in (obj.ids, obj.labels, obj.feat_a, obj.feat_b, obj.paired):
+            assert not column.flags.writeable
+    owned = np.arange(3)
+    Dataset(ids=owned, labels=owned, feat_a=np.zeros((3, 1)), feat_b=np.zeros((3, 1)),
+            paired=np.ones(3, dtype=bool))
+    assert owned.flags.writeable  # the caller's array is not frozen, only the view
+    with pytest.raises(ShapeError):
+        Dataset(ids=owned, labels=owned[:2], feat_a=np.zeros((3, 1)),
+                feat_b=np.zeros((3, 1)), paired=np.ones(3, dtype=bool))
