@@ -189,9 +189,9 @@ def prepare_pools(data, rows) -> tuple[SamplePool, SamplePool]:
         rows = np.asarray(rows, dtype=np.int64)
         is_paired = data.paired[rows]
         paired_rows, unpaired_rows = rows[is_paired], rows[~is_paired]
-    else:
-        paired_samples = list(data)
-        data = Dataset.from_samples(paired_samples + list(rows))
+    else:  # the sample API: (paired Samples, unpaired Samples)
+        paired_samples, unpaired_samples = list(data), list(rows)
+        data = Dataset.from_samples(paired_samples + unpaired_samples)
         paired_rows = np.arange(len(paired_samples))
         unpaired_rows = np.arange(len(paired_samples), len(data))
     paired = SamplePool(data, paired=True, rows=paired_rows)

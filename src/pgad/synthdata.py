@@ -100,15 +100,14 @@ class Dataset:
     def from_samples(cls, samples: Sequence[Sample]) -> "Dataset":
         """The columns of `samples`, in their order; unobserved `feat_b` rows are NaN."""
         samples = list(samples)
-        dim_a = samples[0].feat_a.shape[0] if samples else 0
-        dim_b = next((s.feat_b.shape[0] for s in samples if s.paired), 0)
-        missing = np.full(dim_b, np.nan)
+        missing = np.full(next((s.feat_b.shape[0] for s in samples if s.paired), 0), np.nan)
+        empty = np.empty((0, 0))
         return cls(
             ids=np.array([s.id for s in samples], dtype=np.int64),
             labels=np.array([s.label for s in samples], dtype=np.int64),
-            feat_a=np.stack([s.feat_a for s in samples]) if samples else np.empty((0, dim_a)),
+            feat_a=np.stack([s.feat_a for s in samples]) if samples else empty,
             feat_b=(np.stack([s.feat_b if s.paired else missing for s in samples])
-                    if samples else np.empty((0, dim_b))),
+                    if samples else empty),
             paired=np.array([s.paired for s in samples], dtype=bool),
         )
 
