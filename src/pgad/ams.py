@@ -18,16 +18,17 @@ prepare_pools takes a fit's training set as a synthdata.Dataset and the
 rows to train on, validates it once and returns it as two SamplePools of
 id-sorted, read-only columns gathered by row index: the genuine pairs, and
 the modality-A-only recipients, which have no modality-B column.  Each
-step's build_batch call draws ids from them and the trainer gathers their
-rows.  Lists of Samples are converted to a Dataset first, so the sample API
-runs the same checks.
+step's build_batch call draws a plan from them that names the batch by
+ids and carries the rows it drew (BatchPlan.rows), so the trainer gathers
+the batch without looking the ids up again.  Lists of Samples are
+converted to a Dataset first, so the sample API runs the same checks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
@@ -59,10 +60,29 @@ class BatchPlan:
     pseudo: tuple  # (recipient modality-A id, donor id, shared class) triples
     unpaired_student_only: tuple
     shortfall: int = 0
+    # (paired pool, unpaired pool, paired rows, unpaired rows) of the draw that
+    # made this plan; not an init field, so dataclasses.replace drops it.
+    _drawn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.genuine) + len(self.pseudo)
+
+    def rows(
+        self, paired_pool: "SamplePool", unpaired_pool: "SamplePool"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices of the batch: (paired-pool rows of the genuine pairs
+        then of the donors, unpaired-pool rows of the recipients).
+
+        A plan build_batch drew from these very pools carries its rows; any
+        other plan has its ids looked up, and an id a pool does not hold
+        raises ProtocolError.
+        """
+        drawn = self._drawn
+        if drawn is not None and drawn[0] is paired_pool and drawn[1] is unpaired_pool:
+            return drawn[2], drawn[3]
+        return (paired_pool.rows((*self.genuine, *(p[1] for p in self.pseudo))),
+                unpaired_pool.rows([p[0] for p in self.pseudo]))
 
 
 def sampling_ratio(mode: str, theta: float, fixed_ratio: float) -> float:
@@ -235,20 +255,26 @@ def build_batch(
     order = rng.permutation(len(paired_pool))
 
     remainder = batch_size - n_genuine
-    pseudo = []
+    recipient_rows = donor_rows = classes = np.empty(0, dtype=np.int64)
     if remainder > 0 and len(unpaired_pool):
         recipients = rng.permutation(len(unpaired_pool))
-        pseudo = _pseudo_pairs(paired_pool, unpaired_pool, order, recipients, remainder)
+        recipient_rows, donor_rows, classes = _pseudo_pairs(
+            paired_pool, unpaired_pool, order, recipients, remainder
+        )
 
     # Unused genuine pairs, in draw order, top up what pseudo-pairs left open.
-    genuine = paired_pool.ids[order[: max(n_genuine, batch_size - len(pseudo))]].tolist()
-    shortfall = batch_size - len(genuine) - len(pseudo)
-    return BatchPlan(
-        genuine=tuple(genuine),
-        pseudo=tuple(pseudo),
-        unpaired_student_only=tuple(p[0] for p in pseudo),
-        shortfall=shortfall,
+    genuine_rows = order[: max(n_genuine, batch_size - len(recipient_rows))]
+    recipient_ids = tuple(unpaired_pool.ids[recipient_rows].tolist())
+    plan = BatchPlan(
+        genuine=tuple(paired_pool.ids[genuine_rows].tolist()),
+        pseudo=tuple(zip(recipient_ids, paired_pool.ids[donor_rows].tolist(), classes.tolist())),
+        unpaired_student_only=recipient_ids,
+        shortfall=batch_size - len(genuine_rows) - len(recipient_rows),
     )
+    paired_rows = np.concatenate((genuine_rows, donor_rows))
+    paired_rows.flags.writeable = recipient_rows.flags.writeable = False
+    object.__setattr__(plan, "_drawn", (paired_pool, unpaired_pool, paired_rows, recipient_rows))
+    return plan
 
 
 def _pseudo_pairs(
@@ -257,8 +283,8 @@ def _pseudo_pairs(
     order: np.ndarray,
     recipients: np.ndarray,
     remainder: int,
-) -> list:
-    """(recipient id, donor id, class) triples for one batch.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(recipient rows, donor rows, classes) of the pseudo-pairs of one batch.
 
     Recipients are taken in draw order.  Each class hands out its donors in
     reverse paired draw order, one per recipient, so a recipient of
@@ -274,8 +300,8 @@ def _pseudo_pairs(
         served = np.zeros(len(labels), dtype=bool)
         for c in unpaired_pool.class_counts:
             is_c = labels == c
-            served |= is_c & (np.cumsum(is_c) <= donor_counts[c])
-        chosen = np.flatnonzero(served)[:remainder]
+            served |= is_c & (is_c.cumsum() <= donor_counts[c])
+        chosen = served.nonzero()[0][:remainder]
         if len(chosen) == remainder or n >= len(recipients):
             break
         n *= 2
@@ -284,23 +310,21 @@ def _pseudo_pairs(
     # The served recipients of a class have ranks 0, 1, ..., so they take
     # that class's first donors in reverse draw order, in recipient order.
     reverse = order[::-1]
-    needed = {c: int((labels == c).sum()) for c in set(labels.tolist())}
-    m = len(chosen)
-    while True:
-        window = reverse[:m]
-        window_labels = paired_pool.labels[window]
-        class_donors = {c: window[window_labels == c][:k] for c, k in needed.items()}
-        if all(len(class_donors[c]) == k for c, k in needed.items()):
-            break
-        m *= 2
     donors = np.empty(len(chosen), dtype=np.int64)
-    for c, found in class_donors.items():
-        donors[labels == c] = found
-    return list(zip(
-        unpaired_pool.ids[recipients[chosen]].tolist(),
-        paired_pool.ids[donors].tolist(),
-        labels.tolist(),
-    ))
+    for c in unpaired_pool.class_counts:
+        is_c = labels == c
+        k = int(np.count_nonzero(is_c))
+        if not k:
+            continue
+        m = 2 * k * len(reverse) // donor_counts[c]  # twice the expected scan
+        while True:
+            window = reverse[:m]
+            found = window[paired_pool.labels[window] == c][:k]
+            if len(found) == k or m >= len(reverse):
+                break
+            m *= 2
+        donors[is_c] = found
+    return recipients[chosen], donors, labels
 
 
 def theta_gradient(theta: float, loss_paired: float, loss_pseudo: float) -> float:

@@ -16,6 +16,10 @@ Gradient conventions:
   proto_loss  -> gradient wrt the unpaired features; the nearest-prototype
                  assignment is piecewise constant, so no gradient flows
                  through the argmin and prototypes themselves are constants
+
+Means are np.add.reduce(x) / n and row norms sqrt(add.reduce(x * x, axis=1)):
+that is how ndarray.mean and np.linalg.norm compute them in NumPy 2.x, so
+the values are bit for bit the same, without the wrappers' per-call cost.
 """
 
 from __future__ import annotations
@@ -69,22 +73,31 @@ class LossReport:
 
     def recombine(self, weights: LossWeights) -> float:
         """The exact expression total_loss uses; == self.total must hold."""
-        return (
-            weights.tea * self.l_tea
-            + weights.stu * self.l_stu
-            + weights.kl * self.l_kl
-            + weights.pair * self.l_pair
-            + weights.proto * self.l_proto
-        )
+        return _weighted_sum(self.l_tea, self.l_stu, self.l_kl, self.l_pair, self.l_proto,
+                             weights)
+
+
+def _weighted_sum(l_tea, l_stu, l_kl, l_pair, l_proto, weights: LossWeights) -> float:
+    return (
+        weights.tea * l_tea
+        + weights.stu * l_stu
+        + weights.kl * l_kl
+        + weights.pair * l_pair
+        + weights.proto * l_proto
+    )
+
+
+def _shifted_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row max, z minus it, log of the row sums of exp of that), all keepdims."""
+    top = np.maximum.reduce(z, axis=1, keepdims=True)
+    shifted = z - top
+    return top, shifted, np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
+    _, shifted, log_sum = _shifted_lse(z)
+    shifted -= log_sum
+    return shifted
 
 
 def ce_loss(logits: np.ndarray, labels):
@@ -104,13 +117,13 @@ def ce_loss(logits: np.ndarray, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ShapeError(f"expected {n} labels, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise LabelError(f"labels must lie in [0, {c})")
 
     logp = _log_softmax(logits)
     rows = np.arange(n)
     nll = -logp[rows, labels]
-    grad = np.exp(logp)
+    grad = np.exp(logp, out=logp)
     grad[rows, labels] -= 1.0
     return nll, grad
 
@@ -137,8 +150,8 @@ def kd_loss(
     log_ps = _log_softmax(s / temperature)
     log_pt = _log_softmax(t / temperature)
     pt = np.exp(log_pt)
-    kl_per_sample = (pt * (log_pt - log_ps)).sum(axis=1)
-    value = max(float(temperature**2 * kl_per_sample.mean()), 0.0)
+    kl_per_sample = np.add.reduce(pt * (log_pt - log_ps), axis=1)
+    value = max(float(temperature**2 * (np.add.reduce(kl_per_sample) / n)), 0.0)
     grad = temperature * (np.exp(log_ps) - pt) / n
     return value, grad
 
@@ -155,9 +168,9 @@ def similarity_matrix(feats_a: np.ndarray, feats_b: np.ndarray, temperature: flo
     b = np.asarray(feats_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"expected (N_a, H) and (N_b, H), got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if (na < 1e-12).any() or (nb < 1e-12).any():
+    na = np.sqrt(np.add.reduce(a * a, axis=1))
+    nb = np.sqrt(np.add.reduce(b * b, axis=1))
+    if np.logical_or.reduce(na < 1e-12) or np.logical_or.reduce(nb < 1e-12):
         raise DegenerateInputError("cosine similarity is undefined for a zero vector")
     a_hat = a / na[:, None]
     b_hat = b / nb[:, None]
@@ -169,8 +182,8 @@ def similarity_matrix(feats_a: np.ndarray, feats_b: np.ndarray, temperature: flo
             raise ShapeError(f"expected upstream grad of shape {sims.shape}, got {d_sims.shape}")
         d_a_hat = (d_sims @ b_hat) / temperature
         d_b_hat = (d_sims.T @ a_hat) / temperature
-        d_a = (d_a_hat - (d_a_hat * a_hat).sum(axis=1, keepdims=True) * a_hat) / na[:, None]
-        d_b = (d_b_hat - (d_b_hat * b_hat).sum(axis=1, keepdims=True) * b_hat) / nb[:, None]
+        d_a = (d_a_hat - np.add.reduce(d_a_hat * a_hat, axis=1, keepdims=True) * a_hat) / na[:, None]
+        d_b = (d_b_hat - np.add.reduce(d_b_hat * b_hat, axis=1, keepdims=True) * b_hat) / nb[:, None]
         return d_a, d_b
 
     return sims, vjp
@@ -191,13 +204,15 @@ def pair_loss(sim_matrix: np.ndarray) -> tuple[float, np.ndarray]:
     if n_b < n_a:
         raise ShapeError(f"row i pairs with column i, but {sims.shape} has fewer columns than rows")
 
-    shifted = sims - sims.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + sims.max(axis=1)
+    top, shifted, log_sum = _shifted_lse(sims)
+    lse = log_sum[:, 0] + top[:, 0]
     rows = np.arange(n_a)
-    value = float((lse - sims[rows, rows]).mean())
-    grad = _softmax(sims)
+    value = float(np.add.reduce(lse - sims[rows, rows]) / n_a)
+    shifted -= log_sum
+    grad = np.exp(shifted, out=shifted)  # the row softmax
     grad[rows, rows] -= 1.0
-    return value, grad / n_a
+    grad /= n_a
+    return value, grad
 
 
 def proto_loss(
@@ -220,7 +235,7 @@ def proto_loss(
         return 0.0, np.zeros_like(feats), True
     if feats.shape[1] != protos.dim:
         raise ShapeError(f"feature dim {feats.shape[1]} != prototype dim {protos.dim}")
-    if not protos.usable().any():
+    if np.logical_and.reduce(protos.stale):
         raise ProtocolError("no usable prototype: every class is stale")
 
     if assignment == "nearest":
@@ -231,9 +246,9 @@ def proto_loss(
         idx = np.asarray(labels, dtype=np.int64)
         if idx.shape != (feats.shape[0],):
             raise ShapeError(f"expected {feats.shape[0]} labels, got shape {idx.shape}")
-        if idx.min() < 0 or idx.max() >= protos.num_classes:
+        if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= protos.num_classes:
             raise LabelError(f"labels must lie in [0, {protos.num_classes})")
-        if protos.stale[idx].any():
+        if np.logical_or.reduce(protos.stale[idx]):
             bad = int(idx[protos.stale[idx]][0])
             raise ProtocolError(f"class {bad} has no usable prototype")
     else:
@@ -241,7 +256,7 @@ def proto_loss(
 
     diff = feats - protos.values[idx]
     n = feats.shape[0]
-    value = float((diff**2).sum(axis=1).mean())
+    value = float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / n)
     return value, 2.0 * diff / n, False
 
 
@@ -261,22 +276,8 @@ def total_loss(
             raise NumericHealthError(f"loss term {name} is not finite: {term}")
         if term < 0.0:
             raise NumericHealthError(f"loss term {name} is negative: {term}")
-    report = LossReport(
-        l_tea=float(l_tea),
-        l_stu=float(l_stu),
-        l_kl=float(l_kl),
-        l_pair=float(l_pair),
-        l_proto=float(l_proto),
-        total=0.0,
-    )
-    total = report.recombine(weights)
+    terms = tuple(float(term) for term in terms)
+    total = _weighted_sum(*terms, weights)
     if not math.isfinite(total):
         raise NumericHealthError(f"total loss is not finite: {total}")
-    return LossReport(
-        l_tea=report.l_tea,
-        l_stu=report.l_stu,
-        l_kl=report.l_kl,
-        l_pair=report.l_pair,
-        l_proto=report.l_proto,
-        total=total,
-    )
+    return LossReport(*terms, total=total)

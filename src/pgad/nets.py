@@ -6,19 +6,26 @@ trainable parameters as one flat vector in a fixed documented order
 row-major order, then bias), so optimizers and finite-difference checks
 can treat a network as a single point in R^n.
 
-The parameters live in that order in flat float64 buffers: every Mlp
-weight and bias is a C-contiguous view into its net's buffer, and
-set_params writes the buffer in place, so the views stay bound.
-bind_joint_params moves a teacher and a student into one buffer laid out
-as [teacher | student | theta]; an in-place optimizer step on that buffer
-is then the update of both nets.
+The parameters live in that order in flat float64 buffers, and the
+gradients in a second buffer of the same layout: every Mlp weight and
+bias, and its gradient, is a C-contiguous view into its buffer.  A
+TeacherNet or StudentNet binds its parts to one pair of buffers when it is
+built, so `net.grad` is the whole net's gradient without a copy.
+set_params writes the parameter buffer in place, so the views stay bound.
+bind_joint_params moves a teacher and a student into one pair of buffers
+laid out as [teacher | student | theta]; an in-place optimizer step on the
+parameter buffer is then the update of both nets, and the backward chains
+below fill the gradient buffer (joint_grad) without a concatenation.
 
 Each network has one forward and one backward chain here, and the
 trainer calls them: teacher_features (encoders and fusion),
 teacher_forward (those plus the head), teacher_backward, student_forward
-and student_backward.  A backward function returns the net's flat
-gradient in get_params order, so the gradient layout lives in this
-module only.  Inputs are 2-d batches.
+and student_backward.  Mlp.backward writes the layer gradients into the
+net's gradient views (np.matmul and np.add.reduce with out=, the same
+reductions `@` and ndarray.sum run, so the bits do not change) and returns
+the gradient with respect to its input; a backward chain returns the net's
+gradient buffer, which the next backward overwrites.  Inputs are 2-d
+batches.
 
 Backward passes consume a single-slot cache written by the most recent
 forward pass.  Calling backward twice, or before any forward, raises
@@ -69,21 +76,51 @@ class MlpSpec:
         return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _activate_in_place(name: str, z: np.ndarray) -> None:
+    """Apply the activation to `z` in place."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
 
 
-def _act_grad(name: str, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation, from its output `a`."""
+def _times_act_grad(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """delta times the activation's derivative, taken from its output `a`, as a new array."""
     if name == "relu":
-        return (a > 0.0).astype(np.float64)
-    return 1.0 - a * a
+        return delta * (a > 0.0).astype(np.float64)
+    out = a * a
+    np.subtract(1.0, out, out=out)
+    return np.multiply(delta, out, out=out)
+
+
+def _layer_views(flat: np.ndarray, widths) -> tuple[list, list]:
+    """Per-layer (weights, biases) views into a flat vector in parameter order."""
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+def _check_buffer(buffer: np.ndarray, n: int) -> None:
+    if (buffer.dtype != np.float64 or buffer.shape != (n,)
+            or not buffer.flags.c_contiguous):
+        raise ShapeError(
+            f"expected a C-contiguous float64 buffer of length {n}, "
+            f"got {buffer.dtype} {buffer.shape}"
+        )
 
 
 class Mlp:
-    """Fully connected net; the final layer is affine (no activation)."""
+    """Fully connected net; the final layer is affine (no activation).
+
+    `weights` and `biases` are views into the flat parameter vector, and
+    `grad` is the flat gradient of the last backward pass in the same
+    layout.
+    """
 
     def __init__(self, spec: MlpSpec, seed: int):
         spec.validate()
@@ -95,42 +132,30 @@ class Mlp:
             s = 1.0 / math.sqrt(fan_in)
             draws.append(rng.uniform(-s, s, size=(fan_out, fan_in)).ravel())
             draws.append(rng.uniform(-s, s, size=(fan_out,)))
-        self._flat = np.concatenate(draws)
-        self._bind_views()
+        self._bind_views(np.concatenate(draws), np.zeros(spec.param_count))
         self._cache: Optional[list] = None
 
-    def _bind_views(self) -> None:
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        offset = 0
-        widths = self.spec.layer_widths
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            self.weights.append(self._flat[offset : offset + fan_out * fan_in]
-                                .reshape(fan_out, fan_in))
-            offset += fan_out * fan_in
-            self.biases.append(self._flat[offset : offset + fan_out])
-            offset += fan_out
+    def _bind_views(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        self._flat, self.grad = flat, grad
+        self.weights, self.biases = _layer_views(flat, self.spec.layer_widths)
+        self._grad_weights, self._grad_biases = _layer_views(grad, self.spec.layer_widths)
 
     @property
     def param_count(self) -> int:
         return self._flat.size
 
-    def bind(self, buffer: np.ndarray) -> None:
-        """Copy the parameters into `buffer` and keep them there from now on.
+    def bind(self, buffer: np.ndarray, grad: np.ndarray) -> None:
+        """Move the parameters into `buffer` and the gradient into `grad`.
 
-        `buffer` is a C-contiguous float64 vector of length param_count,
-        usually a slice of a larger buffer; every weight and bias becomes a
-        view into it.
+        Both are C-contiguous float64 vectors of length param_count, usually
+        slices of larger buffers; the current values are copied in, and
+        every weight and bias (and its gradient) becomes a view into them.
         """
-        if (buffer.dtype != np.float64 or buffer.shape != (self.param_count,)
-                or not buffer.flags.c_contiguous):
-            raise ShapeError(
-                f"expected a C-contiguous float64 buffer of length {self.param_count}, "
-                f"got {buffer.dtype} {buffer.shape}"
-            )
+        _check_buffer(buffer, self.param_count)
+        _check_buffer(grad, self.param_count)
         buffer[...] = self._flat
-        self._flat = buffer
-        self._bind_views()
+        grad[...] = self.grad
+        self._bind_views(buffer, grad)
 
     def get_params(self) -> np.ndarray:
         return self._flat.copy()
@@ -148,19 +173,23 @@ class Mlp:
         if x.shape[1] != self.spec.in_dim:
             raise ShapeError(f"expected input dim {self.spec.in_dim}, got {x.shape[1]}")
         acts = [x]
-        n_layers = len(self.weights)
+        last = len(self.weights) - 1
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            h = z if i == n_layers - 1 else _act(self.spec.activation, z)
+            h = h @ w.T
+            h += b
+            if i != last:
+                _activate_in_place(self.spec.activation, h)
             acts.append(h)
         self._cache = acts
         return h
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (flat parameter gradient, gradient wrt the forward input).
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Write the parameter gradient into `grad`; return the gradient wrt the input.
 
-        Consumes the cache from the most recent forward pass.
+        Consumes the cache from the most recent forward pass.  With
+        input_grad=False the input gradient is not computed and None is
+        returned.
         """
         if self._cache is None:
             raise UsageError("backward called without a pending forward pass")
@@ -169,35 +198,34 @@ class Mlp:
         if grad_out.shape != acts[-1].shape:
             raise ShapeError(f"expected upstream grad of shape {acts[-1].shape}, got {grad_out.shape}")
 
-        n_layers = len(self.weights)
-        grads_w = [None] * n_layers
-        grads_b = [None] * n_layers
+        last = len(self.weights) - 1
         delta = grad_out
-        for i in range(n_layers - 1, -1, -1):
-            if i != n_layers - 1:
-                delta = delta * _act_grad(self.spec.activation, acts[i + 1])
-            grads_w[i] = delta.T @ acts[i]
-            grads_b[i] = delta.sum(axis=0)
+        for i in range(last, -1, -1):
+            if i != last:
+                delta = _times_act_grad(self.spec.activation, delta, acts[i + 1])
+            np.matmul(delta.T, acts[i], out=self._grad_weights[i])
+            np.add.reduce(delta, axis=0, out=self._grad_biases[i])
+            if i == 0 and not input_grad:
+                return None
             delta = delta @ self.weights[i]
-
-        chunks = []
-        for gw, gb in zip(grads_w, grads_b):
-            chunks.append(gw.ravel())
-            chunks.append(gb.ravel())
-        return np.concatenate(chunks), delta
+        return delta
 
 
 class _Net:
     """Parameter plumbing shared by TeacherNet and StudentNet.
 
     `_parts` holds the sub-nets in get_params order: an encoder whose
-    output width is the feature dim first, the head last.  Each subclass
-    binds get_params and set_params in its own class body, so the two
-    classes keep separate entries that can be replaced one at a time
-    (the benchmark's tracer times them per class).
+    output width is the feature dim first, the head last.  The parts are
+    bound to one parameter buffer `_flat` and one gradient buffer `grad`
+    of the whole net (_bind_parts).  Each subclass binds get_params and
+    set_params in its own class body, so the two classes keep separate
+    entries that can be replaced one at a time (the benchmark's tracer
+    times them per class).
     """
 
     _parts: tuple
+    _flat: np.ndarray
+    grad: np.ndarray
 
     @property
     def feat_dim(self) -> int:
@@ -211,19 +239,25 @@ class _Net:
     def param_count(self) -> int:
         return sum(p.param_count for p in self._parts)
 
+    def _bind_parts(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Move every part's parameters and gradient into `flat` and `grad`, in order."""
+        offset = 0
+        for p in self._parts:
+            n = p.param_count
+            p.bind(flat[offset : offset + n], grad[offset : offset + n])
+            offset += n
+        self._flat, self.grad = flat, grad
+
 
 def _get_params(net: _Net) -> np.ndarray:
-    return np.concatenate([p._flat for p in net._parts])
+    return net._flat.copy()
 
 
 def _set_params(net: _Net, flat: np.ndarray) -> None:
     flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != (net.param_count,):
         raise ShapeError(f"expected flat vector of length {net.param_count}, got {flat.shape}")
-    offset = 0
-    for p in net._parts:
-        p.set_params(flat[offset : offset + p.param_count])
-        offset += p.param_count
+    net._flat[...] = flat
 
 
 class TeacherNet(_Net):
@@ -248,6 +282,7 @@ class TeacherNet(_Net):
         self.fusion = fusion
         self.head = head
         self._parts = (enc_a, enc_b, fusion, head)
+        self._bind_parts(np.empty(self.param_count), np.zeros(self.param_count))
 
     @classmethod
     def create(
@@ -280,6 +315,7 @@ class StudentNet(_Net):
         self.enc_a = enc_a
         self.head = head
         self._parts = (enc_a, head)
+        self._bind_parts(np.empty(self.param_count), np.zeros(self.param_count))
 
     @classmethod
     def create(
@@ -317,19 +353,23 @@ def teacher_forward(
     return h_b, fused, net.head.forward(fused)
 
 
-def teacher_backward(net: TeacherNet, d_logits: np.ndarray, d_h_b: np.ndarray) -> np.ndarray:
-    """Flat gradient, in get_params order, through the last teacher_forward.
+def teacher_backward(
+    net: TeacherNet, d_logits: np.ndarray, d_h_b: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Gradient, in get_params order, through the last teacher_forward.
 
     d_logits and d_h_b are the upstream gradients of its logits and of its
-    modality-B embeddings; the fused features reach a loss only through
-    the head.
+    modality-B embeddings (None: zero); the fused features reach a loss
+    only through the head.  Returns `net.grad`, which the next backward
+    overwrites.
     """
-    g_head, d_fused = net.head.backward(d_logits)
-    g_fusion, d_concat = net.fusion.backward(d_fused)
+    d_fused = net.head.backward(d_logits)
+    d_concat = net.fusion.backward(d_fused)
     feat = net.feat_dim
-    g_enc_a, _ = net.enc_a.backward(d_concat[:, :feat])
-    g_enc_b, _ = net.enc_b.backward(d_concat[:, feat:] + d_h_b)
-    return np.concatenate([g_enc_a, g_enc_b, g_fusion, g_head])
+    net.enc_a.backward(d_concat[:, :feat], input_grad=False)
+    d_b = d_concat[:, feat:]
+    net.enc_b.backward(d_b if d_h_b is None else d_b + d_h_b, input_grad=False)
+    return net.grad
 
 
 def student_forward(net: StudentNet, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,30 +378,33 @@ def student_forward(net: StudentNet, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     return feat, net.head.forward(feat)
 
 
-def student_backward(net: StudentNet, d_logits: np.ndarray, d_feat: np.ndarray) -> np.ndarray:
-    """Flat gradient, in get_params order, through the last student_forward.
+def student_backward(
+    net: StudentNet, d_logits: np.ndarray, d_feat: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Gradient, in get_params order, through the last student_forward.
 
     d_logits and d_feat are the upstream gradients of its logits and of
-    its features.
+    its features (None: zero).  Returns `net.grad`, which the next backward
+    overwrites.
     """
-    g_head, d_feat_head = net.head.backward(d_logits)
-    g_enc, _ = net.enc_a.backward(d_feat_head + d_feat)
-    return np.concatenate([g_enc, g_head])
+    d_head = net.head.backward(d_logits)
+    net.enc_a.backward(d_head if d_feat is None else d_head + d_feat, input_grad=False)
+    return net.grad
 
 
 def bind_joint_params(teacher: TeacherNet, student: StudentNet, theta: float) -> np.ndarray:
     """One flat float64 buffer [teacher | student | theta] that both nets live in.
 
-    Copies the nets' current parameters into a new buffer and binds every
-    weight and bias of both nets to it (see Mlp.bind), so writing the buffer
-    in place updates the nets.  The last entry holds `theta`.
+    Copies the nets' current parameters into a new buffer and binds both
+    nets to it (see Mlp.bind), so writing the buffer in place updates the
+    nets.  The last entry holds `theta`.  The nets' gradients move into a
+    second buffer of the same layout, which joint_grad returns.
     """
-    parts = teacher._parts + student._parts
-    buffer = np.empty(sum(p.param_count for p in parts) + 1)
-    offset = 0
-    for p in parts:
-        p.bind(buffer[offset : offset + p.param_count])
-        offset += p.param_count
+    n_t, n_s = teacher.param_count, student.param_count
+    buffer = np.empty(n_t + n_s + 1)
+    grad = np.zeros(n_t + n_s + 1)
+    teacher._bind_parts(buffer[:n_t], grad[:n_t])
+    student._bind_parts(buffer[n_t:-1], grad[n_t:-1])
     buffer[-1] = theta
     return buffer
 
@@ -369,6 +412,14 @@ def bind_joint_params(teacher: TeacherNet, student: StudentNet, theta: float) ->
 def bound_to(buffer: np.ndarray, *nets) -> bool:
     """Whether every part of the given nets keeps its parameters in `buffer`."""
     return all(p._flat.base is buffer for net in nets for p in net._parts)
+
+
+def joint_grad(teacher: TeacherNet, student: StudentNet) -> Optional[np.ndarray]:
+    """The [teacher | student | theta] gradient buffer of the last
+    bind_joint_params(teacher, student, ...), or None if the two nets are
+    not bound together."""
+    grad = teacher.grad.base
+    return grad if grad is not None and student.grad.base is grad else None
 
 
 _NET_KINDS = {"teacher": TeacherNet, "student": StudentNet}

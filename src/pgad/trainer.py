@@ -8,7 +8,14 @@ student params | theta].
 The networks' forward and backward chains, and the layout of their
 gradients, live in nets (teacher_features, teacher_forward,
 teacher_backward, student_forward, student_backward); this module only
-calls them.
+calls them.  The chains write into the gradient buffer that
+bind_joint_params lays out like the parameter buffer, so step_gradients
+returns that buffer with theta's entry filled in and concatenates nothing;
+adam_update works in place in scratch arrays kept on its AdamState.  Batch
+and subset means are np.add.reduce(x) / n and the global norm is
+sqrt(g @ g): those are the expressions ndarray.mean and np.linalg.norm
+evaluate in NumPy 2.x, so every value keeps its bits without the wrappers'
+per-call cost.
 
 fit prepares everything a step reads once, before the first step: the
 training set as the pool pair from ams.prepare_pools (or takes that pair
@@ -85,6 +92,7 @@ from .nets import (
     TeacherNet,
     bind_joint_params,
     bound_to,
+    joint_grad,
     student_backward,
     student_forward,
     teacher_backward,
@@ -161,10 +169,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0)
+        return cls(m=np.zeros(n), v=np.zeros(n), t=0, scratch=np.empty((2, n)))
 
 
 @dataclass(frozen=True)
@@ -212,8 +221,9 @@ def adam_update(
 ) -> None:
     """One Adam step with decoupled weight decay, in place.
 
-    Updates `params`, `state.m`, `state.v` and `state.t`.  decay_mask zeroes
-    the decay term for selected entries (theta).
+    Updates `params`, `state.m`, `state.v` and `state.t`, and works in
+    `state.scratch`, so a step allocates nothing.  decay_mask zeroes the
+    decay term for selected entries (theta).
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise ShapeError("params must be a float64 array, updated in place")
@@ -222,14 +232,25 @@ def adam_update(
         raise ShapeError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
+    if state.scratch is None or state.scratch.shape != (2,) + params.shape:
+        state.scratch = np.empty((2,) + params.shape)
+    step_vec, tmp = state.scratch
     t = state.t + 1
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
+    state.m += np.multiply(1.0 - ADAM_BETA1, grads, out=tmp)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grads * grads
-    step_vec = state.m / (1.0 - ADAM_BETA1**t)
-    step_vec /= np.sqrt(state.v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
-    step_vec += weight_decay * (params if decay_mask is None else params * decay_mask)
+    np.multiply(1.0 - ADAM_BETA2, grads, out=tmp)
+    state.v += np.multiply(tmp, grads, out=tmp)
+    np.divide(state.m, 1.0 - ADAM_BETA1**t, out=step_vec)
+    np.divide(state.v, 1.0 - ADAM_BETA2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step_vec /= tmp
+    if decay_mask is None:
+        step_vec += np.multiply(weight_decay, params, out=tmp)
+    else:
+        np.multiply(params, decay_mask, out=tmp)
+        step_vec += np.multiply(weight_decay, tmp, out=tmp)
     step_vec *= lr
     params -= step_vec
     state.t = t
@@ -245,7 +266,15 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 
 
 def clip_global_norm(grads: np.ndarray, max_norm: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grads))
+    """`grads` itself if its global norm is at most max_norm, else a rescaled copy.
+
+    A non-finite norm raises NumericHealthError, so no update is made from
+    it.  (The benchmark's tracer counts clipped steps by the identity of
+    the result.)
+    """
+    norm = math.sqrt(grads @ grads)  # np.linalg.norm's own expression
+    if not math.isfinite(norm):
+        raise NumericHealthError("gradient norm is not finite")
     if norm > max_norm:
         return grads * (max_norm / norm)
     return grads
@@ -276,8 +305,11 @@ def step_gradients(
     without a second teacher forward.  Runs its own forward passes,
     so it is self-contained and safe to call for gradient checking.  The
     gradient is nets.teacher_backward's, then nets.student_backward's,
-    then theta's; a non-finite or negative term raises NumericHealthError
-    from losses.total_loss.
+    then theta's.  For nets bound together by nets.bind_joint_params it is
+    their joint gradient buffer (nets.joint_grad), written in place: the
+    next call returns the same array with new values, so copy it to keep
+    it.  Other nets get a new array.  A non-finite or negative term raises
+    NumericHealthError from losses.total_loss.
     """
     w = cfg.loss_weights
     n_g, n_p = len(plan.genuine), len(plan.pseudo)
@@ -286,9 +318,8 @@ def step_gradients(
 
     # Rows: genuine pairs, then recipients (modality A) or donors (modality B).
     paired, unpaired = pools
-    pseudo = np.array(plan.pseudo, dtype=np.int64).reshape(n_p, 3)
-    b_rows = paired.rows(np.concatenate((plan.genuine, pseudo[:, 1])))
-    g_rows, r_rows = b_rows[:n_g], unpaired.rows(pseudo[:, 0])
+    b_rows, r_rows = plan.rows(paired, unpaired)
+    g_rows = b_rows[:n_g]
     labels = np.concatenate((paired.labels[g_rows], unpaired.labels[r_rows]))
     feats_a = np.concatenate((paired.feat_a[g_rows], unpaired.feat_a[r_rows]))
     feats_b = paired.feat_b[b_rows]
@@ -298,57 +329,72 @@ def step_gradients(
         effective_protos = effective_protos(fused[:n_g], labels[:n_g])
     feat_s, logits_s = student_forward(student, feats_a)
 
+    # Upstream gradients, each allocated only when a term feeds it.
     l_tea, l_stu, l_kl, l_pair, l_proto = 0.0, 0.0, 0.0, 0.0, 0.0
-    d_logits_t = np.zeros_like(logits_t)
-    d_logits_s = np.zeros_like(logits_s)
-    d_feat_s = np.zeros_like(feat_s)
-    d_h_b = np.zeros_like(h_b)
-
+    d_logits_t = d_logits_s = d_feat_s = d_h_b = None
     n = n_g + n_p
     if w.tea > 0.0:
-        nll_t, g = ce_loss(logits_t, labels)
-        l_tea = float(nll_t.mean())
-        d_logits_t += w.tea * (g / n)
+        nll_t, d_logits_t = ce_loss(logits_t, labels)
+        l_tea = float(np.add.reduce(nll_t) / n)
+        d_logits_t /= n
+        d_logits_t *= w.tea
     if w.stu > 0.0:
-        nll_s, g = ce_loss(logits_s, labels)
-        l_stu = float(nll_s.mean())
-        d_logits_s += w.stu * (g / n)
+        nll_s, d_logits_s = ce_loss(logits_s, labels)
+        l_stu = float(np.add.reduce(nll_s) / n)
+        d_logits_s /= n
+        d_logits_s *= w.stu
     if w.kl > 0.0:
         l_kl, g = kd_loss(logits_s[:n_g], logits_t[:n_g], cfg.kd_temperature)
-        d_logits_s[:n_g] += w.kl * g
+        if d_logits_s is None:
+            d_logits_s = np.zeros_like(logits_s)
+        g *= w.kl
+        d_logits_s[:n_g] += g
     if w.pair > 0.0:
         sims, vjp = similarity_matrix(feat_s[:n_g], h_b, cfg.sim_temperature)
         l_pair, d_sims = pair_loss(sims)
-        d_anchor, d_cand = vjp(d_sims)
-        d_feat_s[:n_g] += w.pair * d_anchor
-        d_h_b += w.pair * d_cand
+        d_anchor, d_h_b = vjp(d_sims)
+        d_feat_s = np.zeros_like(feat_s)
+        d_anchor *= w.pair
+        d_feat_s[:n_g] += d_anchor
+        d_h_b *= w.pair
     if w.proto > 0.0 and effective_protos is not None:
         l_proto, g, empty = proto_loss(
             feat_s[n_g:], effective_protos, cfg.proto_assignment, labels[n_g:]
         )
         if not empty:
-            d_feat_s[n_g:] += w.proto * g
+            if d_feat_s is None:
+                d_feat_s = np.zeros_like(feat_s)
+            g *= w.proto
+            d_feat_s[n_g:] += g
 
     report = total_loss(l_tea, l_stu, l_kl, l_pair, l_proto, w)
-    g_teacher = teacher_backward(teacher, d_logits_t, d_h_b)
-    g_student = student_backward(student, d_logits_s, d_feat_s)
+    g_teacher = teacher_backward(
+        teacher, np.zeros_like(logits_t) if d_logits_t is None else d_logits_t, d_h_b
+    )
+    g_student = student_backward(
+        student, np.zeros_like(logits_s) if d_logits_s is None else d_logits_s, d_feat_s
+    )
 
     g_theta = 0.0
     if cfg.ams_mode == "dynamic" and n_p > 0:
         loss_genuine = (
-            (w.tea * float(nll_t[:n_g].mean()) if w.tea > 0.0 else 0.0)
-            + (w.stu * float(nll_s[:n_g].mean()) if w.stu > 0.0 else 0.0)
+            (w.tea * float(np.add.reduce(nll_t[:n_g]) / n_g) if w.tea > 0.0 else 0.0)
+            + (w.stu * float(np.add.reduce(nll_s[:n_g]) / n_g) if w.stu > 0.0 else 0.0)
             + w.kl * l_kl
             + w.pair * l_pair
         )
         loss_pseudo = (
-            (w.tea * float(nll_t[n_g:].mean()) if w.tea > 0.0 else 0.0)
-            + (w.stu * float(nll_s[n_g:].mean()) if w.stu > 0.0 else 0.0)
+            (w.tea * float(np.add.reduce(nll_t[n_g:]) / n_p) if w.tea > 0.0 else 0.0)
+            + (w.stu * float(np.add.reduce(nll_s[n_g:]) / n_p) if w.stu > 0.0 else 0.0)
             + w.proto * l_proto
         )
         g_theta = theta_gradient(theta, loss_genuine, loss_pseudo)
 
-    return report, np.concatenate([g_teacher, g_student, [g_theta]])
+    grads = joint_grad(teacher, student)
+    if grads is None:
+        return report, np.concatenate((g_teacher, g_student, [g_theta]))
+    grads[-1] = g_theta
+    return report, grads
 
 
 def train_step(
@@ -369,7 +415,9 @@ def train_step(
     `params` is the buffer [teacher | student | theta] that both nets are
     bound to (nets.bind_joint_params); the step's Adam update writes it and
     `adam` in place, which updates the nets and theta (params[-1]); the
-    trace's ratio is the one at the updated theta.  `protos` is the running
+    trace's ratio is the one at the updated theta.  A gradient whose global
+    norm is not finite raises NumericHealthError before the update, so
+    `params` keeps the last finite values.  `protos` is the running
     set under the "paired" strategy and a fixed epoch-level set under "all".
     `decay_mask` keeps weight decay off theta; fit builds it once
     (_decay_mask), and None builds it for this call.
@@ -399,10 +447,10 @@ def train_step(
         report, grads = step_gradients(
             teacher, student, pools, plan, effective_protos, float(params[-1]), cfg
         )
+        grads = clip_global_norm(grads, cfg.grad_clip)
     except (NumericHealthError, ProtocolError) as exc:
         raise type(exc)(f"step {step}: {exc}") from exc
 
-    grads = clip_global_norm(grads, cfg.grad_clip)
     if decay_mask is None:
         decay_mask = _decay_mask(params.size)
     adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,6 +271,40 @@ def test_build_batch_prepared_pools_match_plain_lists_and_reference(
         assert by_id[rec].label == by_id[donor].label == label
     assert len(plan.genuine) + len(plan.pseudo) + plan.shortfall == batch_size
     assert plan.shortfall >= 0
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5, 0.9])
+def test_plan_rows_carried_from_the_draw_equal_the_id_lookup(rate):
+    """A plan keeps the rows it was drawn at for its own pools; other pools,
+    and a plan edited with dataclasses.replace, look the ids up."""
+    _, paired, unpaired = pools(rate, 20, 4)
+    prepped = prepare_pools(paired, unpaired)
+    for seed in range(20):
+        plan = build_batch(*prepped, 16, 0.5, seed)
+        carried = plan.rows(*prepped)
+        looked_up = replace(plan).rows(*prepped)
+        assert [r.dtype for r in carried] == [np.int64, np.int64]
+        for a, b in zip(carried, looked_up):
+            assert np.array_equal(a, b)
+        b_rows, r_rows = carried
+        donors = [p[1] for p in plan.pseudo]
+        assert prepped[0].ids[b_rows].tolist() == list(plan.genuine) + donors
+        assert prepped[1].ids[r_rows].tolist() == list(plan.unpaired_student_only)
+        assert replace(plan) == plan  # the carried rows take no part in equality
+
+        other = prepare_pools(paired, unpaired)  # equal pools, other objects
+        for a, b in zip(plan.rows(*other), carried):
+            assert np.array_equal(a, b)
+
+
+def test_an_edited_plan_drops_the_carried_rows():
+    _, paired, unpaired = pools(0.5, 20, 4)
+    prepped = prepare_pools(paired, unpaired)
+    plan = build_batch(*prepped, 16, 0.5, 0)
+    rec, _, cls = plan.pseudo[0]
+    bad = replace(plan, pseudo=((rec, rec, cls),) + plan.pseudo[1:])
+    with pytest.raises(ProtocolError, match=rf"ids not in the paired pool: \[{rec}\]"):
+        bad.rows(*prepped)
 
 
 def test_sample_pool_is_sorted_read_only_and_iterable():

@@ -47,6 +47,20 @@ def test_hooked_functions_keep_the_parameters_their_hooks_read(traced):
     assert {"paired_pool", "unpaired_pool", "batch_size", "seed"} <= set(params)
 
 
+def test_clip_global_norm_returns_its_input_iff_it_did_not_clip():
+    """bench's hook on clip_global_norm counts a clipped step as a call whose
+    result is not the `grads` object passed in."""
+    import numpy as np
+
+    from pgad import trainer
+
+    grads = np.array([3.0, 4.0])
+    assert trainer.clip_global_norm(grads, 5.0) is grads  # norm 5 is not above 5
+    assert trainer.clip_global_norm(grads, 10.0) is grads
+    clipped = trainer.clip_global_norm(grads, 1.0)
+    assert clipped is not grads and np.array_equal(grads, [3.0, 4.0])
+
+
 def test_run_one_takes_the_job_that_bench_wraps_and_pools_pickle(tmp_path):
     """bench/run.py wraps harness.run_one as `run_one(job)`, and a pool sends
     each job from _build_jobs to a worker by pickle."""
@@ -98,3 +112,37 @@ def test_traced_fit_runs_the_build_batch_hook(traced, tmp_path):
     assert failures == []
     assert metrics["ams.build_batch.calls"][0] > 0
     assert metrics["ams.batch_rows"][0] > 0
+
+
+def test_traced_paired_fit_counts_the_calls_of_one_step(traced, tmp_path):
+    """Per step of a "paired"-strategy fit the tracer sees six MLP forwards
+    (one teacher forward: four parts; one student forward: two) and six
+    backwards, two cross-entropies, one batch and one batch-prototype set."""
+    import pgad.cli  # noqa: F401
+    import tracing
+    from pgad import trainer
+    from pgad.nets import StudentNet, TeacherNet
+    from pgad.synthdata import DatasetConfig, generate_dataset
+
+    samples = generate_dataset(DatasetConfig(
+        num_classes=2, samples_per_class=16, dim_a=4, dim_b=4, class_separation=4.0,
+        noise_scale=1.0, missing_rate=0.5, seed=1,
+    ))
+    teacher = TeacherNet.create(4, 4, 2, feat_dim=3, hidden_width=4, seed=2)
+    student = StudentNet.create(4, 2, feat_dim=3, hidden_width=4, seed=3)
+    cfg = trainer.TrainConfig(epochs=2, batch_size=8, proto_strategy="paired")
+    tracer = tracing.Tracer(str(tmp_path))
+    tracer.install()
+    try:
+        result = trainer.fit(teacher, student, samples, cfg)
+        tracer.flush()
+    finally:
+        tracer.uninstall()
+    metrics, failures, _ = tracing.collect(str(tmp_path), jobs=1)
+    assert failures == []
+    steps = metrics["trainer.train_step.calls"][0]
+    assert steps == result.steps == 8
+    per_step = {"nets.Mlp.forward": 6, "nets.Mlp.backward": 6, "losses.ce_loss": 2,
+                "ams.build_batch": 1, "prototypes.compute_batch_prototypes": 1}
+    for name, count in per_step.items():
+        assert metrics[f"{name}.calls"][0] == count * steps, name

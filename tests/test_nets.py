@@ -16,6 +16,7 @@ from pgad.nets import (
     TeacherNet,
     bind_joint_params,
     bound_to,
+    joint_grad,
     load_checkpoint,
     save_checkpoint,
     student_backward,
@@ -117,12 +118,14 @@ def test_bind_joint_params_layout_and_in_place_updates():
 
 def test_mlp_bind_rejects_bad_buffers():
     net = Mlp(MlpSpec((3, 2)), seed=0)
-    with pytest.raises(ShapeError):
-        net.bind(np.zeros(net.param_count + 1))
-    with pytest.raises(ShapeError):
-        net.bind(np.zeros(2 * net.param_count)[::2])
-    with pytest.raises(ShapeError):
-        net.bind(np.zeros(net.param_count, dtype=np.float32))
+    good = np.zeros(net.param_count)
+    bad = (np.zeros(net.param_count + 1), np.zeros(2 * net.param_count)[::2],
+           np.zeros(net.param_count, dtype=np.float32))
+    for buffer in bad:
+        with pytest.raises(ShapeError):
+            net.bind(buffer, good.copy())
+        with pytest.raises(ShapeError):  # the gradient buffer is held to the same rules
+            net.bind(good.copy(), buffer)
 
 
 def test_mlp_final_layer_is_affine():
@@ -158,6 +161,65 @@ def test_mlp_backward_wrong_grad_shape():
     net.forward(np.zeros((4, 3)))
     with pytest.raises(ShapeError):
         net.backward(np.zeros((4, 3)))
+
+
+def test_mlp_backward_writes_the_gradient_views_in_place():
+    net = Mlp(MlpSpec((3, 4, 2)), seed=2)
+    grad, views = net.grad, net._grad_weights + net._grad_biases
+    rng = np.random.default_rng(0)
+    x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+    net.forward(x)
+    d_input = net.backward(g)
+    assert d_input.shape == x.shape
+    assert net.grad is grad and all(v.base is grad for v in views)
+    first = grad.copy()
+    # the layer gradients, in get_params order: weights row-major, then bias
+    h = np.tanh(x @ net.weights[0].T + net.biases[0])
+    delta = (g @ net.weights[1]) * (1.0 - h * h)
+    expected = np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0),
+                               (g.T @ h).ravel(), g.sum(axis=0)])
+    assert np.allclose(first, expected, rtol=1e-12, atol=1e-12)
+
+    net.forward(x)
+    assert net.backward(2.0 * g, input_grad=False) is None  # no input gradient asked for
+    assert net.grad is grad and np.allclose(grad, 2.0 * first, rtol=1e-12, atol=1e-12)
+
+
+def test_backward_chains_return_the_net_gradient_buffer_and_overwrite_it():
+    t = TeacherNet.create(3, 3, 2, feat_dim=2, hidden_width=4, seed=3)
+    s = StudentNet.create(3, 2, feat_dim=2, hidden_width=4, seed=4)
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    for net in (t, s):
+        assert net.grad.shape == (net.param_count,)
+        assert all(p.grad.base is net.grad for p in net._parts)
+
+    teacher_forward(t, a, b)
+    g1 = teacher_backward(t, rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
+    kept = g1.copy()
+    teacher_forward(t, a, b)
+    g2 = teacher_backward(t, rng.standard_normal((5, 2)))  # no modality-B gradient
+    assert g1 is g2 is t.grad and not np.array_equal(g2, kept)
+
+    student_forward(s, a)
+    assert student_backward(s, rng.standard_normal((5, 2))) is s.grad
+
+
+def test_bind_joint_params_lays_out_the_gradients_like_the_parameters():
+    t = TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=1)
+    s = StudentNet.create(4, 2, feat_dim=3, hidden_width=5, seed=2)
+    buf = bind_joint_params(t, s, 0.0)
+    grad = joint_grad(t, s)
+    assert grad.shape == buf.shape
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 3))
+    teacher_forward(t, a, b)
+    teacher_backward(t, rng.standard_normal((3, 2)), rng.standard_normal((3, 3)))
+    student_forward(s, a)
+    student_backward(s, rng.standard_normal((3, 2)), rng.standard_normal((3, 3)))
+    n_t = t.param_count
+    assert np.array_equal(grad[:n_t], t.grad) and np.array_equal(grad[n_t:-1], s.grad)
+    assert t.grad.base is grad and s.grad.base is grad
 
 
 def _away_from_kink(net, x, margin=1e-3):
@@ -198,7 +260,8 @@ def test_mlp_gradients_match_finite_differences():
             base = net.get_params().copy()
             net.set_params(base)
             net.forward(x)
-            analytic, d_input = net.backward(w)
+            d_input = net.backward(w)
+            analytic = net.grad.copy()
             fd = fd_grad(f, base)
             net.set_params(base)
             assert max_rel_err(analytic, fd) < 1e-4, (activation, widths)

@@ -11,15 +11,24 @@ from pgad.ams import build_batch, prepare_pools, sampling_ratio
 from pgad.errors import (
     ConfigError,
     EmptyBatchError,
+    NumericHealthError,
     ProtocolError,
     RangeError,
     ShapeError,
     UsageError,
 )
 from pgad.losses import LossWeights, ce_loss, kd_loss, pair_loss, proto_loss, similarity_matrix
-from pgad.nets import StudentNet, TeacherNet, bind_joint_params, student_forward, teacher_forward
+from pgad.nets import (
+    StudentNet,
+    TeacherNet,
+    bind_joint_params,
+    joint_grad,
+    student_forward,
+    teacher_forward,
+)
 from pgad.prototypes import compute_batch_prototypes, empty_prototypes
 from pgad.synthdata import DatasetConfig, generate_dataset
+from pgad import trainer
 from pgad.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -309,6 +318,43 @@ def test_step_gradients_matches_fd_on_student_params():
     assert float((np.abs(analytic - fd) / denom).max()) < 1e-4
 
 
+def test_step_gradients_fills_the_joint_buffer_of_bound_nets_in_place():
+    """Bound nets: the gradient is the joint buffer, and the next call
+    overwrites it.  Unbound nets: a new array each call, with the same bits."""
+    ds, paired, unpaired = make_data()
+    plan, pools = mixed_plan(ds, paired, unpaired)
+    protos_of = lambda t: global_prototypes(t, pools)  # noqa: E731
+    cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
+    other = build_batch(paired, unpaired, 10, 0.5, seed=7)
+
+    free_t, free_s = make_nets()
+    _, free = step_gradients(free_t, free_s, pools, plan, protos_of(free_t), 0.3, cfg)
+    kept = free.copy()
+    _, free_other = step_gradients(free_t, free_s, pools, other, protos_of(free_t), 0.3, cfg)
+    assert free is not free_other and not np.array_equal(free_other, kept)
+    assert np.array_equal(free, kept)  # the second call left the first result alone
+
+    teacher, student = make_nets()
+    params = bind_joint_params(teacher, student, 0.0)
+    buffer = joint_grad(teacher, student)
+    assert buffer is not None and buffer.shape == params.shape
+    _, bound = step_gradients(teacher, student, pools, plan, protos_of(teacher), 0.3, cfg)
+    assert bound is buffer
+    assert np.array_equal(bound, kept)  # same values as the unbound nets'
+    _, bound_other = step_gradients(teacher, student, pools, other, protos_of(teacher), 0.3, cfg)
+    assert bound_other is buffer
+    assert np.array_equal(bound, free_other)  # overwritten by the second call
+
+
+def test_joint_grad_is_none_unless_the_nets_are_bound_together():
+    teacher, student = make_nets()
+    assert joint_grad(teacher, student) is None
+    bind_joint_params(teacher, student, 0.0)
+    assert joint_grad(teacher, student) is not None
+    bind_joint_params(teacher, make_nets(seed=3)[1], 0.0)
+    assert joint_grad(teacher, student) is None  # the teacher moved to another buffer
+
+
 # ------------------------------------------------------------ train_step
 
 
@@ -373,6 +419,38 @@ def test_train_step_requires_nets_bound_to_params():
     with pytest.raises(UsageError):
         train_step(teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
                    params.copy(), adam, TrainConfig(), lr=1e-3, step=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_stops_before_updating_from_a_non_finite_gradient(monkeypatch, bad):
+    """8 steps (2 epochs of 4); the last step's gradient gets one bad entry.
+    The fit raises, naming the step, and the update is not made."""
+    ds, _, _ = make_data(spc=16)
+    teacher, student = make_nets()
+    real = trainer.step_gradients
+    calls = []
+
+    def poisoned(teacher, student, *args):
+        report, grads = real(teacher, student, *args)
+        calls.append((teacher.get_params(), student.get_params()))
+        if len(calls) == 8:
+            grads[3] = bad
+        return report, grads
+
+    monkeypatch.setattr(trainer, "step_gradients", poisoned)
+    with pytest.raises(NumericHealthError, match=r"^step 7: gradient norm is not finite$"):
+        fit(teacher, student, ds, TrainConfig(epochs=2, batch_size=8, seed=1))
+    assert len(calls) == 8
+    before_t, before_s = calls[-1]
+    assert np.array_equal(teacher.get_params(), before_t)
+    assert np.array_equal(student.get_params(), before_s)
+    assert np.isfinite(teacher.get_params()).all()
+
+
+def test_clip_global_norm_rejects_a_non_finite_norm():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericHealthError, match="gradient norm is not finite"):
+            clip_global_norm(np.array([1.0, bad]), 5.0)
 
 
 def test_unpaired_feat_b_gathered_as_a_donor_fails_loudly():
