@@ -20,8 +20,8 @@ id-sorted, read-only columns gathered by row index: the genuine pairs, and
 the modality-A-only recipients, which have no modality-B column.  Each
 step's build_batch call draws a plan from them that names the batch by
 ids and carries the rows it drew (BatchPlan.rows), so the trainer gathers
-the batch without looking the ids up again.  Lists of Samples are
-converted to a Dataset first, so the sample API runs the same checks.
+the batch without looking the ids up.  Lists of Samples are converted to
+a Dataset first, so the sample API runs the same checks.
 """
 
 from __future__ import annotations
@@ -74,15 +74,15 @@ class BatchPlan:
         """Row indices of the batch: (paired-pool rows of the genuine pairs
         then of the donors, unpaired-pool rows of the recipients).
 
-        A plan build_batch drew from these very pools carries its rows; any
-        other plan has its ids looked up, and an id a pool does not hold
-        raises ProtocolError.
+        These are the rows build_batch drew from these very pool objects.
+        A plan not drawn from them, such as a dataclasses.replace edit or
+        a plan drawn from other pools that hold the same samples, raises
+        UsageError.
         """
         drawn = self._drawn
-        if drawn is not None and drawn[0] is paired_pool and drawn[1] is unpaired_pool:
-            return drawn[2], drawn[3]
-        return (paired_pool.rows((*self.genuine, *(p[1] for p in self.pseudo))),
-                unpaired_pool.rows([p[0] for p in self.pseudo]))
+        if drawn is None or drawn[0] is not paired_pool or drawn[1] is not unpaired_pool:
+            raise UsageError("the plan was not drawn by build_batch from these pools")
+        return drawn[2], drawn[3]
 
 
 def sampling_ratio(mode: str, theta: float, fixed_ratio: float) -> float:
@@ -100,23 +100,22 @@ def sampling_ratio(mode: str, theta: float, fixed_ratio: float) -> float:
 class SamplePool:
     """An immutable AMS pool: rows of a dataset that are all paired or all unpaired.
 
-    A pool takes `rows` of a Dataset (all of them by default), or a sequence
-    of Samples.  Ids are unique within a pool.  The pool's columns are its
-    rows sorted by id, as read-only arrays: int64 `ids` and `labels`, the
-    `feat_a` matrix and, in a paired pool only, `feat_b` (None in an
-    unpaired pool).  `class_counts` maps each label to its number of rows;
-    iterating a pool yields its rows as Samples.  An unpaired pool built
-    with `donors` is checked against that paired pool: the donor pool is
-    nonempty, the two pools share no id, and every class of the unpaired
-    pool has a donor.  build_batch draws from such a pair without checking
-    it again.
+    A pool takes `rows` of a Dataset (all of them by default).  Ids are
+    unique within a pool.  The pool's columns are its rows sorted by id, as
+    read-only arrays: int64 `ids` and `labels`, the `feat_a` matrix and, in
+    a paired pool only, `feat_b` (None in an unpaired pool).
+    `class_counts` maps each label to its number of rows; iterating a pool
+    yields its rows as Samples.  An unpaired pool built with `donors` is
+    checked against that paired pool: the donor pool is nonempty, the two
+    pools share no id, and every class of the unpaired pool has a donor.
+    build_batch draws from such a pair without checking it again.
     """
 
     __slots__ = ("ids", "labels", "feat_a", "feat_b", "class_counts", "donors")
 
     def __init__(
         self,
-        data: "Dataset | Sequence[Sample]",
+        data: Dataset,
         paired: bool,
         donors: Optional["SamplePool"] = None,
         rows: Optional[np.ndarray] = None,
@@ -127,8 +126,6 @@ class SamplePool:
             raise ProtocolError(
                 "paired pool is empty: every batch needs at least one genuine pair"
             )
-        if not isinstance(data, Dataset):
-            data = Dataset.from_samples(data)
         rows = np.arange(len(data)) if rows is None else np.asarray(rows, dtype=np.int64)
         ids, labels = data.ids[rows], data.labels[rows]
         wrong = np.flatnonzero(data.paired[rows] != paired)
@@ -175,22 +172,6 @@ class SamplePool:
         feat_b = self.feat_b if self.feat_b is not None else [None] * len(self)
         for i, c, a, b in zip(self.ids.tolist(), self.labels.tolist(), self.feat_a, feat_b):
             yield Sample(id=i, label=c, feat_a=a, feat_b=b)
-
-    def rows(self, ids) -> np.ndarray:
-        """Row indices of the given sample ids, in their order.
-
-        Raises ProtocolError for an id the pool does not hold.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = np.searchsorted(self.ids, ids)
-        if len(self.ids):
-            known = self.ids.take(rows, mode="clip") == ids
-        else:
-            known = np.zeros(ids.shape, dtype=bool)
-        if not known.all():
-            kind = "paired" if self.feat_b is not None else "unpaired"
-            raise ProtocolError(f"ids not in the {kind} pool: {ids[~known][:5].tolist()}")
-        return rows
 
 
 def prepare_pools(data, rows) -> tuple[SamplePool, SamplePool]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -300,14 +301,16 @@ def _summary(rows) -> RunSummary:
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
     """Run every (arm, rate, fold) cell on `jobs` worker processes (1 runs them
-    in this process), aggregate, and write all artifacts."""
+    in this process), aggregate, and write all artifacts.  No more workers
+    start than there are cells."""
     cfg.validate()
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     job_list = _build_jobs(cfg)
 
     rows = []  # (arm, rate, record) in job order: arm, then rate, then fold
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    workers = min(jobs, len(job_list))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         results = pool.map(run_one, job_list) if pool else map(run_one, job_list)
         for job in job_list:
@@ -493,8 +496,14 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 
 def load_summary_from_metrics_csv(path) -> RunSummary:
-    """Rebuild a RunSummary from a metrics.csv written by run_scenario."""
+    """Rebuild a RunSummary from a metrics.csv written by run_scenario.
+
+    ProtocolError names the file, and the line of a bad row: a malformed or
+    non-finite value, a repeated (method, scenario, fold), or a cell with
+    fewer than 2 folds, which has no sample standard deviation.
+    """
     rows = []
+    seen = {}  # (method, rate, fold) -> line
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -515,5 +524,18 @@ def load_summary_from_metrics_csv(path) -> RunSummary:
                 rec = MetricsRecord(int(row[2]), *(float(v) for v in row[3:]))
             except ValueError as exc:
                 raise ProtocolError(f"{where}: {exc}") from exc
+            if not np.isfinite([rec.get(m) for m in METRIC_NAMES]).all():
+                raise ProtocolError(f"{where}: metrics must be finite, got {row[3:]}")
+            key = (method, rate, rec.fold)
+            if key in seen:
+                raise ProtocolError(
+                    f"{where}: {method} {scen} fold {rec.fold} repeats line {seen[key]}"
+                )
+            seen[key] = reader.line_num
             rows.append((method, rate, rec))
+    folds = Counter((method, rate) for method, rate, _ in seen)
+    for (method, rate), n in folds.items():
+        if n < 2:
+            raise ProtocolError(f"{path}: {method} {_scenario_tag(rate)} has {n} fold; "
+                                f"a cell needs at least 2")
     return _summary(rows)

@@ -15,7 +15,8 @@ set_params writes the parameter buffer in place, so the views stay bound.
 bind_joint_params moves a teacher and a student into one pair of buffers
 laid out as [teacher | student | theta]; an in-place optimizer step on the
 parameter buffer is then the update of both nets, and the backward chains
-below fill the gradient buffer (joint_grad) without a concatenation.
+below fill the gradient buffer without a concatenation (joint_buffers
+returns both buffers).
 
 Each network has one forward and one backward chain here, and the
 trainer calls them: teacher_features (encoders and fusion),
@@ -398,7 +399,7 @@ def bind_joint_params(teacher: TeacherNet, student: StudentNet, theta: float) ->
     Copies the nets' current parameters into a new buffer and binds both
     nets to it (see Mlp.bind), so writing the buffer in place updates the
     nets.  The last entry holds `theta`.  The nets' gradients move into a
-    second buffer of the same layout, which joint_grad returns.
+    second buffer of the same layout (joint_buffers returns both).
     """
     n_t, n_s = teacher.param_count, student.param_count
     buffer = np.empty(n_t + n_s + 1)
@@ -409,17 +410,14 @@ def bind_joint_params(teacher: TeacherNet, student: StudentNet, theta: float) ->
     return buffer
 
 
-def bound_to(buffer: np.ndarray, *nets) -> bool:
-    """Whether every part of the given nets keeps its parameters in `buffer`."""
-    return all(p._flat.base is buffer for net in nets for p in net._parts)
-
-
-def joint_grad(teacher: TeacherNet, student: StudentNet) -> Optional[np.ndarray]:
-    """The [teacher | student | theta] gradient buffer of the last
-    bind_joint_params(teacher, student, ...), or None if the two nets are
-    not bound together."""
-    grad = teacher.grad.base
-    return grad if grad is not None and student.grad.base is grad else None
+def joint_buffers(teacher: TeacherNet, student: StudentNet) -> tuple[np.ndarray, np.ndarray]:
+    """The (parameter, gradient) buffers that bind_joint_params(teacher, student,
+    ...) bound every part of both nets to; UsageError if there are none."""
+    params, grad = teacher._flat.base, teacher.grad.base
+    parts = teacher._parts + student._parts
+    if params is None or any(p._flat.base is not params or p.grad.base is not grad for p in parts):
+        raise UsageError("teacher and student must be bound together (bind_joint_params)")
+    return params, grad
 
 
 _NET_KINDS = {"teacher": TeacherNet, "student": StudentNet}

@@ -11,11 +11,11 @@ teacher_backward, student_forward, student_backward); this module only
 calls them.  The chains write into the gradient buffer that
 bind_joint_params lays out like the parameter buffer, so step_gradients
 returns that buffer with theta's entry filled in and concatenates nothing;
-adam_update works in place in scratch arrays kept on its AdamState.  Batch
-and subset means are np.add.reduce(x) / n and the global norm is
-sqrt(g @ g): those are the expressions ndarray.mean and np.linalg.norm
-evaluate in NumPy 2.x, so every value keeps its bits without the wrappers'
-per-call cost.
+adam_update works in place in the scratch arrays that AdamState.zeros puts
+on its state.  Batch and subset means are np.add.reduce(x) / n and the
+global norm is sqrt(g @ g): those are the expressions ndarray.mean and
+np.linalg.norm evaluate in NumPy 2.x, so every value keeps its bits
+without the wrappers' per-call cost.
 
 fit prepares everything a step reads once, before the first step: the
 training set as the pool pair from ams.prepare_pools (or takes that pair
@@ -91,8 +91,7 @@ from .nets import (
     StudentNet,
     TeacherNet,
     bind_joint_params,
-    bound_to,
-    joint_grad,
+    joint_buffers,
     student_backward,
     student_forward,
     teacher_backward,
@@ -169,7 +168,7 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    scratch: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    scratch: np.ndarray = field(kw_only=True, repr=False, compare=False)  # (2, n) work rows
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -222,8 +221,8 @@ def adam_update(
     """One Adam step with decoupled weight decay, in place.
 
     Updates `params`, `state.m`, `state.v` and `state.t`, and works in
-    `state.scratch`, so a step allocates nothing.  decay_mask zeroes the
-    decay term for selected entries (theta).
+    `state.scratch`, which AdamState.zeros builds, so a step allocates
+    nothing.  decay_mask zeroes the decay term for selected entries (theta).
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise ShapeError("params must be a float64 array, updated in place")
@@ -232,8 +231,6 @@ def adam_update(
         raise ShapeError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
         )
-    if state.scratch is None or state.scratch.shape != (2,) + params.shape:
-        state.scratch = np.empty((2,) + params.shape)
     step_vec, tmp = state.scratch
     t = state.t + 1
     state.m *= ADAM_BETA1
@@ -305,12 +302,13 @@ def step_gradients(
     without a second teacher forward.  Runs its own forward passes,
     so it is self-contained and safe to call for gradient checking.  The
     gradient is nets.teacher_backward's, then nets.student_backward's,
-    then theta's.  For nets bound together by nets.bind_joint_params it is
-    their joint gradient buffer (nets.joint_grad), written in place: the
-    next call returns the same array with new values, so copy it to keep
-    it.  Other nets get a new array.  A non-finite or negative term raises
-    NumericHealthError from losses.total_loss.
+    then theta's: the nets must be bound together by
+    nets.bind_joint_params (UsageError otherwise), and it is their joint
+    gradient buffer, written in place, so the next call returns the same
+    array with new values; copy it to keep it.  A non-finite or negative
+    term raises NumericHealthError from losses.total_loss.
     """
+    _, grads = joint_buffers(teacher, student)
     w = cfg.loss_weights
     n_g, n_p = len(plan.genuine), len(plan.pseudo)
     if n_g == 0:
@@ -368,10 +366,10 @@ def step_gradients(
             d_feat_s[n_g:] += g
 
     report = total_loss(l_tea, l_stu, l_kl, l_pair, l_proto, w)
-    g_teacher = teacher_backward(
+    teacher_backward(
         teacher, np.zeros_like(logits_t) if d_logits_t is None else d_logits_t, d_h_b
     )
-    g_student = student_backward(
+    student_backward(
         student, np.zeros_like(logits_s) if d_logits_s is None else d_logits_s, d_feat_s
     )
 
@@ -390,9 +388,6 @@ def step_gradients(
         )
         g_theta = theta_gradient(theta, loss_genuine, loss_pseudo)
 
-    grads = joint_grad(teacher, student)
-    if grads is None:
-        return report, np.concatenate((g_teacher, g_student, [g_theta]))
     grads[-1] = g_theta
     return report, grads
 
@@ -422,8 +417,8 @@ def train_step(
     `decay_mask` keeps weight decay off theta; fit builds it once
     (_decay_mask), and None builds it for this call.
     """
-    if not bound_to(params, teacher, student):
-        raise UsageError("teacher and student must be bound to params (bind_joint_params)")
+    if joint_buffers(teacher, student)[0] is not params:
+        raise UsageError("teacher and student are bound to another buffer than params")
 
     n_stale = 0
     effective_protos = None

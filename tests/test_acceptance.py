@@ -213,6 +213,7 @@ def _total_instance(rng):
                                 seed=int(rng.integers(2**31)))
     student = StudentNet.create(dim_a, 2, feat_dim=3, hidden_width=4,
                                 seed=int(rng.integers(2**31)))
+    bind_joint_params(teacher, student, 0.0)
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(
         proto_assignment="true_class",
@@ -232,6 +233,7 @@ def _check_total_instance(rng):
     n_g = len(plan.genuine)
 
     report, grads = step_gradients(teacher, student, pools, plan, protos, theta, cfg)
+    grads = grads.copy()  # the calls below overwrite the joint gradient buffer
     p_t = teacher.param_count
     t_base = teacher.get_params().copy()
     s_base = student.get_params().copy()
@@ -654,7 +656,7 @@ def test_c9_degenerates_to_plain_distillation():
 
     for step in range(total_steps):
         ratio = sampling_ratio(cfg.ams_mode, float(params[-1]), cfg.fixed_ratio)
-        plan = build_batch(paired, [], cfg.batch_size, ratio,
+        plan = build_batch(*pools, cfg.batch_size, ratio,
                            derive_seed(cfg.seed, "batch", step))
         assert not plan.pseudo
 

@@ -26,7 +26,7 @@ from pgad.errors import (
     RangeError,
     UsageError,
 )
-from pgad.synthdata import DatasetConfig, Sample, draw_datasets, generate_dataset
+from pgad.synthdata import Dataset, DatasetConfig, Sample, draw_datasets, generate_dataset
 from pgad.trainer import TrainConfig
 
 
@@ -273,28 +273,28 @@ def test_build_batch_prepared_pools_match_plain_lists_and_reference(
     assert plan.shortfall >= 0
 
 
+def lookup_rows(pool, ids):
+    """Rows of `ids` in an id-sorted pool, by binary search: the reference
+    for the rows a plan carries."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.searchsorted(pool.ids, ids)
+    assert np.array_equal(pool.ids[rows], ids)
+    return rows
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.5, 0.9])
 def test_plan_rows_carried_from_the_draw_equal_the_id_lookup(rate):
-    """A plan keeps the rows it was drawn at for its own pools; other pools,
-    and a plan edited with dataclasses.replace, look the ids up."""
+    """A plan carries the rows it was drawn at: the pool rows of its ids."""
     _, paired, unpaired = pools(rate, 20, 4)
     prepped = prepare_pools(paired, unpaired)
     for seed in range(20):
         plan = build_batch(*prepped, 16, 0.5, seed)
-        carried = plan.rows(*prepped)
-        looked_up = replace(plan).rows(*prepped)
-        assert [r.dtype for r in carried] == [np.int64, np.int64]
-        for a, b in zip(carried, looked_up):
-            assert np.array_equal(a, b)
-        b_rows, r_rows = carried
+        b_rows, r_rows = plan.rows(*prepped)
+        assert [r.dtype for r in (b_rows, r_rows)] == [np.int64, np.int64]
         donors = [p[1] for p in plan.pseudo]
-        assert prepped[0].ids[b_rows].tolist() == list(plan.genuine) + donors
-        assert prepped[1].ids[r_rows].tolist() == list(plan.unpaired_student_only)
+        assert np.array_equal(b_rows, lookup_rows(prepped[0], list(plan.genuine) + donors))
+        assert np.array_equal(r_rows, lookup_rows(prepped[1], plan.unpaired_student_only))
         assert replace(plan) == plan  # the carried rows take no part in equality
-
-        other = prepare_pools(paired, unpaired)  # equal pools, other objects
-        for a, b in zip(plan.rows(*other), carried):
-            assert np.array_equal(a, b)
 
 
 def test_an_edited_plan_drops_the_carried_rows():
@@ -303,8 +303,23 @@ def test_an_edited_plan_drops_the_carried_rows():
     plan = build_batch(*prepped, 16, 0.5, 0)
     rec, _, cls = plan.pseudo[0]
     bad = replace(plan, pseudo=((rec, rec, cls),) + plan.pseudo[1:])
-    with pytest.raises(ProtocolError, match=rf"ids not in the paired pool: \[{rec}\]"):
-        bad.rows(*prepped)
+    for edited in (bad, replace(plan)):
+        with pytest.raises(UsageError, match="not drawn by build_batch from these pools"):
+            edited.rows(*prepped)
+
+
+def test_a_plan_gives_its_rows_only_for_the_pool_objects_it_was_drawn_from():
+    _, paired, unpaired = pools(0.5, 20, 4)
+    prepped = prepare_pools(paired, unpaired)
+    other = prepare_pools(paired, unpaired)  # equal pools, other objects
+    plan = build_batch(*prepped, 16, 0.5, 0)
+    assert plan == build_batch(*other, 16, 0.5, 0) == build_batch(paired, unpaired, 16, 0.5, 0)
+    plan.rows(*prepped)
+    for args in (other, (prepped[0], other[1]), (other[0], prepped[1]), prepped[::-1]):
+        with pytest.raises(UsageError, match="not drawn by build_batch from these pools"):
+            plan.rows(*args)
+    with pytest.raises(UsageError):  # drawn from pools build_batch prepared itself
+        build_batch(paired, unpaired, 16, 0.5, 0).rows(*prepped)
 
 
 def test_sample_pool_is_sorted_read_only_and_iterable():
@@ -343,32 +358,15 @@ def test_sample_pool_columns_are_id_sorted_and_read_only():
     assert empty.feat_a.shape == (0, 4)  # as wide as its donors' columns
 
 
-def test_sample_pool_rows_lookup():
-    ds, paired, unpaired = pools()
-    paired_pool, unpaired_pool = prepare_pools(paired, unpaired)
-    ids = [paired[5].id, paired[0].id, paired[5].id]
-    assert paired_pool.ids[paired_pool.rows(ids)].tolist() == ids
-    assert paired_pool.rows([]).size == 0
-    with pytest.raises(ProtocolError, match="not in the paired pool"):
-        paired_pool.rows([paired[0].id, max(s.id for s in ds) + 1])
-    with pytest.raises(ProtocolError):
-        paired_pool.rows([min(s.id for s in ds) - 1])
-    with pytest.raises(ProtocolError, match="not in the unpaired pool"):
-        unpaired_pool.rows([paired[0].id])
-    _, empty = prepare_pools(paired, [])
-    assert empty.rows([]).size == 0
-    with pytest.raises(ProtocolError, match=rf"\[{unpaired[0].id}\]"):
-        empty.rows([unpaired[0].id])
-
-
 def test_sample_pool_errors():
     ds, paired, unpaired = pools()
     with pytest.raises(UsageError, match="in the paired pool has no modality-B"):
-        SamplePool(ds, paired=True)  # mixed paired and unpaired samples
+        SamplePool(Dataset.from_samples(ds), paired=True)  # mixed paired and unpaired
     with pytest.raises(UsageError, match="in the unpaired pool is paired"):
-        SamplePool(ds, paired=False)
+        SamplePool(Dataset.from_samples(ds), paired=False)
+    data = Dataset.from_samples(paired)
     with pytest.raises(UsageError):
-        SamplePool(paired, paired=True, donors=SamplePool(paired, paired=True))
+        SamplePool(data, paired=True, donors=SamplePool(data, paired=True))
     with pytest.raises(ProtocolError):
         prepare_pools([], unpaired)
     with pytest.raises(UsageError, match=rf"ids repeat within a pool: \[{paired[1].id}\]"):

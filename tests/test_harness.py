@@ -290,6 +290,38 @@ def test_run_scenario_parallel_matches_serial(tiny_run, tmp_path):
     assert (tmp_path / "par" / "metrics.csv").read_text() == (out / "metrics.csv").read_text()
 
 
+def test_run_scenario_starts_no_more_workers_than_jobs(tiny_run, tmp_path, monkeypatch):
+    """4 cells (2 arms x 2 folds): --jobs 64 asks for 4 workers, not 64.  The pool
+    is a stand-in that records its size and runs the jobs in this process."""
+    _, _, out = tiny_run
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    for jobs, started in ((64, [4]), (3, [3])):
+        sizes.clear()
+        cfg = tiny_scenario(str(tmp_path / f"jobs{jobs}"))
+        run_scenario(cfg, jobs=jobs)
+        assert sizes == started
+        assert (Path(cfg.output_dir) / "metrics.csv").read_text() == (
+            out / "metrics.csv").read_text()
+
+
 def test_run_scenario_wraps_failures(tmp_path):
     cfg = tiny_scenario(str(tmp_path))
     # a batch size below 2 fails TrainConfig validation inside the run
@@ -869,6 +901,10 @@ def test_cli_export_embeddings_rejects_an_unexpected_data_header(tmp_path, capsy
 @pytest.mark.parametrize("row,problem", [
     ("baseline,rate=0.5", "2 cells, the header has 7"),
     ("baseline,rate=0.5,0,x,0.5,0.5,0.5", "could not convert string to float: 'x'"),
+    ("baseline,rate=0.5,0,0.2,0.5,0.5,0.5", "baseline rate=0.5 fold 0 repeats line 2"),
+    ("baseline,rate=0.50,0,0.2,0.5,0.5,0.5", "baseline rate=0.50 fold 0 repeats line 2"),
+    ("baseline,rate=0.5,1,nan,0.5,0.5,0.5", "metrics must be finite"),
+    ("baseline,rate=0.5,1,0.1,inf,0.5,0.5", "metrics must be finite"),
 ])
 def test_cli_compare_on_malformed_metrics_row(tmp_path, capsys, row, problem):
     (tmp_path / "metrics.csv").write_text(
@@ -880,6 +916,22 @@ def test_cli_compare_on_malformed_metrics_row(tmp_path, capsys, row, problem):
     assert rc == 1
     assert err.startswith("error: ProtocolError")
     assert "metrics.csv line 3:" in err and problem in err
+
+
+def test_cli_compare_rejects_a_cell_with_fewer_than_two_folds(tmp_path, capsys):
+    """One fold per cell has no sample standard deviation: refused before any
+    statistic is computed (pytest turns numpy's warnings into errors)."""
+    (tmp_path / "metrics.csv").write_text(
+        "method,scenario,fold,mcc,auc,sen,spe\n"
+        "baseline,rate=0.5,0,0.1,0.5,0.5,0.5\n"
+        "baseline,rate=0.5,1,0.2,0.5,0.5,0.5\n"
+        "full,rate=0.5,0,0.3,0.5,0.5,0.5\n"
+    )
+    rc = cli_main(["compare", "--summary", str(tmp_path), "--baseline", "baseline"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ProtocolError")
+    assert "metrics.csv: full rate=0.5 has 1 fold; a cell needs at least 2" in err
 
 
 # ------------------------------------------------------------ scenario schema

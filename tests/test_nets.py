@@ -15,8 +15,7 @@ from pgad.nets import (
     StudentNet,
     TeacherNet,
     bind_joint_params,
-    bound_to,
-    joint_grad,
+    joint_buffers,
     load_checkpoint,
     save_checkpoint,
     student_backward,
@@ -104,14 +103,14 @@ def test_bind_joint_params_layout_and_in_place_updates():
 
     buf = bind_joint_params(t, s, 0.25)
     assert np.array_equal(buf, np.concatenate([before_t, before_s, [0.25]]))
-    assert bound_to(buf, t, s) and not bound_to(buf.copy(), t)
+    assert joint_buffers(t, s)[0] is buf
     assert np.array_equal(student_forward(s, x)[1], logits)  # same values, new home
 
     buf[: t.param_count] += 1.0
     assert np.array_equal(t.get_params(), before_t + 1.0)
     assert np.array_equal(s.get_params(), before_s)
     s.set_params(before_s * 2.0)  # writes the buffer, so the binding holds
-    assert bound_to(buf, s)
+    assert joint_buffers(t, s)[0] is buf
     assert np.array_equal(buf[t.param_count : -1], before_s * 2.0)
     assert buf[-1] == 0.25
 
@@ -209,8 +208,8 @@ def test_bind_joint_params_lays_out_the_gradients_like_the_parameters():
     t = TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=1)
     s = StudentNet.create(4, 2, feat_dim=3, hidden_width=5, seed=2)
     buf = bind_joint_params(t, s, 0.0)
-    grad = joint_grad(t, s)
-    assert grad.shape == buf.shape
+    params, grad = joint_buffers(t, s)
+    assert params is buf and grad.shape == buf.shape
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 3))
     teacher_forward(t, a, b)

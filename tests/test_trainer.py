@@ -22,7 +22,7 @@ from pgad.nets import (
     StudentNet,
     TeacherNet,
     bind_joint_params,
-    joint_grad,
+    joint_buffers,
     student_forward,
     teacher_forward,
 )
@@ -59,6 +59,13 @@ def make_data(missing_rate=0.5, spc=16, seed=5, dim=6, separation=5.0):
 def make_nets(dim=6, feat=4, hidden=8, seed=0):
     teacher = TeacherNet.create(dim, dim, 2, feat_dim=feat, hidden_width=hidden, seed=seed)
     student = StudentNet.create(dim, 2, feat_dim=feat, hidden_width=hidden, seed=seed + 1)
+    return teacher, student
+
+
+def joint_nets(**kwargs):
+    """make_nets' nets bound together by bind_joint_params, as step_gradients needs."""
+    teacher, student = make_nets(**kwargs)
+    bind_joint_params(teacher, student, 0.0)
     return teacher, student
 
 
@@ -145,6 +152,7 @@ def test_adam_in_place_matches_reference_bit_for_bit():
     decay_mask = np.ones(n)
     decay_mask[-1] = 0.0
     state = AdamState.zeros(n)
+    scratch = state.scratch
     ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
     for t in range(1, 8):
         grads = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3)
@@ -154,6 +162,14 @@ def test_adam_in_place_matches_reference_bit_for_bit():
         assert np.array_equal(params, ref)
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
         assert state.t == t
+        assert state.scratch is scratch  # every step works in the same arrays
+
+
+def test_adam_state_always_carries_its_scratch():
+    state = AdamState.zeros(3)
+    assert state.scratch.shape == (2, 3) and state.scratch.dtype == np.float64
+    with pytest.raises(TypeError, match="scratch"):
+        AdamState(m=np.zeros(3), v=np.zeros(3))
 
 
 def test_cosine_lr_schedule():
@@ -183,9 +199,10 @@ def test_clip_global_norm():
 
 
 def mixed_plan(ds, paired, unpaired, batch_size=10, seed=0):
-    plan = build_batch(paired, unpaired, batch_size, 0.5, seed)
+    pools = prepare_pools(paired, unpaired)
+    plan = build_batch(*pools, batch_size, 0.5, seed)
     assert plan.pseudo, "fixture needs pseudo rows"
-    return plan, prepare_pools(paired, unpaired)
+    return plan, pools
 
 
 def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
@@ -212,7 +229,7 @@ def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
 def test_step_gradients_terms_match_direct_composition():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
-    teacher, student = make_nets()
+    teacher, student = joint_nets()
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
     theta = 0.3
@@ -245,7 +262,7 @@ def test_step_gradients_terms_match_direct_composition():
 def test_step_gradients_zero_weights_skip_terms():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
-    teacher, student = make_nets()
+    teacher, student = joint_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=1, stu=0, kl=0, pair=0, proto=0),
                       ams_mode="none", proto_strategy="none")
 
@@ -261,7 +278,7 @@ def test_step_gradients_zero_weights_skip_terms():
 def test_step_gradients_student_only_leaves_teacher_untouched():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
-    teacher, student = make_nets()
+    teacher, student = joint_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=0, stu=1, kl=0, pair=0, proto=0),
                       ams_mode="none", proto_strategy="none")
     report, grads = step_gradients(teacher, student, pools, plan, None, 0.0, cfg)
@@ -271,9 +288,9 @@ def test_step_gradients_student_only_leaves_teacher_untouched():
 
 def test_step_gradients_theta_zero_without_pseudo_rows():
     ds, paired, unpaired = make_data(missing_rate=0.0)
-    plan = build_batch(paired, unpaired, 8, 1.0, seed=1)
     pools = prepare_pools(paired, unpaired)
-    teacher, student = make_nets()
+    plan = build_batch(*pools, 8, 1.0, seed=1)
+    teacher, student = joint_nets()
     cfg = TrainConfig()
     report, grads = step_gradients(
         teacher, student, pools, plan, global_prototypes(teacher, pools), 0.4, cfg,
@@ -284,9 +301,9 @@ def test_step_gradients_theta_zero_without_pseudo_rows():
 
 def test_step_gradients_rejects_all_pseudo_batch():
     ds, paired, unpaired = make_data()
-    plan = build_batch(paired, unpaired, 8, 0.0, seed=0)
     pools = prepare_pools(paired, unpaired)
-    teacher, student = make_nets()
+    plan = build_batch(*pools, 8, 0.0, seed=0)
+    teacher, student = joint_nets()
     with pytest.raises(ProtocolError):
         step_gradients(teacher, student, pools, plan, None, 0.0, TrainConfig())
 
@@ -295,12 +312,12 @@ def test_step_gradients_matches_fd_on_student_params():
     """End-to-end derivative of the weighted objective wrt student params."""
     ds, paired, unpaired = make_data(spc=8, dim=4)
     plan, pools = mixed_plan(ds, paired, unpaired, batch_size=6, seed=2)
-    teacher, student = make_nets(dim=4, feat=3, hidden=4)
+    teacher, student = joint_nets(dim=4, feat=3, hidden=4)
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(proto_assignment="true_class")
 
     _, grads = step_gradients(teacher, student, pools, plan, protos, 0.0, cfg)
-    analytic = grads[teacher.param_count : -1]
+    analytic = grads[teacher.param_count : -1].copy()  # the next call overwrites grads
 
     base = student.get_params().copy()
     fd = np.zeros_like(base)
@@ -319,40 +336,58 @@ def test_step_gradients_matches_fd_on_student_params():
 
 
 def test_step_gradients_fills_the_joint_buffer_of_bound_nets_in_place():
-    """Bound nets: the gradient is the joint buffer, and the next call
-    overwrites it.  Unbound nets: a new array each call, with the same bits."""
+    """The gradient is the nets' joint buffer, and the next call overwrites it."""
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
-    protos_of = lambda t: global_prototypes(t, pools)  # noqa: E731
+    other = build_batch(*pools, 10, 0.5, seed=7)
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
-    other = build_batch(paired, unpaired, 10, 0.5, seed=7)
 
-    free_t, free_s = make_nets()
-    _, free = step_gradients(free_t, free_s, pools, plan, protos_of(free_t), 0.3, cfg)
-    kept = free.copy()
-    _, free_other = step_gradients(free_t, free_s, pools, other, protos_of(free_t), 0.3, cfg)
-    assert free is not free_other and not np.array_equal(free_other, kept)
-    assert np.array_equal(free, kept)  # the second call left the first result alone
+    def fresh_gradient(p):
+        """The gradient of plan `p` from a new pair of the same nets, copied."""
+        t, s = joint_nets()
+        return step_gradients(t, s, pools, p, global_prototypes(t, pools), 0.3, cfg)[1].copy()
 
-    teacher, student = make_nets()
-    params = bind_joint_params(teacher, student, 0.0)
-    buffer = joint_grad(teacher, student)
-    assert buffer is not None and buffer.shape == params.shape
-    _, bound = step_gradients(teacher, student, pools, plan, protos_of(teacher), 0.3, cfg)
+    kept, kept_other = fresh_gradient(plan), fresh_gradient(other)
+    assert not np.array_equal(kept, kept_other)
+
+    teacher, student = joint_nets()
+    params, buffer = joint_buffers(teacher, student)
+    assert buffer.shape == params.shape
+    protos = global_prototypes(teacher, pools)
+    _, bound = step_gradients(teacher, student, pools, plan, protos, 0.3, cfg)
     assert bound is buffer
-    assert np.array_equal(bound, kept)  # same values as the unbound nets'
-    _, bound_other = step_gradients(teacher, student, pools, other, protos_of(teacher), 0.3, cfg)
+    assert np.array_equal(bound, kept)
+    _, bound_other = step_gradients(teacher, student, pools, other, protos, 0.3, cfg)
     assert bound_other is buffer
-    assert np.array_equal(bound, free_other)  # overwritten by the second call
+    assert np.array_equal(bound, kept_other)  # overwritten by the second call
 
 
-def test_joint_grad_is_none_unless_the_nets_are_bound_together():
+def test_step_gradients_requires_nets_bound_together():
+    ds, paired, unpaired = make_data()
+    plan, pools = mixed_plan(ds, paired, unpaired)
+    cfg = TrainConfig(ams_mode="fixed", proto_strategy="none")
     teacher, student = make_nets()
-    assert joint_grad(teacher, student) is None
-    bind_joint_params(teacher, student, 0.0)
-    assert joint_grad(teacher, student) is not None
+    with pytest.raises(UsageError, match="must be bound together"):
+        step_gradients(teacher, student, pools, plan, None, 0.0, cfg)
+
+
+def test_joint_buffers_raise_unless_the_nets_are_bound_together():
+    teacher, student = make_nets()
+    with pytest.raises(UsageError, match="must be bound together"):
+        joint_buffers(teacher, student)
+    params = bind_joint_params(teacher, student, 0.0)
+    bound, grad = joint_buffers(teacher, student)
+    assert bound is params and grad.shape == params.shape and grad is not params
+    assert teacher.grad.base is grad and student.grad.base is grad
     bind_joint_params(teacher, make_nets(seed=3)[1], 0.0)
-    assert joint_grad(teacher, student) is None  # the teacher moved to another buffer
+    with pytest.raises(UsageError):  # the teacher moved to another buffer
+        joint_buffers(teacher, student)
+
+    teacher, student = joint_nets()
+    n = student.head.param_count
+    student.head.bind(np.zeros(n), np.zeros(n))  # one part moves out on its own
+    with pytest.raises(UsageError):
+        joint_buffers(teacher, student)
 
 
 # ------------------------------------------------------------ train_step
@@ -404,10 +439,11 @@ def test_train_step_theta_frozen_outside_dynamic():
 
 def test_train_step_requires_genuine_rows():
     ds, paired, unpaired = make_data()
-    plan = build_batch(paired, unpaired, 8, 0.0, seed=0)
+    pools = prepare_pools(paired, unpaired)
+    plan = build_batch(*pools, 8, 0.0, seed=0)
     teacher, student, params, adam = bound_nets()
     with pytest.raises(ProtocolError, match="^step 0: batch has no genuine pair$"):
-        train_step(teacher, student, prepare_pools(paired, unpaired), plan,
+        train_step(teacher, student, pools, plan,
                    empty_prototypes(2, teacher.feat_dim), params, adam, TrainConfig(),
                    lr=1e-3, step=0)
 
@@ -416,9 +452,14 @@ def test_train_step_requires_nets_bound_to_params():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
     teacher, student, params, adam = bound_nets()
-    with pytest.raises(UsageError):
-        train_step(teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
+    protos = empty_prototypes(2, teacher.feat_dim)
+    with pytest.raises(UsageError, match="bound to another buffer than params"):
+        train_step(teacher, student, pools, plan, protos,
                    params.copy(), adam, TrainConfig(), lr=1e-3, step=0)
+    free_t, free_s = make_nets()
+    with pytest.raises(UsageError, match="must be bound together"):
+        train_step(free_t, free_s, pools, plan, protos, params, adam, TrainConfig(),
+                   lr=1e-3, step=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -454,14 +495,14 @@ def test_clip_global_norm_rejects_a_non_finite_norm():
 
 
 def test_unpaired_feat_b_gathered_as_a_donor_fails_loudly():
-    """A plan naming an unpaired sample as donor must not train silently:
-    modality B is looked up in the paired pool only."""
+    """A plan edited to name an unpaired sample as donor must not train
+    silently: only the rows build_batch drew from the pools are gathered."""
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
     rec, _, cls = plan.pseudo[0]
     bad = replace(plan, pseudo=((rec, rec, cls),) + plan.pseudo[1:])
-    teacher, student = make_nets()
-    with pytest.raises(ProtocolError, match=rf"ids not in the paired pool: \[{rec}\]"):
+    teacher, student = joint_nets()
+    with pytest.raises(UsageError, match="not drawn by build_batch from these pools"):
         step_gradients(teacher, student, pools, bad, None, 0.0,
                        TrainConfig(ams_mode="fixed", proto_strategy="none"))
 
