@@ -1,5 +1,6 @@
 """Scenario harness: configs, end-to-end runs, artifacts, comparisons, CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -491,6 +492,28 @@ def test_cli_export_embeddings(tmp_path, capsys):
     assert rc == 0
     assert "24 embedding rows" in captured.out
     assert out.read_text().splitlines()[0] == "id,label,paired,h_0,h_1,h_2,h_3"
+
+
+# sha256 of `pgad export-embeddings` output for the rate-0.5 draw of
+# tiny_dataset_cfg() and a seed-1 student, recorded from the per-sample
+# reader and writer that the columnar ones replaced.
+PINNED_EMBEDDINGS_SHA256 = "769f7d0430b9e6395812f39b98cf86f031a00822af953d502b0d3b97d0f84874"
+
+
+def test_cli_export_embeddings_bytes_match_the_pinned_digest(tmp_path, capsys):
+    from pgad.nets import save_checkpoint
+
+    (data,) = synthdata.draw_datasets(tiny_dataset_cfg(), (0.5,))
+    assert 0 < data.paired.sum() < len(data)
+    data_path = tmp_path / "data.csv"
+    export_dataset_csv(data.samples(), data_path)
+    ckpt = tmp_path / "student.txt"
+    save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
+    out = tmp_path / "emb.csv"
+    assert cli_main(["export-embeddings", "--checkpoint", str(ckpt),
+                     "--data", str(data_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_EMBEDDINGS_SHA256
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -210,6 +210,20 @@ def test_dataset_csv_round_trip(tmp_path):
             assert rec.feat_b is None
 
 
+# sha256 of export_dataset_csv's bytes for PINNED_CSV_CONFIG's draw at rate
+# 0.5, recorded from the per-sample writer that the columnar writer replaced.
+PINNED_CSV_SHA256 = "2507ca537e805c878a2637e16837763d05b90ca75e6ef4a7e9a7200f607c5cdd"
+PINNED_CSV_CONFIG = dict(num_classes=3, samples_per_class=17, dim_a=4, dim_b=9, seed=3)
+
+
+def test_dataset_csv_bytes_match_the_pinned_digest(tmp_path):
+    (data,) = draw_datasets(small_cfg(**PINNED_CSV_CONFIG), (0.5,))
+    assert 0 < data.paired.sum() < len(data)
+    path = tmp_path / "data.csv"
+    export_dataset_csv(data.samples(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
+
+
 def test_dataset_csv_rejects_empty_and_flag_mismatch(tmp_path):
     with pytest.raises(UsageError):
         export_dataset_csv([], tmp_path / "x.csv")
