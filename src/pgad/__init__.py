@@ -22,10 +22,12 @@ from .prototypes import (
     update_running_prototypes,
 )
 from .synthdata import (
+    Dataset,
     DatasetConfig,
     FoldSplit,
     Sample,
     apply_missingness,
+    draw_datasets,
     export_dataset_csv,
     generate_dataset,
     import_dataset_csv,
@@ -36,13 +38,13 @@ from .trainer import TrainConfig, adam_update, cosine_lr, fit, train_step
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmSpec", "BatchPlan", "ComparisonResult", "DatasetConfig",
+    "ArmSpec", "BatchPlan", "ComparisonResult", "Dataset", "DatasetConfig",
     "FoldSplit", "LossReport", "LossWeights", "MetricsRecord", "MlpSpec",
     "PgadError", "PrototypeSet", "RunSummary", "Sample", "ScenarioConfig",
     "StudentNet", "TTestResult", "TeacherNet", "TrainConfig", "adam_update",
     "apply_missingness", "auc", "bonferroni", "build_batch", "ce_loss",
     "compare_arms", "compute_batch_prototypes", "confusion", "cosine_lr",
-    "export_dataset_csv", "fit", "generate_dataset",
+    "draw_datasets", "export_dataset_csv", "fit", "generate_dataset",
     "import_dataset_csv", "kd_loss", "load_checkpoint", "mcc",
     "pair_loss", "paired_ttest", "proto_loss",
     "run_scenario", "sampling_ratio", "save_checkpoint", "sen_spe",

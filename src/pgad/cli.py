@@ -43,9 +43,9 @@ def _cmd_export(args) -> int:
     net = load_checkpoint(args.checkpoint)
     if not isinstance(net, StudentNet):
         raise UsageError("embedding export needs a student checkpoint")
-    samples = import_dataset_csv(args.data)
-    export_embeddings(net, samples, args.out)
-    print(f"wrote {len(samples)} embedding rows to {args.out}")
+    data = import_dataset_csv(args.data)
+    export_embeddings(net, data, args.out)
+    print(f"wrote {len(data)} embedding rows to {args.out}")
     return 0
 
 

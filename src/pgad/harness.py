@@ -26,7 +26,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import softmax
@@ -46,7 +46,7 @@ from .losses import LossWeights
 from .nets import ACTIVATIONS, StudentNet, TeacherNet, save_checkpoint, student_forward
 from .prototypes import export_prototypes_csv
 from .seeding import derive_seed
-from .synthdata import Dataset, DatasetConfig, Sample, draw_datasets, kfold_rows
+from .synthdata import Dataset, DatasetConfig, draw_datasets, kfold_rows
 from .trainer import TrainConfig, export_trace_csv, fit
 
 DEFAULT_MISSING_RATES = (0.2, 0.5, 0.7)
@@ -365,17 +365,20 @@ def _export_report_md(cfg: ScenarioConfig, summary: RunSummary, path) -> None:
         fh.write("\n".join(lines))
 
 
-def export_embeddings(student: StudentNet, samples: Sequence[Sample], path) -> None:
-    """Write student features as CSV rows id,label,paired,h_0..h_{H-1}."""
-    if not samples:
-        raise UsageError("cannot export embeddings for an empty sample list")
-    feats = np.stack([s.feat_a for s in samples])
-    h, _ = student_forward(student, feats)
+def export_embeddings(student: StudentNet, data: Dataset, path) -> None:
+    """Write student features as CSV rows id,label,paired,h_0..h_{H-1}.
+
+    Every float cell is repr(float), one line per row of `data`.
+    """
+    if not len(data):
+        raise UsageError("cannot export embeddings for an empty dataset")
+    h, _ = student_forward(student, data.feat_a)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label", "paired"] + [f"h_{i}" for i in range(h.shape[1])])
-        for s, row in zip(samples, h):
-            writer.writerow([s.id, s.label, int(s.paired)] + [repr(float(v)) for v in row])
+        fh.write(",".join(["id", "label", "paired"] + [f"h_{i}" for i in range(h.shape[1])])
+                 + "\r\n")
+        for sid, label, paired, row in zip(data.ids.tolist(), data.labels.tolist(),
+                                           data.paired.tolist(), h):
+            fh.write(f"{sid},{label},{int(paired)},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def compare_arms(
@@ -499,8 +502,9 @@ def load_summary_from_metrics_csv(path) -> RunSummary:
     """Rebuild a RunSummary from a metrics.csv written by run_scenario.
 
     ProtocolError names the file, and the line of a bad row: a malformed or
-    non-finite value, a repeated (method, scenario, fold), or a cell with
-    fewer than 2 folds, which has no sample standard deviation.
+    non-finite value, a scenario tag whose rate is not in [0, 1], a repeated
+    (method, scenario, fold), or a cell with fewer than 2 folds, which has no
+    sample standard deviation.
     """
     rows = []
     seen = {}  # (method, rate, fold) -> line
@@ -524,6 +528,8 @@ def load_summary_from_metrics_csv(path) -> RunSummary:
                 rec = MetricsRecord(int(row[2]), *(float(v) for v in row[3:]))
             except ValueError as exc:
                 raise ProtocolError(f"{where}: {exc}") from exc
+            if not 0.0 <= rate <= 1.0:  # NaN fails too
+                raise ProtocolError(f"{where}: missing rate must be in [0, 1], got {scen!r}")
             if not np.isfinite([rec.get(m) for m in METRIC_NAMES]).all():
                 raise ProtocolError(f"{where}: metrics must be finite, got {row[3:]}")
             key = (method, rate, rec.fold)

@@ -10,14 +10,16 @@ The data is held as columns: a Dataset has one row per sample and a
 `paired` mask saying whose modality B is observed.  The features do not
 depend on the missing rate, so draw_datasets makes one feature draw and
 masks it once per rate with paired_mask, and kfold_rows splits the rows into
-folds.  The sample API (Sample, generate_dataset, apply_missingness,
-stratified_kfold) adapts those same functions to lists of Sample objects.
+folds.  The dataset CSV is read and written column by column too.  The
+sample API (Sample, generate_dataset, apply_missingness, stratified_kfold)
+adapts the drawing functions to lists of Sample objects.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -56,8 +58,9 @@ class Dataset:
     and (n, dim_b) feature matrices, and `paired` a bool mask: a row's
     modality B is observed where it is True, and its `feat_b` row must not be
     read where it is False.  Datasets masked from one draw share that draw's
-    arrays.  Two datasets are equal when all their columns are (NaN cells
-    compare equal), and a dataset unpickles with read-only columns again.
+    arrays.  Two datasets are equal when their columns are, except that
+    only the paired rows of `feat_b` are compared (NaN cells compare equal),
+    and a dataset unpickles with read-only columns again.
     """
 
     ids: np.ndarray
@@ -84,10 +87,13 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name),
-                           equal_nan=getattr(self, f.name).dtype.kind == "f")
-            for f in fields(self)
+        return (
+            all(np.array_equal(getattr(self, name), getattr(other, name),
+                               equal_nan=getattr(self, name).dtype.kind == "f")
+                for name in ("ids", "labels", "feat_a", "paired"))
+            and self.feat_b.shape == other.feat_b.shape
+            and np.array_equal(self.feat_b[self.paired], other.feat_b[other.paired],
+                               equal_nan=True)
         )
 
     def __reduce__(self):
@@ -353,40 +359,40 @@ def stratified_kfold(samples: Sequence[Sample], k: int, seed: int) -> list[FoldS
     return folds
 
 
-def export_dataset_csv(samples: Sequence[Sample], path) -> None:
-    """Write samples as CSV: id,label,paired,a_0..,b_0.. (b_* empty when unpaired)."""
-    if not samples:
+def export_dataset_csv(data: Dataset, path) -> None:
+    """Write `data` as CSV: id,label,paired,a_0..,b_0.. (b_* empty when unpaired).
+
+    Every float cell is repr(float), so reading the file back gives the same
+    values bit for bit.  The b_* columns follow feat_b's width, so a dataset
+    whose rows are all unpaired keeps them, empty.
+    """
+    if not len(data):
         raise UsageError("cannot export an empty dataset")
-    dim_a = samples[0].feat_a.shape[0]
-    dims_b = [s.feat_b.shape[0] for s in samples if s.paired]
-    dim_b = dims_b[0] if dims_b else 0
+    dim_a, dim_b = data.feat_a.shape[1], data.feat_b.shape[1]
     header = (
         ["id", "label", "paired"]
         + [f"a_{i}" for i in range(dim_a)]
         + [f"b_{i}" for i in range(dim_b)]
     )
+    blank_b = "," * dim_b
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in samples:
-            row = [s.id, s.label, int(s.paired)]
-            row += [repr(float(v)) for v in s.feat_a]
-            if s.paired:
-                row += [repr(float(v)) for v in s.feat_b]
-            else:
-                row += [""] * dim_b
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for sid, label, paired, a, b in zip(data.ids.tolist(), data.labels.tolist(),
+                                            data.paired.tolist(), data.feat_a, data.feat_b):
+            cells = a.tolist() + b.tolist() if paired else a.tolist()
+            fh.write(f"{sid},{label},{int(paired)},{','.join(map(repr, cells))}"
+                     f"{'' if paired else blank_b}\r\n")
 
 
-def import_dataset_csv(path) -> list[Sample]:
-    """Read a dataset written by export_dataset_csv.
+def import_dataset_csv(path) -> Dataset:
+    """Read a dataset written by export_dataset_csv; unpaired feat_b rows are NaN.
 
     The header must be id,label,paired,a_0..a_{n-1},b_0..b_{m-1} with n >= 1.
     Another header, a row whose cell count differs from the header's, a cell
-    that does not parse as a number, a negative label, an id repeated from an
-    earlier row, a paired flag other than 0 or 1 or one that disagrees with
-    the b_* cells, or text that is not CSV raises ProtocolError naming the
-    file and line.
+    that does not parse as a number, an id or label outside int64, a negative
+    label, an id repeated from an earlier row, a paired flag other than 0 or 1
+    or one that disagrees with the b_* cells, or text that is not CSV raises
+    ProtocolError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -396,7 +402,7 @@ def import_dataset_csv(path) -> list[Sample]:
             raise ProtocolError(f"{path} line {reader.line_num}: {exc}") from exc
 
 
-def _read_dataset_rows(reader, path) -> list[Sample]:
+def _read_dataset_rows(reader, path) -> Dataset:
     header = next(reader, None)
     if header is None:
         raise ProtocolError(f"{path} is empty: a dataset CSV needs a header row")
@@ -407,18 +413,25 @@ def _read_dataset_rows(reader, path) -> list[Sample]:
     if dim_a < 1 or header != expected:
         raise ProtocolError(f"{path}: dataset header must be id,label,paired,a_0..a_{{n-1}},"
                             f"b_0..b_{{m-1}} with n >= 1, got {','.join(header)!r}")
-    samples, seen = [], set()
+    # Columns grow as flat buffers; numpy wraps each once at the end.
+    ids, labels, feat_a, feat_b = array("q"), array("q"), array("d"), array("d")
+    paired = bytearray()
+    missing_b = array("d", [math.nan]) * dim_b
+    b_start = 3 + dim_a
+    seen = set()
     for row in reader:
         where = f"{path} line {reader.line_num}"
         if len(row) != len(header):
             raise ProtocolError(f"{where}: {len(row)} cells, the header has {len(header)}")
-        b_cells = row[3 + dim_a :]
-        has_b = any(cell != "" for cell in b_cells)
+        b_cells = row[b_start:]
+        has_b = any(b_cells)
         try:
             sid, label = int(row[0]), int(row[1])
-            a = np.array([float(v) for v in row[3 : 3 + dim_a]], dtype=np.float64)
-            b = np.array([float(v) for v in b_cells], dtype=np.float64) if has_b else None
-        except ValueError as exc:
+            ids.append(sid)
+            labels.append(label)
+            feat_a.extend(map(float, row[3:b_start]))
+            feat_b.extend(map(float, b_cells) if has_b else missing_b)
+        except (ValueError, OverflowError) as exc:
             raise ProtocolError(f"{where}: {exc}") from exc
         if sid in seen:
             raise ProtocolError(f"{where}: sample id {sid} repeats an earlier row")
@@ -431,5 +444,12 @@ def _read_dataset_rows(reader, path) -> list[Sample]:
             raise ProtocolError(f"{where}: sample {sid}: "
                                 "paired flag disagrees with b_* columns")
         seen.add(sid)
-        samples.append(Sample(id=sid, label=label, feat_a=a, feat_b=b))
-    return samples
+        paired.append(has_b)
+    n = len(ids)
+    return Dataset(
+        ids=np.frombuffer(ids, dtype=np.int64),
+        labels=np.frombuffer(labels, dtype=np.int64),
+        feat_a=np.frombuffer(feat_a).reshape(n, dim_a),
+        feat_b=np.frombuffer(feat_b).reshape(n, dim_b),
+        paired=np.frombuffer(paired, dtype=bool),
+    )

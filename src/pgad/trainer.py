@@ -52,7 +52,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -216,13 +216,14 @@ def adam_update(
     state: AdamState,
     lr: float,
     weight_decay: float,
-    decay_mask: Optional[np.ndarray] = None,
+    decay_mask: np.ndarray,
 ) -> None:
     """One Adam step with decoupled weight decay, in place.
 
     Updates `params`, `state.m`, `state.v` and `state.t`, and works in
     `state.scratch`, which AdamState.zeros builds, so a step allocates
-    nothing.  decay_mask zeroes the decay term for selected entries (theta).
+    nothing.  decay_mask scales the decay term per entry; fit's mask zeroes
+    it for theta.
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
         raise ShapeError("params must be a float64 array, updated in place")
@@ -243,11 +244,8 @@ def adam_update(
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
     step_vec /= tmp
-    if decay_mask is None:
-        step_vec += np.multiply(weight_decay, params, out=tmp)
-    else:
-        np.multiply(params, decay_mask, out=tmp)
-        step_vec += np.multiply(weight_decay, tmp, out=tmp)
+    np.multiply(params, decay_mask, out=tmp)
+    step_vec += np.multiply(weight_decay, tmp, out=tmp)
     step_vec *= lr
     params -= step_vec
     state.t = t
@@ -403,7 +401,7 @@ def train_step(
     cfg: TrainConfig,
     lr: float,
     step: int,
-    decay_mask: Optional[np.ndarray] = None,
+    decay_mask: np.ndarray,
 ) -> tuple[PrototypeSet, StepTrace]:
     """Run one training step; returns the new prototypes and the step's trace.
 
@@ -415,7 +413,7 @@ def train_step(
     `params` keeps the last finite values.  `protos` is the running
     set under the "paired" strategy and a fixed epoch-level set under "all".
     `decay_mask` keeps weight decay off theta; fit builds it once
-    (_decay_mask), and None builds it for this call.
+    (_decay_mask).
     """
     if joint_buffers(teacher, student)[0] is not params:
         raise UsageError("teacher and student are bound to another buffer than params")
@@ -446,8 +444,6 @@ def train_step(
     except (NumericHealthError, ProtocolError) as exc:
         raise type(exc)(f"step {step}: {exc}") from exc
 
-    if decay_mask is None:
-        decay_mask = _decay_mask(params.size)
     adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask)
     theta = float(params[-1])
 

@@ -49,6 +49,7 @@ from pgad.synthdata import DatasetConfig, generate_dataset
 from pgad.trainer import (
     AdamState,
     TrainConfig,
+    _decay_mask,
     cosine_lr,
     global_prototypes,
     step_gradients,
@@ -651,6 +652,7 @@ def test_c9_degenerates_to_plain_distillation():
     pools = prepare_pools(paired, [])
     adam = AdamState.zeros(teacher.param_count + student.param_count + 1)
     params = bind_joint_params(teacher, student, 0.0)
+    decay_mask = _decay_mask(params.size)
     protos = empty_prototypes(2, teacher.feat_dim)
     worst = 0.0
 
@@ -672,7 +674,7 @@ def test_c9_degenerates_to_plain_distillation():
 
         lr = cosine_lr(step, total_steps, cfg.learning_rate)
         protos, trace = train_step(
-            teacher, student, pools, plan, protos, params, adam, cfg, lr, step,
+            teacher, student, pools, plan, protos, params, adam, cfg, lr, step, decay_mask,
         )
         rep = trace.report
         assert rep.l_pair == 0.0 and rep.l_proto == 0.0

@@ -434,19 +434,26 @@ def test_compare_arms_errors():
 
 
 def test_export_embeddings_layout(tmp_path):
-    ds = generate_dataset(replace(tiny_dataset_cfg(), missing_rate=0.5))
+    (data,) = synthdata.draw_datasets(tiny_dataset_cfg(), (0.5,))
     net = StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1)
     path = tmp_path / "emb.csv"
-    export_embeddings(net, ds[:6], path)
+    export_embeddings(net, data, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "id,label,paired,h_0,h_1,h_2,h_3"
-    assert len(lines) == 7
-    flags = {int(ln.split(",")[2]) for ln in lines[1:]}
-    assert flags <= {0, 1}
-    export_embeddings(net, ds[:6], tmp_path / "emb2.csv")
+    assert len(lines) == 25
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [(int(r[0]), int(r[1]), r[2]) for r in rows] == [
+        (i, c, "1" if p else "0")
+        for i, c, p in zip(data.ids.tolist(), data.labels.tolist(), data.paired.tolist())]
+    h, _ = student_forward(net, data.feat_a)
+    assert np.array_equal(np.array([[float(v) for v in r[3:]] for r in rows]), h)
+    export_embeddings(net, data, tmp_path / "emb2.csv")
     assert (tmp_path / "emb2.csv").read_text() == path.read_text()
+    empty = synthdata.Dataset(ids=np.empty(0, np.int64), labels=np.empty(0, np.int64),
+                              feat_a=np.empty((0, 5)), feat_b=np.empty((0, 5)),
+                              paired=np.empty(0, bool))
     with pytest.raises(UsageError):
-        export_embeddings(net, [], tmp_path / "emb3.csv")
+        export_embeddings(net, empty, tmp_path / "emb3.csv")
 
 
 # ------------------------------------------------------------ CLI
@@ -476,16 +483,21 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert "full vs baseline [mcc]" in captured.out
 
 
-def test_cli_export_embeddings(tmp_path, capsys):
-    ds = generate_dataset(replace(tiny_dataset_cfg(), missing_rate=0.5))
+def test_cli_export_embeddings(tmp_path, capsys, monkeypatch):
+    (data,) = synthdata.draw_datasets(tiny_dataset_cfg(), (0.5,))
     data_path = tmp_path / "data.csv"
-    export_dataset_csv(ds, data_path)
+    export_dataset_csv(data, data_path)
     from pgad.nets import save_checkpoint
 
     net = StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1)
     ckpt = tmp_path / "student.txt"
     save_checkpoint(net, ckpt)
     out = tmp_path / "emb.csv"
+
+    def no_samples(self, *args, **kwargs):
+        raise AssertionError("export-embeddings reads and writes columns, never Samples")
+
+    monkeypatch.setattr(synthdata.Sample, "__init__", no_samples)
     rc = cli_main(["export-embeddings", "--checkpoint", str(ckpt),
                    "--data", str(data_path), "--out", str(out)])
     captured = capsys.readouterr()
@@ -506,7 +518,7 @@ def test_cli_export_embeddings_bytes_match_the_pinned_digest(tmp_path, capsys):
     (data,) = synthdata.draw_datasets(tiny_dataset_cfg(), (0.5,))
     assert 0 < data.paired.sum() < len(data)
     data_path = tmp_path / "data.csv"
-    export_dataset_csv(data.samples(), data_path)
+    export_dataset_csv(data, data_path)
     ckpt = tmp_path / "student.txt"
     save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
     out = tmp_path / "emb.csv"
@@ -738,9 +750,9 @@ def test_scenario_from_dict_keeps_bool_switches():
 def test_cli_export_embeddings_on_checkpoint_without_specs(tmp_path, capsys):
     from pgad.nets import save_checkpoint
 
-    ds = generate_dataset(replace(tiny_dataset_cfg(), missing_rate=0.5))
+    (data,) = synthdata.draw_datasets(tiny_dataset_cfg(), (0.5,))
     data_path = tmp_path / "data.csv"
-    export_dataset_csv(ds, data_path)
+    export_dataset_csv(data, data_path)
     ckpt = tmp_path / "student.txt"
     save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
     lines = ckpt.read_text().splitlines()
@@ -800,9 +812,9 @@ def test_cli_export_embeddings_on_malformed_data_row(tmp_path, capsys, row, prob
 
     ckpt = tmp_path / "student.txt"
     save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
-    ds = generate_dataset(replace(tiny_dataset_cfg(), missing_rate=0.5))
+    (data,) = synthdata.draw_datasets(tiny_dataset_cfg(), (0.5,))
     data_path = tmp_path / "bad.csv"
-    export_dataset_csv(ds, data_path)  # 3 + 5 + 5 columns
+    export_dataset_csv(data, data_path)  # 3 + 5 + 5 columns
     lines = data_path.read_text().splitlines()
     data_path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
     rc = cli_main(["export-embeddings", "--checkpoint", str(ckpt),
@@ -955,6 +967,36 @@ def test_cli_compare_rejects_a_cell_with_fewer_than_two_folds(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ProtocolError")
     assert "metrics.csv: full rate=0.5 has 1 fold; a cell needs at least 2" in err
+
+
+@pytest.mark.parametrize("tag", ["rate=nan", "rate=inf", "rate=7", "rate=-0.1", "rate=1.5"])
+def test_cli_compare_rejects_a_rate_outside_zero_to_one(tmp_path, capsys, tag):
+    """A well-formed two-arm, two-fold file whose rate run_scenario cannot write."""
+    (tmp_path / "metrics.csv").write_text(
+        "method,scenario,fold,mcc,auc,sen,spe\n"
+        + "".join(f"{arm},{tag},{fold},0.{fold + 1},0.5,0.5,0.5\n"
+                  for arm in ("baseline", "full") for fold in (0, 1))
+    )
+    rc = cli_main(["compare", "--summary", str(tmp_path), "--baseline", "baseline"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ProtocolError")
+    assert f"metrics.csv line 2: missing rate must be in [0, 1], got '{tag}'" in err
+    assert not (tmp_path / "comparisons.csv").exists()
+
+
+def test_cli_compare_accepts_the_end_rates(tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_text(
+        "method,scenario,fold,mcc,auc,sen,spe\n"
+        + "".join(f"{arm},rate={rate},{fold},0.{fold + shift + 1},0.5,0.5,0.5\n"
+                  for rate in ("0.0", "1.0") for shift, arm in enumerate(("baseline", "full"))
+                  for fold in (0, 1, 2))
+    )
+    for rate in ("0", "1"):
+        rc = cli_main(["compare", "--summary", str(tmp_path), "--baseline", "baseline",
+                       "--rate", rate])
+        assert rc == 0, capsys.readouterr().err
+    assert "full vs baseline [mcc]" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------ scenario schema

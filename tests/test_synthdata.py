@@ -196,18 +196,22 @@ def test_stratified_kfold_errors():
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    ds = generate_dataset(small_cfg(missing_rate=0.4))
-    path = tmp_path / "data.csv"
-    export_dataset_csv(ds, path)
-    back = import_dataset_csv(path)
-    assert len(back) == len(ds)
-    for orig, rec in zip(ds, back):
-        assert rec.id == orig.id and rec.label == orig.label
-        assert np.array_equal(rec.feat_a, orig.feat_a)
-        if orig.paired:
-            assert np.array_equal(rec.feat_b, orig.feat_b)
-        else:
-            assert rec.feat_b is None
+    for data in draw_datasets(small_cfg(), (0.0, 0.5, 1.0)):
+        path = tmp_path / "data.csv"
+        export_dataset_csv(data, path)
+        back = import_dataset_csv(path)
+        assert back == data
+        assert np.isnan(back.feat_b[~back.paired]).all()
+        # the b_* columns follow feat_b's width, also when every row is unpaired
+        assert path.read_text().splitlines()[0].endswith(",b_0,b_1,b_2,b_3,b_4")
+
+
+def test_dataset_equality_ignores_the_feat_b_rows_of_unpaired_samples():
+    (data,) = draw_datasets(small_cfg(), (0.5,))
+    masked = np.where(data.paired[:, None], data.feat_b, np.nan)
+    assert replace(data, feat_b=masked) == data
+    assert replace(data, feat_b=np.where(data.paired[:, None], 0.0, data.feat_b)) != data
+    assert replace(data, feat_b=data.feat_b[:, :4]) != data
 
 
 # sha256 of export_dataset_csv's bytes for PINNED_CSV_CONFIG's draw at rate
@@ -220,16 +224,20 @@ def test_dataset_csv_bytes_match_the_pinned_digest(tmp_path):
     (data,) = draw_datasets(small_cfg(**PINNED_CSV_CONFIG), (0.5,))
     assert 0 < data.paired.sum() < len(data)
     path = tmp_path / "data.csv"
-    export_dataset_csv(data.samples(), path)
+    export_dataset_csv(data, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
 
 
 def test_dataset_csv_rejects_empty_and_flag_mismatch(tmp_path):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("id,label,paired,a_0,a_1,b_0\n")
+    empty = import_dataset_csv(header_only)
+    assert len(empty) == 0 and empty.feat_a.shape == (0, 2) and empty.feat_b.shape == (0, 1)
     with pytest.raises(UsageError):
-        export_dataset_csv([], tmp_path / "x.csv")
-    ds = generate_dataset(small_cfg(dim_a=2, dim_b=2, samples_per_class=2))
+        export_dataset_csv(empty, tmp_path / "x.csv")
+    (data,) = draw_datasets(small_cfg(dim_a=2, dim_b=2, samples_per_class=2), (0.0,))
     path = tmp_path / "bad.csv"
-    export_dataset_csv(ds, path)
+    export_dataset_csv(data, path)
     lines = path.read_text().splitlines()
     # claim unpaired while b_* columns hold data
     first = lines[1].split(",")
@@ -255,9 +263,9 @@ def test_dataset_csv_rejects_a_header_other_than_the_exported_one(tmp_path, head
 
 
 def test_dataset_csv_wraps_a_field_over_the_csv_size_limit(tmp_path):
-    ds = generate_dataset(small_cfg(dim_a=2, dim_b=2, samples_per_class=2))
+    (data,) = draw_datasets(small_cfg(dim_a=2, dim_b=2, samples_per_class=2), (0.0,))
     path = tmp_path / "quoted.csv"
-    export_dataset_csv(ds, path)
+    export_dataset_csv(data, path)
     lines = path.read_text().splitlines()
     # an unclosed quote runs the field on to the end of a large file
     path.write_text("\n".join(lines[:2] + ['"' + "0.5," * 40000]) + "\n")
@@ -286,7 +294,7 @@ CSV_EDITS = st.one_of(
 @example(edit=("cell", 2, 0, "0"))  # the id of the row before
 def test_dataset_csv_reads_an_edited_file_back_or_raises_protocol_error(tmp_path_factory, edit):
     path = tmp_path_factory.mktemp("edit") / "data.csv"
-    export_dataset_csv(generate_dataset(small_cfg(samples_per_class=3, missing_rate=0.5)), path)
+    export_dataset_csv(draw_datasets(small_cfg(samples_per_class=3), (0.5,))[0], path)
     lines = path.read_text().splitlines()
     i = edit[1] % len(lines)
     if edit[0] == "cell":
@@ -300,12 +308,13 @@ def test_dataset_csv_reads_an_edited_file_back_or_raises_protocol_error(tmp_path
         back = import_dataset_csv(path)
     except ProtocolError:
         return
-    assert all(s.feat_a.shape == (6,) for s in back)
-    assert all(s.feat_b is None or s.feat_b.shape == (5,) for s in back)
-    assert all(s.label >= 0 for s in back)
-    assert len({s.id for s in back}) == len(back)
+    assert back.feat_a.shape == (len(back), 6) and back.feat_b.shape == (len(back), 5)
+    assert (back.labels >= 0).all()
+    assert len(np.unique(back.ids)) == len(back)
+    assert np.isnan(back.feat_b[~back.paired]).all()
     with path.open(newline="") as fh:
-        assert all(row[2] in ("0", "1") for row in list(csv.reader(fh))[1:])
+        rows = list(csv.reader(fh))[1:]
+    assert [row[2] for row in rows] == ["1" if p else "0" for p in back.paired.tolist()]
 
 
 def test_fuzz_missingness_counts_and_determinism():

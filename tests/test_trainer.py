@@ -100,7 +100,8 @@ def test_adam_first_step_is_signed_lr():
     params = np.zeros(3)
     grads = np.array([10.0, -0.5, 2.0])
     state = AdamState.zeros(3)
-    assert adam_update(params, grads, state, lr=0.1, weight_decay=0.0) is None
+    assert adam_update(params, grads, state, lr=0.1, weight_decay=0.0,
+                       decay_mask=np.ones(3)) is None
     assert np.allclose(params, [-0.1, 0.1, -0.1], atol=1e-7)
     assert state.t == 1
 
@@ -109,7 +110,8 @@ def test_adam_decoupled_weight_decay():
     params = np.array([2.0, -2.0])
     zeros = np.zeros(2)
     new = params.copy()
-    adam_update(new, zeros, AdamState.zeros(2), lr=0.1, weight_decay=0.5)
+    adam_update(new, zeros, AdamState.zeros(2), lr=0.1, weight_decay=0.5,
+                decay_mask=np.ones(2))
     assert np.allclose(new, 0.95 * params, atol=1e-12)
 
     masked = params.copy()
@@ -123,16 +125,16 @@ def test_adam_state_accumulates():
     state = AdamState.zeros(1)
     params = np.array([0.0])
     for _ in range(5):
-        adam_update(params, np.array([1.0]), state, 0.01, 0.0)
+        adam_update(params, np.array([1.0]), state, 0.01, 0.0, np.ones(1))
     assert state.t == 5
     assert params[0] == pytest.approx(-0.05, abs=1e-6)  # steady unit step of lr
 
 
 def test_adam_shape_error():
     with pytest.raises(ShapeError):
-        adam_update(np.zeros(2), np.zeros(3), AdamState.zeros(2), 0.1, 0.0)
+        adam_update(np.zeros(2), np.zeros(3), AdamState.zeros(2), 0.1, 0.0, np.ones(2))
     with pytest.raises(ShapeError):  # in place needs a float64 array to write
-        adam_update([0.0, 0.0], np.zeros(2), AdamState.zeros(2), 0.1, 0.0)
+        adam_update([0.0, 0.0], np.zeros(2), AdamState.zeros(2), 0.1, 0.0, np.ones(2))
 
 
 def reference_adam(params, grads, m, v, t, lr, weight_decay, decay_mask):
@@ -411,6 +413,7 @@ def test_train_step_updates_params_and_prototypes():
 
     new_protos, trace = train_step(
         teacher, student, pools, plan, protos, params, adam, cfg, lr=1e-3, step=0,
+        decay_mask=trainer._decay_mask(params.size),
     )
     assert not np.array_equal(teacher.get_params(), before_t)
     assert not np.array_equal(student.get_params(), before_s)
@@ -431,7 +434,7 @@ def test_train_step_theta_frozen_outside_dynamic():
     cfg = TrainConfig(ams_mode="none")
     _, trace = train_step(
         teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
-        params, adam, cfg, lr=1e-3, step=0,
+        params, adam, cfg, lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.size),
     )
     assert params[-1] == trace.theta == 0.0
     assert trace.ratio == 1.0
@@ -445,7 +448,7 @@ def test_train_step_requires_genuine_rows():
     with pytest.raises(ProtocolError, match="^step 0: batch has no genuine pair$"):
         train_step(teacher, student, pools, plan,
                    empty_prototypes(2, teacher.feat_dim), params, adam, TrainConfig(),
-                   lr=1e-3, step=0)
+                   lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.size))
 
 
 def test_train_step_requires_nets_bound_to_params():
@@ -455,11 +458,12 @@ def test_train_step_requires_nets_bound_to_params():
     protos = empty_prototypes(2, teacher.feat_dim)
     with pytest.raises(UsageError, match="bound to another buffer than params"):
         train_step(teacher, student, pools, plan, protos,
-                   params.copy(), adam, TrainConfig(), lr=1e-3, step=0)
+                   params.copy(), adam, TrainConfig(), lr=1e-3, step=0,
+                   decay_mask=trainer._decay_mask(params.size))
     free_t, free_s = make_nets()
     with pytest.raises(UsageError, match="must be bound together"):
         train_step(free_t, free_s, pools, plan, protos, params, adam, TrainConfig(),
-                   lr=1e-3, step=0)
+                   lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.size))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
