@@ -806,6 +806,7 @@ def test_cli_export_embeddings_on_empty_data_csv(tmp_path, capsys):
     ("99,1,2,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "paired flag must be 0 or 1, got '2'"),
     ("99,-1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "label must be >= 0, got -1"),
     ("0,1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "sample id 0 repeats an earlier row"),
+    ("9223372036854775808,1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "int too big to convert"),
 ])
 def test_cli_export_embeddings_on_malformed_data_row(tmp_path, capsys, row, problem):
     from pgad.nets import save_checkpoint
