@@ -204,6 +204,12 @@ def test_dataset_csv_round_trip(tmp_path):
         assert np.isnan(back.feat_b[~back.paired]).all()
         # the b_* columns follow feat_b's width, also when every row is unpaired
         assert path.read_text().splitlines()[0].endswith(",b_0,b_1,b_2,b_3,b_4")
+    # an all-unpaired file written without b_* columns reads with a zero-width feat_b
+    path.write_bytes(b"id,label,paired,a_0\r\n0,1,0,0.5\r\n")
+    back = import_dataset_csv(path)
+    assert back.feat_b.shape == (1, 0) and not back.paired.any()
+    export_dataset_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_dataset_equality_ignores_the_feat_b_rows_of_unpaired_samples():
