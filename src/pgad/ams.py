@@ -86,7 +86,7 @@ class BatchPlan:
 
 
 def sampling_ratio(mode: str, theta: float, fixed_ratio: float) -> float:
-    """Share of the batch reserved for genuine pairs (TrainConfig.validate checks
+    """Share of the batch reserved for genuine pairs (building a TrainConfig checks
     mode and fixed_ratio; a non-finite theta in dynamic mode is NumericHealthError)."""
     if mode == "none":
         return 1.0

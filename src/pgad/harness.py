@@ -64,7 +64,7 @@ class ArmSpec:
     loss_weights: LossWeights = field(default_factory=LossWeights)
     rates: Optional[tuple[float, ...]] = None  # per-arm override of the scenario's rate sweep
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.name or any(ch in self.name for ch in ",/\\ "):
             raise ConfigError(f"arm name must be nonempty without separators, got {self.name!r}")
         if self.proto_strategy == "none" and self.pcm:
@@ -88,17 +88,15 @@ class ScenarioConfig:
     activation: str = "tanh"
     output_dir: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
-        self.dataset.validate()
         if self.dataset.missing_rate != 0.0:
             raise ConfigError(
                 f"scenario.dataset.missing_rate is {self.dataset.missing_rate}, but a scenario "
                 "draws its missingness per rate: set the rates in missing_rates or in the "
                 "arms' rates and leave dataset.missing_rate at 0"
             )
-        self.train.validate()
         # ArmSpec's defaults are TrainConfig's, so only a field every arm sets can differ
         per_arm = self.arm_train(ArmSpec(name="default"))
         for f in fields(TrainConfig):
@@ -118,14 +116,13 @@ class ScenarioConfig:
             if not (0.0 <= r <= 1.0):
                 raise ConfigError(f"missing rate {r} outside [0, 1]")
         for arm in self.arms:
-            arm.validate()
             rates = self.arm_rates(arm)
             if not rates:
                 raise ConfigError(f"arm {arm.name}: no missing rates to run")
             if len(set(rates)) != len(rates):
                 raise ConfigError(f"arm {arm.name}: missing rates repeat, got {list(rates)}")
-            try:
-                self.arm_train(arm).validate()
+            try:  # building the arm's TrainConfig checks its ams mode
+                self.arm_train(arm)
             except ConfigError as exc:
                 raise ConfigError(f"arm {arm.name}: {exc}") from exc
         if self.feat_dim < 1 or self.hidden_width < 1:
@@ -303,7 +300,6 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
     """Run every (arm, rate, fold) cell on `jobs` worker processes (1 runs them
     in this process), aggregate, and write all artifacts.  No more workers
     start than there are cells."""
-    cfg.validate()
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     job_list = _build_jobs(cfg)
@@ -446,7 +442,9 @@ def _read(tp, value, path: str):
 
     A dataclass is read from an object of its fields, a tuple from a list,
     an Optional from null or its inner type.  Numbers are never strings or
-    booleans, and an integral float such as 3.0 is stored as an int.
+    booleans, and an integral float such as 3.0 is stored as an int.  A
+    dataclass checks itself when it is built; its ConfigError gets `path`
+    as a prefix.
     """
     if is_dataclass(tp):
         if not isinstance(value, dict):
@@ -464,7 +462,10 @@ def _read(tp, value, path: str):
                 kwargs[name] = _JSON_DEFAULTS[tp, name]
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{path} is missing required field {name!r}")
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:  # the record's own check, named by its path
+            raise ConfigError(f"{path}: {exc}") from None
     if get_origin(tp) is Union:  # Optional[inner]
         return None if value is None else _read(get_args(tp)[0], value, path)
     if get_origin(tp) is tuple:

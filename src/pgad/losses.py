@@ -55,7 +55,7 @@ class LossWeights:
     pair: float = 0.5
     proto: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("tea", "stu", "kl", "pair", "proto"):
             v = getattr(self, name)
             if not (v >= 0.0) or not math.isfinite(v):
@@ -70,21 +70,6 @@ class LossReport:
     l_pair: float
     l_proto: float
     total: float
-
-    def recombine(self, weights: LossWeights) -> float:
-        """The exact expression total_loss uses; == self.total must hold."""
-        return _weighted_sum(self.l_tea, self.l_stu, self.l_kl, self.l_pair, self.l_proto,
-                             weights)
-
-
-def _weighted_sum(l_tea, l_stu, l_kl, l_pair, l_proto, weights: LossWeights) -> float:
-    return (
-        weights.tea * l_tea
-        + weights.stu * l_stu
-        + weights.kl * l_kl
-        + weights.pair * l_pair
-        + weights.proto * l_proto
-    )
 
 
 def _shifted_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,15 +254,20 @@ def total_loss(
     weights: LossWeights,
 ) -> LossReport:
     """Weighted combination of the five terms; rejects non-finite or negative input."""
-    weights.validate()
     terms = (l_tea, l_stu, l_kl, l_pair, l_proto)
     for name, term in zip(TERM_NAMES, terms):
         if not math.isfinite(term):
             raise NumericHealthError(f"loss term {name} is not finite: {term}")
         if term < 0.0:
             raise NumericHealthError(f"loss term {name} is negative: {term}")
-    terms = tuple(float(term) for term in terms)
-    total = _weighted_sum(*terms, weights)
+    l_tea, l_stu, l_kl, l_pair, l_proto = (float(term) for term in terms)
+    total = (
+        weights.tea * l_tea
+        + weights.stu * l_stu
+        + weights.kl * l_kl
+        + weights.pair * l_pair
+        + weights.proto * l_proto
+    )
     if not math.isfinite(total):
         raise NumericHealthError(f"total loss is not finite: {total}")
-    return LossReport(*terms, total=total)
+    return LossReport(l_tea, l_stu, l_kl, l_pair, l_proto, total=total)

@@ -55,7 +55,7 @@ class MlpSpec:
     layer_widths: tuple
     activation: str = "tanh"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.layer_widths) < 2:
             raise ConfigError(f"need at least input and output widths, got {self.layer_widths}")
         if any(int(w) < 1 for w in self.layer_widths):
@@ -124,7 +124,6 @@ class Mlp:
     """
 
     def __init__(self, spec: MlpSpec, seed: int):
-        spec.validate()
         self.spec = spec
         rng = np.random.default_rng(seed)
         draws = []
@@ -459,20 +458,19 @@ def _checked_spec(info, path, name: str) -> MlpSpec:
             f"{path}: checkpoint header needs integer layer_widths and an activation "
             f"under specs.{name}"
         )
-    spec = MlpSpec(tuple(widths), activation)
     try:
-        spec.validate()
+        return MlpSpec(tuple(widths), activation)
     except ConfigError as exc:
         raise ProtocolError(f"{path}: specs.{name}: {exc}") from None
-    return spec
 
 
 def load_checkpoint(path):
     """Rebuild a TeacherNet or StudentNet from a save_checkpoint file.
 
     A header that is not a JSON object naming a known kind and a valid spec
-    for every part, a value line that is not a number, or a value count
-    other than the one the specs imply raises ProtocolError naming the file.
+    for every part, a value line that is not a finite number, or a value
+    count other than the one the specs imply raises ProtocolError naming the
+    file.
     The count is checked before any part is built, so a header's widths
     cannot make it allocate more than the file holds.
     """
@@ -497,9 +495,13 @@ def load_checkpoint(path):
         raise ProtocolError(
             f"{path}: checkpoint holds {len(values)} values but the architecture needs {needed}"
         )
+    params = np.array(values, dtype=np.float64)
+    if not np.isfinite(params).all():
+        raise ProtocolError(f"{path}: checkpoint values must be finite, "
+                            f"got {params[~np.isfinite(params)][0]}")
     try:
         net = _NET_KINDS[kind](**{name: Mlp(spec, seed=0) for name, spec in part_specs.items()})
     except ConfigError as exc:
         raise ProtocolError(f"{path}: {exc}") from None
-    net.set_params(np.array(values, dtype=np.float64))
+    net.set_params(params)
     return net

@@ -137,7 +137,7 @@ class DatasetConfig:
     missing_rate: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.samples_per_class < 2:
@@ -235,7 +235,6 @@ def draw_datasets(cfg: DatasetConfig, rates: Sequence[float]) -> tuple[Dataset, 
     derived from (cfg.seed, "missing") at every rate.  Fully deterministic
     given (cfg, rates).
     """
-    cfg.validate()
     rng = np.random.default_rng(derive_seed(cfg.seed, "gen"))
 
     n_cls = cfg.num_classes
@@ -391,8 +390,8 @@ def import_dataset_csv(path) -> Dataset:
     Another header, a row whose cell count differs from the header's, a cell
     that does not parse as a number, an id or label outside int64, a negative
     label, an id repeated from an earlier row, a paired flag other than 0 or 1
-    or one that disagrees with the b_* cells, or text that is not CSV raises
-    ProtocolError naming the file and line.
+    or one that disagrees with the b_* cells, a nan or inf feature cell, or
+    text that is not CSV raises ProtocolError naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -415,7 +414,7 @@ def _read_dataset_rows(reader, path) -> Dataset:
                             f"b_0..b_{{m-1}} with n >= 1, got {','.join(header)!r}")
     # Columns grow as flat buffers; numpy wraps each once at the end.
     ids, labels, feat_a, feat_b = array("q"), array("q"), array("d"), array("d")
-    paired = bytearray()
+    paired, line_nums = bytearray(), array("q")
     missing_b = array("d", [math.nan]) * dim_b
     b_start = 3 + dim_a
     seen = set()
@@ -445,11 +444,19 @@ def _read_dataset_rows(reader, path) -> Dataset:
                                 "paired flag disagrees with b_* columns")
         seen.add(sid)
         paired.append(has_b)
+        line_nums.append(reader.line_num)
     n = len(ids)
-    return Dataset(
+    data = Dataset(
         ids=np.frombuffer(ids, dtype=np.int64),
         labels=np.frombuffer(labels, dtype=np.int64),
         feat_a=np.frombuffer(feat_a).reshape(n, dim_a),
         feat_b=np.frombuffer(feat_b).reshape(n, dim_b),
         paired=np.frombuffer(paired, dtype=bool),
     )
+    finite = np.isfinite(data.feat_a).all(axis=1)
+    finite &= np.isfinite(data.feat_b).all(axis=1) | ~data.paired  # unpaired rows hold NaN
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ProtocolError(f"{path} line {line_nums[row]}: sample {data.ids[row]}: "
+                            "feature cells must be finite")
+    return data

@@ -52,7 +52,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class TrainConfig:
     grad_clip: float = GRAD_CLIP_DEFAULT
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -146,7 +146,6 @@ class TrainConfig:
             raise ConfigError(
                 f"weight_decay must be nonnegative and finite, got {self.weight_decay}"
             )
-        self.loss_weights.validate()
         if self.ams_mode not in AMS_MODES:
             raise ConfigError(f"ams_mode must be one of {AMS_MODES}, got {self.ams_mode!r}")
         if not (0.0 <= self.fixed_ratio <= 1.0):
@@ -280,7 +279,7 @@ def step_gradients(
     student: StudentNet,
     pools: tuple[SamplePool, SamplePool],
     plan: BatchPlan,
-    effective_protos: Union[PrototypeSet, Callable[[np.ndarray, np.ndarray], PrototypeSet], None],
+    effective_protos: Optional[Callable[[np.ndarray, np.ndarray], PrototypeSet]],
     theta: float,
     cfg: TrainConfig,
 ) -> tuple[LossReport, np.ndarray]:
@@ -293,11 +292,11 @@ def step_gradients(
     distillation term are constants with respect to the parameters; theta's
     entry comes from the expected-loss surrogate at `theta` (0.0 outside
     dynamic mode or when the batch has no pseudo-pairs), and prototype
-    matching needs `effective_protos`.  `effective_protos` may also be a
-    callable, which is called once, right after the teacher forward, with
-    the fused features and labels of the genuine rows and returns the set
-    to match against; that is how train_step refreshes the batch prototypes
-    without a second teacher forward.  Runs its own forward passes,
+    matching needs `effective_protos`: a callback, called once, right after
+    the teacher forward, with the fused features and labels of the genuine
+    rows, that returns the set to match against (None turns matching off);
+    that is how train_step refreshes the batch prototypes without a second
+    teacher forward.  Runs its own forward passes,
     so it is self-contained and safe to call for gradient checking.  The
     gradient is nets.teacher_backward's, then nets.student_backward's,
     then theta's: the nets must be bound together by
@@ -321,7 +320,7 @@ def step_gradients(
     feats_b = paired.feat_b[b_rows]
 
     h_b, fused, logits_t = teacher_forward(teacher, feats_a, feats_b)
-    if callable(effective_protos):
+    if effective_protos is not None:
         effective_protos = effective_protos(fused[:n_g], labels[:n_g])
     feat_s, logits_s = student_forward(student, feats_a)
 
@@ -433,7 +432,7 @@ def train_step(
 
         effective_protos = refresh
     elif cfg.proto_strategy == "all":
-        effective_protos = protos
+        effective_protos = lambda fused, labels: protos
         n_stale = int(protos.stale.sum())
 
     try:
@@ -481,7 +480,6 @@ def fit(
     batch plan drawn from pools prepared once, before the first step.
     Deterministic given (nets' initial parameters, cfg.seed).
     """
-    cfg.validate()
     if not samples:
         raise EmptyBatchError("fit needs a nonempty training set")
     if teacher.feat_dim != student.feat_dim:

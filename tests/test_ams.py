@@ -52,13 +52,16 @@ def test_sigmoid_basics():
 
 
 def test_train_config_validates_the_sampling_settings():
-    TrainConfig().validate()
-    with pytest.raises(ConfigError, match="ams_mode must be one of"):
-        TrainConfig(ams_mode="auto").validate()
-    with pytest.raises(ConfigError, match="fixed_ratio must be in"):
-        TrainConfig(fixed_ratio=1.5).validate()
-    with pytest.raises(ConfigError, match="fixed_ratio must be in"):
-        TrainConfig(ams_mode="none", fixed_ratio=math.nan).validate()
+    """Checked when built, by the constructor and by replace alike."""
+    for bad, message in (
+        ({"ams_mode": "auto"}, "ams_mode must be one of"),
+        ({"fixed_ratio": 1.5}, "fixed_ratio must be in"),
+        ({"ams_mode": "none", "fixed_ratio": math.nan}, "fixed_ratio must be in"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**bad)
+        with pytest.raises(ConfigError, match=message):
+            replace(TrainConfig(), **bad)
 
 
 def test_sampling_ratio_per_mode():

@@ -146,3 +146,46 @@ def test_traced_paired_fit_counts_the_calls_of_one_step(traced, tmp_path):
                 "ams.build_batch": 1, "prototypes.compute_batch_prototypes": 1}
     for name, count in per_step.items():
         assert metrics[f"{name}.calls"][0] == count * steps, name
+
+
+def test_traced_scenario_reads_the_pools_of_each_fit_once(traced, tmp_path, monkeypatch):
+    """bench's hook on ams.build_batch rebuilds its label tables, one pass over
+    both pools, whenever a batch comes from another pool pair than the batch
+    before.  Each fit draws every batch from its own pair, so a traced serial
+    scenario iterates the pools twice per fit; a change that draws consecutive
+    batches from different pairs would make traced benchmark runs crawl."""
+    import pgad.cli  # noqa: F401
+    import tracing
+    from pgad import ams, harness
+    from pgad.synthdata import DatasetConfig
+    from pgad.trainer import TrainConfig
+
+    iterated = []
+    pool_iter = ams.SamplePool.__iter__
+
+    def counting_iter(pool):
+        iterated.append(pool)
+        return pool_iter(pool)
+
+    monkeypatch.setattr(ams.SamplePool, "__iter__", counting_iter)
+    cfg = harness.ScenarioConfig(
+        name="guard",
+        dataset=DatasetConfig(num_classes=2, samples_per_class=8, dim_a=3, dim_b=3,
+                              class_separation=4.0, noise_scale=1.0, missing_rate=0.0, seed=1),
+        train=TrainConfig(epochs=2, batch_size=4),
+        arms=(harness.ArmSpec(name="full", rates=(0.2, 0.5)),),
+        k_folds=2,
+        output_dir=str(tmp_path / "out"),
+    )
+    tracer = tracing.Tracer(str(tmp_path / "spans"))
+    tracer.install()
+    try:
+        harness.run_scenario(cfg)
+        tracer.flush()
+    finally:
+        tracer.uninstall()
+    metrics, failures, _ = tracing.collect(str(tmp_path / "spans"), jobs=1)
+    assert failures == []
+    fits = metrics["trainer.fit.calls"][0]
+    assert fits == 4  # 2 rates x 2 folds
+    assert len(iterated) == 2 * fits

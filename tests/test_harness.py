@@ -8,11 +8,11 @@ import re
 import time
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from pgad import harness, synthdata
@@ -74,40 +74,42 @@ def tiny_run(tmp_path_factory):
 
 
 def test_arm_spec_validation():
-    ArmSpec(name="full").validate()
-    with pytest.raises(ConfigError):
-        ArmSpec(name="").validate()
-    with pytest.raises(ConfigError):
-        ArmSpec(name="a,b").validate()
-    with pytest.raises(ConfigError):
-        ArmSpec(name="two words").validate()
-    with pytest.raises(ConfigError):
-        ArmSpec(name="x", pcm=True, proto_strategy="none").validate()
-    with pytest.raises(ConfigError):
-        ArmSpec(name="x", rates=(1.5,)).validate()
+    """Checked when built, by the constructor and by replace alike."""
     ArmSpec(name="x", pcm=False, proto_strategy="none",
-            loss_weights=LossWeights(1, 1, 0.5, 0, 0)).validate()
+            loss_weights=LossWeights(1, 1, 0.5, 0, 0))
+    for bad, message in (
+        ({"name": ""}, "arm name must be nonempty"),
+        ({"name": "a,b"}, "arm name must be nonempty"),
+        ({"name": "two words"}, "arm name must be nonempty"),
+        ({"name": "x", "pcm": True, "proto_strategy": "none"},
+         "arm x: prototype strategy 'none' forces pcm off"),
+        ({"name": "x", "rates": (1.5,)}, r"arm x: missing rate 1.5 outside \[0, 1\]"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            ArmSpec(**bad)
+        with pytest.raises(ConfigError, match=message):
+            replace(ArmSpec(name="full"), **bad)
 
 
 def test_scenario_validation(tmp_path):
+    """Checked when built, by the constructor and by replace alike."""
     cfg = tiny_scenario(str(tmp_path))
-    cfg.validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, name="").validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, k_folds=1).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, arms=()).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, arms=(cfg.arms[0], cfg.arms[0])).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, missing_rates=(0.5, 1.2)).validate()
-    with pytest.raises(ConfigError, match="arm baseline: missing rates repeat"):
-        replace(cfg, missing_rates=(0.5, 0.5)).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, feat_dim=0).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, dataset=replace(cfg.dataset, num_classes=3)).validate()
+    fields_of_cfg = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    for bad, message in (
+        ({"name": ""}, "scenario name must be nonempty"),
+        ({"k_folds": 1}, "k_folds must be >= 2"),
+        ({"arms": ()}, "scenario needs at least one arm"),
+        ({"arms": (cfg.arms[0], cfg.arms[0])}, "arm names must be unique"),
+        ({"missing_rates": (0.5, 1.2)}, r"missing rate 1.2 outside \[0, 1\]"),
+        ({"missing_rates": (0.5, 0.5)}, "arm baseline: missing rates repeat"),
+        ({"feat_dim": 0}, "feat_dim and hidden_width must be >= 1"),
+        ({"dataset": replace(cfg.dataset, num_classes=3)}, "dataset.num_classes must be 2"),
+        ({"arms": (ArmSpec(name="auto", ams="auto"),)}, "arm auto: ams_mode must be one of"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**{**fields_of_cfg, **bad})
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, **bad)
 
 
 def test_arm_rates_override(tmp_path):
@@ -145,7 +147,6 @@ def scenario_dict(out_dir="out"):
 
 def test_scenario_from_dict_round_trip():
     cfg = scenario_from_dict(scenario_dict())
-    cfg.validate()
     assert cfg.name == "tiny"
     assert cfg.dataset.missing_rate == 0.0  # filled default
     assert cfg.train.epochs == 2
@@ -325,10 +326,9 @@ def test_run_scenario_starts_no_more_workers_than_jobs(tiny_run, tmp_path, monke
 
 def test_run_scenario_wraps_failures(tmp_path):
     cfg = tiny_scenario(str(tmp_path))
-    # a batch size below 2 fails TrainConfig validation inside the run
-    bad = replace(cfg, train=replace(cfg.train, batch_size=1))
-    with pytest.raises(ConfigError):
-        run_scenario(bad)  # caught upfront by validate
+    # a batch size below 2 fails when the config is built, before any run
+    with pytest.raises(ConfigError, match="batch_size must be >= 2"):
+        replace(cfg, train=replace(cfg.train, batch_size=1))
     # per-job failures surface as ProtocolError with the cell named: here the
     # first job trains and then cannot write its trace file
     (tmp_path / "traces" / "baseline_rate0.5_fold0.csv").mkdir(parents=True)
@@ -733,11 +733,11 @@ def test_cli_run_rejects_a_dataset_missing_rate(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: ConfigError: scenario.dataset.missing_rate is 0.9")
+    assert err.startswith("error: ConfigError: scenario: scenario.dataset.missing_rate is 0.9")
     assert "missing_rates" in err and "arms' rates" in err
     assert not (tmp_path / "o").exists()
     d["dataset"]["missing_rate"] = 0.0
-    scenario_from_dict(d).validate()
+    scenario_from_dict(d)
 
 
 def test_scenario_from_dict_keeps_bool_switches():
@@ -765,6 +765,27 @@ def test_cli_export_embeddings_on_checkpoint_without_specs(tmp_path, capsys):
     assert rc == 1
     assert captured.err.startswith("error: ProtocolError")
     assert "student.txt" in captured.err
+    assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_export_embeddings_rejects_a_non_finite_checkpoint_value(tmp_path, capsys, value):
+    from pgad.nets import save_checkpoint
+
+    (data,) = synthdata.draw_datasets(tiny_dataset_cfg(), (0.5,))
+    data_path = tmp_path / "data.csv"
+    export_dataset_csv(data, data_path)
+    ckpt = tmp_path / "student.txt"
+    save_checkpoint(StudentNet.create(5, 2, feat_dim=4, hidden_width=6, seed=1), ckpt)
+    lines = ckpt.read_text().splitlines()
+    lines[3] = value
+    ckpt.write_text("\n".join(lines) + "\n")
+    rc = cli_main(["export-embeddings", "--checkpoint", str(ckpt),
+                   "--data", str(data_path), "--out", str(tmp_path / "emb.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(
+        f"error: ProtocolError: {ckpt}: checkpoint values must be finite, got {value}")
     assert not (tmp_path / "emb.csv").exists()
 
 
@@ -807,6 +828,9 @@ def test_cli_export_embeddings_on_empty_data_csv(tmp_path, capsys):
     ("99,-1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "label must be >= 0, got -1"),
     ("0,1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "sample id 0 repeats an earlier row"),
     ("9223372036854775808,1,1,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "int too big to convert"),
+    ("99,1,1,nan,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5", "sample 99: feature cells must be finite"),
+    ("99,1,0,0.5,inf,0.5,0.5,0.5,,,,,", "sample 99: feature cells must be finite"),
+    ("99,1,1,0.5,0.5,0.5,0.5,0.5,-inf,0.5,0.5,0.5,0.5", "sample 99: feature cells must be finite"),
 ])
 def test_cli_export_embeddings_on_malformed_data_row(tmp_path, capsys, row, problem):
     from pgad.nets import save_checkpoint
@@ -862,7 +886,9 @@ def test_cli_run_rejects_bad_arm_settings_before_any_job(tmp_path, capsys, key, 
     rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: ConfigError: arm full:") and problem in err
+    # the arm's mechanisms fail in its TrainConfig, its loss weights when they are read
+    where = "scenario.arms[1].loss_weights:" if key == "loss_weights" else "scenario: arm full:"
+    assert err.startswith(f"error: ConfigError: {where}") and problem in err
     assert not (tmp_path / "o" / "traces").exists()
 
 
@@ -875,7 +901,7 @@ def test_cli_run_rejects_an_empty_sweep(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: ConfigError: arm baseline: no missing rates to run")
+    assert err.startswith("error: ConfigError: scenario: arm baseline: no missing rates to run")
     assert not (tmp_path / "o" / "traces").exists()
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
@@ -910,7 +936,7 @@ def test_cli_run_rejects_train_fields_that_each_arm_sets(tmp_path, capsys, key, 
     rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith(f"error: ConfigError: train.{key} is set per arm")
+    assert err.startswith(f"error: ConfigError: scenario: train.{key} is set per arm")
     assert not (tmp_path / "o").exists()
 
 
@@ -1025,7 +1051,6 @@ def test_readme_quick_start_scenario_parses():
     block = re.search(r"`scenario\.json`:\s*```json\n(.*?)```", readme, re.S)
     assert block, "README.md lost its quick-start scenario.json block"
     cfg = scenario_from_dict(json.loads(block.group(1)))
-    cfg.validate()
     assert [a.name for a in cfg.arms] == ["baseline", "full"]
 
 
@@ -1033,32 +1058,91 @@ def test_readme_quick_start_scenario_parses():
 OMITTABLE = {(ScenarioConfig, "train"): TrainConfig(), (DatasetConfig, "missing_rate"): 0.0}
 
 
+def ints(lo=-2**40):
+    """(JSON, value) pairs of ints from `lo`; an integral float stands for the int."""
+    return st.integers(lo, 2**40).flatmap(lambda n: st.sampled_from([(n, n), (float(n), n)]))
+
+
+def floats(lo, hi=None, exclude_min=False, exclude_max=False):
+    """(JSON, value) pairs of finite floats from `lo` (to `hi`); an int stands for its float."""
+    whole = st.integers(lo, 2**40 if hi is None else hi).filter(
+        lambda n: not (exclude_min and n == lo or exclude_max and n == hi))
+    return (st.floats(lo, hi, allow_infinity=False, exclude_min=exclude_min,
+                      exclude_max=exclude_max) | whole).map(lambda x: (x, float(x)))
+
+
+def choices(values):
+    """(JSON, value) pairs of the given strings or ints."""
+    return st.sampled_from(values).map(lambda v: (v, v))
+
+
+def as_tuple(pairs):
+    """A list of (JSON, value) pairs as one (JSON list, tuple) pair."""
+    return pairs.map(lambda ps: ([j for j, _ in ps], tuple(v for _, v in ps)))
+
+
 def json_and_value(tp):
-    """Pairs (JSON value, the Python value it stands for) of a declared field type."""
+    """Pairs (JSON value, the Python value it stands for) of a declared field
+    type without a VALID entry."""
     if is_dataclass(tp):
         return json_and_config(tp)
-    if get_origin(tp) is Union:  # Optional
-        return st.just((None, None)) | json_and_value(get_args(tp)[0])
-    if get_origin(tp) is tuple:
-        return st.lists(json_and_value(get_args(tp)[0]), max_size=3).map(
-            lambda pairs: ([j for j, _ in pairs], tuple(v for _, v in pairs))
-        )
     if tp is bool:
         return st.booleans().map(lambda b: (b, b))
     if tp is str:
         return st.text(max_size=6).map(lambda s: (s, s))
-    if tp is int:  # an integral float stands for the int
-        return st.integers(-2**40, 2**40).flatmap(
-            lambda n: st.sampled_from([(n, n), (float(n), n)])
-        )
-    assert tp is float
-    return (st.floats(allow_nan=False) | st.integers(-2**40, 2**40)).map(
-        lambda x: (x, float(x))
-    )
+    assert tp is int
+    return ints()
+
+
+RATE = floats(0, 1)
+RATES = as_tuple(st.lists(RATE, min_size=1, max_size=3, unique_by=lambda p: p[1]))
+POSITIVE = floats(0, exclude_min=True)
+NONNEGATIVE = floats(0)
+
+# The values a config accepts where its fields are checked when it is built;
+# any other field takes any value of its declared type.  The arms set
+# loss_weights, ams_mode and proto_strategy, so a scenario's train keeps
+# TrainConfig's defaults there.
+VALID = {
+    **{(LossWeights, f.name): NONNEGATIVE for f in fields(LossWeights)},
+    **{(TrainConfig, name): POSITIVE for name in (
+        "learning_rate", "kd_temperature", "sim_temperature", "grad_clip")},
+    (TrainConfig, "epochs"): ints(1),
+    (TrainConfig, "batch_size"): ints(2),
+    (TrainConfig, "weight_decay"): NONNEGATIVE,
+    (TrainConfig, "loss_weights"): st.just(({}, LossWeights())),
+    (TrainConfig, "ams_mode"): choices(["dynamic"]),
+    (TrainConfig, "proto_strategy"): choices(["paired"]),
+    (TrainConfig, "fixed_ratio"): RATE,
+    (TrainConfig, "proto_momentum"): floats(0, 1, exclude_max=True),
+    (TrainConfig, "proto_assignment"): choices(["nearest", "true_class"]),
+    (DatasetConfig, "num_classes"): choices([2]),
+    (DatasetConfig, "samples_per_class"): ints(2),
+    (DatasetConfig, "dim_a"): ints(2),
+    (DatasetConfig, "dim_b"): ints(2),
+    (DatasetConfig, "class_separation"): NONNEGATIVE,
+    (DatasetConfig, "noise_scale"): POSITIVE,
+    (DatasetConfig, "missing_rate"): floats(0, 0),
+    (ArmSpec, "name"): st.text(st.characters(exclude_characters=",/\\ "), min_size=1,
+                               max_size=6).map(lambda s: (s, s)),
+    (ArmSpec, "ams"): choices(["none", "fixed", "dynamic"]),
+    (ArmSpec, "proto_strategy"): choices(["none", "all", "paired"]),
+    (ArmSpec, "rates"): st.just((None, None)) | RATES,
+    (ScenarioConfig, "name"): st.text(min_size=1, max_size=6).map(lambda s: (s, s)),
+    (ScenarioConfig, "arms"): as_tuple(st.lists(st.deferred(lambda: json_and_config(ArmSpec)),
+                                                min_size=1, max_size=3,
+                                                unique_by=lambda p: p[1].name)),
+    (ScenarioConfig, "missing_rates"): RATES,
+    (ScenarioConfig, "k_folds"): ints(2),
+    (ScenarioConfig, "feat_dim"): ints(1),
+    (ScenarioConfig, "hidden_width"): ints(1),
+    (ScenarioConfig, "activation"): choices(["relu", "tanh"]),
+}
 
 
 @st.composite
 def json_and_config(draw, cls):
+    """A (JSON object, config) pair of a config that passes its checks."""
     hints = get_type_hints(cls)
     raw, kwargs = {}, {}
     for f in fields(cls):
@@ -1067,8 +1151,13 @@ def json_and_config(draw, cls):
             if (cls, f.name) in OMITTABLE:
                 kwargs[f.name] = OMITTABLE[cls, f.name]
             continue
-        raw[f.name], kwargs[f.name] = draw(json_and_value(hints[f.name]))
-    return raw, cls(**kwargs)
+        valid = VALID.get((cls, f.name))
+        raw[f.name], kwargs[f.name] = draw(valid if valid is not None
+                                           else json_and_value(hints[f.name]))
+    try:
+        return raw, cls(**kwargs)
+    except ConfigError:  # an arm with pcm on under prototype strategy "none"
+        reject()
 
 
 @settings(max_examples=150, deadline=None)

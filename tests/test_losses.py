@@ -1,6 +1,7 @@
 """Loss values against hand-computed oracles plus finite-difference gradient checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,8 +394,9 @@ def test_total_loss_recombine_consistency():
     for _ in range(25):
         terms = rng.uniform(0, 3, size=5)
         w = LossWeights(*rng.uniform(0, 2, size=5))
-        report = total_loss(*terms, w)
-        assert report.total == pytest.approx(report.recombine(w), abs=1e-12)
+        r = total_loss(*terms, w)
+        assert r.total == (w.tea * r.l_tea + w.stu * r.l_stu + w.kl * r.l_kl
+                           + w.pair * r.l_pair + w.proto * r.l_proto)
 
 
 def test_total_loss_rejects_bad_terms():
@@ -408,15 +410,17 @@ def test_total_loss_rejects_bad_terms():
 
 
 def test_loss_weights_validation():
-    with pytest.raises(ConfigError):
-        LossWeights(tea=-1.0).validate()
-    with pytest.raises(ConfigError):
-        LossWeights(proto=math.nan).validate()
+    """Checked when built, by the constructor and by replace alike."""
     defaults = LossWeights()
-    defaults.validate()
+    for bad, message in (({"tea": -1.0}, "loss weight tea must be"),
+                         ({"proto": math.nan}, "loss weight proto must be")):
+        with pytest.raises(ConfigError, match=message):
+            LossWeights(**bad)
+        with pytest.raises(ConfigError, match=message):
+            replace(defaults, **bad)
     assert defaults == LossWeights(1.0, 1.0, 0.5, 0.5, 0.5)
 
 
 def test_loss_report_fields():
     r = LossReport(l_tea=1, l_stu=2, l_kl=3, l_pair=4, l_proto=5, total=0)
-    assert r.recombine(LossWeights(1, 1, 1, 1, 1)) == 15
+    assert (r.l_tea, r.l_stu, r.l_kl, r.l_pair, r.l_proto, r.total) == (1, 2, 3, 4, 5, 0)

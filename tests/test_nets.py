@@ -1,10 +1,11 @@
 """MLP forward/backward correctness, parameter flattening, checkpoints."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgad import nets
@@ -48,13 +49,14 @@ def max_rel_err(a, b, floor=1e-4):
 
 
 def test_mlp_spec_validation():
-    with pytest.raises(ConfigError):
-        MlpSpec((4,)).validate()
-    with pytest.raises(ConfigError):
-        MlpSpec((4, 0, 2)).validate()
-    with pytest.raises(ConfigError):
-        MlpSpec((4, 3), activation="sigmoid").validate()
-    MlpSpec((4, 3, 2), activation="relu").validate()
+    """Checked when built, by the constructor and by replace alike."""
+    good = MlpSpec((4, 3, 2), activation="relu")
+    for bad in ({"layer_widths": (4,)}, {"layer_widths": (4, 0, 2)},
+                {"activation": "sigmoid"}):
+        with pytest.raises(ConfigError):
+            MlpSpec(**{"layer_widths": (4, 3), **bad})
+        with pytest.raises(ConfigError):
+            replace(good, **bad)
 
 
 def test_mlp_init_bounds_and_determinism():
@@ -480,6 +482,9 @@ CHECKPOINT_EDITS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(["teacher", "student"]),
        dims=st.tuples(*[st.integers(1, 8)] * 4), edit=CHECKPOINT_EDITS)
+@example(kind="student", dims=(2, 2, 2, 2), edit=("line", 1, "nan"))  # non-finite values
+@example(kind="teacher", dims=(2, 2, 2, 2), edit=("line", 2, "inf"))
+@example(kind="student", dims=(2, 2, 2, 2), edit=("line", 3, "-inf"))
 def test_checkpoint_loads_an_edited_file_or_raises_protocol_error(tmp_path_factory, kind,
                                                                   dims, edit):
     dim_a, dim_b, feat, hidden = dims
@@ -519,3 +524,4 @@ def test_checkpoint_loads_an_edited_file_or_raises_protocol_error(tmp_path_facto
     assert sum(built) <= n_values  # the header alone never sizes an allocation
     if back is not None:
         assert type(back) is type(net) and back.param_count == n_values
+        assert np.isfinite(back.get_params()).all()

@@ -58,21 +58,14 @@ def test_round_half_up():
 
 
 def test_config_validation_rejects_bad_fields():
-    with pytest.raises(ConfigError):
-        small_cfg(num_classes=1).validate()
-    with pytest.raises(ConfigError):
-        small_cfg(samples_per_class=1).validate()
-    with pytest.raises(ConfigError):
-        small_cfg(dim_a=0).validate()
-    with pytest.raises(ConfigError):
-        small_cfg(dim_a=1).validate()  # fewer dims than classes
-    with pytest.raises(ConfigError):
-        small_cfg(class_separation=-1.0).validate()
-    with pytest.raises(ConfigError):
-        small_cfg(noise_scale=0.0).validate()
-    with pytest.raises(ConfigError):
-        small_cfg(missing_rate=1.5).validate()
-    small_cfg().validate()
+    """Checked when built, by the constructor and by replace alike."""
+    for bad in ({"num_classes": 1}, {"samples_per_class": 1}, {"dim_a": 0},
+                {"dim_a": 1},  # fewer dims than classes
+                {"class_separation": -1.0}, {"noise_scale": 0.0}, {"missing_rate": 1.5}):
+        with pytest.raises(ConfigError):
+            small_cfg(**bad)
+        with pytest.raises(ConfigError):
+            replace(small_cfg(), **bad)
 
 
 def test_generate_dataset_shapes_labels_ids():
@@ -298,6 +291,9 @@ CSV_EDITS = st.one_of(
 @example(edit=("cell", 1, 2, "5"))  # a paired flag other than 0 or 1
 @example(edit=("cell", 1, 1, "-3"))  # a negative label
 @example(edit=("cell", 2, 0, "0"))  # the id of the row before
+@example(edit=("cell", 1, 3, "nan"))  # a non-finite a_* cell of a paired row
+@example(edit=("cell", 2, 8, "inf"))  # ... of an unpaired row
+@example(edit=("cell", 1, 9, "-inf"))  # a non-finite b_* cell of a paired row
 def test_dataset_csv_reads_an_edited_file_back_or_raises_protocol_error(tmp_path_factory, edit):
     path = tmp_path_factory.mktemp("edit") / "data.csv"
     export_dataset_csv(draw_datasets(small_cfg(samples_per_class=3), (0.5,))[0], path)
@@ -318,6 +314,7 @@ def test_dataset_csv_reads_an_edited_file_back_or_raises_protocol_error(tmp_path
     assert (back.labels >= 0).all()
     assert len(np.unique(back.ids)) == len(back)
     assert np.isnan(back.feat_b[~back.paired]).all()
+    assert np.isfinite(back.feat_a).all() and np.isfinite(back.feat_b[back.paired]).all()
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [row[2] for row in rows] == ["1" if p else "0" for p in back.paired.tolist()]

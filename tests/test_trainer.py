@@ -74,23 +74,17 @@ def joint_nets(**kwargs):
 
 def test_train_config_defaults_and_validation():
     cfg = TrainConfig()
-    cfg.validate()
     assert cfg.epochs == 100 and cfg.batch_size == 32
     assert cfg.learning_rate == 1e-4 and cfg.weight_decay == 5e-5
     assert cfg.loss_weights == LossWeights(1.0, 1.0, 0.5, 0.5, 0.5)
-    with pytest.raises(ConfigError):
-        replace(cfg, epochs=0).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, batch_size=1).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, ams_mode="auto").validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, proto_strategy="batch").validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, proto_momentum=1.0).validate()
-    with pytest.raises(ConfigError):
-        replace(cfg, proto_assignment="mode").validate()
-    replace(cfg, proto_strategy="none").validate()  # prototype matching off
+    replace(cfg, proto_strategy="none")  # prototype matching off
+    for bad in ({"epochs": 0}, {"batch_size": 1}, {"ams_mode": "auto"},
+                {"proto_strategy": "batch"}, {"proto_momentum": 1.0},
+                {"proto_assignment": "mode"}):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+        with pytest.raises(ConfigError):
+            replace(cfg, **bad)
 
 
 # ------------------------------------------------------------ optimizer
@@ -207,6 +201,11 @@ def mixed_plan(ds, paired, unpaired, batch_size=10, seed=0):
     return plan, pools
 
 
+def constant(protos):
+    """A step_gradients prototype callback that matches against `protos` in every batch."""
+    return lambda fused, labels: protos
+
+
 def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
     """Recompute each loss term by direct composition of the loss functions."""
     n_g = len(plan.genuine)
@@ -236,7 +235,7 @@ def test_step_gradients_terms_match_direct_composition():
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
     theta = 0.3
 
-    report, grads = step_gradients(teacher, student, pools, plan, protos, theta, cfg)
+    report, grads = step_gradients(teacher, student, pools, plan, constant(protos), theta, cfg)
     l_tea, l_stu, l_kl, l_pair, l_proto, labels, logits_t, logits_s = manual_report_terms(
         teacher, student, {s.id: s for s in ds}, plan, protos, cfg
     )
@@ -245,12 +244,13 @@ def test_step_gradients_terms_match_direct_composition():
     assert report.l_kl == pytest.approx(l_kl, abs=1e-12)
     assert report.l_pair == pytest.approx(l_pair, abs=1e-12)
     assert report.l_proto == pytest.approx(l_proto, abs=1e-12)
-    assert report.total == pytest.approx(report.recombine(cfg.loss_weights), abs=1e-12)
+    w = cfg.loss_weights
+    assert report.total == (w.tea * report.l_tea + w.stu * report.l_stu + w.kl * report.l_kl
+                            + w.pair * report.l_pair + w.proto * report.l_proto)
     assert grads.shape == (teacher.param_count + student.param_count + 1,)
 
     # theta entry follows the expected-loss surrogate on the weighted subsets
     n_g = len(plan.genuine)
-    w = cfg.loss_weights
     lg = (w.tea * ce_loss(logits_t[:n_g], labels[:n_g])[0].mean()
           + w.stu * ce_loss(logits_s[:n_g], labels[:n_g])[0].mean()
           + w.kl * l_kl + w.pair * l_pair)
@@ -295,7 +295,7 @@ def test_step_gradients_theta_zero_without_pseudo_rows():
     teacher, student = joint_nets()
     cfg = TrainConfig()
     report, grads = step_gradients(
-        teacher, student, pools, plan, global_prototypes(teacher, pools), 0.4, cfg,
+        teacher, student, pools, plan, constant(global_prototypes(teacher, pools)), 0.4, cfg,
     )
     assert grads[-1] == 0.0
     assert report.l_proto == 0.0  # no pseudo recipients to match
@@ -318,7 +318,7 @@ def test_step_gradients_matches_fd_on_student_params():
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(proto_assignment="true_class")
 
-    _, grads = step_gradients(teacher, student, pools, plan, protos, 0.0, cfg)
+    _, grads = step_gradients(teacher, student, pools, plan, constant(protos), 0.0, cfg)
     analytic = grads[teacher.param_count : -1].copy()  # the next call overwrites grads
 
     base = student.get_params().copy()
@@ -329,7 +329,7 @@ def test_step_gradients_matches_fd_on_student_params():
             p = base.copy()
             p[i] += sign * h
             student.set_params(p)
-            rep, _ = step_gradients(teacher, student, pools, plan, protos, 0.0, cfg)
+            rep, _ = step_gradients(teacher, student, pools, plan, constant(protos), 0.0, cfg)
             fd[i] += sign * rep.total
         fd[i] /= 2 * h
     student.set_params(base)
@@ -347,7 +347,8 @@ def test_step_gradients_fills_the_joint_buffer_of_bound_nets_in_place():
     def fresh_gradient(p):
         """The gradient of plan `p` from a new pair of the same nets, copied."""
         t, s = joint_nets()
-        return step_gradients(t, s, pools, p, global_prototypes(t, pools), 0.3, cfg)[1].copy()
+        return step_gradients(t, s, pools, p, constant(global_prototypes(t, pools)), 0.3,
+                              cfg)[1].copy()
 
     kept, kept_other = fresh_gradient(plan), fresh_gradient(other)
     assert not np.array_equal(kept, kept_other)
@@ -356,10 +357,10 @@ def test_step_gradients_fills_the_joint_buffer_of_bound_nets_in_place():
     params, buffer = joint_buffers(teacher, student)
     assert buffer.shape == params.shape
     protos = global_prototypes(teacher, pools)
-    _, bound = step_gradients(teacher, student, pools, plan, protos, 0.3, cfg)
+    _, bound = step_gradients(teacher, student, pools, plan, constant(protos), 0.3, cfg)
     assert bound is buffer
     assert np.array_equal(bound, kept)
-    _, bound_other = step_gradients(teacher, student, pools, other, protos, 0.3, cfg)
+    _, bound_other = step_gradients(teacher, student, pools, other, constant(protos), 0.3, cfg)
     assert bound_other is buffer
     assert np.array_equal(bound, kept_other)  # overwritten by the second call
 
