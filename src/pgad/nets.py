@@ -496,9 +496,9 @@ def load_checkpoint(path):
             f"{path}: checkpoint holds {len(values)} values but the architecture needs {needed}"
         )
     params = np.array(values, dtype=np.float64)
-    if not np.isfinite(params).all():
-        raise ProtocolError(f"{path}: checkpoint values must be finite, "
-                            f"got {params[~np.isfinite(params)][0]}")
+    finite = np.isfinite(params)
+    if not finite.all():
+        raise ProtocolError(f"{path}: checkpoint values must be finite, got {params[~finite][0]}")
     try:
         net = _NET_KINDS[kind](**{name: Mlp(spec, seed=0) for name, spec in part_specs.items()})
     except ConfigError as exc:
