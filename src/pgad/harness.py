@@ -31,7 +31,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 from scipy.special import softmax
 
-from .ams import export_ams_trace_csv, prepare_pools
+from .ams import AMS_MODES, export_ams_trace_csv, prepare_pools
 from .errors import ConfigError, ProtocolError, UsageError
 from .evaluation import (
     METRIC_NAMES,
@@ -43,11 +43,11 @@ from .evaluation import (
     paired_ttest,
 )
 from .losses import LossWeights
-from .nets import ACTIVATIONS, StudentNet, TeacherNet, save_checkpoint, student_forward
+from .nets import StudentNet, TeacherNet, save_checkpoint, student_forward
 from .prototypes import export_prototypes_csv
 from .seeding import derive_seed
 from .synthdata import Dataset, DatasetConfig, draw_datasets, kfold_rows
-from .trainer import TrainConfig, export_trace_csv, fit
+from .trainer import PROTO_STRATEGIES, TrainConfig, export_trace_csv, fit
 
 DEFAULT_MISSING_RATES = (0.2, 0.5, 0.7)
 DEFAULT_ALPHA = 0.05
@@ -67,6 +67,11 @@ class ArmSpec:
     def __post_init__(self) -> None:
         if not self.name or any(ch in self.name for ch in ",/\\ "):
             raise ConfigError(f"arm name must be nonempty without separators, got {self.name!r}")
+        if self.ams not in AMS_MODES:
+            raise ConfigError(f"arm {self.name}: ams must be one of {AMS_MODES}, got {self.ams!r}")
+        if self.proto_strategy not in PROTO_STRATEGIES:
+            raise ConfigError(f"arm {self.name}: proto_strategy must be one of "
+                              f"{PROTO_STRATEGIES}, got {self.proto_strategy!r}")
         if self.proto_strategy == "none" and self.pcm:
             raise ConfigError(f"arm {self.name}: prototype strategy 'none' forces pcm off")
         if self.rates is not None:
@@ -85,7 +90,6 @@ class ScenarioConfig:
     k_folds: int = 5
     feat_dim: int = 16
     hidden_width: int = 32
-    activation: str = "tanh"
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -93,7 +97,7 @@ class ScenarioConfig:
             raise ConfigError("scenario name must be nonempty")
         if self.dataset.missing_rate != 0.0:
             raise ConfigError(
-                f"scenario.dataset.missing_rate is {self.dataset.missing_rate}, but a scenario "
+                f"dataset.missing_rate is {self.dataset.missing_rate}, but a scenario "
                 "draws its missingness per rate: set the rates in missing_rates or in the "
                 "arms' rates and leave dataset.missing_rate at 0"
             )
@@ -121,16 +125,8 @@ class ScenarioConfig:
                 raise ConfigError(f"arm {arm.name}: no missing rates to run")
             if len(set(rates)) != len(rates):
                 raise ConfigError(f"arm {arm.name}: missing rates repeat, got {list(rates)}")
-            try:  # building the arm's TrainConfig checks its ams mode
-                self.arm_train(arm)
-            except ConfigError as exc:
-                raise ConfigError(f"arm {arm.name}: {exc}") from exc
         if self.feat_dim < 1 or self.hidden_width < 1:
             raise ConfigError("feat_dim and hidden_width must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
-            )
 
     def arm_rates(self, arm: ArmSpec) -> tuple:
         return tuple(arm.rates) if arm.rates is not None else tuple(self.missing_rates)
@@ -219,11 +215,11 @@ def run_one(job: RunJob) -> MetricsRecord:
 
     teacher = TeacherNet.create(
         dims.dim_a, dims.dim_b, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
-        cfg.activation, derive_seed(dims.seed, "init", "teacher", rate, fold),
+        seed=derive_seed(dims.seed, "init", "teacher", rate, fold),
     )
     student = StudentNet.create(
         dims.dim_a, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
-        cfg.activation, derive_seed(dims.seed, "init", "student", rate, fold),
+        seed=derive_seed(dims.seed, "init", "student", rate, fold),
     )
     train_cfg = replace(cfg.arm_train(job.arm), seed=derive_seed(dims.seed, "train", rate, fold))
     result = fit(teacher, student, pools, train_cfg)

@@ -45,23 +45,18 @@ import numpy as np
 from .errors import ConfigError, ProtocolError, ShapeError, UsageError
 from .seeding import derive_seed
 
-ACTIVATIONS = ("relu", "tanh")
-
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths (input → hidden… → output) and the hidden activation."""
+    """Layer widths (input → hidden… → output); the hidden layers are tanh."""
 
     layer_widths: tuple
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if len(self.layer_widths) < 2:
             raise ConfigError(f"need at least input and output widths, got {self.layer_widths}")
         if any(int(w) < 1 for w in self.layer_widths):
             raise ConfigError(f"all layer widths must be >= 1, got {self.layer_widths}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -75,23 +70,6 @@ class MlpSpec:
     def param_count(self) -> int:
         widths = [int(w) for w in self.layer_widths]
         return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths[:-1], widths[1:]))
-
-
-def _activate_in_place(name: str, z: np.ndarray) -> None:
-    """Apply the activation to `z` in place."""
-    if name == "relu":
-        np.maximum(z, 0.0, out=z)
-    else:
-        np.tanh(z, out=z)
-
-
-def _times_act_grad(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """delta times the activation's derivative, taken from its output `a`, as a new array."""
-    if name == "relu":
-        return delta * (a > 0.0).astype(np.float64)
-    out = a * a
-    np.subtract(1.0, out, out=out)
-    return np.multiply(delta, out, out=out)
 
 
 def _layer_views(flat: np.ndarray, widths) -> tuple[list, list]:
@@ -116,7 +94,7 @@ def _check_buffer(buffer: np.ndarray, n: int) -> None:
 
 
 class Mlp:
-    """Fully connected net; the final layer is affine (no activation).
+    """Fully connected net: tanh hidden layers, an affine final layer.
 
     `weights` and `biases` are views into the flat parameter vector, and
     `grad` is the flat gradient of the last backward pass in the same
@@ -179,7 +157,7 @@ class Mlp:
             h = h @ w.T
             h += b
             if i != last:
-                _activate_in_place(self.spec.activation, h)
+                np.tanh(h, out=h)
             acts.append(h)
         self._cache = acts
         return h
@@ -201,8 +179,11 @@ class Mlp:
         last = len(self.weights) - 1
         delta = grad_out
         for i in range(last, -1, -1):
-            if i != last:
-                delta = _times_act_grad(self.spec.activation, delta, acts[i + 1])
+            if i != last:  # times tanh's derivative 1 - a*a, from the layer's output a
+                a = acts[i + 1]
+                d_act = a * a
+                np.subtract(1.0, d_act, out=d_act)
+                delta = np.multiply(delta, d_act, out=d_act)
             np.matmul(delta.T, acts[i], out=self._grad_weights[i])
             np.add.reduce(delta, axis=0, out=self._grad_biases[i])
             if i == 0 and not input_grad:
@@ -292,13 +273,12 @@ class TeacherNet(_Net):
         num_classes: int,
         feat_dim: int = 16,
         hidden_width: int = 32,
-        activation: str = "tanh",
         seed: int = 0,
     ) -> "TeacherNet":
-        enc_a = Mlp(MlpSpec((dim_a, hidden_width, feat_dim), activation), derive_seed(seed, "enc_a"))
-        enc_b = Mlp(MlpSpec((dim_b, hidden_width, feat_dim), activation), derive_seed(seed, "enc_b"))
-        fusion = Mlp(MlpSpec((2 * feat_dim, feat_dim), activation), derive_seed(seed, "fusion"))
-        head = Mlp(MlpSpec((feat_dim, num_classes), activation), derive_seed(seed, "head"))
+        enc_a = Mlp(MlpSpec((dim_a, hidden_width, feat_dim)), derive_seed(seed, "enc_a"))
+        enc_b = Mlp(MlpSpec((dim_b, hidden_width, feat_dim)), derive_seed(seed, "enc_b"))
+        fusion = Mlp(MlpSpec((2 * feat_dim, feat_dim)), derive_seed(seed, "fusion"))
+        head = Mlp(MlpSpec((feat_dim, num_classes)), derive_seed(seed, "head"))
         return cls(enc_a, enc_b, fusion, head)
 
     get_params = _get_params
@@ -324,11 +304,10 @@ class StudentNet(_Net):
         num_classes: int,
         feat_dim: int = 16,
         hidden_width: int = 32,
-        activation: str = "tanh",
         seed: int = 0,
     ) -> "StudentNet":
-        enc_a = Mlp(MlpSpec((dim_a, hidden_width, feat_dim), activation), derive_seed(seed, "enc_a"))
-        head = Mlp(MlpSpec((feat_dim, num_classes), activation), derive_seed(seed, "head"))
+        enc_a = Mlp(MlpSpec((dim_a, hidden_width, feat_dim)), derive_seed(seed, "enc_a"))
+        head = Mlp(MlpSpec((feat_dim, num_classes)), derive_seed(seed, "head"))
         return cls(enc_a, head)
 
     get_params = _get_params
@@ -424,7 +403,11 @@ _PART_NAMES = {"teacher": ("enc_a", "enc_b", "fusion", "head"), "student": ("enc
 
 
 def save_checkpoint(net, path) -> None:
-    """Write a text checkpoint: JSON header line, then one float64 repr per line."""
+    """Write a text checkpoint: JSON header line, then one float64 repr per line.
+
+    The header gives each part's layer_widths and its activation, which is
+    always "tanh".
+    """
     if isinstance(net, TeacherNet):
         kind = "teacher"
     elif isinstance(net, StudentNet):
@@ -436,7 +419,7 @@ def save_checkpoint(net, path) -> None:
         "specs": {
             name: {
                 "layer_widths": list(getattr(net, name).spec.layer_widths),
-                "activation": getattr(net, name).spec.activation,
+                "activation": "tanh",
             }
             for name in _PART_NAMES[kind]
         },
@@ -449,17 +432,20 @@ def save_checkpoint(net, path) -> None:
 
 
 def _checked_spec(info, path, name: str) -> MlpSpec:
-    """The MlpSpec a checkpoint header gives for part `name`."""
+    """The MlpSpec a checkpoint header gives for part `name`, whose
+    activation must be "tanh"."""
     widths = info.get("layer_widths") if isinstance(info, dict) else None
-    activation = info.get("activation") if isinstance(info, dict) else None
-    if (not isinstance(widths, list) or not isinstance(activation, str)
+    if (not isinstance(widths, list)
             or not all(isinstance(w, int) and not isinstance(w, bool) for w in widths)):
         raise ProtocolError(
-            f"{path}: checkpoint header needs integer layer_widths and an activation "
-            f"under specs.{name}"
+            f"{path}: checkpoint header needs integer layer_widths under specs.{name}"
+        )
+    if info.get("activation") != "tanh":
+        raise ProtocolError(
+            f"{path}: specs.{name}: activation must be 'tanh', got {info.get('activation')!r}"
         )
     try:
-        return MlpSpec(tuple(widths), activation)
+        return MlpSpec(tuple(widths))
     except ConfigError as exc:
         raise ProtocolError(f"{path}: specs.{name}: {exc}") from None
 
@@ -468,9 +454,9 @@ def load_checkpoint(path):
     """Rebuild a TeacherNet or StudentNet from a save_checkpoint file.
 
     A header that is not a JSON object naming a known kind and a valid spec
-    for every part, a value line that is not a finite number, or a value
-    count other than the one the specs imply raises ProtocolError naming the
-    file.
+    with activation "tanh" for every part, a value line that is not a finite
+    number, or a value count other than the one the specs imply raises
+    ProtocolError naming the file.
     The count is checked before any part is built, so a header's widths
     cannot make it allocate more than the file holds.
     """

@@ -1,9 +1,10 @@
 """Class prototypes: per-class means of teacher fused features of paired samples.
 
 A PrototypeSet is a value object: every update returns a new set.  The
-`stale` flag marks classes whose stored vector is not backed by data from
-the relevant source (absent from the batch, or never observed for a
-running set); stale entries are excluded from nearest-prototype queries.
+`stale` flag, derived from the counts when the set is built, marks classes
+whose stored vector is not backed by data from the relevant source (absent
+from the batch, or never observed for a running set); stale entries are
+excluded from nearest-prototype queries.
 
 A class mean is np.add.reduce(rows, axis=0) / count, the reduction
 ndarray.mean runs, so it has the same bits without the wrapper's cost.
@@ -12,7 +13,7 @@ ndarray.mean runs, so it has the same bits without the wrapper's cost.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,14 +24,20 @@ PROTO_MOMENTUM_DEFAULT = 0.9
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    dim: int
     values: np.ndarray  # (num_classes, dim)
     counts: np.ndarray  # (num_classes,) ints
-    stale: np.ndarray  # (num_classes,) bools
+    stale: np.ndarray = field(init=False)  # (num_classes,) bools: counts == 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stale", self.counts == 0)
 
     @property
     def num_classes(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
 
     def usable(self) -> np.ndarray:
         return ~self.stale
@@ -38,12 +45,8 @@ class PrototypeSet:
 
 def empty_prototypes(num_classes: int, dim: int) -> PrototypeSet:
     """All-stale set: no class has been observed yet."""
-    return PrototypeSet(
-        dim=dim,
-        values=np.zeros((num_classes, dim)),
-        counts=np.zeros(num_classes, dtype=np.int64),
-        stale=np.ones(num_classes, dtype=bool),
-    )
+    return PrototypeSet(values=np.zeros((num_classes, dim)),
+                        counts=np.zeros(num_classes, dtype=np.int64))
 
 
 def compute_batch_prototypes(
@@ -68,15 +71,14 @@ def compute_batch_prototypes(
         if low < 0 or high >= num_classes:
             raise LabelError(f"labels must lie in [0, {num_classes}), got range [{low}, {high}]")
 
-    dim = fused_feats.shape[1]
-    values = np.zeros((num_classes, dim))
+    values = np.zeros((num_classes, fused_feats.shape[1]))
     counts = np.zeros(num_classes, dtype=np.int64)
     for c in range(num_classes):
         rows = fused_feats[labels == c]
         counts[c] = len(rows)
         if len(rows):
             values[c] = np.add.reduce(rows, axis=0) / len(rows)
-    return PrototypeSet(dim=dim, values=values, counts=counts, stale=counts == 0)
+    return PrototypeSet(values=values, counts=counts)
 
 
 def update_running_prototypes(
@@ -100,7 +102,6 @@ def update_running_prototypes(
 
     values = running.values.copy()
     counts = running.counts.copy()
-    stale = running.stale.copy()
     for c in range(running.num_classes):
         if batch.stale[c]:
             continue
@@ -109,8 +110,7 @@ def update_running_prototypes(
         else:
             values[c] = momentum * running.values[c] + (1.0 - momentum) * batch.values[c]
         counts[c] = running.counts[c] + batch.counts[c]
-        stale[c] = False
-    return PrototypeSet(dim=running.dim, values=values, counts=counts, stale=stale)
+    return PrototypeSet(values=values, counts=counts)
 
 
 def with_fallback(batch: PrototypeSet, fallback: PrototypeSet) -> PrototypeSet:
@@ -119,12 +119,10 @@ def with_fallback(batch: PrototypeSet, fallback: PrototypeSet) -> PrototypeSet:
         raise ShapeError("prototype sets are not compatible")
     values = batch.values.copy()
     counts = batch.counts.copy()
-    stale = batch.stale.copy()
     fill = batch.stale & ~fallback.stale
     values[fill] = fallback.values[fill]
     counts[fill] = fallback.counts[fill]
-    stale[fill] = False
-    return PrototypeSet(dim=batch.dim, values=values, counts=counts, stale=stale)
+    return PrototypeSet(values=values, counts=counts)
 
 
 def nearest_prototypes_batch(feats: np.ndarray, protos: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:

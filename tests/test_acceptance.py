@@ -87,7 +87,7 @@ def rel_err(analytic, fd):
 
 def _mlp(rng, d_in, d_out, hidden=None):
     dims = (d_in, int(rng.integers(2, 9)) if hidden is None else hidden, d_out)
-    return Mlp(MlpSpec(dims, "tanh"), int(rng.integers(2**31)))
+    return Mlp(MlpSpec(dims), int(rng.integers(2**31)))
 
 
 # ===================================================================== C1
@@ -178,11 +178,7 @@ def _check_proto_instance(rng, assignment):
         d2_sorted = np.sort(d2, axis=1)
         if assignment == "true_class" or (d2_sorted[:, 1] - d2_sorted[:, 0]).min() > 1e-2:
             break
-    protos = PrototypeSet(
-        dim=k, values=values,
-        counts=np.ones(n_cls, dtype=np.int64),
-        stale=np.zeros(n_cls, dtype=bool),
-    )
+    protos = PrototypeSet(values=values, counts=np.ones(n_cls, dtype=np.int64))
 
     _, g, _ = proto_loss(feats, protos, assignment, labels)
     net.backward(g)

@@ -189,3 +189,32 @@ def test_traced_scenario_reads_the_pools_of_each_fit_once(traced, tmp_path, monk
     fits = metrics["trainer.fit.calls"][0]
     assert fits == 4  # 2 rates x 2 folds
     assert len(iterated) == 2 * fits
+
+
+def test_nets_build_and_checkpoint_as_bench_reads_them(traced, tmp_path):
+    """bench/workloads.py builds its nets as TeacherNet.create(16, 16, 2, seed=...)
+    and StudentNet.create(16, 2, seed=...); bench/checks.py re-runs a saved
+    student from the header's integer layer_widths and its activation, taking
+    any value but "tanh" for relu."""
+    import json
+
+    import checks
+    import numpy as np
+
+    from pgad.nets import StudentNet, TeacherNet, save_checkpoint, student_forward
+    from pgad.seeding import derive_seed
+
+    TeacherNet.create(16, 16, 2, seed=derive_seed(101, "teacher"))
+    student = StudentNet.create(16, 2, seed=derive_seed(101, "student"))
+    path = tmp_path / "student.txt"
+    save_checkpoint(student, path)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert set(header["specs"]) == set(checks.STUDENT_PARTS)
+    for spec in header["specs"].values():
+        assert spec["activation"] == "tanh"
+        assert all(type(w) is int for w in spec["layer_widths"])
+    x = np.random.default_rng(0).standard_normal((5, 16))
+    feats, logits = checks.student_outputs(checks.read_student_checkpoint(str(path)), x)
+    want_feats, want_logits = student_forward(student, x)
+    assert np.allclose(feats, want_feats, rtol=0, atol=1e-12)
+    assert np.allclose(logits, want_logits, rtol=0, atol=1e-12)

@@ -84,6 +84,8 @@ def test_arm_spec_validation():
         ({"name": "x", "pcm": True, "proto_strategy": "none"},
          "arm x: prototype strategy 'none' forces pcm off"),
         ({"name": "x", "rates": (1.5,)}, r"arm x: missing rate 1.5 outside \[0, 1\]"),
+        ({"name": "auto", "ams": "auto"}, "arm auto: ams must be one of"),
+        ({"name": "x", "proto_strategy": "centroid"}, "arm x: proto_strategy must be one of"),
     ):
         with pytest.raises(ConfigError, match=message):
             ArmSpec(**bad)
@@ -104,7 +106,6 @@ def test_scenario_validation(tmp_path):
         ({"missing_rates": (0.5, 0.5)}, "arm baseline: missing rates repeat"),
         ({"feat_dim": 0}, "feat_dim and hidden_width must be >= 1"),
         ({"dataset": replace(cfg.dataset, num_classes=3)}, "dataset.num_classes must be 2"),
-        ({"arms": (ArmSpec(name="auto", ams="auto"),)}, "arm auto: ams_mode must be one of"),
     ):
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig(**{**fields_of_cfg, **bad})
@@ -610,16 +611,18 @@ def test_cli_run_rejects_mistyped_scenario_fields(tmp_path, capsys, key, value, 
 
 
 def test_cli_run_rejects_unknown_activation_before_any_job(tmp_path, capsys):
-    d = scenario_dict()
-    d["activation"] = "sigmoid"
-    cfg_path = tmp_path / "act.json"
-    cfg_path.write_text(json.dumps(d))
-    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err.startswith("error: ConfigError")
-    assert "activation" in captured.err
-    assert not (tmp_path / "o" / "traces").exists()
+    """The hidden layers are always tanh, so `activation` is not a scenario
+    field, whatever its value."""
+    for value in ("tanh", "relu"):
+        d = scenario_dict()
+        d["activation"] = value
+        cfg_path = tmp_path / "act.json"
+        cfg_path.write_text(json.dumps(d))
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: ConfigError: unknown scenario fields: ['activation']\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key,value,named", [
@@ -733,7 +736,7 @@ def test_cli_run_rejects_a_dataset_missing_rate(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: ConfigError: scenario: scenario.dataset.missing_rate is 0.9")
+    assert err.startswith("error: ConfigError: scenario: dataset.missing_rate is 0.9")
     assert "missing_rates" in err and "arms' rates" in err
     assert not (tmp_path / "o").exists()
     d["dataset"]["missing_rate"] = 0.0
@@ -886,8 +889,8 @@ def test_cli_run_rejects_bad_arm_settings_before_any_job(tmp_path, capsys, key, 
     rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1
-    # the arm's mechanisms fail in its TrainConfig, its loss weights when they are read
-    where = "scenario.arms[1].loss_weights:" if key == "loss_weights" else "scenario: arm full:"
+    # the arm's mechanisms fail when the arm is built, its loss weights when they are read
+    where = "scenario.arms[1]" + (".loss_weights:" if key == "loss_weights" else ": arm full:")
     assert err.startswith(f"error: ConfigError: {where}") and problem in err
     assert not (tmp_path / "o" / "traces").exists()
 
@@ -1136,7 +1139,6 @@ VALID = {
     (ScenarioConfig, "k_folds"): ints(2),
     (ScenarioConfig, "feat_dim"): ints(1),
     (ScenarioConfig, "hidden_width"): ints(1),
-    (ScenarioConfig, "activation"): choices(["relu", "tanh"]),
 }
 
 

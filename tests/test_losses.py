@@ -304,10 +304,8 @@ def test_pair_loss_protocol_errors():
 
 def two_protos():
     return PrototypeSet(
-        dim=2,
         values=np.array([[0.0, 0.0], [5.0, 5.0]]),
         counts=np.array([3, 3]),
-        stale=np.array([False, False]),
     )
 
 
@@ -336,10 +334,8 @@ def test_proto_loss_nearest_vs_true_class():
 def test_proto_loss_gradient_matches_fd():
     rng = np.random.default_rng(10)
     protos = PrototypeSet(
-        dim=3,
         values=np.array([[0.0, 0.0, 0.0], [8.0, 8.0, 8.0]]),
         counts=np.array([2, 2]),
-        stale=np.array([False, False]),
     )
     # features firmly inside each cluster so the assignment cannot flip
     feats = np.vstack([rng.standard_normal((3, 3)) * 0.5,
@@ -366,14 +362,12 @@ def test_proto_loss_errors():
         proto_loss(np.ones((1, 2)), protos, "centroid")
     with pytest.raises(LabelError):
         proto_loss(np.ones((1, 2)), protos, "true_class", labels=[2])
-    all_stale = PrototypeSet(dim=2, values=np.zeros((2, 2)),
-                             counts=np.zeros(2, dtype=np.int64),
-                             stale=np.ones(2, dtype=bool))
+    all_stale = PrototypeSet(values=np.zeros((2, 2)),
+                             counts=np.zeros(2, dtype=np.int64))
     with pytest.raises(ProtocolError):
         proto_loss(np.ones((1, 2)), all_stale)
-    one_stale = PrototypeSet(dim=2, values=np.zeros((2, 2)),
-                             counts=np.array([0, 3]),
-                             stale=np.array([True, False]))
+    one_stale = PrototypeSet(values=np.zeros((2, 2)),
+                             counts=np.array([0, 3]))
     with pytest.raises(ProtocolError):
         proto_loss(np.ones((1, 2)), one_stale, "true_class", labels=[0])
 

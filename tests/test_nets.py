@@ -50,9 +50,8 @@ def max_rel_err(a, b, floor=1e-4):
 
 def test_mlp_spec_validation():
     """Checked when built, by the constructor and by replace alike."""
-    good = MlpSpec((4, 3, 2), activation="relu")
-    for bad in ({"layer_widths": (4,)}, {"layer_widths": (4, 0, 2)},
-                {"activation": "sigmoid"}):
+    good = MlpSpec((4, 3, 2))
+    for bad in ({"layer_widths": (4,)}, {"layer_widths": (4, 0, 2)}):
         with pytest.raises(ConfigError):
             MlpSpec(**{"layer_widths": (4, 3), **bad})
         with pytest.raises(ConfigError):
@@ -223,55 +222,32 @@ def test_bind_joint_params_lays_out_the_gradients_like_the_parameters():
     assert t.grad.base is grad and s.grad.base is grad
 
 
-def _away_from_kink(net, x, margin=1e-3):
-    """Shift the batch until every hidden pre-activation clears `margin`."""
-    for attempt in range(50):
-        h = x
-        ok = True
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = h @ w.T + b
-            if i < len(net.weights) - 1:
-                if np.abs(z).min() < margin:
-                    ok = False
-                    break
-                h = np.maximum(z, 0.0)
-        if ok:
-            return x
-        x = x + 0.01 * (attempt + 1)
-    raise AssertionError("could not move the batch off the relu kink")
-
-
 def test_mlp_gradients_match_finite_differences():
     """Analytic parameter and input gradients against central differences."""
     rng = np.random.default_rng(5)
-    for activation in ("tanh", "relu"):
-        for widths in ((3, 2), (4, 5, 2), (2, 6, 4, 3)):
-            net = Mlp(MlpSpec(widths, activation), seed=int(rng.integers(1000)))
-            x = rng.standard_normal((4, widths[0]))
-            if activation == "relu":
-                # keep pre-activations away from the kink so central
-                # differences stay on one linear piece
-                x = _away_from_kink(net, x)
-            w = rng.standard_normal((4, widths[-1]))  # fixed projection to a scalar
+    for widths in ((3, 2), (4, 5, 2), (2, 6, 4, 3)):
+        net = Mlp(MlpSpec(widths), seed=int(rng.integers(1000)))
+        x = rng.standard_normal((4, widths[0]))
+        w = rng.standard_normal((4, widths[-1]))  # fixed projection to a scalar
 
-            def f(flat, net=net, x=x, w=w):
-                net.set_params(flat)
-                return float((net.forward(x) * w).sum())
+        def f(flat, net=net, x=x, w=w):
+            net.set_params(flat)
+            return float((net.forward(x) * w).sum())
 
-            base = net.get_params().copy()
-            net.set_params(base)
-            net.forward(x)
-            d_input = net.backward(w)
-            analytic = net.grad.copy()
-            fd = fd_grad(f, base)
-            net.set_params(base)
-            assert max_rel_err(analytic, fd) < 1e-4, (activation, widths)
+        base = net.get_params().copy()
+        net.set_params(base)
+        net.forward(x)
+        d_input = net.backward(w)
+        analytic = net.grad.copy()
+        fd = fd_grad(f, base)
+        net.set_params(base)
+        assert max_rel_err(analytic, fd) < 1e-4, widths
 
-            def f_in(flat_x, net=net, w=w, shape=x.shape):
-                return float((net.forward(flat_x.reshape(shape)) * w).sum())
+        def f_in(flat_x, net=net, w=w, shape=x.shape):
+            return float((net.forward(flat_x.reshape(shape)) * w).sum())
 
-            fd_in = fd_grad(f_in, x.ravel().copy()).reshape(x.shape)
-            assert max_rel_err(d_input, fd_in) < 1e-4
+        fd_in = fd_grad(f_in, x.ravel().copy()).reshape(x.shape)
+        assert max_rel_err(d_input, fd_in) < 1e-4
 
 
 def test_teacher_create_shapes_and_validation():
@@ -431,6 +407,21 @@ def test_checkpoint_rejects_bad_header_naming_the_file(tmp_path, corrupt):
     corrupt(header)
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(ProtocolError, match="ck.txt"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_relu_header_naming_the_file_and_part(tmp_path):
+    """tanh is the only hidden activation, so a header naming another one is
+    refused rather than loaded as tanh."""
+    path = tmp_path / "ck.txt"
+    save_checkpoint(StudentNet.create(3, 2, feat_dim=2, hidden_width=3, seed=0), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert [spec["activation"] for spec in header["specs"].values()] == ["tanh", "tanh"]
+    header["specs"]["enc_a"]["activation"] = "relu"
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(ProtocolError,
+                       match=r"ck\.txt: specs\.enc_a: activation must be 'tanh', got 'relu'"):
         load_checkpoint(path)
 
 

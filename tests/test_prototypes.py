@@ -23,6 +23,15 @@ def test_empty_prototypes_all_stale():
     assert (p.counts == 0).all()
 
 
+def test_stale_and_dim_follow_the_arrays():
+    p = PrototypeSet(values=np.zeros((3, 4)), counts=np.array([2, 0, 1]))
+    assert p.dim == 4
+    assert p.stale.tolist() == [False, True, False]
+    with pytest.raises(TypeError):
+        PrototypeSet(values=np.zeros((3, 4)), counts=np.array([2, 0, 1]),
+                     stale=np.zeros(3, dtype=bool))
+
+
 def test_batch_prototypes_exact_means():
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]])
     labels = [0, 0, 1]
@@ -88,9 +97,8 @@ def test_batch_prototypes_errors():
 
 
 def test_update_running_blends_with_momentum():
-    running = PrototypeSet(dim=2, values=np.array([[10.0, 0.0], [0.0, 0.0]]),
-                           counts=np.array([4, 0]),
-                           stale=np.array([False, True]))
+    running = PrototypeSet(values=np.array([[10.0, 0.0], [0.0, 0.0]]),
+                           counts=np.array([4, 0]))
     batch = compute_batch_prototypes(np.array([[0.0, 10.0], [6.0, 6.0]]), [0, 1], 2)
     out = update_running_prototypes(running, batch, momentum=0.9)
     assert np.allclose(out.values[0], [9.0, 1.0], atol=1e-12)
@@ -101,9 +109,8 @@ def test_update_running_blends_with_momentum():
 
 
 def test_update_running_keeps_entry_when_batch_stale():
-    running = PrototypeSet(dim=2, values=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                           counts=np.array([2, 2]),
-                           stale=np.array([False, False]))
+    running = PrototypeSet(values=np.array([[1.0, 2.0], [3.0, 4.0]]),
+                           counts=np.array([2, 2]))
     batch = empty_prototypes(2, 2)
     out = update_running_prototypes(running, batch, momentum=0.5)
     assert np.array_equal(out.values, running.values)
@@ -133,9 +140,8 @@ def test_update_running_errors():
 
 def test_with_fallback_fills_only_stale_classes():
     batch = compute_batch_prototypes(np.array([[1.0, 1.0]]), [0], 2)
-    fallback = PrototypeSet(dim=2, values=np.array([[9.0, 9.0], [7.0, 7.0]]),
-                            counts=np.array([5, 5]),
-                            stale=np.array([False, False]))
+    fallback = PrototypeSet(values=np.array([[9.0, 9.0], [7.0, 7.0]]),
+                            counts=np.array([5, 5]))
     out = with_fallback(batch, fallback)
     assert np.allclose(out.values[0], [1.0, 1.0])  # batch entry wins
     assert np.allclose(out.values[1], [7.0, 7.0])  # filled from fallback
@@ -148,18 +154,16 @@ def test_with_fallback_fills_only_stale_classes():
 
 
 def test_nearest_prototype_basic_and_ties():
-    protos = PrototypeSet(dim=1, values=np.array([[0.0], [2.0]]),
-                          counts=np.array([1, 1]),
-                          stale=np.array([False, False]))
+    protos = PrototypeSet(values=np.array([[0.0], [2.0]]),
+                          counts=np.array([1, 1]))
     idx, d2 = nearest_prototypes_batch(np.array([[0.4], [1.0], [1.7]]), protos)
     assert idx.tolist() == [0, 0, 1]  # the exact tie at 1.0 goes to the lowest index
     assert d2[0] == pytest.approx(0.16) and d2[2] == pytest.approx(0.09)
 
 
 def test_nearest_prototype_skips_stale():
-    protos = PrototypeSet(dim=1, values=np.array([[0.0], [2.0]]),
-                          counts=np.array([0, 1]),
-                          stale=np.array([True, False]))
+    protos = PrototypeSet(values=np.array([[0.0], [2.0]]),
+                          counts=np.array([0, 1]))
     idx, _ = nearest_prototypes_batch(np.array([[0.1]]), protos)
     assert idx.tolist() == [1]
     with pytest.raises(ProtocolError):
@@ -172,9 +176,8 @@ def test_nearest_prototype_skips_stale():
 
 def test_nearest_batch_agrees_with_scalar_version():
     rng = np.random.default_rng(4)
-    protos = PrototypeSet(dim=3, values=rng.standard_normal((4, 3)),
-                          counts=np.array([1, 0, 1, 1]),
-                          stale=np.array([False, True, False, False]))
+    protos = PrototypeSet(values=rng.standard_normal((4, 3)),
+                          counts=np.array([1, 0, 1, 1]))
     feats = rng.standard_normal((20, 3))
     idx, d2 = nearest_prototypes_batch(feats, protos)
     for i in range(20):
