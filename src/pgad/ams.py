@@ -105,13 +105,14 @@ class SamplePool:
     read-only arrays: int64 `ids` and `labels`, the `feat_a` matrix and, in
     a paired pool only, `feat_b` (None in an unpaired pool).
     `class_counts` maps each label to its number of rows; iterating a pool
-    yields its rows as Samples.  An unpaired pool built with `donors` is
+    yields its rows as Samples, built on the first iteration and kept, as
+    the pool never changes.  An unpaired pool built with `donors` is
     checked against that paired pool: the donor pool is nonempty, the two
     pools share no id, and every class of the unpaired pool has a donor.
     build_batch draws from such a pair without checking it again.
     """
 
-    __slots__ = ("ids", "labels", "feat_a", "feat_b", "class_counts", "donors")
+    __slots__ = ("ids", "labels", "feat_a", "feat_b", "class_counts", "donors", "_samples")
 
     def __init__(
         self,
@@ -158,7 +159,7 @@ class SamplePool:
         class_counts = MappingProxyType(dict(zip(classes.tolist(), counts.tolist())))
         for name, value in (
             ("ids", ids), ("labels", labels), ("feat_a", feat_a), ("feat_b", feat_b),
-            ("class_counts", class_counts), ("donors", donors),
+            ("class_counts", class_counts), ("donors", donors), ("_samples", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -169,9 +170,13 @@ class SamplePool:
         return len(self.ids)
 
     def __iter__(self) -> Iterator[Sample]:
-        feat_b = self.feat_b if self.feat_b is not None else [None] * len(self)
-        for i, c, a, b in zip(self.ids.tolist(), self.labels.tolist(), self.feat_a, feat_b):
-            yield Sample(id=i, label=c, feat_a=a, feat_b=b)
+        if self._samples is None:
+            feat_b = self.feat_b if self.feat_b is not None else [None] * len(self)
+            rows = zip(self.ids.tolist(), self.labels.tolist(), self.feat_a, feat_b)
+            object.__setattr__(self, "_samples", tuple(
+                Sample(id=i, label=c, feat_a=a, feat_b=b) for i, c, a, b in rows
+            ))
+        return iter(self._samples)
 
 
 def prepare_pools(data, rows) -> tuple[SamplePool, SamplePool]:

@@ -1,12 +1,19 @@
 """Experiment harness: sweeps ablation arms over missing rates and folds.
 
-Each (arm, rate, fold) cell is one RunJob: the scenario, the arm, the
+Each (arm, rate, fold) run is one RunJob: the scenario, the arm, the
 rate, the rate's dataset and the fold's test rows.  A scenario's data is
 drawn once, as columns: _build_jobs makes one feature draw, one
 missingness mask per rate and the folds as row indices, and every job of a
 rate shares that rate's synthdata.Dataset, whose arrays all rates share.
-run_one gathers the fold's training pools from the dataset by row index
-and derives the seeds, training config, net sizes and artifact paths.
+_run_folds gathers each fold's training pools from the dataset by row
+index, derives the seeds, training config, net sizes and artifact paths,
+and trains the folds it is given with trainer.fit_runs.
+
+In this process (jobs=1) each (arm, rate) cell's folds train in lockstep,
+along one run axis: one step for all of them, with the cell's fold pools
+held in memory together.  A worker pool (jobs > 1) runs one fold per
+run_one job, which is the same code at one run.  Both write the same
+bytes.
 
 Within a scenario every arm sees identical data, missingness masks, fold
 memberships, and initial network weights; training seeds depend on
@@ -20,7 +27,6 @@ scenario config produces byte-identical CSVs.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import os
 from collections import Counter
@@ -47,7 +53,7 @@ from .nets import StudentNet, TeacherNet, save_checkpoint, student_forward
 from .prototypes import export_prototypes_csv
 from .seeding import derive_seed
 from .synthdata import Dataset, DatasetConfig, draw_datasets, kfold_rows
-from .trainer import PROTO_STRATEGIES, TrainConfig, export_trace_csv, fit
+from .trainer import PROTO_STRATEGIES, TrainConfig, export_trace_csv, fit_runs
 
 DEFAULT_MISSING_RATES = (0.2, 0.5, 0.7)
 DEFAULT_ALPHA = 0.05
@@ -183,7 +189,7 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunJob:
-    """One (arm, rate, fold) cell of a scenario, picklable; run_one derives the rest.
+    """One (arm, rate, fold) run of a scenario, picklable; _run_folds derives the rest.
 
     `data` is the scenario's dataset at `rate`, and `test_rows` are the rows
     of it that fold `fold` tests on; the other rows train.
@@ -206,30 +212,56 @@ def _scenario_tag(rate: float) -> str:
 
 
 def run_one(job: RunJob) -> MetricsRecord:
-    """Train and evaluate a single (arm, rate, fold) cell; writes its own files."""
-    cfg, dims, rate, fold, data = job.scenario, job.scenario.dataset, job.rate, job.fold, job.data
+    """Train and evaluate a single (arm, rate, fold) run; writes its own files."""
+    return _run_folds([job])[0]
+
+
+def _run_folds(jobs: list) -> list:
+    """Train the folds of one (arm, rate) cell in lockstep (trainer.fit_runs),
+    then evaluate each and write its files; returns the records in job order.
+
+    A failure that belongs to one fold carries its index in `jobs` as
+    `exc.run`, as trainer.fit_runs marks it.
+    """
+    runs, train_cfgs = [], []
+    for job in jobs:
+        cfg, dims, rate, fold, data = (job.scenario, job.scenario.dataset, job.rate, job.fold,
+                                       job.data)
+        is_test = np.zeros(len(data), dtype=bool)
+        is_test[np.array(job.test_rows, dtype=np.int64)] = True
+        teacher = TeacherNet.create(
+            dims.dim_a, dims.dim_b, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
+            seed=derive_seed(dims.seed, "init", "teacher", rate, fold),
+        )
+        student = StudentNet.create(
+            dims.dim_a, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
+            seed=derive_seed(dims.seed, "init", "student", rate, fold),
+        )
+        runs.append((teacher, student, prepare_pools(data, np.flatnonzero(~is_test))))
+        train_cfgs.append(replace(cfg.arm_train(job.arm),
+                                  seed=derive_seed(dims.seed, "train", rate, fold)))
+    results = fit_runs(runs, train_cfgs)
+
+    records = []
+    for run, (job, result) in enumerate(zip(jobs, results)):
+        try:
+            records.append(_evaluate_and_export(job, result))
+        except Exception as exc:
+            exc.run = run
+            raise
+    return records
+
+
+def _evaluate_and_export(job: RunJob, result) -> MetricsRecord:
+    """One fold's test metrics from its trained student, and its artifact files."""
+    cfg, data, student = job.scenario, job.data, result.student
     test = np.array(job.test_rows, dtype=np.int64)
-    is_test = np.zeros(len(data), dtype=bool)
-    is_test[test] = True
-    pools = prepare_pools(data, np.flatnonzero(~is_test))
-
-    teacher = TeacherNet.create(
-        dims.dim_a, dims.dim_b, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
-        seed=derive_seed(dims.seed, "init", "teacher", rate, fold),
-    )
-    student = StudentNet.create(
-        dims.dim_a, dims.num_classes, cfg.feat_dim, cfg.hidden_width,
-        seed=derive_seed(dims.seed, "init", "student", rate, fold),
-    )
-    train_cfg = replace(cfg.arm_train(job.arm), seed=derive_seed(dims.seed, "train", rate, fold))
-    result = fit(teacher, student, pools, train_cfg)
-
     _, logits = student_forward(student, data.feat_a[test])
     scores = softmax(logits, axis=1)[:, 1]
     preds = np.argmax(logits, axis=1)
-    record = classification_metrics(data.labels[test], scores, preds, fold=fold)
+    record = classification_metrics(data.labels[test], scores, preds, fold=job.fold)
 
-    stem = f"{job.arm.name}_rate{_rate_tag(rate)}_fold{fold}"
+    stem = f"{job.arm.name}_rate{_rate_tag(job.rate)}_fold{job.fold}"
     export_trace_csv(result.epoch_traces, os.path.join(cfg.output_dir, "traces", stem + ".csv"))
     export_ams_trace_csv(
         [(t.epoch, t.theta, t.ratio) for t in result.epoch_traces],
@@ -293,27 +325,45 @@ def _summary(rows) -> RunSummary:
 
 
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
-    """Run every (arm, rate, fold) cell on `jobs` worker processes (1 runs them
-    in this process), aggregate, and write all artifacts.  No more workers
-    start than there are cells."""
+    """Run every (arm, rate, fold) run, aggregate, and write all artifacts.
+
+    With jobs=1 each (arm, rate) cell trains its folds in lockstep in this
+    process; otherwise every fold is one run_one job on `jobs` worker
+    processes, and no more workers start than there are runs.  Both write
+    the same bytes.
+    """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     job_list = _build_jobs(cfg)
 
     rows = []  # (arm, rate, record) in job order: arm, then rate, then fold
     workers = min(jobs, len(job_list))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or contextlib.nullcontext():
-        results = pool.map(run_one, job_list) if pool else map(run_one, job_list)
+    if workers == 1:
+        cells: dict = {}
         for job in job_list:
+            cells.setdefault((job.arm.name, job.rate), []).append(job)
+        for cell in cells.values():
             try:
-                rows.append((job.arm.name, job.rate, next(results)))
+                records = _run_folds(cell)
             except Exception as exc:
-                if pool:  # no queued job starts once one has failed
-                    pool.shutdown(cancel_futures=True)
+                run = getattr(exc, "run", None)
+                folds = (cell[run].fold if run is not None
+                         else ",".join(str(job.fold) for job in cell))
                 raise ProtocolError(
-                    f"arm={job.arm.name} rate={job.rate} fold={job.fold} failed: {exc}"
+                    f"arm={cell[0].arm.name} rate={cell[0].rate} fold={folds} failed: {exc}"
                 ) from exc
+            rows += [(job.arm.name, job.rate, record) for job, record in zip(cell, records)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = pool.map(run_one, job_list)
+            for job in job_list:
+                try:
+                    rows.append((job.arm.name, job.rate, next(results)))
+                except Exception as exc:
+                    pool.shutdown(cancel_futures=True)  # no queued job starts
+                    raise ProtocolError(
+                        f"arm={job.arm.name} rate={job.rate} fold={job.fold} failed: {exc}"
+                    ) from exc
 
     summary = _summary(rows)
     export_metrics_csv([(arm, _scenario_tag(rate), rec) for arm, rate, rec in rows],

@@ -8,25 +8,34 @@ can treat a network as a single point in R^n.
 
 The parameters live in that order in flat float64 buffers, and the
 gradients in a second buffer of the same layout: every Mlp weight and
-bias, and its gradient, is a C-contiguous view into its buffer.  A
-TeacherNet or StudentNet binds its parts to one pair of buffers when it is
-built, so `net.grad` is the whole net's gradient without a copy.
-set_params writes the parameter buffer in place, so the views stay bound.
-bind_joint_params moves a teacher and a student into one pair of buffers
-laid out as [teacher | student | theta]; an in-place optimizer step on the
-parameter buffer is then the update of both nets, and the backward chains
-below fill the gradient buffer without a concatenation (joint_buffers
-returns both buffers).
+bias, and its gradient, is a view into its buffer.  A TeacherNet or
+StudentNet binds its parts to one pair of buffers when it is built, so
+`net.grad` is the whole net's gradient without a copy.  set_params writes
+the parameter buffer in place, so the views stay bound.
+
+Nets that train together share a leading run axis.  bind_joint_params lays
+R (teacher, student, theta) runs out as the rows of one (R, P) buffer,
+[teacher | student | theta] per row, with the gradients in a second buffer
+of the same layout: each run's own nets stay bound to its row, which is
+what checkpoints and evaluation read, and the R runs also come back as one
+TeacherNet and one StudentNet along the run axis (stack_runs), whose parts
+view the buffer's columns as (R, out, in) weights and (R, out) biases; a
+stack of one run is bound to its row without the axis.  An in-place
+optimizer step on the buffer is then the update of every net, and the
+backward chains fill the gradient buffer without a concatenation
+(joint_buffers returns both buffers).
 
 Each network has one forward and one backward chain here, and the
 trainer calls them: teacher_features (encoders and fusion),
 teacher_forward (those plus the head), teacher_backward, student_forward
-and student_backward.  Mlp.backward writes the layer gradients into the
-net's gradient views (np.matmul and np.add.reduce with out=, the same
-reductions `@` and ndarray.sum run, so the bits do not change) and returns
-the gradient with respect to its input; a backward chain returns the net's
-gradient buffer, which the next backward overwrites.  Inputs are 2-d
-batches.
+and student_backward.  A net takes (N, in) batches, and nets along the run
+axis take (R, N, in) batches, one per run; the stacked matmuls and
+reductions give each run the bits it gets on its own.  Mlp.backward
+writes the layer gradients into the net's gradient views (np.matmul and
+np.add.reduce with out=, the same reductions `@` and ndarray.sum run, so
+the bits do not change) and returns the gradient with respect to its
+input; a backward chain returns the net's gradient buffer, which the next
+backward overwrites.
 
 Backward passes consume a single-slot cache written by the most recent
 forward pass.  Calling backward twice, or before any forward, raises
@@ -73,13 +82,17 @@ class MlpSpec:
 
 
 def _layer_views(flat: np.ndarray, widths) -> tuple[list, list]:
-    """Per-layer (weights, biases) views into a flat vector in parameter order."""
+    """Per-layer (weights, biases) views into a flat vector in parameter order,
+    or into the rows of an (R, n) buffer along the run axis."""
     weights, biases = [], []
+    lead = flat.shape[:-1]
     offset = 0
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        weights.append(
+            flat[..., offset : offset + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
+        )
         offset += fan_out * fan_in
-        biases.append(flat[offset : offset + fan_out])
+        biases.append(flat[..., offset : offset + fan_out])
         offset += fan_out
     return weights, biases
 
@@ -98,7 +111,8 @@ class Mlp:
 
     `weights` and `biases` are views into the flat parameter vector, and
     `grad` is the flat gradient of the last backward pass in the same
-    layout.
+    layout.  An Mlp along the run axis (Mlp.view) has (R, n) buffers,
+    (R, out, in) weights and (R, out) biases.
     """
 
     def __init__(self, spec: MlpSpec, seed: int):
@@ -113,14 +127,32 @@ class Mlp:
         self._bind_views(np.concatenate(draws), np.zeros(spec.param_count))
         self._cache: Optional[list] = None
 
+    @classmethod
+    def view(cls, spec: MlpSpec, flat: np.ndarray, grad: np.ndarray) -> "Mlp":
+        """An Mlp of `spec` whose parameters and gradient are the views `flat`
+        and `grad` themselves, not copies: (param_count,) for one net, or
+        (R, param_count) for R nets along the run axis."""
+        for buffer in (flat, grad):
+            if (buffer.dtype != np.float64 or buffer.ndim not in (1, 2)
+                    or buffer.shape[-1] != spec.param_count or buffer.strides[-1] != 8):
+                raise ShapeError(f"expected a float64 buffer of {spec.param_count} contiguous "
+                                 f"values per run, got {buffer.dtype} {buffer.shape}")
+        mlp = cls.__new__(cls)
+        mlp.spec = spec
+        mlp._bind_views(flat, grad)
+        mlp._cache = None
+        return mlp
+
     def _bind_views(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self._flat, self.grad = flat, grad
         self.weights, self.biases = _layer_views(flat, self.spec.layer_widths)
         self._grad_weights, self._grad_biases = _layer_views(grad, self.spec.layer_widths)
+        # forward's operands: per layer, W^T and the bias as a row that broadcasts
+        self._layers = [(w.mT, b[..., None, :]) for w, b in zip(self.weights, self.biases)]
 
     @property
     def param_count(self) -> int:
-        return self._flat.size
+        return self.spec.param_count
 
     def bind(self, buffer: np.ndarray, grad: np.ndarray) -> None:
         """Move the parameters into `buffer` and the gradient into `grad`.
@@ -140,21 +172,24 @@ class Mlp:
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.param_count,):
-            raise ShapeError(f"expected flat vector of length {self.param_count}, got {flat.shape}")
+        if flat.shape != self._flat.shape:
+            raise ShapeError(f"expected parameters of shape {self._flat.shape}, got {flat.shape}")
         self._flat[...] = flat
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Outputs for an (N, in) batch, or for an (R, N, in) batch along the run axis."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError(f"expected a 2-d batch (N, {self.spec.in_dim}), got shape {x.shape}")
-        if x.shape[1] != self.spec.in_dim:
-            raise ShapeError(f"expected input dim {self.spec.in_dim}, got {x.shape[1]}")
+        lead = self._flat.shape[:-1]
+        if x.shape[:-2] != lead or x.ndim != len(lead) + 2:
+            raise ShapeError(f"expected a batch of shape {lead + ('N', self.spec.in_dim)}, "
+                             f"got shape {x.shape}")
+        if x.shape[-1] != self.spec.in_dim:
+            raise ShapeError(f"expected input dim {self.spec.in_dim}, got {x.shape[-1]}")
         acts = [x]
-        last = len(self.weights) - 1
+        last = len(self._layers) - 1
         h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T
+        for i, (w_t, b) in enumerate(self._layers):
+            h = h @ w_t
             h += b
             if i != last:
                 np.tanh(h, out=h)
@@ -184,8 +219,8 @@ class Mlp:
                 d_act = a * a
                 np.subtract(1.0, d_act, out=d_act)
                 delta = np.multiply(delta, d_act, out=d_act)
-            np.matmul(delta.T, acts[i], out=self._grad_weights[i])
-            np.add.reduce(delta, axis=0, out=self._grad_biases[i])
+            np.matmul(delta.mT, acts[i], out=self._grad_weights[i])
+            np.add.reduce(delta, axis=-2, out=self._grad_biases[i])
             if i == 0 and not input_grad:
                 return None
             delta = delta @ self.weights[i]
@@ -195,15 +230,17 @@ class Mlp:
 class _Net:
     """Parameter plumbing shared by TeacherNet and StudentNet.
 
-    `_parts` holds the sub-nets in get_params order: an encoder whose
-    output width is the feature dim first, the head last.  The parts are
-    bound to one parameter buffer `_flat` and one gradient buffer `grad`
-    of the whole net (_bind_parts).  Each subclass binds get_params and
-    set_params in its own class body, so the two classes keep separate
+    `_parts` holds the sub-nets in get_params order, named by
+    `part_names`: an encoder whose output width is the feature dim first,
+    the head last.  The parts are bound to one parameter buffer `_flat`
+    and one gradient buffer `grad` of the whole net (_bind_parts); along
+    the run axis both are (R, param_count).  Each subclass binds get_params
+    and set_params in its own class body, so the two classes keep separate
     entries that can be replaced one at a time (the benchmark's tracer
     times them per class).
     """
 
+    part_names: tuple
     _parts: tuple
     _flat: np.ndarray
     grad: np.ndarray
@@ -229,6 +266,26 @@ class _Net:
             offset += n
         self._flat, self.grad = flat, grad
 
+    def on_runs(self, flat: np.ndarray, grad: np.ndarray):
+        """R nets of this class and these parts' specs along the run axis, whose
+        parameters and gradient are the (R, param_count) views `flat` and
+        `grad` themselves: part by part, Mlp.view of their columns.  One run
+        (R = 1) is bound to its row without the run axis, so it runs the
+        (N, ...) chains of a lone net."""
+        if len(flat) == 1:
+            flat, grad = flat[0], grad[0]
+        net = object.__new__(type(self))
+        parts, offset = [], 0
+        for name, p in zip(self.part_names, self._parts):
+            n = p.param_count
+            parts.append(Mlp.view(p.spec, flat[..., offset : offset + n],
+                                  grad[..., offset : offset + n]))
+            setattr(net, name, parts[-1])
+            offset += n
+        net._parts = tuple(parts)
+        net._flat, net.grad = flat, grad
+        return net
+
 
 def _get_params(net: _Net) -> np.ndarray:
     return net._flat.copy()
@@ -236,13 +293,15 @@ def _get_params(net: _Net) -> np.ndarray:
 
 def _set_params(net: _Net, flat: np.ndarray) -> None:
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (net.param_count,):
-        raise ShapeError(f"expected flat vector of length {net.param_count}, got {flat.shape}")
+    if flat.shape != net._flat.shape:
+        raise ShapeError(f"expected parameters of shape {net._flat.shape}, got {flat.shape}")
     net._flat[...] = flat
 
 
 class TeacherNet(_Net):
     """Two-modality classifier: per-modality encoders, fusion MLP, linear head."""
+
+    part_names = ("enc_a", "enc_b", "fusion", "head")
 
     def __init__(self, enc_a: Mlp, enc_b: Mlp, fusion: Mlp, head: Mlp):
         feat = enc_a.spec.out_dim
@@ -288,6 +347,8 @@ class TeacherNet(_Net):
 class StudentNet(_Net):
     """Single-modality classifier: modality-A encoder plus linear head."""
 
+    part_names = ("enc_a", "head")
+
     def __init__(self, enc_a: Mlp, head: Mlp):
         feat = enc_a.spec.out_dim
         if head.spec.in_dim != feat:
@@ -316,11 +377,12 @@ class StudentNet(_Net):
 
 def teacher_features(net: TeacherNet, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (modality-B embeddings h_b, fused features) for a batch of pairs."""
-    if len(a) != len(b):
-        raise ShapeError(f"batch sizes differ: a has {len(a)}, b has {len(b)}")
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape[:-1] != b.shape[:-1]:
+        raise ShapeError(f"batch sizes differ: a is {a.shape}, b is {b.shape}")
     h_a = net.enc_a.forward(a)
     h_b = net.enc_b.forward(b)
-    fused = net.fusion.forward(np.concatenate([h_a, h_b], axis=1))
+    fused = net.fusion.forward(np.concatenate([h_a, h_b], axis=-1))
     return h_b, fused
 
 
@@ -345,8 +407,8 @@ def teacher_backward(
     d_fused = net.head.backward(d_logits)
     d_concat = net.fusion.backward(d_fused)
     feat = net.feat_dim
-    net.enc_a.backward(d_concat[:, :feat], input_grad=False)
-    d_b = d_concat[:, feat:]
+    net.enc_a.backward(d_concat[..., :feat], input_grad=False)
+    d_b = d_concat[..., feat:]
     net.enc_b.backward(d_b if d_h_b is None else d_b + d_h_b, input_grad=False)
     return net.grad
 
@@ -371,26 +433,56 @@ def student_backward(
     return net.grad
 
 
-def bind_joint_params(teacher: TeacherNet, student: StudentNet, theta: float) -> np.ndarray:
-    """One flat float64 buffer [teacher | student | theta] that both nets live in.
+def bind_joint_params(runs) -> tuple[np.ndarray, TeacherNet, StudentNet]:
+    """Lay R (teacher, student, theta) runs out as the rows of one (R, P) buffer.
 
-    Copies the nets' current parameters into a new buffer and binds both
-    nets to it (see Mlp.bind), so writing the buffer in place updates the
-    nets.  The last entry holds `theta`.  The nets' gradients move into a
-    second buffer of the same layout (joint_buffers returns both).
+    Row r is [teacher_r | student_r | theta_r]: the nets' current parameters
+    are copied in and each run's nets are bound to their row (see
+    Mlp.bind), so writing the buffer in place updates every net.  The nets'
+    gradients move into a second buffer of the same layout (joint_buffers
+    returns both).  Returns the parameter buffer and the R runs as one
+    TeacherNet and one StudentNet along the run axis (stack_runs).  The
+    runs' nets must be distinct objects with the first run's part specs.
     """
+    runs = [tuple(run) for run in runs]
+    if not runs:
+        raise UsageError("bind_joint_params needs at least one run")
+    teacher, student, _ = runs[0]
+    specs = _specs(teacher), _specs(student)
+    if any((_specs(t), _specs(s)) != specs for t, s, _ in runs):
+        raise UsageError("runs laid out in one buffer need nets of the same specs")
+    nets = [net for t, s, _ in runs for net in (t, s)]
+    if len({id(net) for net in nets}) != len(nets):
+        raise UsageError("each run needs nets of its own")
     n_t, n_s = teacher.param_count, student.param_count
-    buffer = np.empty(n_t + n_s + 1)
-    grad = np.zeros(n_t + n_s + 1)
-    teacher._bind_parts(buffer[:n_t], grad[:n_t])
-    student._bind_parts(buffer[n_t:-1], grad[n_t:-1])
-    buffer[-1] = theta
-    return buffer
+    buffer = np.empty((len(runs), n_t + n_s + 1))
+    grad = np.zeros_like(buffer)
+    for row, (t, s, theta) in enumerate(runs):
+        t._bind_parts(buffer[row, :n_t], grad[row, :n_t])
+        s._bind_parts(buffer[row, n_t:-1], grad[row, n_t:-1])
+        buffer[row, -1] = theta
+    return (buffer, *stack_runs(teacher, student, buffer, grad))
+
+
+def _specs(net: _Net) -> tuple:
+    return type(net), tuple(p.spec for p in net._parts)
+
+
+def stack_runs(
+    teacher: TeacherNet, student: StudentNet, params: np.ndarray, grad: np.ndarray
+) -> tuple[TeacherNet, StudentNet]:
+    """The runs of (R, P) joint buffers `params` and `grad`, laid out as
+    bind_joint_params does, as one TeacherNet and one StudentNet of
+    `teacher`'s and `student`'s specs along the run axis (_Net.on_runs)."""
+    n_t = teacher.param_count
+    return (teacher.on_runs(params[:, :n_t], grad[:, :n_t]),
+            student.on_runs(params[:, n_t:-1], grad[:, n_t:-1]))
 
 
 def joint_buffers(teacher: TeacherNet, student: StudentNet) -> tuple[np.ndarray, np.ndarray]:
-    """The (parameter, gradient) buffers that bind_joint_params(teacher, student,
-    ...) bound every part of both nets to; UsageError if there are none."""
+    """The (R, P) (parameter, gradient) buffers that bind_joint_params bound every
+    part of `teacher` and `student` to, one run's nets or the runs along the
+    run axis; UsageError if there are none."""
     params, grad = teacher._flat.base, teacher.grad.base
     parts = teacher._parts + student._parts
     if params is None or any(p._flat.base is not params or p.grad.base is not grad for p in parts):
@@ -399,7 +491,6 @@ def joint_buffers(teacher: TeacherNet, student: StudentNet) -> tuple[np.ndarray,
 
 
 _NET_KINDS = {"teacher": TeacherNet, "student": StudentNet}
-_PART_NAMES = {"teacher": ("enc_a", "enc_b", "fusion", "head"), "student": ("enc_a", "head")}
 
 
 def save_checkpoint(net, path) -> None:
@@ -421,10 +512,12 @@ def save_checkpoint(net, path) -> None:
                 "layer_widths": list(getattr(net, name).spec.layer_widths),
                 "activation": "tanh",
             }
-            for name in _PART_NAMES[kind]
+            for name in net.part_names
         },
     }
     flat = net.get_params()
+    if flat.ndim != 1:
+        raise UsageError("a checkpoint holds one net, not nets along the run axis")
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for v in flat:
@@ -475,7 +568,8 @@ def load_checkpoint(path):
     specs = header.get("specs")
     if not isinstance(specs, dict):
         raise ProtocolError(f"{path}: checkpoint header has no specs")
-    part_specs = {name: _checked_spec(specs.get(name), path, name) for name in _PART_NAMES[kind]}
+    part_specs = {name: _checked_spec(specs.get(name), path, name)
+                  for name in _NET_KINDS[kind].part_names}
     needed = sum(spec.param_count for spec in part_specs.values())
     if len(values) != needed:  # checked before any part is allocated
         raise ProtocolError(

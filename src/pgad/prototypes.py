@@ -4,7 +4,9 @@ A PrototypeSet is a value object: every update returns a new set.  The
 `stale` flag, derived from the counts when the set is built, marks classes
 whose stored vector is not backed by data from the relevant source (absent
 from the batch, or never observed for a running set); stale entries are
-excluded from nearest-prototype queries.
+excluded from nearest-prototype queries.  A set along the run axis holds
+one set per run: (R, C, H) values and (R, C) counts, which the stacked
+loss terms match against.
 
 A class mean is np.add.reduce(rows, axis=0) / count, the reduction
 ndarray.mean runs, so it has the same bits without the wrapper's cost.
@@ -24,20 +26,26 @@ PROTO_MOMENTUM_DEFAULT = 0.9
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    values: np.ndarray  # (num_classes, dim)
-    counts: np.ndarray  # (num_classes,) ints
-    stale: np.ndarray = field(init=False)  # (num_classes,) bools: counts == 0
+    values: np.ndarray  # (num_classes, dim), or (R, num_classes, dim) along the run axis
+    counts: np.ndarray  # (num_classes,) ints, or (R, num_classes)
+    stale: np.ndarray = field(init=False)  # bools of the counts' shape: counts == 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stale", self.counts == 0)
 
+    @classmethod
+    def stack(cls, sets) -> "PrototypeSet":
+        """The runs' sets along the run axis, in order."""
+        return cls(values=np.stack([p.values for p in sets]),
+                   counts=np.stack([p.counts for p in sets]))
+
     @property
     def num_classes(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def usable(self) -> np.ndarray:
         return ~self.stale
@@ -128,18 +136,25 @@ def with_fallback(batch: PrototypeSet, fallback: PrototypeSet) -> PrototypeSet:
 def nearest_prototypes_batch(feats: np.ndarray, protos: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
     """Class index and squared distance of each row's nearest usable prototype.
 
-    Ties go to the lowest class index.
+    Takes (N, H) features and a set of (C, H) prototypes, or (R, N, H) and
+    a set along the run axis.  Ties go to the lowest class index.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != protos.dim:
-        raise ShapeError(f"expected feature matrix (N, {protos.dim}), got shape {feats.shape}")
+    lead = protos.values.shape[:-2]
+    if feats.ndim != len(lead) + 2 or feats.shape[:-2] != lead or feats.shape[-1] != protos.dim:
+        raise ShapeError(f"expected features of shape {lead + ('N', protos.dim)}, "
+                         f"got shape {feats.shape}")
     usable = protos.usable()
-    if not usable.any():
-        raise ProtocolError("no usable prototype: every class is stale")
-    d2 = ((feats[:, None, :] - protos.values[None, :, :]) ** 2).sum(axis=2)
-    d2 = np.where(usable[None, :], d2, np.inf)
-    idx = np.argmin(d2, axis=1)
-    return idx.astype(np.int64), d2[np.arange(feats.shape[0]), idx]
+    any_usable = np.logical_or.reduce(usable, axis=-1, keepdims=True)
+    if not np.logical_and.reduce(any_usable, axis=None):
+        error = ProtocolError("no usable prototype: every class is stale")
+        if any_usable.ndim > 1:  # the first run of a stack without one
+            error.run = int(np.argwhere(~any_usable)[0][0])
+        raise error
+    d2 = ((feats[..., :, None, :] - protos.values[..., None, :, :]) ** 2).sum(axis=-1)
+    d2 = np.where(usable[..., None, :], d2, np.inf)
+    idx = np.argmin(d2, axis=-1)
+    return idx.astype(np.int64), np.take_along_axis(d2, idx[..., None], axis=-1)[..., 0]
 
 
 def export_prototypes_csv(protos: PrototypeSet, path) -> None:

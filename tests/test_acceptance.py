@@ -40,6 +40,8 @@ from pgad.nets import (
     StudentNet,
     TeacherNet,
     bind_joint_params,
+    joint_buffers,
+    stack_runs,
     student_forward,
     teacher_forward,
 )
@@ -196,6 +198,14 @@ def constant(protos):
     return lambda fused, labels: protos
 
 
+def one_run_gradients(teacher, student, pools, plan, callback, theta, cfg):
+    """step_gradients for the one run that bind_joint_params laid the nets out as:
+    its report and gradient row."""
+    nets = stack_runs(teacher, student, *joint_buffers(teacher, student))
+    reports, grads = step_gradients(*nets, [pools], [plan], [callback], [theta], cfg)
+    return reports[0], grads[0]
+
+
 def _total_instance(rng):
     dim_a = int(rng.integers(3, 7))
     dim_b = int(rng.integers(3, 7))
@@ -215,7 +225,7 @@ def _total_instance(rng):
                                 seed=int(rng.integers(2**31)))
     student = StudentNet.create(dim_a, 2, feat_dim=3, hidden_width=4,
                                 seed=int(rng.integers(2**31)))
-    bind_joint_params(teacher, student, 0.0)
+    bind_joint_params([(teacher, student, 0.0)])
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(
         proto_assignment="true_class",
@@ -234,7 +244,8 @@ def _check_total_instance(rng):
     w = cfg.loss_weights
     n_g = len(plan.genuine)
 
-    report, grads = step_gradients(teacher, student, pools, plan, constant(protos), theta, cfg)
+    report, grads = one_run_gradients(teacher, student, pools, plan, constant(protos), theta,
+                                      cfg)
     grads = grads.copy()  # the calls below overwrite the joint gradient buffer
     p_t = teacher.param_count
     t_base = teacher.get_params().copy()
@@ -242,7 +253,7 @@ def _check_total_instance(rng):
 
     def f_student(p):
         student.set_params(p)
-        rep, _ = step_gradients(teacher, student, pools, plan, constant(protos), theta, cfg)
+        rep, _ = one_run_gradients(teacher, student, pools, plan, constant(protos), theta, cfg)
         return rep.total
 
     err_s = rel_err(grads[p_t:-1], fd_grad(f_student, s_base))
@@ -651,14 +662,14 @@ def test_c9_degenerates_to_plain_distillation():
 
     total_steps = 50
     pools = prepare_pools(paired, [])
-    adam = AdamState.zeros(teacher.param_count + student.param_count + 1)
-    params = bind_joint_params(teacher, student, 0.0)
-    decay_mask = _decay_mask(params.size)
+    params, *nets = bind_joint_params([(teacher, student, 0.0)])
+    adam = AdamState.zeros(params.shape)
+    decay_mask = _decay_mask(params.shape[1])
     protos = empty_prototypes(2, teacher.feat_dim)
     worst = 0.0
 
     for step in range(total_steps):
-        ratio = sampling_ratio(cfg.ams_mode, float(params[-1]), cfg.fixed_ratio)
+        ratio = sampling_ratio(cfg.ams_mode, float(params[0, -1]), cfg.fixed_ratio)
         plan = build_batch(*pools, cfg.batch_size, ratio,
                            derive_seed(cfg.seed, "batch", step))
         assert not plan.pseudo
@@ -674,12 +685,12 @@ def test_c9_degenerates_to_plain_distillation():
         ref_total = ref_tea + ref_stu + 0.5 * ref_kd
 
         lr = cosine_lr(step, total_steps, cfg.learning_rate)
-        protos, trace = train_step(
-            teacher, student, pools, plan, protos, params, adam, cfg, lr, step, decay_mask,
+        (protos,), (trace,) = train_step(
+            *nets, [pools], [plan], [protos], params, adam, cfg, lr, step, decay_mask,
         )
         rep = trace.report
         assert rep.l_pair == 0.0 and rep.l_proto == 0.0
-        assert params[-1] == 0.0 and trace.ratio == 1.0
+        assert params[0, -1] == 0.0 and trace.ratio == 1.0
         worst = max(
             worst,
             abs(rep.l_tea - ref_tea),

@@ -151,23 +151,25 @@ def test_traced_paired_fit_counts_the_calls_of_one_step(traced, tmp_path):
 def test_traced_scenario_reads_the_pools_of_each_fit_once(traced, tmp_path, monkeypatch):
     """bench's hook on ams.build_batch rebuilds its label tables, one pass over
     both pools, whenever a batch comes from another pool pair than the batch
-    before.  Each fit draws every batch from its own pair, so a traced serial
-    scenario iterates the pools twice per fit; a change that draws consecutive
-    batches from different pairs would make traced benchmark runs crawl."""
+    before.  A serial scenario steps a cell's folds in lockstep, so
+    consecutive batches come from different pairs; a pool builds its
+    Samples on its first iteration only, so a traced scenario builds each
+    fit's training rows once.  Building them on every pass would make traced
+    benchmark runs crawl."""
     import pgad.cli  # noqa: F401
     import tracing
     from pgad import ams, harness
     from pgad.synthdata import DatasetConfig
     from pgad.trainer import TrainConfig
 
-    iterated = []
-    pool_iter = ams.SamplePool.__iter__
+    built = []
+    sample = ams.Sample
 
-    def counting_iter(pool):
-        iterated.append(pool)
-        return pool_iter(pool)
+    def counting_sample(**fields):
+        built.append(fields["id"])
+        return sample(**fields)
 
-    monkeypatch.setattr(ams.SamplePool, "__iter__", counting_iter)
+    monkeypatch.setattr(ams, "Sample", counting_sample)
     cfg = harness.ScenarioConfig(
         name="guard",
         dataset=DatasetConfig(num_classes=2, samples_per_class=8, dim_a=3, dim_b=3,
@@ -177,6 +179,8 @@ def test_traced_scenario_reads_the_pools_of_each_fit_once(traced, tmp_path, monk
         k_folds=2,
         output_dir=str(tmp_path / "out"),
     )
+    jobs = harness._build_jobs(cfg)
+    assert len(jobs) == 4  # 2 rates x 2 folds
     tracer = tracing.Tracer(str(tmp_path / "spans"))
     tracer.install()
     try:
@@ -186,9 +190,8 @@ def test_traced_scenario_reads_the_pools_of_each_fit_once(traced, tmp_path, monk
         tracer.uninstall()
     metrics, failures, _ = tracing.collect(str(tmp_path / "spans"), jobs=1)
     assert failures == []
-    fits = metrics["trainer.fit.calls"][0]
-    assert fits == 4  # 2 rates x 2 folds
-    assert len(iterated) == 2 * fits
+    assert metrics["ams.build_batch.calls"][0] == 4 * 2 * 2  # fits x epochs x 2 steps
+    assert len(built) == sum(len(job.data) - len(job.test_rows) for job in jobs)
 
 
 def test_nets_build_and_checkpoint_as_bench_reads_them(traced, tmp_path):
@@ -218,3 +221,48 @@ def test_nets_build_and_checkpoint_as_bench_reads_them(traced, tmp_path):
     want_feats, want_logits = student_forward(student, x)
     assert np.allclose(feats, want_feats, rtol=0, atol=1e-12)
     assert np.allclose(logits, want_logits, rtol=0, atol=1e-12)
+
+
+def test_traced_lockstep_scenario_counts_what_its_runs_count_one_by_one(traced, tmp_path):
+    """bench's hooks count batch rows, clipped steps and stale prototypes per
+    call.  A serial scenario, whose cells step their folds in lockstep, must
+    count what its runs count when each is fitted on its own (run_one), with
+    no hook failure."""
+    import pgad.cli  # noqa: F401
+    import tracing
+    from pgad import harness
+    from pgad.losses import LossWeights
+    from pgad.synthdata import DatasetConfig
+    from pgad.trainer import TrainConfig
+
+    arms = (harness.ArmSpec(name="baseline", pcm=False, ams="none", proto_strategy="none",
+                            loss_weights=LossWeights(1, 1, 0.5, 0, 0)),
+            harness.ArmSpec(name="full"),
+            harness.ArmSpec(name="proto_all", proto_strategy="all"))
+    cfg = harness.ScenarioConfig(
+        name="guard",
+        dataset=DatasetConfig(num_classes=2, samples_per_class=10, dim_a=3, dim_b=3,
+                              class_separation=4.0, noise_scale=1.0, missing_rate=0.0, seed=1),
+        train=TrainConfig(epochs=3, batch_size=4, grad_clip=0.5, seed=2),
+        arms=arms, missing_rates=(0.5,), k_folds=3, output_dir=str(tmp_path / "out"),
+    )
+
+    def counted(run, spans):
+        tracer = tracing.Tracer(str(tmp_path / spans))
+        tracer.install()
+        try:
+            run()
+            tracer.flush()
+        finally:
+            tracer.uninstall()
+        metrics, failures, _ = tracing.collect(str(tmp_path / spans), jobs=1)
+        assert failures == []
+        return {name: metrics[name][0] for name in tracing.COUNTERS}
+
+    together = counted(lambda: harness.run_scenario(cfg), "lockstep")
+    one_by_one = counted(lambda: [harness.run_one(job) for job in harness._build_jobs(cfg)],
+                         "single")
+    assert together == one_by_one
+    for name in ("ams.batch_rows", "ams.genuine_rows", "ams.pseudo_rows",
+                 "trainer.clipped_steps", "prototypes.stale_classes"):
+        assert together[name] > 0, name

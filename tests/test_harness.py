@@ -1220,3 +1220,83 @@ def test_scenario_from_dict_names_any_mistyped_field(data):
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(raw)
     assert path in str(err.value)
+
+
+def grid_arms(rates=None) -> tuple:
+    """The six acceptance-grid arms (bench/workloads.py::ablation_arms), at `rates`."""
+    return (
+        ArmSpec(name="baseline", pcm=False, ams="none", proto_strategy="none",
+                loss_weights=LossWeights(1, 1, 0.5, 0, 0), rates=rates),
+        ArmSpec(name="pcm", pcm=True, ams="none", proto_strategy="paired",
+                loss_weights=LossWeights(1, 1, 0.5, 0, 0.5), rates=rates),
+        ArmSpec(name="ams_fixed", pcm=True, ams="fixed", proto_strategy="paired",
+                loss_weights=LossWeights(1, 1, 0.5, 0.5, 0.5), rates=rates),
+        ArmSpec(name="full", pcm=True, ams="dynamic", proto_strategy="paired",
+                loss_weights=LossWeights(1, 1, 0.5, 0.5, 0.5), rates=rates),
+        ArmSpec(name="proto_none_ams", pcm=False, ams="dynamic", proto_strategy="none",
+                loss_weights=LossWeights(1, 1, 0.5, 0, 0), rates=rates),
+        ArmSpec(name="proto_all", pcm=True, ams="dynamic", proto_strategy="all",
+                loss_weights=LossWeights(1, 1, 0.5, 0.5, 0.5), rates=rates),
+    )
+
+
+def test_every_grid_arm_writes_the_same_bytes_in_lockstep_and_in_a_pool(tmp_path, monkeypatch):
+    """In this process a cell's folds train in lockstep; a pool trains one fold
+    per job.  22 samples in 3 stratified folds train on 14 or 16 rows, so at batch size 7
+    a cell's folds take 2 or 3 steps per epoch and train in two groups; the
+    small paired pools leave batches short, so folds that step together draw
+    batches of different sizes.  Every artifact must match."""
+    from pgad import trainer
+
+    def scenario(out):
+        return ScenarioConfig(
+            name="grid",
+            dataset=replace(tiny_dataset_cfg(), samples_per_class=11, dim_a=4, dim_b=3),
+            train=TrainConfig(epochs=2, batch_size=7, learning_rate=1e-2,
+                              proto_assignment="true_class", seed=3),
+            arms=grid_arms(), missing_rates=(0.5, 0.8), k_folds=3, feat_dim=3,
+            hidden_width=5, output_dir=str(out),
+        )
+
+    stepped = []  # per lockstep step: the plans' (size, genuine count) and shortfalls
+    real_step = trainer.train_step
+
+    def recording_step(teacher, student, pools, plans, *args):
+        stepped.append([(plan.size, len(plan.genuine), plan.shortfall) for plan in plans])
+        return real_step(teacher, student, pools, plans, *args)
+
+    monkeypatch.setattr(trainer, "train_step", recording_step)
+    run_scenario(scenario(tmp_path / "serial"))
+    monkeypatch.undo()
+    run_scenario(scenario(tmp_path / "pool"), jobs=2)
+
+    jobs = harness._build_jobs(scenario(tmp_path / "jobs"))
+    assert {len(job.data) - len(job.test_rows) for job in jobs} == {14, 16}
+    assert len(stepped) == 6 * 2 * 2 * (2 + 3)  # arms x rates x epochs x steps of each group
+    assert any(short for plans in stepped for _, _, short in plans)
+    assert any(len({size for size, _, _ in plans}) > 1 for plans in stepped)
+    assert any(len({n_g for _, n_g, _ in plans}) > 1 for plans in stepped)
+    serial, pooled = output_bytes(tmp_path / "serial"), output_bytes(tmp_path / "pool")
+    assert len(serial) == 3 + 4 * 6 * 2 * 3  # 6 arms x 2 rates x 3 folds
+    assert serial == pooled
+
+
+def test_a_failing_fold_of_a_lockstep_cell_is_named(tmp_path, monkeypatch):
+    """The third fold's gradient turns non-finite at step 3 of a cell whose
+    folds step together: the failure names that fold and step."""
+    from pgad import trainer
+
+    cfg = replace(tiny_scenario(str(tmp_path)), k_folds=3, arms=(ArmSpec(name="full"),))
+    clipped = []
+    real_clip = trainer.clip_global_norm
+
+    def clip(grads, max_norm):  # called once per fold and step, in fold order
+        clipped.append(len(clipped))
+        if len(clipped) == 3 * 3 + 3:
+            grads[0] = math.nan
+        return real_clip(grads, max_norm)
+
+    monkeypatch.setattr(trainer, "clip_global_norm", clip)
+    with pytest.raises(ProtocolError, match=r"^arm=full rate=0\.5 fold=2 failed: step 3: "
+                                            r"gradient norm is not finite$"):
+        run_scenario(cfg)

@@ -418,3 +418,69 @@ def test_loss_weights_validation():
 def test_loss_report_fields():
     r = LossReport(l_tea=1, l_stu=2, l_kl=3, l_pair=4, l_proto=5, total=0)
     assert (r.l_tea, r.l_stu, r.l_kl, r.l_pair, r.l_proto, r.total) == (1, 2, 3, 4, 5, 0)
+
+
+# ---------------------------------------------------------------- run axis
+
+
+def test_stacked_kernels_give_each_run_its_own_bits():
+    """Each kernel over (R, N, ...) stacks returns, per run, exactly what it
+    returns for that run's (N, ...) inputs alone."""
+    rng = np.random.default_rng(11)
+    r, n, n_g, c, h = 3, 9, 5, 3, 4
+    logits_s, logits_t = rng.standard_normal((2, r, n, c)) * 3
+    labels = rng.integers(0, c, size=(r, n))
+    feats, cands = rng.standard_normal((r, n_g, h)), rng.standard_normal((r, n, h))
+    d_sims = rng.standard_normal((r, n_g, n))
+    protos = [PrototypeSet(values=rng.standard_normal((c, h)), counts=rng.integers(1, 4, c))
+              for _ in range(r)]
+    stacked = {
+        "ce": ce_loss(logits_s, labels),
+        "kd": kd_loss(logits_s, logits_t, 2.0),
+        "pair": pair_loss(similarity_matrix(feats, cands, 0.3)[0]),
+        "vjp": similarity_matrix(feats, cands, 0.3)[1](d_sims),
+        "nearest": proto_loss(feats, PrototypeSet.stack(protos)),
+        "true_class": proto_loss(feats, PrototypeSet.stack(protos), "true_class",
+                                 labels[:, :n_g]),
+    }
+    for i in range(r):
+        alone = {
+            "ce": ce_loss(logits_s[i], labels[i]),
+            "kd": kd_loss(logits_s[i], logits_t[i], 2.0),
+            "pair": pair_loss(similarity_matrix(feats[i], cands[i], 0.3)[0]),
+            "vjp": similarity_matrix(feats[i], cands[i], 0.3)[1](d_sims[i]),
+            "nearest": proto_loss(feats[i], protos[i]),
+            "true_class": proto_loss(feats[i], protos[i], "true_class", labels[i, :n_g]),
+        }
+        for name, one in alone.items():
+            for got, want in zip(stacked[name], one):
+                if isinstance(want, bool):
+                    assert got == want, name
+                else:
+                    assert np.asarray(got)[i].tobytes() == np.asarray(want).tobytes(), name
+
+
+def test_stacked_kernels_name_the_run_whose_input_fails():
+    rng = np.random.default_rng(12)
+    labels = np.zeros((3, 4), dtype=np.int64)
+    labels[2, 1] = 5
+    with pytest.raises(LabelError) as failure:
+        ce_loss(rng.standard_normal((3, 4, 2)), labels)
+    assert failure.value.run == 2
+    feats = rng.standard_normal((3, 2, 2))
+    feats[1, 0] = 0.0
+    with pytest.raises(DegenerateInputError) as failure:
+        similarity_matrix(feats, rng.standard_normal((3, 2, 2)), 1.0)
+    assert failure.value.run == 1
+    counts = np.array([[3, 3], [3, 3], [3, 0]])
+    protos = PrototypeSet(values=np.zeros((3, 2, 2)), counts=counts)
+    with pytest.raises(ProtocolError, match="^class 1 has no usable prototype$") as failure:
+        proto_loss(np.ones((3, 2, 2)), protos, "true_class", np.ones((3, 2), dtype=np.int64))
+    assert failure.value.run == 2
+    with pytest.raises(ProtocolError, match="every class is stale") as failure:
+        proto_loss(np.ones((3, 2, 2)), PrototypeSet(values=np.zeros((3, 2, 2)),
+                                                    counts=np.array([[1, 0], [0, 0], [0, 1]])))
+    assert failure.value.run == 1
+    with pytest.raises(LabelError) as failure:  # one run's inputs name no run
+        ce_loss(np.zeros((2, 2)), [0, 2])
+    assert not hasattr(failure.value, "run")

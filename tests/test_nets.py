@@ -102,18 +102,18 @@ def test_bind_joint_params_layout_and_in_place_updates():
     x = np.random.default_rng(0).standard_normal((3, 4))
     _, logits = student_forward(s, x)
 
-    buf = bind_joint_params(t, s, 0.25)
-    assert np.array_equal(buf, np.concatenate([before_t, before_s, [0.25]]))
+    buf, _, _ = bind_joint_params([(t, s, 0.25)])
+    assert np.array_equal(buf, [np.concatenate([before_t, before_s, [0.25]])])
     assert joint_buffers(t, s)[0] is buf
     assert np.array_equal(student_forward(s, x)[1], logits)  # same values, new home
 
-    buf[: t.param_count] += 1.0
+    buf[0, : t.param_count] += 1.0
     assert np.array_equal(t.get_params(), before_t + 1.0)
     assert np.array_equal(s.get_params(), before_s)
     s.set_params(before_s * 2.0)  # writes the buffer, so the binding holds
     assert joint_buffers(t, s)[0] is buf
-    assert np.array_equal(buf[t.param_count : -1], before_s * 2.0)
-    assert buf[-1] == 0.25
+    assert np.array_equal(buf[0, t.param_count : -1], before_s * 2.0)
+    assert buf[0, -1] == 0.25
 
 
 def test_mlp_bind_rejects_bad_buffers():
@@ -208,7 +208,7 @@ def test_backward_chains_return_the_net_gradient_buffer_and_overwrite_it():
 def test_bind_joint_params_lays_out_the_gradients_like_the_parameters():
     t = TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=1)
     s = StudentNet.create(4, 2, feat_dim=3, hidden_width=5, seed=2)
-    buf = bind_joint_params(t, s, 0.0)
+    buf, _, _ = bind_joint_params([(t, s, 0.0)])
     params, grad = joint_buffers(t, s)
     assert params is buf and grad.shape == buf.shape
     rng = np.random.default_rng(0)
@@ -218,7 +218,7 @@ def test_bind_joint_params_lays_out_the_gradients_like_the_parameters():
     student_forward(s, a)
     student_backward(s, rng.standard_normal((3, 2)), rng.standard_normal((3, 3)))
     n_t = t.param_count
-    assert np.array_equal(grad[:n_t], t.grad) and np.array_equal(grad[n_t:-1], s.grad)
+    assert np.array_equal(grad[0, :n_t], t.grad) and np.array_equal(grad[0, n_t:-1], s.grad)
     assert t.grad.base is grad and s.grad.base is grad
 
 
@@ -516,3 +516,46 @@ def test_checkpoint_loads_an_edited_file_or_raises_protocol_error(tmp_path_facto
     if back is not None:
         assert type(back) is type(net) and back.param_count == n_values
         assert np.isfinite(back.get_params()).all()
+
+
+def test_nets_along_the_run_axis_give_each_run_its_own_bits():
+    """bind_joint_params lays three runs out as rows; the stacked nets' chains
+    over (3, N, ...) batches equal each run's own chains, parameter and
+    gradient, bit for bit, and the stacked parts view the runs' rows."""
+    rng = np.random.default_rng(3)
+    runs = [(TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=i),
+             StudentNet.create(4, 2, feat_dim=3, hidden_width=5, seed=10 + i), 0.1 * i)
+            for i in range(3)]
+    params, teacher, student = bind_joint_params(runs)
+    _, grad = joint_buffers(teacher, student)
+    assert params.shape == grad.shape == (3, runs[0][0].param_count + runs[0][1].param_count + 1)
+    assert teacher.enc_a.weights[0].shape == (3, 5, 4)
+    assert all(np.shares_memory(p._flat, params) for p in teacher._parts + student._parts)
+    a, b = rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 6, 3))
+    d_logits, d_h = rng.standard_normal((3, 6, 2)), rng.standard_normal((3, 6, 3))
+    stacked = [*teacher_forward(teacher, a, b), *student_forward(student, a)]
+    teacher_backward(teacher, d_logits, d_h)
+    student_backward(student, d_logits, d_h)
+    stacked_grad = grad.copy()
+    for i, (t, s, theta) in enumerate(runs):
+        alone = [*teacher_forward(t, a[i], b[i]), *student_forward(s, a[i])]
+        assert all(x[i].tobytes() == y.tobytes() for x, y in zip(stacked, alone))
+        teacher_backward(t, d_logits[i], d_h[i])
+        student_backward(s, d_logits[i], d_h[i])
+        assert grad[i, :-1].tobytes() == stacked_grad[i, :-1].tobytes()
+        assert params[i, -1] == theta
+    with pytest.raises(ShapeError):
+        teacher_forward(teacher, a[0], b[0])  # nets along the run axis take (3, N, in)
+    with pytest.raises(UsageError):
+        save_checkpoint(student, "unused")
+
+
+def test_bind_joint_params_rejects_runs_it_cannot_stack():
+    t, s = TeacherNet.create(4, 3, 2, seed=1), StudentNet.create(4, 2, seed=2)
+    wider = TeacherNet.create(4, 3, 2, hidden_width=7, seed=3)
+    with pytest.raises(UsageError, match="same specs"):
+        bind_joint_params([(t, s, 0.0), (wider, StudentNet.create(4, 2, seed=4), 0.0)])
+    with pytest.raises(UsageError, match="nets of its own"):
+        bind_joint_params([(t, s, 0.0), (TeacherNet.create(4, 3, 2, seed=5), s, 0.0)])
+    with pytest.raises(UsageError):
+        bind_joint_params([])

@@ -23,6 +23,7 @@ from pgad.nets import (
     TeacherNet,
     bind_joint_params,
     joint_buffers,
+    stack_runs,
     student_forward,
     teacher_forward,
 )
@@ -63,10 +64,18 @@ def make_nets(dim=6, feat=4, hidden=8, seed=0):
 
 
 def joint_nets(**kwargs):
-    """make_nets' nets bound together by bind_joint_params, as step_gradients needs."""
+    """make_nets' nets laid out by bind_joint_params as the one run of a joint buffer."""
     teacher, student = make_nets(**kwargs)
-    bind_joint_params(teacher, student, 0.0)
+    bind_joint_params([(teacher, student, 0.0)])
     return teacher, student
+
+
+def one_run_gradients(teacher, student, pools, plan, callback, theta, cfg):
+    """step_gradients for the one run of joint_nets' nets: its report and gradient row."""
+    nets = stack_runs(teacher, student, *joint_buffers(teacher, student))
+    reports, grads = step_gradients(*nets, [pools], [plan],
+                                    None if callback is None else [callback], [theta], cfg)
+    return reports[0], grads[0]
 
 
 # ------------------------------------------------------------ TrainConfig
@@ -235,7 +244,7 @@ def test_step_gradients_terms_match_direct_composition():
     cfg = TrainConfig(batch_size=10, proto_assignment="true_class")
     theta = 0.3
 
-    report, grads = step_gradients(teacher, student, pools, plan, constant(protos), theta, cfg)
+    report, grads = one_run_gradients(teacher, student, pools, plan, constant(protos), theta, cfg)
     l_tea, l_stu, l_kl, l_pair, l_proto, labels, logits_t, logits_s = manual_report_terms(
         teacher, student, {s.id: s for s in ds}, plan, protos, cfg
     )
@@ -268,7 +277,7 @@ def test_step_gradients_zero_weights_skip_terms():
     cfg = TrainConfig(loss_weights=LossWeights(tea=1, stu=0, kl=0, pair=0, proto=0),
                       ams_mode="none", proto_strategy="none")
 
-    report, grads = step_gradients(teacher, student, pools, plan, None, 0.0, cfg)
+    report, grads = one_run_gradients(teacher, student, pools, plan, None, 0.0, cfg)
     assert report.l_stu == report.l_kl == report.l_pair == report.l_proto == 0.0
     assert report.total == report.l_tea
     # the student receives no signal from a teacher-only objective
@@ -283,7 +292,7 @@ def test_step_gradients_student_only_leaves_teacher_untouched():
     teacher, student = joint_nets()
     cfg = TrainConfig(loss_weights=LossWeights(tea=0, stu=1, kl=0, pair=0, proto=0),
                       ams_mode="none", proto_strategy="none")
-    report, grads = step_gradients(teacher, student, pools, plan, None, 0.0, cfg)
+    report, grads = one_run_gradients(teacher, student, pools, plan, None, 0.0, cfg)
     assert np.abs(grads[: teacher.param_count]).max() == 0.0
     assert report.l_tea == 0.0 and report.l_stu > 0.0
 
@@ -294,7 +303,7 @@ def test_step_gradients_theta_zero_without_pseudo_rows():
     plan = build_batch(*pools, 8, 1.0, seed=1)
     teacher, student = joint_nets()
     cfg = TrainConfig()
-    report, grads = step_gradients(
+    report, grads = one_run_gradients(
         teacher, student, pools, plan, constant(global_prototypes(teacher, pools)), 0.4, cfg,
     )
     assert grads[-1] == 0.0
@@ -307,7 +316,7 @@ def test_step_gradients_rejects_all_pseudo_batch():
     plan = build_batch(*pools, 8, 0.0, seed=0)
     teacher, student = joint_nets()
     with pytest.raises(ProtocolError):
-        step_gradients(teacher, student, pools, plan, None, 0.0, TrainConfig())
+        one_run_gradients(teacher, student, pools, plan, None, 0.0, TrainConfig())
 
 
 def test_step_gradients_matches_fd_on_student_params():
@@ -318,7 +327,7 @@ def test_step_gradients_matches_fd_on_student_params():
     protos = global_prototypes(teacher, pools)
     cfg = TrainConfig(proto_assignment="true_class")
 
-    _, grads = step_gradients(teacher, student, pools, plan, constant(protos), 0.0, cfg)
+    _, grads = one_run_gradients(teacher, student, pools, plan, constant(protos), 0.0, cfg)
     analytic = grads[teacher.param_count : -1].copy()  # the next call overwrites grads
 
     base = student.get_params().copy()
@@ -329,7 +338,7 @@ def test_step_gradients_matches_fd_on_student_params():
             p = base.copy()
             p[i] += sign * h
             student.set_params(p)
-            rep, _ = step_gradients(teacher, student, pools, plan, constant(protos), 0.0, cfg)
+            rep, _ = one_run_gradients(teacher, student, pools, plan, constant(protos), 0.0, cfg)
             fd[i] += sign * rep.total
         fd[i] /= 2 * h
     student.set_params(base)
@@ -347,7 +356,7 @@ def test_step_gradients_fills_the_joint_buffer_of_bound_nets_in_place():
     def fresh_gradient(p):
         """The gradient of plan `p` from a new pair of the same nets, copied."""
         t, s = joint_nets()
-        return step_gradients(t, s, pools, p, constant(global_prototypes(t, pools)), 0.3,
+        return one_run_gradients(t, s, pools, p, constant(global_prototypes(t, pools)), 0.3,
                               cfg)[1].copy()
 
     kept, kept_other = fresh_gradient(plan), fresh_gradient(other)
@@ -355,14 +364,15 @@ def test_step_gradients_fills_the_joint_buffer_of_bound_nets_in_place():
 
     teacher, student = joint_nets()
     params, buffer = joint_buffers(teacher, student)
-    assert buffer.shape == params.shape
+    assert buffer.shape == params.shape == (1, teacher.param_count + student.param_count + 1)
+    nets = stack_runs(teacher, student, params, buffer)
     protos = global_prototypes(teacher, pools)
-    _, bound = step_gradients(teacher, student, pools, plan, constant(protos), 0.3, cfg)
+    _, bound = step_gradients(*nets, [pools], [plan], [constant(protos)], [0.3], cfg)
     assert bound is buffer
-    assert np.array_equal(bound, kept)
-    _, bound_other = step_gradients(teacher, student, pools, other, constant(protos), 0.3, cfg)
+    assert np.array_equal(bound[0], kept)
+    _, bound_other = step_gradients(*nets, [pools], [other], [constant(protos)], [0.3], cfg)
     assert bound_other is buffer
-    assert np.array_equal(bound, kept_other)  # overwritten by the second call
+    assert np.array_equal(bound[0], kept_other)  # overwritten by the second call
 
 
 def test_step_gradients_requires_nets_bound_together():
@@ -371,18 +381,18 @@ def test_step_gradients_requires_nets_bound_together():
     cfg = TrainConfig(ams_mode="fixed", proto_strategy="none")
     teacher, student = make_nets()
     with pytest.raises(UsageError, match="must be bound together"):
-        step_gradients(teacher, student, pools, plan, None, 0.0, cfg)
+        step_gradients(teacher, student, [pools], [plan], None, [0.0], cfg)
 
 
 def test_joint_buffers_raise_unless_the_nets_are_bound_together():
     teacher, student = make_nets()
     with pytest.raises(UsageError, match="must be bound together"):
         joint_buffers(teacher, student)
-    params = bind_joint_params(teacher, student, 0.0)
+    params, _, _ = bind_joint_params([(teacher, student, 0.0)])
     bound, grad = joint_buffers(teacher, student)
     assert bound is params and grad.shape == params.shape and grad is not params
     assert teacher.grad.base is grad and student.grad.base is grad
-    bind_joint_params(teacher, make_nets(seed=3)[1], 0.0)
+    bind_joint_params([(teacher, make_nets(seed=3)[1], 0.0)])
     with pytest.raises(UsageError):  # the teacher moved to another buffer
         joint_buffers(teacher, student)
 
@@ -397,28 +407,29 @@ def test_joint_buffers_raise_unless_the_nets_are_bound_together():
 
 
 def bound_nets(theta=0.0):
-    """Fresh nets bound to one parameter buffer, with a matching Adam state."""
+    """Fresh nets laid out as the one run of a joint buffer, with that run along
+    the run axis and a matching Adam state: (teacher, student, nets, params, adam)."""
     teacher, student = make_nets()
-    params = bind_joint_params(teacher, student, theta)
-    return teacher, student, params, AdamState.zeros(params.size)
+    params, *nets = bind_joint_params([(teacher, student, theta)])
+    return teacher, student, nets, params, AdamState.zeros(params.shape)
 
 
 def test_train_step_updates_params_and_prototypes():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
-    teacher, student, params, adam = bound_nets()
+    teacher, student, nets, params, adam = bound_nets()
     cfg = TrainConfig(proto_assignment="true_class")
     protos = empty_prototypes(2, teacher.feat_dim)
     before_t = teacher.get_params().copy()
     before_s = student.get_params().copy()
 
-    new_protos, trace = train_step(
-        teacher, student, pools, plan, protos, params, adam, cfg, lr=1e-3, step=0,
-        decay_mask=trainer._decay_mask(params.size),
+    (new_protos,), (trace,) = train_step(
+        *nets, [pools], [plan], [protos], params, adam, cfg, lr=1e-3, step=0,
+        decay_mask=trainer._decay_mask(params.shape[1]),
     )
     assert not np.array_equal(teacher.get_params(), before_t)
     assert not np.array_equal(student.get_params(), before_s)
-    assert np.array_equal(params, np.concatenate(
+    assert np.array_equal(params[0], np.concatenate(
         [teacher.get_params(), student.get_params(), [trace.theta]]))
     assert not new_protos.stale.any()  # both classes seen in the genuine rows
     assert adam.t == 1
@@ -431,13 +442,13 @@ def test_train_step_updates_params_and_prototypes():
 def test_train_step_theta_frozen_outside_dynamic():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
-    teacher, student, params, adam = bound_nets()
+    teacher, student, nets, params, adam = bound_nets()
     cfg = TrainConfig(ams_mode="none")
-    _, trace = train_step(
-        teacher, student, pools, plan, empty_prototypes(2, teacher.feat_dim),
-        params, adam, cfg, lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.size),
+    _, (trace,) = train_step(
+        *nets, [pools], [plan], [empty_prototypes(2, teacher.feat_dim)],
+        params, adam, cfg, lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]),
     )
-    assert params[-1] == trace.theta == 0.0
+    assert params[0, -1] == trace.theta == 0.0
     assert trace.ratio == 1.0
 
 
@@ -445,26 +456,26 @@ def test_train_step_requires_genuine_rows():
     ds, paired, unpaired = make_data()
     pools = prepare_pools(paired, unpaired)
     plan = build_batch(*pools, 8, 0.0, seed=0)
-    teacher, student, params, adam = bound_nets()
+    teacher, student, nets, params, adam = bound_nets()
     with pytest.raises(ProtocolError, match="^step 0: batch has no genuine pair$"):
-        train_step(teacher, student, pools, plan,
-                   empty_prototypes(2, teacher.feat_dim), params, adam, TrainConfig(),
-                   lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.size))
+        train_step(*nets, [pools], [plan],
+                   [empty_prototypes(2, teacher.feat_dim)], params, adam, TrainConfig(),
+                   lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]))
 
 
 def test_train_step_requires_nets_bound_to_params():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
-    teacher, student, params, adam = bound_nets()
+    teacher, student, nets, params, adam = bound_nets()
     protos = empty_prototypes(2, teacher.feat_dim)
     with pytest.raises(UsageError, match="bound to another buffer than params"):
-        train_step(teacher, student, pools, plan, protos,
+        train_step(*nets, [pools], [plan], [protos],
                    params.copy(), adam, TrainConfig(), lr=1e-3, step=0,
-                   decay_mask=trainer._decay_mask(params.size))
+                   decay_mask=trainer._decay_mask(params.shape[1]))
     free_t, free_s = make_nets()
     with pytest.raises(UsageError, match="must be bound together"):
-        train_step(free_t, free_s, pools, plan, protos, params, adam, TrainConfig(),
-                   lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.size))
+        train_step(free_t, free_s, [pools], [plan], [protos], params, adam, TrainConfig(),
+                   lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -477,11 +488,11 @@ def test_fit_stops_before_updating_from_a_non_finite_gradient(monkeypatch, bad):
     calls = []
 
     def poisoned(teacher, student, *args):
-        report, grads = real(teacher, student, *args)
+        reports, grads = real(teacher, student, *args)
         calls.append((teacher.get_params(), student.get_params()))
         if len(calls) == 8:
-            grads[3] = bad
-        return report, grads
+            grads[0, 3] = bad  # the fit's one run is row 0 of the joint gradient
+        return reports, grads
 
     monkeypatch.setattr(trainer, "step_gradients", poisoned)
     with pytest.raises(NumericHealthError, match=r"^step 7: gradient norm is not finite$"):
@@ -508,7 +519,7 @@ def test_unpaired_feat_b_gathered_as_a_donor_fails_loudly():
     bad = replace(plan, pseudo=((rec, rec, cls),) + plan.pseudo[1:])
     teacher, student = joint_nets()
     with pytest.raises(UsageError, match="not drawn by build_batch from these pools"):
-        step_gradients(teacher, student, pools, bad, None, 0.0,
+        one_run_gradients(teacher, student, pools, bad, None, 0.0,
                        TrainConfig(ams_mode="fixed", proto_strategy="none"))
 
 
@@ -702,3 +713,19 @@ def test_fit_ignores_the_order_of_its_samples(name):
     sorted_fit = fit(*make_nets(seed=13), ds, grid_cfg(name))
     shuffled_fit = fit(*make_nets(seed=13), shuffled, grid_cfg(name))
     assert fit_result_chunks(shuffled_fit) == fit_result_chunks(sorted_fit)
+
+
+@pytest.mark.parametrize("name", list(GRID_ARMS))
+def test_lockstep_fits_equal_separate_fits(name):
+    """Three runs trained together, with their own seeds, nets and pools, each
+    give the bits of their own single fit."""
+    runs = [(make_data(missing_rate=0.5, spc=16, seed=5 + i)[0], 13 + i, 11 + i)
+            for i in range(3)]
+    alone = [fit(*make_nets(seed=nets), ds, replace(grid_cfg(name), seed=seed))
+             for ds, nets, seed in runs]
+    together = trainer.fit_runs(
+        [(*make_nets(seed=nets), ds) for ds, nets, _ in runs],
+        [replace(grid_cfg(name), seed=seed) for _, _, seed in runs],
+    )
+    for one, stacked in zip(alone, together):
+        assert fit_result_chunks(stacked) == fit_result_chunks(one)
