@@ -15,13 +15,16 @@ The realized batches still follow the rounded counts.  theta itself lives
 in the trainer's parameter buffer; the functions here take plain values.
 
 prepare_pools takes a fit's training set as a synthdata.Dataset and the
-rows to train on, validates it once and returns it as two SamplePools of
-id-sorted, read-only columns gathered by row index: the genuine pairs, and
-the modality-A-only recipients, which have no modality-B column.  Each
-step's build_batch call draws a plan from them that names the batch by
-ids and carries the rows it drew (BatchPlan.rows), so the trainer gathers
-the batch without looking the ids up.  Lists of Samples are converted to
-a Dataset first, so the sample API runs the same checks.
+rows to train on, validates it once and returns it as two SamplePools: the
+genuine pairs, and the modality-A-only recipients.  A pool is a row view
+of the Dataset: it keeps the Dataset and its rows in id order, with their
+ids and labels, and copies no feature column, so the folds of a cell
+share one copy of the data.  Each step's build_batch call draws a plan
+from them that carries the pool rows it drew (BatchPlan.rows) and the
+genuine and pseudo counts; the trainer maps the rows to dataset rows
+through the pools and gathers the batch from the Dataset's columns.  The
+plan's id tuples are built only when read.  Lists of Samples are
+converted to a Dataset first, so the sample API runs the same checks.
 """
 
 from __future__ import annotations
@@ -54,19 +57,54 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
+_ID_TUPLES = ("genuine", "pseudo", "unpaired_student_only")
+
+
 @dataclass(frozen=True)
 class BatchPlan:
     genuine: tuple
     pseudo: tuple  # (recipient modality-A id, donor id, shared class) triples
     unpaired_student_only: tuple
     shortfall: int = 0
-    # (paired pool, unpaired pool, paired rows, unpaired rows) of the draw that
-    # made this plan; not an init field, so dataclasses.replace drops it.
+    # (paired pool, unpaired pool, paired rows, unpaired rows, genuine count) of
+    # the draw that made this plan; not an init field, so dataclasses.replace
+    # drops it.  A drawn plan builds its id tuples from it on first read.
     _drawn: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _of_draw(cls, shortfall: int, drawn: tuple) -> "BatchPlan":
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "shortfall", shortfall)
+        object.__setattr__(plan, "_drawn", drawn)
+        return plan
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: a drawn plan's id tuples.
+        if name not in _ID_TUPLES or self._drawn is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        paired_pool, unpaired_pool, paired_rows, recipient_rows, n_genuine = self._drawn
+        recipient_ids = tuple(unpaired_pool.ids[recipient_rows].tolist())
+        donor_ids = paired_pool.ids[paired_rows[n_genuine:]].tolist()
+        classes = unpaired_pool.labels[recipient_rows].tolist()
+        for key, value in (
+            ("genuine", tuple(paired_pool.ids[paired_rows[:n_genuine]].tolist())),
+            ("pseudo", tuple(zip(recipient_ids, donor_ids, classes))),
+            ("unpaired_student_only", recipient_ids),
+        ):
+            object.__setattr__(self, key, value)
+        return getattr(self, name)
+
+    @property
+    def n_genuine(self) -> int:
+        return len(self.genuine) if self._drawn is None else self._drawn[4]
+
+    @property
+    def n_pseudo(self) -> int:
+        return len(self.pseudo) if self._drawn is None else len(self._drawn[3])
 
     @property
     def size(self) -> int:
-        return len(self.genuine) + len(self.pseudo)
+        return self.n_genuine + self.n_pseudo
 
     def rows(
         self, paired_pool: "SamplePool", unpaired_pool: "SamplePool"
@@ -100,10 +138,11 @@ def sampling_ratio(mode: str, theta: float, fixed_ratio: float) -> float:
 class SamplePool:
     """An immutable AMS pool: rows of a dataset that are all paired or all unpaired.
 
-    A pool takes `rows` of a Dataset (all of them by default).  Ids are
-    unique within a pool.  The pool's columns are its rows sorted by id, as
-    read-only arrays: int64 `ids` and `labels`, the `feat_a` matrix and, in
-    a paired pool only, `feat_b` (None in an unpaired pool).
+    A pool takes `rows` of a Dataset (all of them by default) and keeps
+    them as a view: `data` is the Dataset itself and `rows` its rows sorted
+    by id, with their int64 `ids` and `labels`, all read-only; the feature
+    columns are read from `data` by row, and are never copied.  Ids are
+    unique within a pool.  `paired` says which kind of pool it is, and
     `class_counts` maps each label to its number of rows; iterating a pool
     yields its rows as Samples, built on the first iteration and kept, as
     the pool never changes.  An unpaired pool built with `donors` is
@@ -112,7 +151,7 @@ class SamplePool:
     build_batch draws from such a pair without checking it again.
     """
 
-    __slots__ = ("ids", "labels", "feat_a", "feat_b", "class_counts", "donors", "_samples")
+    __slots__ = ("data", "rows", "ids", "labels", "paired", "class_counts", "donors", "_samples")
 
     def __init__(
         self,
@@ -150,16 +189,14 @@ class SamplePool:
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if repeated.size:
             raise UsageError(f"ids repeat within a pool: {repeated[:5].tolist()}")
-        feat_a = data.feat_a[rows]
-        feat_b = data.feat_b[rows] if paired else None
-        for column in (ids, labels, feat_a, feat_b):
-            if column is not None:
-                column.flags.writeable = False
+        for column in (rows, ids, labels):
+            column.flags.writeable = False
         classes, counts = np.unique(labels, return_counts=True)
         class_counts = MappingProxyType(dict(zip(classes.tolist(), counts.tolist())))
         for name, value in (
-            ("ids", ids), ("labels", labels), ("feat_a", feat_a), ("feat_b", feat_b),
-            ("class_counts", class_counts), ("donors", donors), ("_samples", None),
+            ("data", data), ("rows", rows), ("ids", ids), ("labels", labels),
+            ("paired", paired), ("class_counts", class_counts), ("donors", donors),
+            ("_samples", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -171,8 +208,13 @@ class SamplePool:
 
     def __iter__(self) -> Iterator[Sample]:
         if self._samples is None:
-            feat_b = self.feat_b if self.feat_b is not None else [None] * len(self)
-            rows = zip(self.ids.tolist(), self.labels.tolist(), self.feat_a, feat_b)
+            feat_a = self.data.feat_a[self.rows]
+            feat_a.flags.writeable = False
+            feat_b = [None] * len(self)
+            if self.paired:
+                feat_b = self.data.feat_b[self.rows]
+                feat_b.flags.writeable = False
+            rows = zip(self.ids.tolist(), self.labels.tolist(), feat_a, feat_b)
             object.__setattr__(self, "_samples", tuple(
                 Sample(id=i, label=c, feat_a=a, feat_b=b) for i, c, a, b in rows
             ))
@@ -205,9 +247,10 @@ def prepare_pools(data, rows) -> tuple[SamplePool, SamplePool]:
 
 
 def prepared(pools: Sequence) -> bool:
-    """Whether `pools` is a (paired, unpaired) pair that prepare_pools returned."""
+    """Whether `pools` is a (paired, unpaired) pair that prepare_pools returned:
+    the unpaired pool was checked against the paired one, and both view one Dataset."""
     return (len(pools) == 2 and isinstance(pools[1], SamplePool)
-            and pools[1].donors is pools[0])
+            and pools[1].donors is pools[0] and pools[1].data is pools[0].data)
 
 
 def build_batch(
@@ -241,26 +284,21 @@ def build_batch(
     order = rng.permutation(len(paired_pool))
 
     remainder = batch_size - n_genuine
-    recipient_rows = donor_rows = classes = np.empty(0, dtype=np.int64)
+    recipient_rows = donor_rows = np.empty(0, dtype=np.int64)
     if remainder > 0 and len(unpaired_pool):
         recipients = rng.permutation(len(unpaired_pool))
-        recipient_rows, donor_rows, classes = _pseudo_pairs(
+        recipient_rows, donor_rows = _pseudo_pairs(
             paired_pool, unpaired_pool, order, recipients, remainder
         )
 
     # Unused genuine pairs, in draw order, top up what pseudo-pairs left open.
     genuine_rows = order[: max(n_genuine, batch_size - len(recipient_rows))]
-    recipient_ids = tuple(unpaired_pool.ids[recipient_rows].tolist())
-    plan = BatchPlan(
-        genuine=tuple(paired_pool.ids[genuine_rows].tolist()),
-        pseudo=tuple(zip(recipient_ids, paired_pool.ids[donor_rows].tolist(), classes.tolist())),
-        unpaired_student_only=recipient_ids,
-        shortfall=batch_size - len(genuine_rows) - len(recipient_rows),
-    )
     paired_rows = np.concatenate((genuine_rows, donor_rows))
     paired_rows.flags.writeable = recipient_rows.flags.writeable = False
-    object.__setattr__(plan, "_drawn", (paired_pool, unpaired_pool, paired_rows, recipient_rows))
-    return plan
+    return BatchPlan._of_draw(
+        batch_size - len(genuine_rows) - len(recipient_rows),
+        (paired_pool, unpaired_pool, paired_rows, recipient_rows, len(genuine_rows)),
+    )
 
 
 def _pseudo_pairs(
@@ -269,8 +307,8 @@ def _pseudo_pairs(
     order: np.ndarray,
     recipients: np.ndarray,
     remainder: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(recipient rows, donor rows, classes) of the pseudo-pairs of one batch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(recipient rows, donor rows) of the pseudo-pairs of one batch.
 
     Recipients are taken in draw order.  Each class hands out its donors in
     reverse paired draw order, one per recipient, so a recipient of
@@ -310,7 +348,7 @@ def _pseudo_pairs(
                 break
             m *= 2
         donors[is_c] = found
-    return recipients[chosen], donors, labels
+    return recipients[chosen], donors
 
 
 def theta_gradient(theta: float, loss_paired: float, loss_pseudo: float) -> float:

@@ -5,15 +5,17 @@ rate, the rate's dataset and the fold's test rows.  A scenario's data is
 drawn once, as columns: _build_jobs makes one feature draw, one
 missingness mask per rate and the folds as row indices, and every job of a
 rate shares that rate's synthdata.Dataset, whose arrays all rates share.
-_run_folds gathers each fold's training pools from the dataset by row
-index, derives the seeds, training config, net sizes and artifact paths,
-and trains the folds it is given with trainer.fit_runs.
+_run_folds builds each fold's training pools as row views of that
+dataset (ams.prepare_pools), derives the seeds, training config, net
+sizes and artifact paths, and trains the folds it is given with
+trainer.fit_runs.
 
 In this process (jobs=1) each (arm, rate) cell's folds train in lockstep,
-along one run axis: one step for all of them, with the cell's fold pools
-held in memory together.  A worker pool (jobs > 1) runs one fold per
-run_one job, which is the same code at one run.  Both write the same
-bytes.
+along one run axis: one step for all of them.  The cell's fold pools hold
+only their rows, ids and labels, and every step takes its batch from the
+one shared dataset, so a cell holds its training data once.  A worker
+pool (jobs > 1) runs one fold per run_one job, which is the same code at
+one run.  Both write the same bytes.
 
 Within a scenario every arm sees identical data, missingness masks, fold
 memberships, and initial network weights; training seeds depend on

@@ -255,6 +255,9 @@ def proto_loss(
     a no-op: (0.0, zero-size gradient, empty=True).  The assignment is
     either the nearest usable prototype (default) or the feature's
     true-class prototype when assignment="true_class" and labels are given.
+    Under "true_class" a feature whose class has no usable prototype has
+    nothing to match and is left out: the mean runs over a run's other
+    features, and a run with none gets 0.0 and a zero gradient.
     """
     feats = np.asarray(unpaired_feats, dtype=np.float64)
     if feats.ndim not in (2, 3) or protos.values.ndim != feats.ndim \
@@ -283,17 +286,17 @@ def proto_loss(
             raise _in_run(LabelError(f"labels must lie in [0, {protos.num_classes})"),
                           np.argwhere((idx < 0) | (idx >= protos.num_classes))[0])
         stale = _rows_of_each_run(protos.stale, idx)
-        if np.logical_or.reduce(stale, axis=None):
-            where = np.argwhere(stale)[0]
-            raise _in_run(ProtocolError(f"class {idx[tuple(where)]} has no usable prototype"),
-                          where)
     else:
         raise ConfigError(f"assignment must be 'nearest' or 'true_class', got {assignment!r}")
 
     diff = feats - _rows_of_each_run(protos.values, idx)
-    n = feats.shape[-2]
+    n = scale = feats.shape[-2]
+    if assignment == "true_class" and np.logical_or.reduce(stale, axis=None):
+        diff[stale] = 0.0  # left out: no prototype to match
+        n = np.maximum(n - np.add.reduce(stale, axis=-1), 1)  # each run's matched rows
+        scale = n[..., None, None]
     value = np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1) / n
-    return _per_run(value), 2.0 * diff / n, False
+    return _per_run(value), 2.0 * diff / scale, False
 
 
 def total_loss(

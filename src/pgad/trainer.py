@@ -32,15 +32,20 @@ without the wrappers' per-call cost.
 
 fit_runs prepares everything a step reads once, before the first step:
 each run's training set as the pool pair from ams.prepare_pools (or takes
-that pair ready-made), whose id-sorted columns a step (and the epoch-level
-prototypes of the "all" strategy) gathers its rows from by index; one
-parameter buffer, a row [teacher | student | theta] per run, that the nets
-are bound to (nets.bind_joint_params), which Adam updates in place; and the
-mask that keeps weight decay off theta.  A run's theta is its row's last
+that pair ready-made), whose id-sorted rows of a shared Dataset map a
+plan's pool rows to dataset rows; one parameter buffer, a row [teacher |
+student | theta] per run, that the nets are bound to
+(nets.bind_joint_params), which Adam updates in place; and the mask that
+keeps weight decay off theta.  A step takes each run's batch from its
+Dataset's columns, labels and modality A once over the [genuine |
+recipient] rows and modality B once over the [genuine | donor] rows,
+straight into the run's slot of the batch stack; the epoch-level
+prototypes of the "all" strategy take the paired rows the same way.  No
+pool holds a copy of a feature column.  A run's theta is its row's last
 entry and is kept nowhere else: each step's trace carries the sampling
 ratio at the updated theta, and the run's next batch is drawn with it.
 Gathering in id order makes a fit independent of the order of its input
-samples.  Modality B is gathered from the paired pool only.  Cross-entropy
+samples.  Modality B is gathered from paired rows only.  Cross-entropy
 is computed once per logit matrix, per row, and the theta surrogate's
 subset losses are means over slices of those rows.
 
@@ -51,7 +56,9 @@ Loss routing per batch:
   l_pair  anchors = student features of genuine rows, candidates = teacher
           modality-B embeddings of every batch row (genuine and donors),
           positives on the diagonal
-  l_proto pseudo-recipient student features vs current prototypes
+  l_proto pseudo-recipient student features vs current prototypes; under
+          "true_class" a recipient whose class has no usable prototype yet
+          is left out (losses.proto_loss)
 
 Terms with zero weight are skipped entirely and reported as 0.0, so an
 all-ablations-off run is computationally identical to plain CE+KD.  The
@@ -351,11 +358,15 @@ def step_gradients(
     _, grads = joint_buffers(teacher, student)
     w = cfg.loss_weights
     k, n = len(plans), plans[0].size
-    n_gs = [len(plan.genuine) for plan in plans]
+    n_gs = [plan.n_genuine for plan in plans]
     lead = (k,) if k > 1 else ()  # one run has no run axis
 
-    # Rows: genuine pairs, then recipients (modality A) or donors (modality B).
-    pieces_y, pieces_a, pieces_b = [], [], []
+    # Rows: genuine pairs, then recipients (modality A) or donors (modality B),
+    # each run's taken from its Dataset into its slot of the (k, N, ...) stack.
+    first = pools[0][0].data
+    labels = np.empty((k, n), dtype=np.int64)
+    feats_a = np.empty((k, n, first.feat_a.shape[1]))
+    feats_b = np.empty((k, n, first.feat_b.shape[1]))
     for i, ((paired, unpaired), plan, n_g) in enumerate(zip(pools, plans, n_gs)):
         try:
             if n_g == 0:
@@ -365,13 +376,14 @@ def step_gradients(
             b_rows, r_rows = plan.rows(paired, unpaired)
         except (ProtocolError, UsageError) as exc:
             raise _blame(exc, [i])
-        g_rows = b_rows[:n_g]
-        pieces_y += (paired.labels[g_rows], unpaired.labels[r_rows])
-        pieces_a += (paired.feat_a[g_rows], unpaired.feat_a[r_rows])
-        pieces_b.append(paired.feat_b[b_rows])
-    labels = np.concatenate(pieces_y).reshape(lead + (n,))
-    feats_a = np.concatenate(pieces_a).reshape(lead + (n, -1))
-    feats_b = (np.concatenate(pieces_b) if k > 1 else pieces_b[0]).reshape(lead + (n, -1))
+        data, b_rows = paired.data, paired.rows[b_rows]
+        a_rows = np.concatenate((b_rows[:n_g], unpaired.rows[r_rows]))
+        # The pools checked their rows against the Dataset, so "wrap" takes
+        # them as "raise" would, without buffering the output.
+        data.labels.take(a_rows, 0, labels[i], "wrap")
+        data.feat_a.take(a_rows, 0, feats_a[i], "wrap")
+        data.feat_b.take(b_rows, 0, feats_b[i], "wrap")
+    labels, feats_a, feats_b = (x.reshape(lead + x.shape[1:]) for x in (labels, feats_a, feats_b))
 
     h_b, fused, logits_t = teacher_forward(teacher, feats_a, feats_b)
     protos = None
@@ -631,8 +643,8 @@ def train_step(
             ratio=ratio,
             theta=theta,
             lr=lr,
-            n_genuine=len(plan.genuine),
-            n_pseudo=len(plan.pseudo),
+            n_genuine=plan.n_genuine,
+            n_pseudo=plan.n_pseudo,
             n_stale=n_stale[run],
         ))
     return new_protos, traces
@@ -784,7 +796,8 @@ def global_prototypes(
 ) -> PrototypeSet:
     """Prototypes from every genuine pair of `pools`, in id order, under the current teacher."""
     paired = pools[0]
-    _, fused = teacher_features(teacher, paired.feat_a, paired.feat_b)
+    data, rows = paired.data, paired.rows
+    _, fused = teacher_features(teacher, data.feat_a[rows], data.feat_b[rows])
     return compute_batch_prototypes(fused, paired.labels, teacher.num_classes)
 
 

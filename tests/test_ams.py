@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgad.ams import (
+    BatchPlan,
     SamplePool,
     build_batch,
     export_ams_trace_csv,
@@ -26,7 +28,15 @@ from pgad.errors import (
     RangeError,
     UsageError,
 )
-from pgad.synthdata import Dataset, DatasetConfig, Sample, draw_datasets, generate_dataset
+from pgad.seeding import derive_seed
+from pgad.synthdata import (
+    Dataset,
+    DatasetConfig,
+    Sample,
+    draw_datasets,
+    generate_dataset,
+    kfold_rows,
+)
 from pgad.trainer import TrainConfig
 
 
@@ -344,21 +354,24 @@ def test_sample_pool_columns_are_id_sorted_and_read_only():
     pool_pair = prepare_pools([s for s in shuffled if s.paired],
                               [s for s in shuffled if not s.paired])
     by_id = {s.id: s for s in ds}
+    paired_pool, unpaired_pool = pool_pair
+    assert unpaired_pool.data is paired_pool.data  # one Dataset that both pools view
+    data = paired_pool.data
     for pool in pool_pair:
         assert np.array_equal(pool.ids, sorted(s.id for s in pool))
+        assert np.array_equal(data.ids[pool.rows], pool.ids)
         for row, i in enumerate(pool.ids.tolist()):
             assert pool.labels[row] == by_id[i].label
-            assert np.array_equal(pool.feat_a[row], by_id[i].feat_a)
-            if pool.feat_b is not None:
-                assert np.array_equal(pool.feat_b[row], by_id[i].feat_b)
-        for column in (pool.ids, pool.labels, pool.feat_a, pool.feat_b):
-            if column is not None:
-                assert not column.flags.writeable
-    paired_pool, unpaired_pool = pool_pair
-    assert paired_pool.feat_b.shape == (len(paired_pool), 4)
-    assert unpaired_pool.feat_b is None  # no modality B to gather a donor from
+            assert np.array_equal(data.feat_a[pool.rows[row]], by_id[i].feat_a)
+            if pool.paired:
+                assert np.array_equal(data.feat_b[pool.rows[row]], by_id[i].feat_b)
+        assert (data.paired[pool.rows] == pool.paired).all()
+        for column in (pool.rows, pool.ids, pool.labels):
+            assert not column.flags.writeable
+    assert data.feat_b[paired_pool.rows].shape == (len(paired_pool), 4)
+    assert not unpaired_pool.paired  # no modality B to gather a donor from
     _, empty = prepare_pools(paired_pool, [])
-    assert empty.feat_a.shape == (0, 4)  # as wide as its donors' columns
+    assert empty.data.feat_a[empty.rows].shape == (0, 4)  # as wide as its donors' columns
 
 
 def test_sample_pool_errors():
@@ -389,13 +402,13 @@ def test_pools_from_dataset_rows_equal_pools_from_sample_lists():
     from_rows = prepare_pools(data, rows)
     from_lists = prepare_pools([s for s in chosen if s.paired], [s for s in chosen if not s.paired])
     for a, b in zip(from_rows, from_lists):
-        for name in ("ids", "labels", "feat_a", "feat_b"):
-            column = getattr(a, name)
-            assert (column is None) == (getattr(b, name) is None)
-            if column is not None:
-                assert column.tobytes() == getattr(b, name).tobytes()
-                assert column.shape == getattr(b, name).shape
-                assert not column.flags.writeable
+        assert a.data is data and a.paired == b.paired
+        for name in ("ids", "labels", "feat_a") + (("feat_b",) if a.paired else ()):
+            column, other = getattr(data, name)[a.rows], getattr(b.data, name)[b.rows]
+            assert column.tobytes() == other.tobytes()
+            assert column.shape == other.shape
+        for name in ("rows", "ids", "labels"):
+            assert not getattr(a, name).flags.writeable
         assert a.class_counts == b.class_counts
         assert [(s.id, s.label) for s in a] == [(s.id, s.label) for s in b]
     assert from_rows[1].donors is from_rows[0]
@@ -455,3 +468,47 @@ def test_ams_trace_csv(tmp_path):
     assert lines[0] == "epoch,theta,ratio"
     assert lines[1] == "0,0.0,0.5"
     assert len(lines) == 3
+
+
+def test_the_fold_pools_of_a_cell_copy_no_feature_column():
+    """A cell's five fold pools view its Dataset: building them for a
+    4000-row cohort at rate 0.2 (the benchmark's large cohort, about 1 MB of
+    features) allocates their rows, ids and labels only, under 1 MB at its
+    peak, where copied feature columns took about 4 MB."""
+    cfg = DatasetConfig(num_classes=2, samples_per_class=2000, dim_a=16, dim_b=16,
+                        class_separation=6.5, noise_scale=1.6, missing_rate=0.0, seed=101)
+    (data,) = draw_datasets(cfg, (0.2,))
+    folds = kfold_rows(data.ids, data.labels, 5, derive_seed(cfg.seed, "folds"))
+    train_rows = [np.setdiff1d(np.arange(len(data)), test) for test in folds]
+    tracemalloc.start()
+    try:
+        cell = [prepare_pools(data, rows) for rows in train_rows]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(pool.data is data for pools in cell for pool in pools)
+    assert sum(len(paired) + len(unpaired) for paired, unpaired in cell) == 4 * len(data)
+    assert peak < 1 << 20, f"{peak} bytes"
+
+
+def test_a_drawn_plan_builds_its_id_tuples_when_first_read():
+    """build_batch keeps the drawn rows and counts; the id tuples appear on
+    first read and make the plan equal to, and print like, the plan built
+    from them by keyword."""
+    _, paired, unpaired = pools(0.5, 20, 4)
+    prepped = prepare_pools(paired, unpaired)
+    plan = build_batch(*prepped, 16, 0.5, 3)
+    assert not {"genuine", "pseudo", "unpaired_student_only"} & set(vars(plan))
+    assert (plan.n_genuine, plan.n_pseudo, plan.size) == (8, 8, 16)
+    assert not {"genuine", "pseudo", "unpaired_student_only"} & set(vars(plan))
+    by_keyword = BatchPlan(genuine=plan.genuine, pseudo=plan.pseudo,
+                           unpaired_student_only=plan.unpaired_student_only,
+                           shortfall=plan.shortfall)
+    assert by_keyword == plan and repr(by_keyword) == repr(plan)
+    assert hash(by_keyword) == hash(plan)
+    assert (by_keyword.n_genuine, by_keyword.n_pseudo) == (plan.n_genuine, plan.n_pseudo)
+    assert plan.unpaired_student_only == tuple(rec for rec, _, _ in plan.pseudo)
+    b_rows, r_rows = plan.rows(*prepped)
+    assert not b_rows.flags.writeable and not r_rows.flags.writeable
+    with pytest.raises(AttributeError):
+        plan.size_of_batch

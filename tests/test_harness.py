@@ -1300,3 +1300,30 @@ def test_a_failing_fold_of_a_lockstep_cell_is_named(tmp_path, monkeypatch):
     with pytest.raises(ProtocolError, match=r"^arm=full rate=0\.5 fold=2 failed: step 3: "
                                             r"gradient norm is not finite$"):
         run_scenario(cfg)
+
+
+def test_true_class_matching_leaves_out_rows_without_a_prototype(tmp_path):
+    """At step 0 the running prototype set is empty, so a batch whose pseudo
+    rows hold a class that its genuine rows lack has no prototype to match
+    those rows against.  They are left out of that step's prototype term,
+    and the scenario completes with the same bytes in lockstep and in a pool
+    (it stopped at fold 3 of rate 0.2 when such a row was an error)."""
+
+    def scenario(out):
+        return ScenarioConfig(
+            name="sparse",
+            dataset=DatasetConfig(num_classes=2, samples_per_class=10, dim_a=4, dim_b=3,
+                                  class_separation=4.0, noise_scale=1.0, missing_rate=0.0,
+                                  seed=4),
+            train=TrainConfig(epochs=2, batch_size=6, learning_rate=1e-3,
+                              proto_assignment="true_class", seed=3),
+            arms=(ArmSpec(name="full"),), missing_rates=(0.2, 0.7), k_folds=4, feat_dim=4,
+            hidden_width=6, output_dir=str(out),
+        )
+
+    summary = run_scenario(scenario(tmp_path / "serial"))
+    run_scenario(scenario(tmp_path / "pool"), jobs=2)
+    assert [len(cell.records) for cell in summary.cells] == [4, 4]
+    serial = output_bytes(tmp_path / "serial")
+    assert len(serial) == 3 + 4 * 2 * 4  # 2 rates x 4 folds
+    assert serial == output_bytes(tmp_path / "pool")

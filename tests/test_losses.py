@@ -368,8 +368,11 @@ def test_proto_loss_errors():
         proto_loss(np.ones((1, 2)), all_stale)
     one_stale = PrototypeSet(values=np.zeros((2, 2)),
                              counts=np.array([0, 3]))
-    with pytest.raises(ProtocolError):
-        proto_loss(np.ones((1, 2)), one_stale, "true_class", labels=[0])
+    # a row whose class has no usable prototype is left out, not an error
+    value, grad, empty = proto_loss(np.ones((1, 2)), one_stale, "true_class", labels=[0])
+    assert (value, grad.tolist(), empty) == (0.0, [[0.0, 0.0]], False)
+    value, grad, _ = proto_loss(np.ones((2, 2)), one_stale, "true_class", labels=[0, 1])
+    assert value == 2.0 and grad.tolist() == [[0.0, 0.0], [2.0, 2.0]]  # the mean of one row
 
 
 # ---------------------------------------------------------------- total_loss
@@ -434,6 +437,10 @@ def test_stacked_kernels_give_each_run_its_own_bits():
     d_sims = rng.standard_normal((r, n_g, n))
     protos = [PrototypeSet(values=rng.standard_normal((c, h)), counts=rng.integers(1, 4, c))
               for _ in range(r)]
+    # run 1 lacks a prototype of some of its rows' classes, which are left out
+    lacking = PrototypeSet.stack(protos[:1] + [replace(protos[1], counts=np.array([0, 0, 2]))]
+                                 + protos[2:])
+    assert 0 < np.isin(labels[1, :n_g], [0, 1]).sum() < n_g
     stacked = {
         "ce": ce_loss(logits_s, labels),
         "kd": kd_loss(logits_s, logits_t, 2.0),
@@ -442,6 +449,7 @@ def test_stacked_kernels_give_each_run_its_own_bits():
         "nearest": proto_loss(feats, PrototypeSet.stack(protos)),
         "true_class": proto_loss(feats, PrototypeSet.stack(protos), "true_class",
                                  labels[:, :n_g]),
+        "lacking": proto_loss(feats, lacking, "true_class", labels[:, :n_g]),
     }
     for i in range(r):
         alone = {
@@ -451,6 +459,9 @@ def test_stacked_kernels_give_each_run_its_own_bits():
             "vjp": similarity_matrix(feats[i], cands[i], 0.3)[1](d_sims[i]),
             "nearest": proto_loss(feats[i], protos[i]),
             "true_class": proto_loss(feats[i], protos[i], "true_class", labels[i, :n_g]),
+            "lacking": proto_loss(feats[i], PrototypeSet(values=lacking.values[i],
+                                                         counts=lacking.counts[i]),
+                                  "true_class", labels[i, :n_g]),
         }
         for name, one in alone.items():
             for got, want in zip(stacked[name], one):
@@ -474,9 +485,10 @@ def test_stacked_kernels_name_the_run_whose_input_fails():
     assert failure.value.run == 1
     counts = np.array([[3, 3], [3, 3], [3, 0]])
     protos = PrototypeSet(values=np.zeros((3, 2, 2)), counts=counts)
-    with pytest.raises(ProtocolError, match="^class 1 has no usable prototype$") as failure:
-        proto_loss(np.ones((3, 2, 2)), protos, "true_class", np.ones((3, 2), dtype=np.int64))
-    assert failure.value.run == 2
+    # a class without a usable prototype is not a failure: its rows are left out
+    value, grad, _ = proto_loss(np.ones((3, 2, 2)), protos, "true_class",
+                                np.ones((3, 2), dtype=np.int64))
+    assert value.tolist() == [2.0, 2.0, 0.0] and not grad[2].any()
     with pytest.raises(ProtocolError, match="every class is stale") as failure:
         proto_loss(np.ones((3, 2, 2)), PrototypeSet(values=np.zeros((3, 2, 2)),
                                                     counts=np.array([[1, 0], [0, 0], [0, 1]])))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pgad.seeding import derive_seed, splitmix64
+from pgad.seeding import _hash_token, _token, derive_seed, splitmix64
 
 
 def test_splitmix64_pinned_values():
@@ -36,6 +36,19 @@ def test_derive_seed_depends_on_order_and_type():
     assert derive_seed(0, 1) != derive_seed(0, "1")
     assert derive_seed(0, True) != derive_seed(0, 1)
     assert derive_seed(0, 0.5) != derive_seed(0, "0.5")
+
+
+def test_cached_tokens_keep_their_type_and_value():
+    """str and int tokens are cached by type, so True and 1 (equal as keys of
+    an untyped cache) keep their own tokens; floats are not cached, because
+    0.0 == -0.0 although their tokens differ."""
+    for part in (1, True, "batch", 0, False, 7):
+        assert _token(part) == _hash_token(part)
+        assert _token(part) == _hash_token(part)  # a cache hit
+    assert _token(True) != _token(1) and _token(False) != _token(0)
+    assert derive_seed(0, 1, True) != derive_seed(0, True, 1)
+    assert derive_seed(0, 0.0) != derive_seed(0, -0.0)
+    assert derive_seed(0, -0.0) == derive_seed(0, -0.0) != derive_seed(0, 0.0)
 
 
 def test_derive_seed_sibling_independence():
