@@ -335,8 +335,9 @@ def step_gradients(
 
     This is the full objective of one step: terms with zero weight are
     skipped and reported as 0.0.  A run's pools are the (paired, unpaired)
-    pair from ams.prepare_pools that its plan was drawn from; modality B
-    comes from the paired pool only.  Prototypes and the teacher side of
+    pair from ams.prepare_pools that its plan was drawn from, which map the
+    plan's rows to rows of their Dataset; modality B comes from paired rows
+    only.  Prototypes and the teacher side of
     the distillation term are constants with respect to the parameters; a
     run's theta entry comes from the expected-loss surrogate at its theta
     (0.0 outside dynamic mode or when the batch has no pseudo-pairs), and
