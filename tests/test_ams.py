@@ -473,8 +473,8 @@ def test_ams_trace_csv(tmp_path):
 def test_the_fold_pools_of_a_cell_copy_no_feature_column():
     """A cell's five fold pools view its Dataset: building them for a
     4000-row cohort at rate 0.2 (the benchmark's large cohort, about 1 MB of
-    features) allocates their rows, ids and labels only, under 1 MB at its
-    peak, where copied feature columns took about 4 MB."""
+    features) allocates their rows, ids and labels only: under 1 MB at its
+    peak, where a copy of the pools' feature columns alone takes about 4 MB."""
     cfg = DatasetConfig(num_classes=2, samples_per_class=2000, dim_a=16, dim_b=16,
                         class_separation=6.5, noise_scale=1.6, missing_rate=0.0, seed=101)
     (data,) = draw_datasets(cfg, (0.2,))

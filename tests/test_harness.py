@@ -1307,7 +1307,7 @@ def test_true_class_matching_leaves_out_rows_without_a_prototype(tmp_path):
     rows hold a class that its genuine rows lack has no prototype to match
     those rows against.  They are left out of that step's prototype term,
     and the scenario completes with the same bytes in lockstep and in a pool
-    (it stopped at fold 3 of rate 0.2 when such a row was an error)."""
+    (fold 3 of rate 0.2 draws such a batch at step 0)."""
 
     def scenario(out):
         return ScenarioConfig(
