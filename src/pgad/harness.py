@@ -5,15 +5,17 @@ rate, the rate's dataset and the fold's test rows.  A scenario's data is
 drawn once, as columns: _build_jobs makes one feature draw, one
 missingness mask per rate and the folds as row indices, and every job of a
 rate shares that rate's synthdata.Dataset, whose arrays all rates share.
-_run_folds builds each fold's training pools as row views of that
+_run_folds builds each run's training pools as row views of its rate's
 dataset (ams.prepare_pools), derives the seeds, training config, net
-sizes and artifact paths, and trains the folds it is given with
+sizes and artifact paths, and trains the runs it is given with
 trainer.fit_runs.
 
-In this process (jobs=1) each (arm, rate) cell's folds train in lockstep,
-along one run axis: one step for all of them.  The cell's fold pools hold
-only their rows, ids and labels, and every step takes its batch from the
-one shared dataset, so a cell holds its training data once.  A worker
+In this process (jobs=1) each arm trains all its runs, every rate and
+fold, in lockstep, along one run axis: one step for all of them (15 runs
+for three rates of five folds).  The runs' pools hold only their rows,
+ids and labels, and every step takes its batch from the rates' shared
+datasets, so an arm holds its training data once; it does hold every
+run's nets, gradients, Adam state and forward caches at once.  A worker
 pool (jobs > 1) runs one fold per run_one job, which is the same code at
 one run.  Both write the same bytes.
 
@@ -73,8 +75,10 @@ class ArmSpec:
     rates: Optional[tuple[float, ...]] = None  # per-arm override of the scenario's rate sweep
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch in self.name for ch in ",/\\ "):
-            raise ConfigError(f"arm name must be nonempty without separators, got {self.name!r}")
+        # the name starts every artifact file name of the arm
+        if not self.name or any(ch in self.name for ch in ",/\\ \0"):
+            raise ConfigError(f"arm name must be nonempty without separators or NUL, "
+                              f"got {self.name!r}")
         if self.ams not in AMS_MODES:
             raise ConfigError(f"arm {self.name}: ams must be one of {AMS_MODES}, got {self.ams!r}")
         if self.proto_strategy not in PROTO_STRATEGIES:
@@ -219,8 +223,9 @@ def run_one(job: RunJob) -> MetricsRecord:
 
 
 def _run_folds(jobs: list) -> list:
-    """Train the folds of one (arm, rate) cell in lockstep (trainer.fit_runs),
-    then evaluate each and write its files; returns the records in job order.
+    """Train the runs of `jobs`, folds of one arm at one or more rates, in
+    lockstep (trainer.fit_runs), then evaluate each and write its files;
+    returns the records in job order.
 
     A failure that belongs to one fold carries its index in `jobs` as
     `exc.run`, as trainer.fit_runs marks it.
@@ -329,10 +334,10 @@ def _summary(rows) -> RunSummary:
 def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
     """Run every (arm, rate, fold) run, aggregate, and write all artifacts.
 
-    With jobs=1 each (arm, rate) cell trains its folds in lockstep in this
-    process; otherwise every fold is one run_one job on `jobs` worker
-    processes, and no more workers start than there are runs.  Both write
-    the same bytes.
+    With jobs=1 each arm trains all its runs, every rate and fold, in
+    lockstep in this process; otherwise every fold is one run_one job on
+    `jobs` worker processes, and no more workers start than there are
+    runs.  Both write the same bytes.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -341,20 +346,21 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1) -> RunSummary:
     rows = []  # (arm, rate, record) in job order: arm, then rate, then fold
     workers = min(jobs, len(job_list))
     if workers == 1:
-        cells: dict = {}
+        arms: dict = {}
         for job in job_list:
-            cells.setdefault((job.arm.name, job.rate), []).append(job)
-        for cell in cells.values():
+            arms.setdefault(job.arm.name, []).append(job)
+        for stack in arms.values():
             try:
-                records = _run_folds(cell)
+                records = _run_folds(stack)
             except Exception as exc:
                 run = getattr(exc, "run", None)
-                folds = (cell[run].fold if run is not None
-                         else ",".join(str(job.fold) for job in cell))
+                failed = stack if run is None else [stack[run]]
+                rates = ",".join(dict.fromkeys(str(job.rate) for job in failed))
+                folds = ",".join(dict.fromkeys(str(job.fold) for job in failed))
                 raise ProtocolError(
-                    f"arm={cell[0].arm.name} rate={cell[0].rate} fold={folds} failed: {exc}"
+                    f"arm={stack[0].arm.name} rate={rates} fold={folds} failed: {exc}"
                 ) from exc
-            rows += [(job.arm.name, job.rate, record) for job, record in zip(cell, records)]
+            rows += [(job.arm.name, job.rate, record) for job, record in zip(stack, records)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(run_one, job_list)

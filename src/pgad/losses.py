@@ -79,11 +79,27 @@ class LossReport:
     total: float
 
 
+def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(x, axis=-1, keepdims=True) for np.add or np.maximum.
+
+    A row of fewer than 8 entries is folded from the left, column by column:
+    np.add.reduce sums such a row in that order, so the bits are the same,
+    but NumPy reduces a short last axis one row at a time, several times
+    slower on a stack of class logits.
+    """
+    if x.shape[-1] >= 8 or x.shape[-1] == 0:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = x[..., :1].copy()
+    for c in range(1, x.shape[-1]):
+        ufunc(out, x[..., c : c + 1], out=out)
+    return out
+
+
 def _shifted_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row max, z minus it, log of the row sums of exp of that), all keepdims."""
-    top = np.maximum.reduce(z, axis=-1, keepdims=True)
+    top = _row_reduce(np.maximum, z)
     shifted = z - top
-    return top, shifted, np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return top, shifted, np.log(_row_reduce(np.add, np.exp(shifted)))
 
 
 def _in_run(exc: Exception, where) -> Exception:
@@ -101,6 +117,19 @@ def _rows_of_each_run(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if idx.ndim == 1:
         return table[idx]
     return table[np.arange(len(idx))[:, None], idx]
+
+
+def run_sums(values: np.ndarray, rows=None):
+    """Each run's np.add.reduce of its row values over exactly its `rows`, in
+    row order: a float64 scalar for one run's (N,) values, an (R,) array for
+    (R, N).  `rows` is a bool mask of the values' shape (None: every row).
+    A run's sum has the bits its rows get reduced on their own, whatever
+    the other runs hold."""
+    if rows is None:
+        return np.add.reduce(values, axis=-1)
+    if values.ndim == 1:
+        return np.add.reduce(values[rows])
+    return np.array([np.add.reduce(v[m]) for v, m in zip(values, rows)])
 
 
 def _per_run(value):
@@ -145,13 +174,15 @@ def ce_loss(logits: np.ndarray, labels):
 
 
 def kd_loss(
-    student_logits: np.ndarray, teacher_logits: np.ndarray, temperature: float
+    student_logits: np.ndarray, teacher_logits: np.ndarray, temperature: float, rows=None
 ) -> tuple[float, np.ndarray]:
     """Temperature-softened KL(teacher ‖ student), mean over samples, scaled by T².
 
     Takes (N, C) logit matrices, or (R, N, C) along the run axis, whose
     values come back as an (R,) array.  Only the student side receives a
-    gradient.
+    gradient.  `rows`, a bool mask of the logits' leading shape, picks the
+    rows each run's mean runs over (run_sums); the other rows get a zero
+    gradient.  A stack of runs with different row sets thus takes one call.
     """
     if temperature <= 0.0 or not math.isfinite(temperature):
         raise RangeError(f"temperature must be positive, got {temperature}")
@@ -161,16 +192,21 @@ def kd_loss(
         raise ShapeError(f"kd_loss expects (N, C) or (R, N, C) logits, got shape {s.shape}")
     if s.shape != t.shape:
         raise ShapeError(f"logit shapes differ: student {s.shape} vs teacher {t.shape}")
-    n = s.shape[-2]
-    if n == 0:
+    n = s.shape[-2] if rows is None else np.add.reduce(rows, axis=-1)
+    if np.logical_or.reduce(n == 0, axis=None):
         raise EmptyBatchError("kd_loss needs at least one sample")
 
     log_ps = _log_softmax(s / temperature)
     log_pt = _log_softmax(t / temperature)
     pt = np.exp(log_pt)
-    kl_per_sample = np.add.reduce(pt * (log_pt - log_ps), axis=-1)
-    value = np.maximum(temperature**2 * (np.add.reduce(kl_per_sample, axis=-1) / n), 0.0)
-    grad = temperature * (np.exp(log_ps) - pt) / n
+    kl_per_sample = _row_reduce(np.add, pt * (log_pt - log_ps))[..., 0]
+    value = np.maximum(temperature**2 * (run_sums(kl_per_sample, rows) / n), 0.0)
+    grad = temperature * (np.exp(log_ps) - pt)
+    if rows is None:
+        grad /= n
+    else:
+        grad /= n[..., None, None]
+        grad[~rows] = 0.0
     return _per_run(value), grad
 
 
@@ -246,6 +282,7 @@ def proto_loss(
     protos: PrototypeSet,
     assignment: str = "nearest",
     labels=None,
+    rows=None,
 ) -> tuple[float, np.ndarray, bool]:
     """Mean squared distance from each feature to its assigned prototype.
 
@@ -257,7 +294,10 @@ def proto_loss(
     true-class prototype when assignment="true_class" and labels are given.
     Under "true_class" a feature whose class has no usable prototype has
     nothing to match and is left out: the mean runs over a run's other
-    features, and a run with none gets 0.0 and a zero gradient.
+    features, and a run with none gets 0.0 and a zero gradient.  `rows`, a
+    bool mask of the features' leading shape, picks the features each
+    run's mean runs over (run_sums); the others are left out the same way.
+    Every run's set needs a usable class.
     """
     feats = np.asarray(unpaired_feats, dtype=np.float64)
     if feats.ndim not in (2, 3) or protos.values.ndim != feats.ndim \
@@ -285,17 +325,22 @@ def proto_loss(
                 or np.maximum.reduce(idx, axis=None) >= protos.num_classes):
             raise _in_run(LabelError(f"labels must lie in [0, {protos.num_classes})"),
                           np.argwhere((idx < 0) | (idx >= protos.num_classes))[0])
-        stale = _rows_of_each_run(protos.stale, idx)
     else:
         raise ConfigError(f"assignment must be 'nearest' or 'true_class', got {assignment!r}")
 
     diff = feats - _rows_of_each_run(protos.values, idx)
-    n = scale = feats.shape[-2]
-    if assignment == "true_class" and np.logical_or.reduce(stale, axis=None):
-        diff[stale] = 0.0  # left out: no prototype to match
-        n = np.maximum(n - np.add.reduce(stale, axis=-1), 1)  # each run's matched rows
+    n = scale = feats.shape[-2] if rows is None else np.add.reduce(rows, axis=-1)
+    matched = rows
+    if assignment == "true_class":
+        stale = _rows_of_each_run(protos.stale, idx)  # no prototype to match
+        if np.logical_or.reduce(stale, axis=None):
+            matched = ~stale if rows is None else rows & ~stale
+            n = np.add.reduce(matched, axis=-1)
+    if matched is not None:
+        diff[~matched] = 0.0  # left out
+        n = np.maximum(n, 1)
         scale = n[..., None, None]
-    value = np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1) / n
+    value = run_sums(np.add.reduce(diff * diff, axis=-1), rows) / n
     return _per_run(value), 2.0 * diff / scale, False
 
 
@@ -307,14 +352,21 @@ def total_loss(
     l_proto: float,
     weights: LossWeights,
 ) -> LossReport:
-    """Weighted combination of the five terms; rejects non-finite or negative input."""
-    terms = (l_tea, l_stu, l_kl, l_pair, l_proto)
-    for name, term in zip(TERM_NAMES, terms):
-        if not math.isfinite(term):
-            raise NumericHealthError(f"loss term {name} is not finite: {term}")
-        if term < 0.0:
-            raise NumericHealthError(f"loss term {name} is negative: {term}")
-    l_tea, l_stu, l_kl, l_pair, l_proto = (float(term) for term in terms)
+    """Weighted combination of the five terms; rejects non-finite or negative input.
+
+    Takes one run's terms as floats, or R runs' as (R,) arrays along the
+    run axis, whose report then holds (R,) arrays; the first run with a bad
+    term is named as `exc.run`.
+    """
+    terms = np.array((l_tea, l_stu, l_kl, l_pair, l_proto), dtype=np.float64)
+    bad = ~np.isfinite(terms) | (terms < 0.0)
+    if np.logical_or.reduce(bad, axis=None):
+        where = np.argwhere(bad.T)[0]  # the first run's first bad term
+        run_terms = terms[(slice(None),) + tuple(where[:-1])]
+        name, term = TERM_NAMES[where[-1]], run_terms[where[-1]]
+        kind = "is not finite" if not math.isfinite(term) else "is negative"
+        raise _in_run(NumericHealthError(f"loss term {name} {kind}: {term}"), where)
+    l_tea, l_stu, l_kl, l_pair, l_proto = terms if terms.ndim > 1 else terms.tolist()
     total = (
         weights.tea * l_tea
         + weights.stu * l_stu
@@ -322,6 +374,10 @@ def total_loss(
         + weights.pair * l_pair
         + weights.proto * l_proto
     )
-    if not math.isfinite(total):
-        raise NumericHealthError(f"total loss is not finite: {total}")
+    if terms.ndim == 1:
+        if not math.isfinite(total):
+            raise NumericHealthError(f"total loss is not finite: {total}")
+    elif not np.logical_and.reduce(np.isfinite(total)):
+        run = int(np.argmin(np.isfinite(total)))
+        raise _in_run(NumericHealthError(f"total loss is not finite: {total[run]}"), (run, 0))
     return LossReport(l_tea, l_stu, l_kl, l_pair, l_proto, total=total)

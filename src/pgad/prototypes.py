@@ -8,8 +8,17 @@ excluded from nearest-prototype queries.  A set along the run axis holds
 one set per run: (R, C, H) values and (R, C) counts, which the stacked
 loss terms match against.
 
-A class mean is np.add.reduce(rows, axis=0) / count, the reduction
-ndarray.mean runs, so it has the same bits without the wrapper's cost.
+The refresh of a training step is one path for one run and for R runs:
+compute_batch_prototypes takes the step's (R, N, H) batch stack and each
+run's genuine count, and update_running_prototypes and with_fallback
+work on (R, C, H) sets, all with array operations over the run axis.  A
+class mean is np.add.reduce over the batch rows, with zeros in the rows
+of other classes and other runs' uncounted rows, over the class count.
+That reduction adds the rows one after another, as
+np.add.reduce(rows, axis=0) of the class's rows alone does for H > 1, so
+each run keeps the bits it gets on its own.  (For H = 1 NumPy sums a
+class's rows alone pairwise, so a one-dimensional prototype now sums in
+another order than it did per class.)
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ class PrototypeSet:
         return cls(values=np.stack([p.values for p in sets]),
                    counts=np.stack([p.counts for p in sets]))
 
+    def select(self, runs) -> "PrototypeSet":
+        """The sets of `runs` of a set along the run axis: one run's set for
+        an index, the runs' stack for an index array or a slice."""
+        return PrototypeSet(values=self.values[runs], counts=self.counts[runs])
+
     @property
     def num_classes(self) -> int:
         return self.values.shape[-2]
@@ -58,35 +72,46 @@ def empty_prototypes(num_classes: int, dim: int) -> PrototypeSet:
 
 
 def compute_batch_prototypes(
-    fused_feats: np.ndarray, labels, num_classes: int
+    fused_feats: np.ndarray, labels, num_classes: int, n_rows=None
 ) -> PrototypeSet:
     """Per-class arithmetic means of the given features.
 
-    Classes absent from the batch come back stale with count 0.  An empty
-    feature matrix is allowed and yields an all-stale set; the trainer is
-    responsible for falling back to a running set in that case.
+    Takes one run's (N, H) features and N labels, or R runs' (R, N, H) and
+    (R, N) along the run axis.  Each run's means run over its first
+    n_rows rows (an int for one run, R ints along the run axis; default:
+    all N), so a training step passes its batch stack and each run's
+    genuine count.  Classes absent from those rows come back stale with
+    count 0.  No counted row at all is allowed and yields an all-stale set;
+    the trainer is responsible for falling back to a running set in that
+    case.
     """
     fused_feats = np.asarray(fused_feats, dtype=np.float64)
-    if fused_feats.ndim != 2:
-        raise ShapeError(f"expected feature matrix (N, H), got shape {fused_feats.shape}")
+    if fused_feats.ndim not in (2, 3):
+        raise ShapeError(f"expected features (N, H) or (R, N, H), got shape {fused_feats.shape}")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (fused_feats.shape[0],):
+    if labels.shape != fused_feats.shape[:-1]:
         raise ShapeError(
-            f"expected {fused_feats.shape[0]} labels, got shape {labels.shape}"
+            f"expected labels of shape {fused_feats.shape[:-1]}, got shape {labels.shape}"
         )
     if labels.size:
-        low, high = np.minimum.reduce(labels), np.maximum.reduce(labels)
+        low, high = np.minimum.reduce(labels, axis=None), np.maximum.reduce(labels, axis=None)
         if low < 0 or high >= num_classes:
             raise LabelError(f"labels must lie in [0, {num_classes}), got range [{low}, {high}]")
 
-    values = np.zeros((num_classes, fused_feats.shape[1]))
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        rows = fused_feats[labels == c]
-        counts[c] = len(rows)
-        if len(rows):
-            values[c] = np.add.reduce(rows, axis=0) / len(rows)
-    return PrototypeSet(values=values, counts=counts)
+    # member[..., c, i]: row i counts toward class c.  The rows, outermost in
+    # `rows`, hold each class's features and zeros elsewhere, so one reduce
+    # over them adds a class's rows one after another for every run and class
+    # at once; adding a zero row leaves a sum as it was.
+    member = labels[..., None, :] == np.arange(num_classes)[:, None]
+    if n_rows is not None:
+        n = fused_feats.shape[-2]
+        member &= (np.arange(n) < np.asarray(n_rows)[..., None])[..., None, :]
+    counts = np.add.reduce(member, axis=-1, dtype=np.int64)
+    rows = np.zeros((fused_feats.shape[-2],) + counts.shape + fused_feats.shape[-1:])
+    np.copyto(rows, np.moveaxis(fused_feats, -2, 0)[..., None, :],
+              where=np.moveaxis(member, -1, 0)[..., None])
+    sums = np.add.reduce(rows, axis=0)
+    return PrototypeSet(values=sums / np.maximum(counts, 1)[..., None], counts=counts)
 
 
 def update_running_prototypes(
@@ -97,40 +122,31 @@ def update_running_prototypes(
     Classes present in the batch move to m*running + (1-m)*batch; a class
     the running set has never observed adopts the batch value outright
     (blending against the zero placeholder would drag it toward the
-    origin).  Classes stale in the batch keep their running entry.
+    origin).  Classes stale in the batch keep their running entry.  Both
+    sets are one run's (C, H), or R runs' (R, C, H) along the run axis.
     """
-    if running.dim != batch.dim:
-        raise ShapeError(f"prototype dims differ: running {running.dim} vs batch {batch.dim}")
-    if running.num_classes != batch.num_classes:
-        raise ShapeError(
-            f"class counts differ: running {running.num_classes} vs batch {batch.num_classes}"
-        )
+    if running.values.shape != batch.values.shape:
+        raise ShapeError(f"prototype sets differ in shape: running {running.values.shape} "
+                         f"vs batch {batch.values.shape}")
     if not (0.0 <= momentum < 1.0):
         raise ShapeError(f"momentum must be in [0, 1), got {momentum}")
 
-    values = running.values.copy()
-    counts = running.counts.copy()
-    for c in range(running.num_classes):
-        if batch.stale[c]:
-            continue
-        if running.stale[c]:
-            values[c] = batch.values[c]
-        else:
-            values[c] = momentum * running.values[c] + (1.0 - momentum) * batch.values[c]
-        counts[c] = running.counts[c] + batch.counts[c]
-    return PrototypeSet(values=values, counts=counts)
+    present = ~batch.stale[..., None]
+    blend = momentum * running.values + (1.0 - momentum) * batch.values
+    values = np.where(present & ~running.stale[..., None], blend,
+                      np.where(present, batch.values, running.values))
+    # a class stale in the batch has count 0 there, so its running count stays
+    return PrototypeSet(values=values, counts=running.counts + batch.counts)
 
 
 def with_fallback(batch: PrototypeSet, fallback: PrototypeSet) -> PrototypeSet:
-    """Fill classes stale in `batch` from `fallback`; usable wherever either has data."""
-    if batch.dim != fallback.dim or batch.num_classes != fallback.num_classes:
+    """Fill classes stale in `batch` from `fallback`; usable wherever either has data.
+    Both sets are (C, H), or (R, C, H) along the run axis."""
+    if batch.values.shape != fallback.values.shape:
         raise ShapeError("prototype sets are not compatible")
-    values = batch.values.copy()
-    counts = batch.counts.copy()
     fill = batch.stale & ~fallback.stale
-    values[fill] = fallback.values[fill]
-    counts[fill] = fallback.counts[fill]
-    return PrototypeSet(values=values, counts=counts)
+    return PrototypeSet(values=np.where(fill[..., None], fallback.values, batch.values),
+                        counts=np.where(fill, fallback.counts, batch.counts))
 
 
 def nearest_prototypes_batch(feats: np.ndarray, protos: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:

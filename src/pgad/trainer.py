@@ -6,17 +6,25 @@ genuine pairs, loss evaluation, one joint Adam update over [teacher params |
 student params | theta].
 
 Runs that train together step in lockstep along a leading run axis.
-fit_runs trains R runs (a harness cell's folds) whose step counts are
-equal as the rows of one (R, P) joint buffer, one train_step per step for
-all of them: build_batch, the prototype updates, clip_global_norm,
-theta_gradient, total_loss and the step traces stay per run, while the
-net chains, the loss kernels and Adam run once over the run axis.  The
-chains stack the runs whose batches have the same row count (all of them
-unless a plan has a shortfall) and the loss terms that split a batch at
-its genuine count n_g stack the runs sharing n_g; nothing is padded or
-masked, so each run gets the bits it gets alone.  fit is fit_runs of one
-run, which has no run axis.  A failure that belongs to one run carries its
-index as `exc.run`, which the harness turns into its fold.
+fit_runs trains R runs (in the harness, all of an arm's runs: every rate
+and fold) whose step counts are equal as the rows of one (R, P) joint
+buffer, one train_step per step for all of them.  The net chains, the
+loss kernels, the prototype refresh, the loss checks and Adam run once
+over the run axis; build_batch (each run's own rng stream), the gradient
+clipping (each run's own norm), theta_gradient and the sampling ratio
+(math.exp, whose bits np.exp does not share) and the step traces stay
+per run.  The chains stack the runs whose batches have the same row count
+(all of them unless a plan has a shortfall).  The row-wise terms
+(cross-entropy, distillation, prototype matching) and the theta
+surrogate's subset sums run over the whole stack, each run's mean
+reducing exactly its own rows (losses.run_sums); the pair term, whose
+products change bits with the row count, runs once per group of runs
+sharing a genuine count n_g.  Nothing is padded, so each run gets the
+bits it gets alone.  The runs' running prototypes are one PrototypeSet
+along the run axis, and each FitResult gets its run's set.  fit is
+fit_runs of one run, whose nets have no run axis.  A failure that
+belongs to one run carries its index as `exc.run`, which the harness
+turns into its rate and fold.
 
 The networks' forward and backward chains, and the layout of their
 gradients, live in nets (teacher_features, teacher_forward,
@@ -71,7 +79,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -104,6 +112,7 @@ from .losses import (
     kd_loss,
     pair_loss,
     proto_loss,
+    run_sums,
     similarity_matrix,
     total_loss,
 )
@@ -163,14 +172,17 @@ class TrainConfig:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.kd_temperature * self.kd_temperature):  # kd_loss scales by T²
+            raise ConfigError(f"kd_temperature must have a finite square, got {self.kd_temperature}")
         if not (0.0 <= self.weight_decay < math.inf):
             raise ConfigError(
                 f"weight_decay must be nonnegative and finite, got {self.weight_decay}"
             )
         if self.ams_mode not in AMS_MODES:
             raise ConfigError(f"ams_mode must be one of {AMS_MODES}, got {self.ams_mode!r}")
-        if not (0.0 <= self.fixed_ratio <= 1.0):
-            raise ConfigError(f"fixed_ratio must be in [0, 1], got {self.fixed_ratio}")
+        if not (0.0 < self.fixed_ratio <= 1.0):
+            raise ConfigError(f"fixed_ratio must be in (0, 1], as every batch needs a genuine "
+                              f"pair, got {self.fixed_ratio}")
         if self.proto_strategy not in PROTO_STRATEGIES:
             raise ConfigError(
                 f"proto_strategy must be one of {PROTO_STRATEGIES}, got {self.proto_strategy!r}"
@@ -192,9 +204,19 @@ class AdamState:
 
     @classmethod
     def zeros(cls, shape) -> "AdamState":
-        """A fresh state for parameters of `shape`: n, or (R, P) along the run axis."""
-        m = np.zeros(shape)
-        return cls(m=m, v=np.zeros_like(m), t=0, scratch=np.empty((2,) + m.shape))
+        """A fresh state for parameters of `shape`: n, or (R, P) along the run axis.
+
+        Both moments and the scratch rows are views of one block.  glibc hands
+        the free top of its heap back to the system once it exceeds a trim
+        threshold, which it raises to twice the largest mapped block freed so
+        far.  The block a finished fit frees keeps that threshold above what a
+        step of a later arm stack allocates and frees (about 2.4 MB at 15
+        runs of 48 rows), so those pages are not returned and faulted back in
+        on every step.
+        """
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        block = np.zeros((4,) + shape)
+        return cls(m=block[0], v=block[1], t=0, scratch=block[2:])
 
 
 @dataclass(frozen=True)
@@ -319,7 +341,7 @@ def step_gradients(
     student: StudentNet,
     pools: Sequence[tuple[SamplePool, SamplePool]],
     plans: Sequence[BatchPlan],
-    effective_protos: Optional[Sequence[Callable[[np.ndarray, np.ndarray], PrototypeSet]]],
+    effective_protos: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], PrototypeSet]],
     thetas: Sequence[float],
     cfg: TrainConfig,
 ) -> tuple[list, np.ndarray]:
@@ -329,25 +351,28 @@ def step_gradients(
     together by nets.bind_joint_params (UsageError otherwise), and `pools`,
     `plans` and `thetas` hold one entry per run, in row order.  The plans
     must have one size N: the runs' batches form one (k, N, ...) stack that
-    each net chain and each cross-entropy runs over once, and the other
-    loss terms run once per group of runs with the same genuine count.
-    Each run gets the bits it gets on its own.
+    each net chain, each cross-entropy, the distillation and prototype
+    terms and the theta surrogate run over once, each run's mean reducing
+    exactly its own rows; the pair term runs once per group of runs with
+    the same genuine count, as its products change bits with the row
+    count.  Each run gets the bits it gets on its own.
 
     This is the full objective of one step: terms with zero weight are
     skipped and reported as 0.0.  A run's pools are the (paired, unpaired)
     pair from ams.prepare_pools that its plan was drawn from, which map the
     plan's rows to rows of their Dataset; modality B comes from paired rows
-    only.  Prototypes and the teacher side of
-    the distillation term are constants with respect to the parameters; a
-    run's theta entry comes from the expected-loss surrogate at its theta
-    (0.0 outside dynamic mode or when the batch has no pseudo-pairs), and
-    prototype matching needs `effective_protos`, one callback per run
-    (None turns matching off): each is called once, right after the teacher
-    forward, with the fused features and labels of its run's genuine rows,
-    and returns the set to match against; that is how train_step refreshes
-    the batch prototypes without a second teacher forward.  Runs its own
-    forward passes, so it is self-contained and safe to call for gradient
-    checking.
+    only.  Prototypes and the teacher side of the distillation term are
+    constants with respect to the parameters; a run's theta entry comes
+    from the expected-loss surrogate at its theta (0.0 outside dynamic mode
+    or when the batch has no pseudo-pairs).  Prototype matching needs
+    `effective_protos` (None turns it off): it is called once, right after
+    the teacher forward, with the (k, N, H) fused features and (k, N)
+    labels of the batch stack and each run's genuine count (the rows the
+    prototypes come from lead each batch), and returns the (k, C, H) sets
+    to match against; that is how train_step refreshes the batch
+    prototypes without a second teacher forward.  When some run has pseudo
+    rows, every run's set needs a usable class.  Runs its own forward
+    passes, so it is self-contained and safe to call for gradient checking.
 
     Returns the k LossReports and the nets' (k, P) joint gradient buffer:
     nets.teacher_backward's, then nets.student_backward's, then theta's
@@ -359,8 +384,8 @@ def step_gradients(
     _, grads = joint_buffers(teacher, student)
     w = cfg.loss_weights
     k, n = len(plans), plans[0].size
-    n_gs = [plan.n_genuine for plan in plans]
-    lead = (k,) if k > 1 else ()  # one run has no run axis
+    lead = (k,) if k > 1 else ()  # one run's nets have no run axis
+    runs = range(k)
 
     # Rows: genuine pairs, then recipients (modality A) or donors (modality B),
     # each run's taken from its Dataset into its slot of the (k, N, ...) stack.
@@ -368,6 +393,7 @@ def step_gradients(
     labels = np.empty((k, n), dtype=np.int64)
     feats_a = np.empty((k, n, first.feat_a.shape[1]))
     feats_b = np.empty((k, n, first.feat_b.shape[1]))
+    n_gs = [plan.n_genuine for plan in plans]
     for i, ((paired, unpaired), plan, n_g) in enumerate(zip(pools, plans, n_gs)):
         try:
             if n_g == 0:
@@ -384,86 +410,87 @@ def step_gradients(
         data.labels.take(a_rows, 0, labels[i], "wrap")
         data.feat_a.take(a_rows, 0, feats_a[i], "wrap")
         data.feat_b.take(b_rows, 0, feats_b[i], "wrap")
-    labels, feats_a, feats_b = (x.reshape(lead + x.shape[1:]) for x in (labels, feats_a, feats_b))
+    n_g = np.array(n_gs)
+    genuine = np.arange(n) < n_g[:, None]  # (k, N): each run's genuine rows lead its batch
+    pseudo = ~genuine
+    labels_k, (labels, feats_a, feats_b) = labels, (
+        x.reshape(lead + x.shape[1:]) for x in (labels, feats_a, feats_b))
+
+    def stack(x: np.ndarray) -> np.ndarray:
+        """A (k, N, ...) view of the runs' batch rows, whether or not the nets have a run axis."""
+        return x.reshape((k,) + x.shape[len(lead):])
 
     h_b, fused, logits_t = teacher_forward(teacher, feats_a, feats_b)
     protos = None
     if effective_protos is not None:
-        protos = []
-        for i, (callback, n_g) in enumerate(zip(effective_protos, n_gs)):
-            genuine = _entries([i], k) + (slice(n_g),)
-            try:
-                protos.append(callback(fused[genuine], labels[genuine]))
-            except Exception as exc:
-                raise _blame(exc, [i])
+        try:
+            protos = effective_protos(stack(fused), labels_k, n_g)
+        except Exception as exc:
+            raise _blame(exc, runs)
     feat_s, logits_s = student_forward(student, feats_a)
 
     # Per-run term values, and upstream gradients, each allocated only when a term feeds it.
-    l_tea, l_stu, l_kl, l_pair, l_proto = ([0.0] * k for _ in range(5))
-    d_logits_t = d_logits_s = d_feat_s = d_h_b = None
+    l_tea = l_stu = l_kl = l_pair = l_proto = np.zeros(k)
+    d_logits_t = d_logits_s = d_feat_s = d_h_b = nll_t = nll_s = None
     if w.tea > 0.0:
         nll_t, d_logits_t = ce_loss(logits_t, labels)
-        l_tea = _per_run_list(np.add.reduce(nll_t, axis=-1) / n, k)
+        l_tea = np.add.reduce(stack(nll_t), axis=-1) / n
         d_logits_t /= n
         d_logits_t *= w.tea
     if w.stu > 0.0:
         nll_s, d_logits_s = ce_loss(logits_s, labels)
-        l_stu = _per_run_list(np.add.reduce(nll_s, axis=-1) / n, k)
+        l_stu = np.add.reduce(stack(nll_s), axis=-1) / n
         d_logits_s /= n
         d_logits_s *= w.stu
-    matching = w.proto > 0.0 and protos is not None
-    if w.kl > 0.0 and d_logits_s is None:
-        d_logits_s = np.zeros_like(logits_s)
+    try:
+        if w.kl > 0.0:
+            if d_logits_s is None:
+                d_logits_s = np.zeros_like(logits_s)
+            l_kl, g = kd_loss(stack(logits_s), stack(logits_t), cfg.kd_temperature, genuine)
+            g *= w.kl
+            np.add(stack(d_logits_s), g, out=stack(d_logits_s), where=genuine[..., None])
+        if w.proto > 0.0 and protos is not None and np.logical_or.reduce(pseudo, axis=None):
+            l_proto, g, _ = proto_loss(stack(feat_s), protos, cfg.proto_assignment, labels_k,
+                                       pseudo)
+            d_feat_s = np.zeros_like(feat_s)
+            g *= w.proto
+            np.add(stack(d_feat_s), g, out=stack(d_feat_s), where=pseudo[..., None])
+    except Exception as exc:
+        raise _blame(exc, runs)
     if w.pair > 0.0:
-        d_feat_s = np.zeros_like(feat_s)
-    # The terms that split the rows at n_g run once per group of runs sharing it:
-    # on the group's (N, ...) rows if it is one run, else on a (k_g, N, ...) stack.
-    groups: dict = {}
-    for i, n_g in enumerate(n_gs):
-        groups.setdefault(n_g, []).append(i)
-    for n_g, runs in groups.items():
-        sel = _entries(runs, k)
-        genuine, pseudo = sel + (slice(n_g),), sel + (slice(n_g, None),)
-        try:
-            if w.kl > 0.0:
-                value, g = kd_loss(logits_s[genuine], logits_t[genuine], cfg.kd_temperature)
-                _put(l_kl, runs, value)
-                g *= w.kl
-                d_logits_s[genuine] += g
-            if w.pair > 0.0:
-                sims, vjp = similarity_matrix(feat_s[genuine], h_b[sel], cfg.sim_temperature)
-                value, d_sims = pair_loss(sims)
-                _put(l_pair, runs, value)
+        # One call per group of runs sharing n_g: on the group's (N, ...) rows if
+        # it is one run, else on a (k_g, N, ...) stack.
+        if d_feat_s is None:
+            d_feat_s = np.zeros_like(feat_s)
+        l_pair = np.zeros(k)
+        groups: dict = {}
+        for i, count in enumerate(n_gs):
+            groups.setdefault(count, []).append(i)
+        for count, group in groups.items():
+            sel = _entries(group, k)
+            rows = sel + (slice(count),)
+            try:
+                sims, vjp = similarity_matrix(feat_s[rows], h_b[sel], cfg.sim_temperature)
+                l_pair[group], d_sims = pair_loss(sims)
                 d_anchor, d_b = vjp(d_sims)
-                if len(groups) == 1:
-                    d_h_b = d_b
-                else:
-                    if d_h_b is None:
-                        d_h_b = np.empty_like(h_b)
-                    d_h_b[sel] = d_b
-                d_anchor *= w.pair
-                d_feat_s[genuine] += d_anchor
-            if matching and n_g < n:  # no pseudo rows, nothing to match
-                group_protos = (protos[runs[0]] if len(runs) == 1
-                                else PrototypeSet.stack([protos[i] for i in runs]))
-                value, g, _ = proto_loss(feat_s[pseudo], group_protos, cfg.proto_assignment,
-                                         labels[pseudo])
-                _put(l_proto, runs, value)
-                if d_feat_s is None:
-                    d_feat_s = np.zeros_like(feat_s)
-                g *= w.proto
-                d_feat_s[pseudo] += g
-        except Exception as exc:
-            raise _blame(exc, runs)
-    if d_h_b is not None:
+            except Exception as exc:
+                raise _blame(exc, group)
+            if len(groups) == 1:
+                d_h_b = d_b
+            else:
+                if d_h_b is None:
+                    d_h_b = np.empty_like(h_b)
+                d_h_b[sel] = d_b
+            d_anchor *= w.pair
+            d_feat_s[rows] += d_anchor
         d_h_b *= w.pair
 
-    reports = []
-    for i, terms in enumerate(zip(l_tea, l_stu, l_kl, l_pair, l_proto)):
-        try:
-            reports.append(total_loss(*terms, w))
-        except NumericHealthError as exc:
-            raise _blame(exc, [i])
+    try:
+        report = total_loss(l_tea, l_stu, l_kl, l_pair, l_proto, w)
+    except NumericHealthError as exc:
+        raise _blame(exc, runs)
+    reports = [LossReport(*terms) for terms in zip(*(
+        getattr(report, f.name).tolist() for f in fields(LossReport)))]
     teacher_backward(
         teacher, np.zeros_like(logits_t) if d_logits_t is None else d_logits_t, d_h_b
     )
@@ -472,34 +499,25 @@ def step_gradients(
     )
 
     grads[:, -1] = 0.0
-    if cfg.ams_mode == "dynamic":
-        for n_g, runs in groups.items():
-            n_p = n - n_g
-            if n_p == 0:
+    n_p = n - n_g
+    if cfg.ams_mode == "dynamic" and np.logical_or.reduce(n_p > 0):
+        # Per run, the weighted objective over its genuine rows and over its pseudo rows.
+        ce_genuine, ce_pseudo = [0.0, 0.0], [0.0, 0.0]  # the teacher's, then the student's
+        for j, (weight, nll) in enumerate(((w.tea, nll_t), (w.stu, nll_s))):
+            if weight > 0.0:
+                ce_genuine[j] = weight * (run_sums(stack(nll), genuine) / n_g)
+                ce_pseudo[j] = weight * (run_sums(stack(nll), pseudo) / np.maximum(n_p, 1))
+        loss_genuine = (ce_genuine[0] + ce_genuine[1] + w.kl * report.l_kl
+                        + w.pair * report.l_pair)
+        loss_pseudo = ce_pseudo[0] + ce_pseudo[1] + w.proto * report.l_proto
+        for i, theta, g_loss, p_loss in zip(runs, thetas, loss_genuine.tolist(),
+                                            loss_pseudo.tolist()):
+            if n_p[i] == 0:
                 continue
-            sel = _entries(runs, k)
-            # per run: the sums of its genuine rows' and its pseudo rows' losses
-            sums_t = sums_s = [(0.0, 0.0)] * len(runs)
-            if w.tea > 0.0:
-                sums_t = _split_sums(nll_t[sel], n_g, len(runs))
-            if w.stu > 0.0:
-                sums_s = _split_sums(nll_s[sel], n_g, len(runs))
-            for i, (g_t, p_t), (g_s, p_s) in zip(runs, sums_t, sums_s):
-                loss_genuine = (
-                    (w.tea * (g_t / n_g) if w.tea > 0.0 else 0.0)
-                    + (w.stu * (g_s / n_g) if w.stu > 0.0 else 0.0)
-                    + w.kl * reports[i].l_kl
-                    + w.pair * reports[i].l_pair
-                )
-                loss_pseudo = (
-                    (w.tea * (p_t / n_p) if w.tea > 0.0 else 0.0)
-                    + (w.stu * (p_s / n_p) if w.stu > 0.0 else 0.0)
-                    + w.proto * reports[i].l_proto
-                )
-                try:
-                    grads[i, -1] = theta_gradient(thetas[i], loss_genuine, loss_pseudo)
-                except NumericHealthError as exc:
-                    raise _blame(exc, [i])
+            try:
+                grads[i, -1] = theta_gradient(theta, g_loss, p_loss)
+            except NumericHealthError as exc:
+                raise _blame(exc, [i])
     return reports, grads
 
 
@@ -514,55 +532,36 @@ def _entries(runs: list, k: int) -> tuple:
     return (slice(None),) if len(runs) == k else (np.array(runs),)
 
 
-def _per_run_list(values, k: int) -> list:
-    """k runs' values as floats: `values` is a scalar for one run, else (k,)."""
-    return [float(values)] if k == 1 else values.tolist()
-
-
-def _put(values: list, runs: list, value) -> None:
-    """Store a kernel's value for `runs`: a float for one run, an array for a stack."""
-    if len(runs) == 1:
-        values[runs[0]] = value
-    else:
-        for run, v in zip(runs, value.tolist()):
-            values[run] = v
-
-
-def _split_sums(nll: np.ndarray, n_g: int, k: int) -> list:
-    """Per run of k runs' row losses, (N,) for one run, else (k, N): the sum of
-    its rows :n_g and the sum of its rows n_g:."""
-    return list(zip(_per_run_list(np.add.reduce(nll[..., :n_g], axis=-1), k),
-                    _per_run_list(np.add.reduce(nll[..., n_g:], axis=-1), k)))
-
-
 def train_step(
     teacher: TeacherNet,
     student: StudentNet,
     pools: Sequence[tuple[SamplePool, SamplePool]],
     plans: Sequence[BatchPlan],
-    protos: Sequence[PrototypeSet],
+    protos: PrototypeSet,
     params: np.ndarray,
     adam: AdamState,
     cfg: TrainConfig,
     lr: float,
     step: int,
     decay_mask: np.ndarray,
-) -> tuple[list, list]:
-    """Run one training step of R runs in lockstep; returns each run's new
-    prototypes and step trace, in run order.
+) -> tuple[PrototypeSet, list]:
+    """Run one training step of R runs in lockstep; returns the runs' new
+    prototypes, as one set along the run axis, and each run's step trace,
+    in run order.
 
     `teacher` and `student` are the runs' nets along the run axis, and
     `params` is the (R, P) buffer, one row [teacher | student | theta] per
-    run, that nets.bind_joint_params bound them to; `pools`, `plans` and
-    `protos` hold one entry per run.  The runs whose plans have the same
-    size share one step_gradients call (every run, unless a plan has a
-    shortfall).  Each run's gradient row is clipped on its own; then one
-    Adam update writes `params` and `adam` in place, which updates the nets
-    and each theta (params[:, -1]); a trace's ratio is the one at the
-    updated theta.  A gradient whose global norm is not finite raises
-    NumericHealthError before the update, so `params` keeps the last
-    finite values.  A run's `protos` entry is its running set under the
-    "paired" strategy and a fixed epoch-level set under "all".
+    run, that nets.bind_joint_params bound them to; `pools` and `plans`
+    hold one entry per run, and `protos` the runs' (R, C, H) sets: their
+    running sets under the "paired" strategy, whose refresh from the batch
+    stack runs once per step_gradients call, and fixed epoch-level sets
+    under "all".  The runs whose plans have the same size share one
+    step_gradients call (every run, unless a plan has a shortfall).  Each
+    run's gradient row is clipped on its own; then one Adam update writes
+    `params` and `adam` in place, which updates the nets and each theta
+    (params[:, -1]); a trace's ratio is the one at the updated theta.  A
+    gradient whose global norm is not finite raises NumericHealthError
+    before the update, so `params` keeps the last finite values.
     `decay_mask` keeps weight decay off theta; fit builds it once
     (_decay_mask).  A failure that belongs to one run carries its index as
     `exc.run` (see _blame).
@@ -571,53 +570,54 @@ def train_step(
     if bound is not params:
         raise UsageError("teacher and student are bound to another buffer than params")
 
-    runs = range(len(plans))
-    n_stale = [0] * len(plans)
-    effective_protos = None
-    new_protos = list(protos)
-    if cfg.proto_strategy == "paired":
+    k = len(plans)
+    n_stale = np.zeros(k, dtype=np.int64)
+    refreshed = []  # (runs, their updated running sets) per step_gradients call
 
-        def refresh(run: int) -> Callable[[np.ndarray, np.ndarray], PrototypeSet]:
-            def batch_prototypes(fused: np.ndarray, labels: np.ndarray) -> PrototypeSet:
-                """Batch prototypes from the step's own teacher forward of the genuine rows."""
-                batch = compute_batch_prototypes(fused, labels, teacher.num_classes)
-                new_protos[run] = update_running_prototypes(protos[run], batch,
-                                                            cfg.proto_momentum)
-                n_stale[run] = int(batch.stale.sum())
-                return with_fallback(batch, new_protos[run])
+    def prototypes_of(runs):
+        """The step_gradients prototype callback for `runs` (a slice or an index array)."""
+        if cfg.proto_strategy == "all":
+            return lambda fused, labels, n_genuine: protos.select(runs)
+        if cfg.proto_strategy == "none":
+            return None
 
-            return batch_prototypes
+        def batch_prototypes(fused, labels, n_genuine) -> PrototypeSet:
+            """Batch prototypes from the step's own teacher forward of the genuine rows."""
+            batch = compute_batch_prototypes(fused, labels, teacher.num_classes, n_genuine)
+            running = update_running_prototypes(protos.select(runs), batch, cfg.proto_momentum)
+            refreshed.append((runs, running))
+            n_stale[runs] = np.add.reduce(batch.stale, axis=-1)
+            return with_fallback(batch, running)
 
-        effective_protos = [refresh(run) for run in runs]
-    elif cfg.proto_strategy == "all":
-        effective_protos = [lambda fused, labels, p=p: p for p in protos]
-        n_stale = [int(p.stale.sum()) for p in protos]
+        return batch_prototypes
 
+    if cfg.proto_strategy == "all":
+        n_stale = np.add.reduce(protos.stale, axis=-1)
     thetas = params[:, -1].tolist()
     by_size: dict = {}
     for run, plan in enumerate(plans):
         by_size.setdefault(plan.size, []).append(run)
     try:
         if len(by_size) == 1:
-            reports, _ = step_gradients(teacher, student, pools, plans, effective_protos,
-                                        thetas, cfg)
+            reports, _ = step_gradients(teacher, student, pools, plans,
+                                        prototypes_of(slice(None)), thetas, cfg)
         else:  # each size group steps on copies of its rows
-            reports = [None] * len(plans)
+            reports = [None] * k
             for group in by_size.values():
                 rows = params[group]
                 nets = stack_runs(teacher, student, rows, np.empty_like(rows))
                 pick = lambda items: [items[run] for run in group]
                 try:
                     group_reports, group_grads = step_gradients(
-                        *nets, pick(pools), pick(plans),
-                        effective_protos and pick(effective_protos), pick(thetas), cfg,
+                        *nets, pick(pools), pick(plans), prototypes_of(np.array(group)),
+                        pick(thetas), cfg,
                     )
                 except Exception as exc:
                     raise _blame(exc, group)
                 grads[group] = group_grads
                 for run, report in zip(group, group_reports):
                     reports[run] = report
-        for run in runs:
+        for run in range(k):
             row = grads[run]
             try:
                 clipped = clip_global_norm(row, cfg.grad_clip)
@@ -632,8 +632,17 @@ def train_step(
         raise failure from exc
 
     adam_update(params, grads, adam, lr, cfg.weight_decay, decay_mask)
+    new_protos = protos
+    if len(refreshed) == 1:
+        new_protos = refreshed[0][1]
+    elif refreshed:
+        new_protos = PrototypeSet(values=protos.values.copy(), counts=protos.counts.copy())
+        for runs, running in refreshed:
+            new_protos.values[runs] = running.values
+            new_protos.counts[runs] = running.counts
     traces = []
-    for run, (plan, theta) in enumerate(zip(plans, params[:, -1].tolist())):
+    for run, (plan, theta, stale) in enumerate(zip(plans, params[:, -1].tolist(),
+                                                   n_stale.tolist())):
         try:
             ratio = sampling_ratio(cfg.ams_mode, theta, cfg.fixed_ratio)
         except NumericHealthError as exc:
@@ -646,7 +655,7 @@ def train_step(
             lr=lr,
             n_genuine=plan.n_genuine,
             n_pseudo=plan.n_pseudo,
-            n_stale=n_stale[run],
+            n_stale=stale,
         ))
     return new_protos, traces
 
@@ -736,9 +745,12 @@ def _training_pools(
         raise ConfigError(
             f"teacher fused dim {teacher.feat_dim} != student feature dim {student.feat_dim}"
         )
-    pools = samples if prepared(samples) else prepare_pools(
-        Dataset.from_samples(samples), np.arange(len(samples))
-    )
+    if prepared(samples):
+        pools = samples
+    elif any(isinstance(item, SamplePool) for item in samples):
+        raise UsageError("a fit's pool pair must come from ams.prepare_pools")
+    else:
+        pools = prepare_pools(Dataset.from_samples(samples), np.arange(len(samples)))
     # prepare_pools gives every unpaired class a paired donor, so the paired
     # pool holds every label of the training set.
     labels = np.array(list(pools[0].class_counts))
@@ -760,14 +772,14 @@ def _fit_lockstep(
         [(t, s, 0.0) for t, s in nets])
     adam = AdamState.zeros(params.shape)
     decay_mask = _decay_mask(params.shape[1])
-    protos = [empty_prototypes(num_classes, feat_dim)] * len(nets)
+    protos = PrototypeSet.stack([empty_prototypes(num_classes, feat_dim)] * len(nets))
     epoch_traces: list[list] = [[] for _ in nets]
     step = 0
     ratios = [sampling_ratio(cfg.ams_mode, 0.0, cfg.fixed_ratio)] * len(nets)
 
     for epoch in range(cfg.epochs):
         if cfg.proto_strategy == "all":
-            protos = _each_run(global_prototypes, zip(teachers, pools))
+            protos = PrototypeSet.stack(_each_run(global_prototypes, zip(teachers, pools)))
         step_traces: list[list] = [[] for _ in nets]
         for _ in range(steps_per_epoch):
             plans = _each_run(build_batch, (
@@ -787,8 +799,9 @@ def _fit_lockstep(
             run_epochs.append(_epoch_trace(epoch, run_traces))
 
     return [
-        FitResult(teacher=t, student=s, epoch_traces=traces, prototypes=p, steps=step)
-        for (t, s), traces, p in zip(nets, epoch_traces, protos)
+        FitResult(teacher=t, student=s, epoch_traces=traces, prototypes=protos.select(run),
+                  steps=step)
+        for run, ((t, s), traces) in enumerate(zip(nets, epoch_traces))
     ]
 
 

@@ -194,15 +194,16 @@ def _check_proto_instance(rng, assignment):
 
 
 def constant(protos):
-    """A step_gradients prototype callback that matches against `protos` in every batch."""
-    return lambda fused, labels: protos
+    """A step_gradients prototype callback that matches the one run's batch
+    against `protos` in every step."""
+    return lambda fused, labels, n_genuine: PrototypeSet.stack([protos])
 
 
 def one_run_gradients(teacher, student, pools, plan, callback, theta, cfg):
     """step_gradients for the one run that bind_joint_params laid the nets out as:
     its report and gradient row."""
     nets = stack_runs(teacher, student, *joint_buffers(teacher, student))
-    reports, grads = step_gradients(*nets, [pools], [plan], [callback], [theta], cfg)
+    reports, grads = step_gradients(*nets, [pools], [plan], callback, [theta], cfg)
     return reports[0], grads[0]
 
 
@@ -665,7 +666,7 @@ def test_c9_degenerates_to_plain_distillation():
     params, *nets = bind_joint_params([(teacher, student, 0.0)])
     adam = AdamState.zeros(params.shape)
     decay_mask = _decay_mask(params.shape[1])
-    protos = empty_prototypes(2, teacher.feat_dim)
+    protos = PrototypeSet.stack([empty_prototypes(2, teacher.feat_dim)])
     worst = 0.0
 
     for step in range(total_steps):
@@ -685,8 +686,8 @@ def test_c9_degenerates_to_plain_distillation():
         ref_total = ref_tea + ref_stu + 0.5 * ref_kd
 
         lr = cosine_lr(step, total_steps, cfg.learning_rate)
-        (protos,), (trace,) = train_step(
-            *nets, [pools], [plan], [protos], params, adam, cfg, lr, step, decay_mask,
+        protos, (trace,) = train_step(
+            *nets, [pools], [plan], protos, params, adam, cfg, lr, step, decay_mask,
         )
         rep = trace.report
         assert rep.l_pair == 0.0 and rep.l_proto == 0.0

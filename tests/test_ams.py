@@ -66,6 +66,7 @@ def test_train_config_validates_the_sampling_settings():
     for bad, message in (
         ({"ams_mode": "auto"}, "ams_mode must be one of"),
         ({"fixed_ratio": 1.5}, "fixed_ratio must be in"),
+        ({"ams_mode": "fixed", "fixed_ratio": 0.0}, "every batch needs a genuine pair"),
         ({"ams_mode": "none", "fixed_ratio": math.nan}, "fixed_ratio must be in"),
     ):
         with pytest.raises(ConfigError, match=message):

@@ -81,6 +81,7 @@ def test_arm_spec_validation():
         ({"name": ""}, "arm name must be nonempty"),
         ({"name": "a,b"}, "arm name must be nonempty"),
         ({"name": "two words"}, "arm name must be nonempty"),
+        ({"name": "nul\0byte"}, "arm name must be nonempty"),
         ({"name": "x", "pcm": True, "proto_strategy": "none"},
          "arm x: prototype strategy 'none' forces pcm off"),
         ({"name": "x", "rates": (1.5,)}, r"arm x: missing rate 1.5 outside \[0, 1\]"),
@@ -1116,7 +1117,7 @@ VALID = {
     (TrainConfig, "loss_weights"): st.just(({}, LossWeights())),
     (TrainConfig, "ams_mode"): choices(["dynamic"]),
     (TrainConfig, "proto_strategy"): choices(["paired"]),
-    (TrainConfig, "fixed_ratio"): RATE,
+    (TrainConfig, "fixed_ratio"): floats(0, 1, exclude_min=True),
     (TrainConfig, "proto_momentum"): floats(0, 1, exclude_max=True),
     (TrainConfig, "proto_assignment"): choices(["nearest", "true_class"]),
     (DatasetConfig, "num_classes"): choices([2]),
@@ -1126,7 +1127,7 @@ VALID = {
     (DatasetConfig, "class_separation"): NONNEGATIVE,
     (DatasetConfig, "noise_scale"): POSITIVE,
     (DatasetConfig, "missing_rate"): floats(0, 0),
-    (ArmSpec, "name"): st.text(st.characters(exclude_characters=",/\\ "), min_size=1,
+    (ArmSpec, "name"): st.text(st.characters(exclude_characters=",/\\ \0"), min_size=1,
                                max_size=6).map(lambda s: (s, s)),
     (ArmSpec, "ams"): choices(["none", "fixed", "dynamic"]),
     (ArmSpec, "proto_strategy"): choices(["none", "all", "paired"]),
@@ -1169,6 +1170,44 @@ def test_scenario_from_dict_builds_the_config_it_mirrors(pair):
     got = scenario_from_dict(raw)
     assert got == expected
     assert repr(got) == repr(expected)  # ints stay ints, floats become floats
+
+
+def capped(cfg: ScenarioConfig, out: str) -> ScenarioConfig:
+    """`cfg` at a size a test runs in a moment: at most 2 epochs, 3 folds,
+    12 samples per class and widths of 4, writing to `out`."""
+    return replace(
+        cfg,
+        dataset=replace(cfg.dataset, samples_per_class=min(cfg.dataset.samples_per_class, 12),
+                        dim_a=min(cfg.dataset.dim_a, 4), dim_b=min(cfg.dataset.dim_b, 4)),
+        train=replace(cfg.train, epochs=min(cfg.train.epochs, 2)),
+        k_folds=min(cfg.k_folds, 3), feat_dim=min(cfg.feat_dim, 4),
+        hidden_width=min(cfg.hidden_width, 4), output_dir=out,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=json_and_config(ScenarioConfig))
+def test_a_scenario_that_builds_completes_or_fails_before_writing_a_file(pair):
+    """A tiny scenario run in this process, where an arm's rates, folds and
+    size groups step in one lockstep stack, either completes or fails before
+    any file exists under its output directory.  A loss or gradient that
+    turns non-finite (NumericHealthError) is the one failure allowed after
+    earlier runs wrote their files.  The drawn scales reach float overflow,
+    which NumPy reports as a warning and the program as NumericHealthError;
+    the warnings are silenced, so the program's own error is what is seen."""
+    import tempfile
+
+    from pgad.errors import NumericHealthError
+
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        cfg = capped(pair[1], os.path.join(tmp, "out"))
+        try:
+            summary = run_scenario(cfg)
+        except Exception as exc:
+            written = [name for _, _, names in os.walk(cfg.output_dir) for name in names]
+            assert not written or isinstance(exc.__cause__, NumericHealthError), repr(exc)
+        else:
+            assert len(summary.cells) == sum(len(cfg.arm_rates(arm)) for arm in cfg.arms)
 
 
 JSON_KINDS = {
@@ -1241,9 +1280,9 @@ def grid_arms(rates=None) -> tuple:
 
 
 def test_every_grid_arm_writes_the_same_bytes_in_lockstep_and_in_a_pool(tmp_path, monkeypatch):
-    """In this process a cell's folds train in lockstep; a pool trains one fold
-    per job.  22 samples in 3 stratified folds train on 14 or 16 rows, so at batch size 7
-    a cell's folds take 2 or 3 steps per epoch and train in two groups; the
+    """In this process an arm's runs, every rate and fold, train in lockstep; a
+    pool trains one fold per job.  22 samples in 3 stratified folds train on 14 or 16 rows,
+    so at batch size 7 an arm's runs take 2 or 3 steps per epoch and train in two groups; the
     small paired pools leave batches short, so folds that step together draw
     batches of different sizes.  Every artifact must match."""
     from pgad import trainer
@@ -1272,7 +1311,7 @@ def test_every_grid_arm_writes_the_same_bytes_in_lockstep_and_in_a_pool(tmp_path
 
     jobs = harness._build_jobs(scenario(tmp_path / "jobs"))
     assert {len(job.data) - len(job.test_rows) for job in jobs} == {14, 16}
-    assert len(stepped) == 6 * 2 * 2 * (2 + 3)  # arms x rates x epochs x steps of each group
+    assert len(stepped) == 6 * 2 * (2 + 3)  # arms x epochs x steps of each group
     assert any(short for plans in stepped for _, _, short in plans)
     assert any(len({size for size, _, _ in plans}) > 1 for plans in stepped)
     assert any(len({n_g for _, n_g, _ in plans}) > 1 for plans in stepped)
@@ -1281,23 +1320,31 @@ def test_every_grid_arm_writes_the_same_bytes_in_lockstep_and_in_a_pool(tmp_path
     assert serial == pooled
 
 
-def test_a_failing_fold_of_a_lockstep_cell_is_named(tmp_path, monkeypatch):
-    """The third fold's gradient turns non-finite at step 3 of a cell whose
-    folds step together: the failure names that fold and step."""
+@pytest.mark.parametrize("rates, failing, name", [
+    ((0.5,), 3 * 3 + 2, r"rate=0\.5 fold=2"),
+    ((0.2, 0.5), 6 * 3 + 4, r"rate=0\.5 fold=1"),
+])
+def test_a_failing_fold_of_a_lockstep_cell_is_named(tmp_path, monkeypatch, rates, failing,
+                                                     name):
+    """One run's gradient turns non-finite at step 3 of an arm whose runs step
+    together: the failure names that run's rate and fold, and the step.
+    The arm's runs are its rates' folds in order, so the fifth run of a
+    two-rate arm of three folds is fold 1 of the second rate."""
     from pgad import trainer
 
-    cfg = replace(tiny_scenario(str(tmp_path)), k_folds=3, arms=(ArmSpec(name="full"),))
+    cfg = replace(tiny_scenario(str(tmp_path)), k_folds=3,
+                  arms=(ArmSpec(name="full", rates=rates),))
     clipped = []
     real_clip = trainer.clip_global_norm
 
-    def clip(grads, max_norm):  # called once per fold and step, in fold order
+    def clip(grads, max_norm):  # called once per run and step, in run order
         clipped.append(len(clipped))
-        if len(clipped) == 3 * 3 + 3:
+        if len(clipped) == failing + 1:
             grads[0] = math.nan
         return real_clip(grads, max_norm)
 
     monkeypatch.setattr(trainer, "clip_global_norm", clip)
-    with pytest.raises(ProtocolError, match=r"^arm=full rate=0\.5 fold=2 failed: step 3: "
+    with pytest.raises(ProtocolError, match=rf"^arm=full {name} failed: step 3: "
                                             r"gradient norm is not finite$"):
         run_scenario(cfg)
 

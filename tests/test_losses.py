@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgad.errors import (
     ConfigError,
@@ -496,3 +498,40 @@ def test_stacked_kernels_name_the_run_whose_input_fails():
     with pytest.raises(LabelError) as failure:  # one run's inputs name no run
         ce_loss(np.zeros((2, 2)), [0, 2])
     assert not hasattr(failure.value, "run")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kd_and_proto_over_a_full_stack_equal_their_grouped_values(data):
+    """A training step runs kd_loss on each run's genuine rows and proto_loss on
+    its pseudo rows once over the whole (R, N, ...) stack, with row masks.
+    Every run gets the value and gradient rows of the old grouped calls: one
+    call per group of runs sharing a genuine count, on the (k_g, n_g, ...)
+    slices; the rows outside a run's mask get a zero gradient."""
+    r = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(2, 48))
+    c = data.draw(st.sampled_from([2, 3]))
+    h = data.draw(st.sampled_from([2, 16]))
+    assignment = data.draw(st.sampled_from(["nearest", "true_class"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_genuine = np.array(data.draw(st.lists(st.integers(1, n - 1), min_size=r, max_size=r)))
+    genuine = np.arange(n) < n_genuine[:, None]
+    logits_s, logits_t = rng.standard_normal((2, r, n, c)) * 3
+    feats = rng.standard_normal((r, n, h))
+    labels = rng.integers(0, c, size=(r, n))
+    counts = rng.integers(0, 3, size=(r, c))
+    counts[np.arange(r), rng.integers(0, c, size=r)] += 1  # every run has a usable class
+    protos = PrototypeSet(values=rng.standard_normal((r, c, h)), counts=counts)
+
+    kd_value, kd_grad = kd_loss(logits_s, logits_t, 1.5, genuine)
+    proto_value, proto_grad, _ = proto_loss(feats, protos, assignment, labels, ~genuine)
+    assert not kd_grad[~genuine].any() and not proto_grad[genuine].any()
+    for count in set(n_genuine.tolist()):
+        group = np.flatnonzero(n_genuine == count)
+        value, grad = kd_loss(logits_s[group, :count], logits_t[group, :count], 1.5)
+        assert kd_value[group].tobytes() == value.tobytes()
+        assert kd_grad[group, :count].tobytes() == grad.tobytes()
+        value, grad, _ = proto_loss(feats[group, count:], protos.select(group), assignment,
+                                    labels[group, count:])
+        assert proto_value[group].tobytes() == value.tobytes()
+        assert proto_grad[group, count:].tobytes() == grad.tobytes()

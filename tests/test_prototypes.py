@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgad.errors import LabelError, ProtocolError, ShapeError
 from pgad.prototypes import (
@@ -204,3 +206,55 @@ def test_prototypes_csv_layout(tmp_path):
     assert float(first[3]) == pytest.approx(1.0)
     # stale class rows carry count 0 and flag 1
     assert lines[3].split(",")[:3] == ["2", "0", "1"]
+
+
+def reference_prototypes(feats, labels, num_classes):
+    """One run's class means as a per-class loop: np.add.reduce over the
+    class's rows alone, over their count (zeros for an absent class)."""
+    values = np.zeros((num_classes, feats.shape[1]))
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for c in range(num_classes):
+        rows = feats[labels == c]
+        counts[c] = len(rows)
+        if len(rows):
+            values[c] = np.add.reduce(rows, axis=0) / len(rows)
+    return values, counts
+
+
+def same_set(a, b) -> bool:
+    return (a.values.shape == b.values.shape and a.values.tobytes() == b.values.tobytes()
+            and np.array_equal(a.counts, b.counts) and np.array_equal(a.stale, b.stale))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_stacked_refresh_equals_the_refresh_of_each_run(data):
+    """compute_batch_prototypes over an (R, N, H) stack with each run's genuine
+    count, then update_running_prototypes and with_fallback over the (R, C, H)
+    sets, give every run the bits of the same calls on its rows alone, and
+    the batch means have the bits of a per-class loop."""
+    r = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 48))
+    h = data.draw(st.sampled_from([2, 16]))
+    c = data.draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    feats = rng.standard_normal((r, n, h)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    present = data.draw(st.lists(st.sampled_from(range(c)), min_size=1, max_size=c,
+                                 unique=True))  # the classes the batches draw from
+    labels = rng.choice(present, size=(r, n))
+    n_genuine = np.array(data.draw(st.lists(st.integers(1, n), min_size=r, max_size=r)))
+    running = PrototypeSet(values=rng.standard_normal((r, c, h)),
+                           counts=rng.integers(0, 3, size=(r, c)))  # stale where 0
+    momentum = data.draw(st.sampled_from([0.0, 0.5, 0.9]))
+
+    batch = compute_batch_prototypes(feats, labels, c, n_genuine)
+    updated = update_running_prototypes(running, batch, momentum)
+    effective = with_fallback(batch, updated)
+    for i, count in enumerate(n_genuine.tolist()):
+        alone = compute_batch_prototypes(feats[i, :count], labels[i, :count], c)
+        values, counts = reference_prototypes(feats[i, :count], labels[i, :count], c)
+        assert same_set(alone, PrototypeSet(values=values, counts=counts))
+        assert same_set(batch.select(i), alone)
+        alone_updated = update_running_prototypes(running.select(i), alone, momentum)
+        assert same_set(updated.select(i), alone_updated)
+        assert same_set(effective.select(i), with_fallback(alone, alone_updated))

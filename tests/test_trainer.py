@@ -27,7 +27,7 @@ from pgad.nets import (
     student_forward,
     teacher_forward,
 )
-from pgad.prototypes import compute_batch_prototypes, empty_prototypes
+from pgad.prototypes import PrototypeSet, compute_batch_prototypes, empty_prototypes
 from pgad.synthdata import DatasetConfig, generate_dataset
 from pgad import trainer
 from pgad.trainer import (
@@ -74,7 +74,7 @@ def one_run_gradients(teacher, student, pools, plan, callback, theta, cfg):
     """step_gradients for the one run of joint_nets' nets: its report and gradient row."""
     nets = stack_runs(teacher, student, *joint_buffers(teacher, student))
     reports, grads = step_gradients(*nets, [pools], [plan],
-                                    None if callback is None else [callback], [theta], cfg)
+                                    callback, [theta], cfg)
     return reports[0], grads[0]
 
 
@@ -89,7 +89,7 @@ def test_train_config_defaults_and_validation():
     replace(cfg, proto_strategy="none")  # prototype matching off
     for bad in ({"epochs": 0}, {"batch_size": 1}, {"ams_mode": "auto"},
                 {"proto_strategy": "batch"}, {"proto_momentum": 1.0},
-                {"proto_assignment": "mode"}):
+                {"proto_assignment": "mode"}, {"kd_temperature": 1e200}):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
         with pytest.raises(ConfigError):
@@ -211,8 +211,9 @@ def mixed_plan(ds, paired, unpaired, batch_size=10, seed=0):
 
 
 def constant(protos):
-    """A step_gradients prototype callback that matches against `protos` in every batch."""
-    return lambda fused, labels: protos
+    """A step_gradients prototype callback that matches the one run's batch
+    against `protos` in every step."""
+    return lambda fused, labels, n_genuine: PrototypeSet.stack([protos])
 
 
 def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
@@ -367,10 +368,10 @@ def test_step_gradients_fills_the_joint_buffer_of_bound_nets_in_place():
     assert buffer.shape == params.shape == (1, teacher.param_count + student.param_count + 1)
     nets = stack_runs(teacher, student, params, buffer)
     protos = global_prototypes(teacher, pools)
-    _, bound = step_gradients(*nets, [pools], [plan], [constant(protos)], [0.3], cfg)
+    _, bound = step_gradients(*nets, [pools], [plan], constant(protos), [0.3], cfg)
     assert bound is buffer
     assert np.array_equal(bound[0], kept)
-    _, bound_other = step_gradients(*nets, [pools], [other], [constant(protos)], [0.3], cfg)
+    _, bound_other = step_gradients(*nets, [pools], [other], constant(protos), [0.3], cfg)
     assert bound_other is buffer
     assert np.array_equal(bound[0], kept_other)  # overwritten by the second call
 
@@ -423,8 +424,8 @@ def test_train_step_updates_params_and_prototypes():
     before_t = teacher.get_params().copy()
     before_s = student.get_params().copy()
 
-    (new_protos,), (trace,) = train_step(
-        *nets, [pools], [plan], [protos], params, adam, cfg, lr=1e-3, step=0,
+    new_protos, (trace,) = train_step(
+        *nets, [pools], [plan], PrototypeSet.stack([protos]), params, adam, cfg, lr=1e-3, step=0,
         decay_mask=trainer._decay_mask(params.shape[1]),
     )
     assert not np.array_equal(teacher.get_params(), before_t)
@@ -445,7 +446,7 @@ def test_train_step_theta_frozen_outside_dynamic():
     teacher, student, nets, params, adam = bound_nets()
     cfg = TrainConfig(ams_mode="none")
     _, (trace,) = train_step(
-        *nets, [pools], [plan], [empty_prototypes(2, teacher.feat_dim)],
+        *nets, [pools], [plan], PrototypeSet.stack([empty_prototypes(2, teacher.feat_dim)]),
         params, adam, cfg, lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]),
     )
     assert params[0, -1] == trace.theta == 0.0
@@ -459,7 +460,8 @@ def test_train_step_requires_genuine_rows():
     teacher, student, nets, params, adam = bound_nets()
     with pytest.raises(ProtocolError, match="^step 0: batch has no genuine pair$"):
         train_step(*nets, [pools], [plan],
-                   [empty_prototypes(2, teacher.feat_dim)], params, adam, TrainConfig(),
+                   PrototypeSet.stack([empty_prototypes(2, teacher.feat_dim)]), params, adam,
+                   TrainConfig(),
                    lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]))
 
 
@@ -469,12 +471,12 @@ def test_train_step_requires_nets_bound_to_params():
     teacher, student, nets, params, adam = bound_nets()
     protos = empty_prototypes(2, teacher.feat_dim)
     with pytest.raises(UsageError, match="bound to another buffer than params"):
-        train_step(*nets, [pools], [plan], [protos],
+        train_step(*nets, [pools], [plan], PrototypeSet.stack([protos]),
                    params.copy(), adam, TrainConfig(), lr=1e-3, step=0,
                    decay_mask=trainer._decay_mask(params.shape[1]))
     free_t, free_s = make_nets()
     with pytest.raises(UsageError, match="must be bound together"):
-        train_step(free_t, free_s, [pools], [plan], [protos], params, adam, TrainConfig(),
+        train_step(free_t, free_s, [pools], [plan], PrototypeSet.stack([protos]), params, adam, TrainConfig(),
                    lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]))
 
 
@@ -609,6 +611,20 @@ def test_fit_errors():
     three_class = [replace_label(s, 2) for s in ds[:4]] + list(ds[4:])
     with pytest.raises(ConfigError):
         fit(teacher, student, three_class, fast_cfg())
+
+
+def test_fit_rejects_a_pool_pair_that_prepare_pools_did_not_build():
+    """fit takes the pools of ams.prepare_pools or Samples; a pool pair built
+    by hand has no donor check behind it, and is refused up front."""
+    from pgad.ams import SamplePool
+    from pgad.synthdata import Dataset
+
+    ds, _, _ = make_data()
+    data = Dataset.from_samples(ds)
+    pools = (SamplePool(data, True, rows=np.flatnonzero(data.paired)),
+             SamplePool(data, False, rows=np.flatnonzero(~data.paired)))
+    with pytest.raises(UsageError, match="must come from ams.prepare_pools"):
+        fit(*make_nets(), pools, TrainConfig(epochs=1, batch_size=6))
 
 
 def replace_label(sample, label):
