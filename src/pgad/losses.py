@@ -82,12 +82,12 @@ class LossReport:
 def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
     """ufunc.reduce(x, axis=-1, keepdims=True) for np.add or np.maximum.
 
-    A row of fewer than 8 entries is folded from the left, column by column:
-    np.add.reduce sums such a row in that order, so the bits are the same,
-    but NumPy reduces a short last axis one row at a time, several times
-    slower on a stack of class logits.
+    Many rows of fewer than 8 entries, such as a stack of class logits, are
+    folded from the left, column by column: np.add.reduce sums such a row in
+    that order, so the bits are the same, but NumPy reduces a short last
+    axis one row at a time, which takes longer from about 64 rows on.
     """
-    if x.shape[-1] >= 8 or x.shape[-1] == 0:
+    if not 0 < x.shape[-1] < 8 or x.size < 64 * x.shape[-1]:
         return ufunc.reduce(x, axis=-1, keepdims=True)
     out = x[..., :1].copy()
     for c in range(1, x.shape[-1]):
@@ -193,7 +193,7 @@ def kd_loss(
     if s.shape != t.shape:
         raise ShapeError(f"logit shapes differ: student {s.shape} vs teacher {t.shape}")
     n = s.shape[-2] if rows is None else np.add.reduce(rows, axis=-1)
-    if np.logical_or.reduce(n == 0, axis=None):
+    if (n == 0) if rows is None else not n.all():
         raise EmptyBatchError("kd_loss needs at least one sample")
 
     log_ps = _log_softmax(s / temperature)

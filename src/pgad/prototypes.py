@@ -98,18 +98,17 @@ def compute_batch_prototypes(
         if low < 0 or high >= num_classes:
             raise LabelError(f"labels must lie in [0, {num_classes}), got range [{low}, {high}]")
 
-    # member[..., c, i]: row i counts toward class c.  The rows, outermost in
-    # `rows`, hold each class's features and zeros elsewhere, so one reduce
+    # member[i, ..., c]: row i of a run counts toward class c.  The rows hold
+    # each class's features and zeros elsewhere, rows outermost, so one reduce
     # over them adds a class's rows one after another for every run and class
     # at once; adding a zero row leaves a sum as it was.
-    member = labels[..., None, :] == np.arange(num_classes)[:, None]
+    member = labels.T[..., None] == np.arange(num_classes)
     if n_rows is not None:
         n = fused_feats.shape[-2]
-        member &= (np.arange(n) < np.asarray(n_rows)[..., None])[..., None, :]
-    counts = np.add.reduce(member, axis=-1, dtype=np.int64)
-    rows = np.zeros((fused_feats.shape[-2],) + counts.shape + fused_feats.shape[-1:])
-    np.copyto(rows, np.moveaxis(fused_feats, -2, 0)[..., None, :],
-              where=np.moveaxis(member, -1, 0)[..., None])
+        member &= (np.arange(n) < np.asarray(n_rows)[..., None]).T[..., None]
+    counts = np.add.reduce(member, axis=0, dtype=np.int64)
+    rows = np.zeros(member.shape + fused_feats.shape[-1:])
+    np.copyto(rows, fused_feats.swapaxes(0, -2)[..., None, :], where=member[..., None])
     sums = np.add.reduce(rows, axis=0)
     return PrototypeSet(values=sums / np.maximum(counts, 1)[..., None], counts=counts)
 

@@ -22,7 +22,7 @@ products change bits with the row count, runs once per group of runs
 sharing a genuine count n_g.  Nothing is padded, so each run gets the
 bits it gets alone.  The runs' running prototypes are one PrototypeSet
 along the run axis, and each FitResult gets its run's set.  fit is
-fit_runs of one run, whose nets have no run axis.  A failure that
+fit_runs of one run, whose nets, batch and prototypes have no run axis.  A failure that
 belongs to one run carries its index as `exc.run`, which the harness
 turns into its rate and fold.
 
@@ -369,7 +369,7 @@ def step_gradients(
     the teacher forward, with the (k, N, H) fused features and (k, N)
     labels of the batch stack and each run's genuine count (the rows the
     prototypes come from lead each batch), and returns the (k, C, H) sets
-    to match against; that is how train_step refreshes the batch
+    to match against (one run's arrays, count and set have no run axis); that is how train_step refreshes the batch
     prototypes without a second teacher forward.  When some run has pseudo
     rows, every run's set needs a usable class.  Runs its own forward
     passes, so it is self-contained and safe to call for gradient checking.
@@ -397,11 +397,14 @@ def step_gradients(
     for i, ((paired, unpaired), plan, n_g) in enumerate(zip(pools, plans, n_gs)):
         try:
             if n_g == 0:
+                if sampling_ratio(cfg.ams_mode, thetas[i], cfg.fixed_ratio) == 0.0:
+                    raise NumericHealthError(f"theta {thetas[i]!r} drove the sampling ratio "
+                                             f"to 0, so the batch has no genuine pair")
                 raise ProtocolError("batch has no genuine pair")
             if plan.size != n:
                 raise UsageError(f"plans stepped together need one size, got {plan.size} and {n}")
             b_rows, r_rows = plan.rows(paired, unpaired)
-        except (ProtocolError, UsageError) as exc:
+        except (NumericHealthError, ProtocolError, UsageError) as exc:
             raise _blame(exc, [i])
         data, b_rows = paired.data, paired.rows[b_rows]
         a_rows = np.concatenate((b_rows[:n_g], unpaired.rows[r_rows]))
@@ -410,51 +413,57 @@ def step_gradients(
         data.labels.take(a_rows, 0, labels[i], "wrap")
         data.feat_a.take(a_rows, 0, feats_a[i], "wrap")
         data.feat_b.take(b_rows, 0, feats_b[i], "wrap")
-    n_g = np.array(n_gs)
-    genuine = np.arange(n) < n_g[:, None]  # (k, N): each run's genuine rows lead its batch
-    pseudo = ~genuine
-    labels_k, (labels, feats_a, feats_b) = labels, (
-        x.reshape(lead + x.shape[1:]) for x in (labels, feats_a, feats_b))
-
-    def stack(x: np.ndarray) -> np.ndarray:
-        """A (k, N, ...) view of the runs' batch rows, whether or not the nets have a run axis."""
-        return x.reshape((k,) + x.shape[len(lead):])
+    # Each run's genuine rows lead its batch.  When every run splits at one count
+    # (always so for one run), the terms take the genuine and the pseudo rows as
+    # slices; otherwise they take the whole stack and (k, N) row masks.
+    every_run = (slice(None),) * len(lead)
+    if len(set(n_gs)) == 1:
+        genuine, pseudo = every_run + (slice(n_gs[0]),), every_run + (slice(n_gs[0], None),)
+        genuine_rows = pseudo_rows = None
+    else:
+        genuine = pseudo = ()
+        genuine_rows = np.arange(n) < np.array(n_gs)[:, None]
+        pseudo_rows = ~genuine_rows
+    labels, feats_a, feats_b = (x.reshape(lead + x.shape[1:]) for x in (labels, feats_a, feats_b))
 
     h_b, fused, logits_t = teacher_forward(teacher, feats_a, feats_b)
     protos = None
     if effective_protos is not None:
         try:
-            protos = effective_protos(stack(fused), labels_k, n_g)
+            protos = effective_protos(fused, labels, np.array(n_gs).reshape(lead))
         except Exception as exc:
             raise _blame(exc, runs)
     feat_s, logits_s = student_forward(student, feats_a)
 
-    # Per-run term values, and upstream gradients, each allocated only when a term feeds it.
-    l_tea = l_stu = l_kl = l_pair = l_proto = np.zeros(k)
+    # Per-run term values (floats for one run), and upstream gradients, each
+    # allocated only when a term feeds it.
+    l_tea = l_stu = l_kl = l_proto = np.zeros(k) if k > 1 else 0.0
+    l_pair = np.zeros(k)
     d_logits_t = d_logits_s = d_feat_s = d_h_b = nll_t = nll_s = None
     if w.tea > 0.0:
         nll_t, d_logits_t = ce_loss(logits_t, labels)
-        l_tea = np.add.reduce(stack(nll_t), axis=-1) / n
+        l_tea = np.add.reduce(nll_t, axis=-1) / n
         d_logits_t /= n
         d_logits_t *= w.tea
     if w.stu > 0.0:
         nll_s, d_logits_s = ce_loss(logits_s, labels)
-        l_stu = np.add.reduce(stack(nll_s), axis=-1) / n
+        l_stu = np.add.reduce(nll_s, axis=-1) / n
         d_logits_s /= n
         d_logits_s *= w.stu
     try:
         if w.kl > 0.0:
             if d_logits_s is None:
                 d_logits_s = np.zeros_like(logits_s)
-            l_kl, g = kd_loss(stack(logits_s), stack(logits_t), cfg.kd_temperature, genuine)
+            l_kl, g = kd_loss(logits_s[genuine], logits_t[genuine], cfg.kd_temperature,
+                              genuine_rows)
             g *= w.kl
-            np.add(stack(d_logits_s), g, out=stack(d_logits_s), where=genuine[..., None])
-        if w.proto > 0.0 and protos is not None and np.logical_or.reduce(pseudo, axis=None):
-            l_proto, g, _ = proto_loss(stack(feat_s), protos, cfg.proto_assignment, labels_k,
-                                       pseudo)
+            _add_rows(d_logits_s[genuine], g, genuine_rows)
+        if w.proto > 0.0 and protos is not None and min(n_gs) < n:  # some run has pseudo rows
+            l_proto, g, _ = proto_loss(feat_s[pseudo], protos, cfg.proto_assignment,
+                                       labels[pseudo], pseudo_rows)
             d_feat_s = np.zeros_like(feat_s)
             g *= w.proto
-            np.add(stack(d_feat_s), g, out=stack(d_feat_s), where=pseudo[..., None])
+            _add_rows(d_feat_s[pseudo], g, pseudo_rows)
     except Exception as exc:
         raise _blame(exc, runs)
     if w.pair > 0.0:
@@ -462,7 +471,6 @@ def step_gradients(
         # it is one run, else on a (k_g, N, ...) stack.
         if d_feat_s is None:
             d_feat_s = np.zeros_like(feat_s)
-        l_pair = np.zeros(k)
         groups: dict = {}
         for i, count in enumerate(n_gs):
             groups.setdefault(count, []).append(i)
@@ -486,10 +494,10 @@ def step_gradients(
         d_h_b *= w.pair
 
     try:
-        report = total_loss(l_tea, l_stu, l_kl, l_pair, l_proto, w)
+        report = total_loss(l_tea, l_stu, l_kl, l_pair if k > 1 else l_pair[0], l_proto, w)
     except NumericHealthError as exc:
         raise _blame(exc, runs)
-    reports = [LossReport(*terms) for terms in zip(*(
+    reports = [report] if k == 1 else [LossReport(*terms) for terms in zip(*(
         getattr(report, f.name).tolist() for f in fields(LossReport)))]
     teacher_backward(
         teacher, np.zeros_like(logits_t) if d_logits_t is None else d_logits_t, d_h_b
@@ -499,26 +507,42 @@ def step_gradients(
     )
 
     grads[:, -1] = 0.0
-    n_p = n - n_g
-    if cfg.ams_mode == "dynamic" and np.logical_or.reduce(n_p > 0):
-        # Per run, the weighted objective over its genuine rows and over its pseudo rows.
-        ce_genuine, ce_pseudo = [0.0, 0.0], [0.0, 0.0]  # the teacher's, then the student's
-        for j, (weight, nll) in enumerate(((w.tea, nll_t), (w.stu, nll_s))):
-            if weight > 0.0:
-                ce_genuine[j] = weight * (run_sums(stack(nll), genuine) / n_g)
-                ce_pseudo[j] = weight * (run_sums(stack(nll), pseudo) / np.maximum(n_p, 1))
-        loss_genuine = (ce_genuine[0] + ce_genuine[1] + w.kl * report.l_kl
-                        + w.pair * report.l_pair)
-        loss_pseudo = ce_pseudo[0] + ce_pseudo[1] + w.proto * report.l_proto
-        for i, theta, g_loss, p_loss in zip(runs, thetas, loss_genuine.tolist(),
-                                            loss_pseudo.tolist()):
-            if n_p[i] == 0:
+    if cfg.ams_mode == "dynamic" and min(n_gs) < n:
+        # Per run, the sums of its genuine rows' and of its pseudo rows' losses.
+        def split_sums(nll: np.ndarray) -> list:
+            return [run_sums(nll[sel], mask).reshape(k).tolist()
+                    for sel, mask in ((genuine, genuine_rows), (pseudo, pseudo_rows))]
+
+        sums_t = split_sums(nll_t) if w.tea > 0.0 else [[0.0] * k] * 2
+        sums_s = split_sums(nll_s) if w.stu > 0.0 else [[0.0] * k] * 2
+        for i, (theta, count, report) in enumerate(zip(thetas, n_gs, reports)):
+            n_p = n - count
+            if n_p == 0:
                 continue
+            loss_genuine = (
+                (w.tea * (sums_t[0][i] / count) if w.tea > 0.0 else 0.0)
+                + (w.stu * (sums_s[0][i] / count) if w.stu > 0.0 else 0.0)
+                + w.kl * report.l_kl
+                + w.pair * report.l_pair
+            )
+            loss_pseudo = (
+                (w.tea * (sums_t[1][i] / n_p) if w.tea > 0.0 else 0.0)
+                + (w.stu * (sums_s[1][i] / n_p) if w.stu > 0.0 else 0.0)
+                + w.proto * report.l_proto
+            )
             try:
-                grads[i, -1] = theta_gradient(theta, g_loss, p_loss)
+                grads[i, -1] = theta_gradient(theta, loss_genuine, loss_pseudo)
             except NumericHealthError as exc:
                 raise _blame(exc, [i])
     return reports, grads
+
+
+def _add_rows(out: np.ndarray, grad: np.ndarray, rows: Optional[np.ndarray]) -> None:
+    """out += grad in place, on the (k, N) `rows` of the stack only (None: all)."""
+    if rows is None:
+        out += grad
+    else:
+        np.add(out, grad, out=out, where=rows[..., None])
 
 
 def _entries(runs: list, k: int) -> tuple:
@@ -552,10 +576,10 @@ def train_step(
     `teacher` and `student` are the runs' nets along the run axis, and
     `params` is the (R, P) buffer, one row [teacher | student | theta] per
     run, that nets.bind_joint_params bound them to; `pools` and `plans`
-    hold one entry per run, and `protos` the runs' (R, C, H) sets: their
-    running sets under the "paired" strategy, whose refresh from the batch
-    stack runs once per step_gradients call, and fixed epoch-level sets
-    under "all".  The runs whose plans have the same size share one
+    hold one entry per run, and `protos` the runs' (R, C, H) sets (one
+    run's (C, H) set, as its nets have no run axis): their running sets
+    under the "paired" strategy, whose refresh from the batch stack runs
+    once per step_gradients call, and fixed epoch-level sets under "all".  The runs whose plans have the same size share one
     step_gradients call (every run, unless a plan has a shortfall).  Each
     run's gradient row is clipped on its own; then one Adam update writes
     `params` and `adam` in place, which updates the nets and each theta
@@ -575,24 +599,26 @@ def train_step(
     refreshed = []  # (runs, their updated running sets) per step_gradients call
 
     def prototypes_of(runs):
-        """The step_gradients prototype callback for `runs` (a slice or an index array)."""
+        """The step_gradients prototype callback for `runs`: an index array, one
+        run's index (its nets and set have no run axis), or every run (None)."""
+        own = protos if runs is None else protos.select(runs)
         if cfg.proto_strategy == "all":
-            return lambda fused, labels, n_genuine: protos.select(runs)
+            return lambda fused, labels, n_genuine: own
         if cfg.proto_strategy == "none":
             return None
 
         def batch_prototypes(fused, labels, n_genuine) -> PrototypeSet:
             """Batch prototypes from the step's own teacher forward of the genuine rows."""
             batch = compute_batch_prototypes(fused, labels, teacher.num_classes, n_genuine)
-            running = update_running_prototypes(protos.select(runs), batch, cfg.proto_momentum)
+            running = update_running_prototypes(own, batch, cfg.proto_momentum)
             refreshed.append((runs, running))
-            n_stale[runs] = np.add.reduce(batch.stale, axis=-1)
+            n_stale[slice(None) if runs is None else runs] = np.add.reduce(batch.stale, axis=-1)
             return with_fallback(batch, running)
 
         return batch_prototypes
 
     if cfg.proto_strategy == "all":
-        n_stale = np.add.reduce(protos.stale, axis=-1)
+        n_stale[:] = np.add.reduce(protos.stale, axis=-1)
     thetas = params[:, -1].tolist()
     by_size: dict = {}
     for run, plan in enumerate(plans):
@@ -600,7 +626,7 @@ def train_step(
     try:
         if len(by_size) == 1:
             reports, _ = step_gradients(teacher, student, pools, plans,
-                                        prototypes_of(slice(None)), thetas, cfg)
+                                        prototypes_of(None), thetas, cfg)
         else:  # each size group steps on copies of its rows
             reports = [None] * k
             for group in by_size.values():
@@ -609,7 +635,8 @@ def train_step(
                 pick = lambda items: [items[run] for run in group]
                 try:
                     group_reports, group_grads = step_gradients(
-                        *nets, pick(pools), pick(plans), prototypes_of(np.array(group)),
+                        *nets, pick(pools), pick(plans),
+                        prototypes_of(group[0] if len(group) == 1 else np.array(group)),
                         pick(thetas), cfg,
                     )
                 except Exception as exc:
@@ -772,14 +799,14 @@ def _fit_lockstep(
         [(t, s, 0.0) for t, s in nets])
     adam = AdamState.zeros(params.shape)
     decay_mask = _decay_mask(params.shape[1])
-    protos = PrototypeSet.stack([empty_prototypes(num_classes, feat_dim)] * len(nets))
+    protos = _along_runs([empty_prototypes(num_classes, feat_dim)] * len(nets))
     epoch_traces: list[list] = [[] for _ in nets]
     step = 0
     ratios = [sampling_ratio(cfg.ams_mode, 0.0, cfg.fixed_ratio)] * len(nets)
 
     for epoch in range(cfg.epochs):
         if cfg.proto_strategy == "all":
-            protos = PrototypeSet.stack(_each_run(global_prototypes, zip(teachers, pools)))
+            protos = _along_runs(_each_run(global_prototypes, zip(teachers, pools)))
         step_traces: list[list] = [[] for _ in nets]
         for _ in range(steps_per_epoch):
             plans = _each_run(build_batch, (
@@ -799,10 +826,16 @@ def _fit_lockstep(
             run_epochs.append(_epoch_trace(epoch, run_traces))
 
     return [
-        FitResult(teacher=t, student=s, epoch_traces=traces, prototypes=protos.select(run),
-                  steps=step)
+        FitResult(teacher=t, student=s, epoch_traces=traces,
+                  prototypes=protos if len(nets) == 1 else protos.select(run), steps=step)
         for run, ((t, s), traces) in enumerate(zip(nets, epoch_traces))
     ]
+
+
+def _along_runs(sets: list) -> PrototypeSet:
+    """The runs' prototype sets along the run axis; one run's set has none, as
+    its nets have none."""
+    return sets[0] if len(sets) == 1 else PrototypeSet.stack(sets)
 
 
 def global_prototypes(

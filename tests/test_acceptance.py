@@ -196,7 +196,7 @@ def _check_proto_instance(rng, assignment):
 def constant(protos):
     """A step_gradients prototype callback that matches the one run's batch
     against `protos` in every step."""
-    return lambda fused, labels, n_genuine: PrototypeSet.stack([protos])
+    return lambda fused, labels, n_genuine: protos
 
 
 def one_run_gradients(teacher, student, pools, plan, callback, theta, cfg):
@@ -666,7 +666,7 @@ def test_c9_degenerates_to_plain_distillation():
     params, *nets = bind_joint_params([(teacher, student, 0.0)])
     adam = AdamState.zeros(params.shape)
     decay_mask = _decay_mask(params.shape[1])
-    protos = PrototypeSet.stack([empty_prototypes(2, teacher.feat_dim)])
+    protos = empty_prototypes(2, teacher.feat_dim)
     worst = 0.0
 
     for step in range(total_steps):

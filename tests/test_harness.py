@@ -1320,33 +1320,30 @@ def test_every_grid_arm_writes_the_same_bytes_in_lockstep_and_in_a_pool(tmp_path
     assert serial == pooled
 
 
-@pytest.mark.parametrize("rates, failing, name", [
-    ((0.5,), 3 * 3 + 2, r"rate=0\.5 fold=2"),
-    ((0.2, 0.5), 6 * 3 + 4, r"rate=0\.5 fold=1"),
-])
-def test_a_failing_fold_of_a_lockstep_cell_is_named(tmp_path, monkeypatch, rates, failing,
-                                                     name):
+def test_a_failing_fold_of_a_lockstep_cell_is_named(tmp_path, monkeypatch):
     """One run's gradient turns non-finite at step 3 of an arm whose runs step
     together: the failure names that run's rate and fold, and the step.
     The arm's runs are its rates' folds in order, so the fifth run of a
     two-rate arm of three folds is fold 1 of the second rate."""
     from pgad import trainer
 
-    cfg = replace(tiny_scenario(str(tmp_path)), k_folds=3,
-                  arms=(ArmSpec(name="full", rates=rates),))
-    clipped = []
     real_clip = trainer.clip_global_norm
+    for rates, failing, name in (((0.5,), 3 * 3 + 2, r"rate=0\.5 fold=2"),
+                                 ((0.2, 0.5), 6 * 3 + 4, r"rate=0\.5 fold=1")):
+        cfg = replace(tiny_scenario(str(tmp_path / str(len(rates)))), k_folds=3,
+                      arms=(ArmSpec(name="full", rates=rates),))
+        clipped = []
 
-    def clip(grads, max_norm):  # called once per run and step, in run order
-        clipped.append(len(clipped))
-        if len(clipped) == failing + 1:
-            grads[0] = math.nan
-        return real_clip(grads, max_norm)
+        def clip(grads, max_norm):  # called once per run and step, in run order
+            clipped.append(len(clipped))
+            if len(clipped) == failing + 1:
+                grads[0] = math.nan
+            return real_clip(grads, max_norm)
 
-    monkeypatch.setattr(trainer, "clip_global_norm", clip)
-    with pytest.raises(ProtocolError, match=rf"^arm=full {name} failed: step 3: "
-                                            r"gradient norm is not finite$"):
-        run_scenario(cfg)
+        monkeypatch.setattr(trainer, "clip_global_norm", clip)
+        with pytest.raises(ProtocolError, match=rf"^arm=full {name} failed: step 3: "
+                                                r"gradient norm is not finite$"):
+            run_scenario(cfg)
 
 
 def test_true_class_matching_leaves_out_rows_without_a_prototype(tmp_path):

@@ -27,7 +27,7 @@ from pgad.nets import (
     student_forward,
     teacher_forward,
 )
-from pgad.prototypes import PrototypeSet, compute_batch_prototypes, empty_prototypes
+from pgad.prototypes import compute_batch_prototypes, empty_prototypes
 from pgad.synthdata import DatasetConfig, generate_dataset
 from pgad import trainer
 from pgad.trainer import (
@@ -213,7 +213,7 @@ def mixed_plan(ds, paired, unpaired, batch_size=10, seed=0):
 def constant(protos):
     """A step_gradients prototype callback that matches the one run's batch
     against `protos` in every step."""
-    return lambda fused, labels, n_genuine: PrototypeSet.stack([protos])
+    return lambda fused, labels, n_genuine: protos
 
 
 def manual_report_terms(teacher, student, by_id, plan, protos, cfg):
@@ -425,7 +425,7 @@ def test_train_step_updates_params_and_prototypes():
     before_s = student.get_params().copy()
 
     new_protos, (trace,) = train_step(
-        *nets, [pools], [plan], PrototypeSet.stack([protos]), params, adam, cfg, lr=1e-3, step=0,
+        *nets, [pools], [plan], protos, params, adam, cfg, lr=1e-3, step=0,
         decay_mask=trainer._decay_mask(params.shape[1]),
     )
     assert not np.array_equal(teacher.get_params(), before_t)
@@ -446,7 +446,7 @@ def test_train_step_theta_frozen_outside_dynamic():
     teacher, student, nets, params, adam = bound_nets()
     cfg = TrainConfig(ams_mode="none")
     _, (trace,) = train_step(
-        *nets, [pools], [plan], PrototypeSet.stack([empty_prototypes(2, teacher.feat_dim)]),
+        *nets, [pools], [plan], empty_prototypes(2, teacher.feat_dim),
         params, adam, cfg, lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]),
     )
     assert params[0, -1] == trace.theta == 0.0
@@ -460,8 +460,23 @@ def test_train_step_requires_genuine_rows():
     teacher, student, nets, params, adam = bound_nets()
     with pytest.raises(ProtocolError, match="^step 0: batch has no genuine pair$"):
         train_step(*nets, [pools], [plan],
-                   PrototypeSet.stack([empty_prototypes(2, teacher.feat_dim)]), params, adam,
-                   TrainConfig(),
+                   empty_prototypes(2, teacher.feat_dim), params, adam, TrainConfig(),
+                   lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]))
+
+
+def test_a_theta_whose_ratio_underflows_to_zero_fails_as_numeric_health():
+    """A dynamic theta so negative that its sigmoid is 0.0 draws a batch with
+    no genuine pair; the step fails as a diverged value, not as misuse."""
+    ds, paired, unpaired = make_data()
+    pools = prepare_pools(paired, unpaired)
+    assert sampling_ratio("dynamic", -800.0, 0.5) == 0.0
+    plan = build_batch(*pools, 8, 0.0, seed=0)
+    teacher, student, nets, params, adam = bound_nets()
+    params[0, -1] = -800.0
+    with pytest.raises(NumericHealthError, match=r"^step 0: theta -800\.0 drove the sampling "
+                                                 r"ratio to 0, so the batch has no genuine pair$"):
+        train_step(*nets, [pools], [plan],
+                   empty_prototypes(2, teacher.feat_dim), params, adam, TrainConfig(),
                    lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]))
 
 
@@ -471,12 +486,12 @@ def test_train_step_requires_nets_bound_to_params():
     teacher, student, nets, params, adam = bound_nets()
     protos = empty_prototypes(2, teacher.feat_dim)
     with pytest.raises(UsageError, match="bound to another buffer than params"):
-        train_step(*nets, [pools], [plan], PrototypeSet.stack([protos]),
+        train_step(*nets, [pools], [plan], protos,
                    params.copy(), adam, TrainConfig(), lr=1e-3, step=0,
                    decay_mask=trainer._decay_mask(params.shape[1]))
     free_t, free_s = make_nets()
     with pytest.raises(UsageError, match="must be bound together"):
-        train_step(free_t, free_s, [pools], [plan], PrototypeSet.stack([protos]), params, adam, TrainConfig(),
+        train_step(free_t, free_s, [pools], [plan], protos, params, adam, TrainConfig(),
                    lr=1e-3, step=0, decay_mask=trainer._decay_mask(params.shape[1]))
 
 
