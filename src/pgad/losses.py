@@ -359,8 +359,10 @@ def total_loss(
     term is named as `exc.run`.
     """
     terms = np.array((l_tea, l_stu, l_kl, l_pair, l_proto), dtype=np.float64)
-    bad = ~np.isfinite(terms) | (terms < 0.0)
-    if np.logical_or.reduce(bad, axis=None):
+    # the smallest term is NaN if any is
+    if not (np.minimum.reduce(terms, axis=None) >= 0.0
+            and np.maximum.reduce(terms, axis=None) < math.inf):
+        bad = ~np.isfinite(terms) | (terms < 0.0)
         where = np.argwhere(bad.T)[0]  # the first run's first bad term
         run_terms = terms[(slice(None),) + tuple(where[:-1])]
         name, term = TERM_NAMES[where[-1]], run_terms[where[-1]]

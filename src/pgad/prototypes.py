@@ -16,9 +16,9 @@ class mean is np.add.reduce over the batch rows, with zeros in the rows
 of other classes and other runs' uncounted rows, over the class count.
 That reduction adds the rows one after another, as
 np.add.reduce(rows, axis=0) of the class's rows alone does for H > 1, so
-each run keeps the bits it gets on its own.  (For H = 1 NumPy sums a
-class's rows alone pairwise, so a one-dimensional prototype now sums in
-another order than it did per class.)
+each run keeps the bits it gets on its own.  For H = 1 NumPy sums a
+class's rows alone pairwise, so one-dimensional means reduce each run's
+class rows on their own.
 """
 
 from __future__ import annotations
@@ -93,6 +93,10 @@ def compute_batch_prototypes(
         raise ShapeError(
             f"expected labels of shape {fused_feats.shape[:-1]}, got shape {labels.shape}"
         )
+    if n_rows is not None:  # no run counts the rows past the largest count
+        n_rows = np.asarray(n_rows)
+        top = int(np.maximum.reduce(n_rows, axis=None))
+        fused_feats, labels = fused_feats[..., :top, :], labels[..., :top]
     if labels.size:
         low, high = np.minimum.reduce(labels, axis=None), np.maximum.reduce(labels, axis=None)
         if low < 0 or high >= num_classes:
@@ -103,13 +107,20 @@ def compute_batch_prototypes(
     # over them adds a class's rows one after another for every run and class
     # at once; adding a zero row leaves a sum as it was.
     member = labels.T[..., None] == np.arange(num_classes)
-    if n_rows is not None:
-        n = fused_feats.shape[-2]
-        member &= (np.arange(n) < np.asarray(n_rows)[..., None]).T[..., None]
+    if n_rows is not None and np.minimum.reduce(n_rows, axis=None) < top:
+        member &= (np.arange(labels.shape[-1]) < n_rows[..., None]).T[..., None]
     counts = np.add.reduce(member, axis=0, dtype=np.int64)
-    rows = np.zeros(member.shape + fused_feats.shape[-1:])
-    np.copyto(rows, fused_feats.swapaxes(0, -2)[..., None, :], where=member[..., None])
-    sums = np.add.reduce(rows, axis=0)
+    if fused_feats.shape[-1] == 1:
+        # NumPy sums one column of values pairwise, not one after another, so a
+        # one-dimensional mean reduces its run's class rows alone.
+        column = fused_feats[..., 0]
+        sums = np.zeros(counts.shape + (1,))
+        for idx in np.ndindex(counts.shape):
+            sums[idx] = np.add.reduce(column[idx[:-1]][member[(slice(None),) + idx]])
+    else:
+        rows = np.zeros(member.shape + fused_feats.shape[-1:])
+        np.copyto(rows, fused_feats.swapaxes(0, -2)[..., None, :], where=member[..., None])
+        sums = np.add.reduce(rows, axis=0)
     return PrototypeSet(values=sums / np.maximum(counts, 1)[..., None], counts=counts)
 
 

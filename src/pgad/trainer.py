@@ -22,9 +22,9 @@ products change bits with the row count, runs once per group of runs
 sharing a genuine count n_g.  Nothing is padded, so each run gets the
 bits it gets alone.  The runs' running prototypes are one PrototypeSet
 along the run axis, and each FitResult gets its run's set.  fit is
-fit_runs of one run, whose nets, batch and prototypes have no run axis.  A failure that
-belongs to one run carries its index as `exc.run`, which the harness
-turns into its rate and fold.
+fit_runs of one run, whose nets, batch and prototypes have no run axis.
+A failure that belongs to one run carries its index as `exc.run`, which
+the harness turns into its rate and fold.
 
 The networks' forward and backward chains, and the layout of their
 gradients, live in nets (teacher_features, teacher_forward,
@@ -369,10 +369,11 @@ def step_gradients(
     the teacher forward, with the (k, N, H) fused features and (k, N)
     labels of the batch stack and each run's genuine count (the rows the
     prototypes come from lead each batch), and returns the (k, C, H) sets
-    to match against (one run's arrays, count and set have no run axis); that is how train_step refreshes the batch
-    prototypes without a second teacher forward.  When some run has pseudo
-    rows, every run's set needs a usable class.  Runs its own forward
-    passes, so it is self-contained and safe to call for gradient checking.
+    to match against (one run's arrays, count and set have no run axis);
+    that is how train_step refreshes the batch prototypes without a second
+    teacher forward.  When some run has pseudo rows, every run's set needs
+    a usable class.  Runs its own forward passes, so it is self-contained
+    and safe to call for gradient checking.
 
     Returns the k LossReports and the nets' (k, P) joint gradient buffer:
     nets.teacher_backward's, then nets.student_backward's, then theta's

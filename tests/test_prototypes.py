@@ -235,7 +235,7 @@ def test_a_stacked_refresh_equals_the_refresh_of_each_run(data):
     the batch means have the bits of a per-class loop."""
     r = data.draw(st.integers(1, 6))
     n = data.draw(st.integers(1, 48))
-    h = data.draw(st.sampled_from([2, 16]))
+    h = data.draw(st.sampled_from([1, 2, 16]))
     c = data.draw(st.sampled_from([2, 3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     feats = rng.standard_normal((r, n, h)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
