@@ -279,7 +279,7 @@ def build_batch(
     if not prepared((paired_pool, unpaired_pool)):
         paired_pool, unpaired_pool = prepare_pools(paired_pool, unpaired_pool)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))  # default_rng(seed), minus its wrapper
     n_genuine = min(math.ceil(r * batch_size), len(paired_pool), batch_size)
     order = rng.permutation(len(paired_pool))
 
@@ -313,29 +313,37 @@ def _pseudo_pairs(
     Recipients are taken in draw order.  Each class hands out its donors in
     reverse paired draw order, one per recipient, so a recipient of
     within-class rank k is served if its class has more than k donors, and
-    the first `remainder` served recipients are kept.  A rank over a prefix
-    of an order equals its rank over the whole order, so both scans grow a
-    prefix until it holds what the batch needs instead of walking whole pools.
+    the first `remainder` served recipients are kept.  When every recipient
+    class has at least `remainder` donors, the first `remainder` recipients
+    are all served.  Otherwise a rank over a prefix of an order equals its
+    rank over the whole order, so the scan grows a prefix until it holds
+    what the batch needs instead of walking the whole pool; the donor scan
+    grows its window the same way.
     """
     donor_counts = paired_pool.class_counts
-    n = remainder
-    while True:
-        labels = unpaired_pool.labels[recipients[:n]]
-        served = np.zeros(len(labels), dtype=bool)
-        for c in unpaired_pool.class_counts:
-            is_c = labels == c
-            served |= is_c & (is_c.cumsum() <= donor_counts[c])
-        chosen = served.nonzero()[0][:remainder]
-        if len(chosen) == remainder or n >= len(recipients):
-            break
-        n *= 2
-    labels = labels[chosen]
+    classes = unpaired_pool.class_counts
+    if remainder <= min(donor_counts[c] for c in classes):
+        chosen = recipients[:remainder]
+        labels = unpaired_pool.labels[chosen]
+    else:
+        n = remainder
+        while True:
+            labels = unpaired_pool.labels[recipients[:n]]
+            served = np.zeros(len(labels), dtype=bool)
+            for c in classes:
+                is_c = labels == c
+                served |= is_c & (is_c.cumsum() <= donor_counts[c])
+            kept = served.nonzero()[0][:remainder]
+            if len(kept) == remainder or n >= len(recipients):
+                break
+            n *= 2
+        chosen, labels = recipients[kept], labels[kept]
 
     # The served recipients of a class have ranks 0, 1, ..., so they take
     # that class's first donors in reverse draw order, in recipient order.
     reverse = order[::-1]
     donors = np.empty(len(chosen), dtype=np.int64)
-    for c in unpaired_pool.class_counts:
+    for c in classes:
         is_c = labels == c
         k = int(np.count_nonzero(is_c))
         if not k:
@@ -348,7 +356,7 @@ def _pseudo_pairs(
                 break
             m *= 2
         donors[is_c] = found
-    return recipients[chosen], donors
+    return chosen, donors
 
 
 def theta_gradient(theta: float, loss_paired: float, loss_pseudo: float) -> float:

@@ -217,6 +217,15 @@ def _scenario_tag(rate: float) -> str:
     return f"rate={_rate_tag(rate)}"
 
 
+def _stem(arm: str, rate: float, fold: int) -> str:
+    """The start of every artifact file name of one run."""
+    return f"{arm}_rate{_rate_tag(rate)}_fold{fold}"
+
+
+# A checkpoint ends the longest of the artifact file names of a run.
+_CHECKPOINT_SUFFIX = "_student.txt"
+
+
 def run_one(job: RunJob) -> MetricsRecord:
     """Train and evaluate a single (arm, rate, fold) run; writes its own files."""
     return _run_folds([job])[0]
@@ -248,9 +257,13 @@ def _run_folds(jobs: list) -> list:
         train_cfgs.append(replace(cfg.arm_train(job.arm),
                                   seed=derive_seed(dims.seed, "train", rate, fold)))
     results = fit_runs(runs, train_cfgs)
+    del runs  # each result holds its run's nets
 
+    # Each run is released once exported, with the forward cache its evaluation
+    # left on its student, so the runs' caches are not all held at once.
     records = []
-    for run, (job, result) in enumerate(zip(jobs, results)):
+    for run, job in enumerate(jobs):
+        result, results[run] = results[run], None
         try:
             records.append(_evaluate_and_export(job, result))
         except Exception as exc:
@@ -268,7 +281,7 @@ def _evaluate_and_export(job: RunJob, result) -> MetricsRecord:
     preds = np.argmax(logits, axis=1)
     record = classification_metrics(data.labels[test], scores, preds, fold=job.fold)
 
-    stem = f"{job.arm.name}_rate{_rate_tag(job.rate)}_fold{job.fold}"
+    stem = _stem(job.arm.name, job.rate, job.fold)
     export_trace_csv(result.epoch_traces, os.path.join(cfg.output_dir, "traces", stem + ".csv"))
     export_ams_trace_csv(
         [(t.epoch, t.theta, t.ratio) for t in result.epoch_traces],
@@ -276,13 +289,14 @@ def _evaluate_and_export(job: RunJob, result) -> MetricsRecord:
     )
     export_prototypes_csv(result.prototypes,
                           os.path.join(cfg.output_dir, "prototypes", stem + ".csv"))
-    save_checkpoint(student, os.path.join(cfg.output_dir, "checkpoints", stem + "_student.txt"))
+    save_checkpoint(student, os.path.join(cfg.output_dir, "checkpoints", stem + _CHECKPOINT_SUFFIX))
     return record
 
 
 def _build_jobs(cfg: ScenarioConfig) -> list:
     """Every job of the scenario, from one feature draw, one mask per rate and
     the folds' test rows."""
+    _check_artifact_names(cfg)
     rates = tuple(dict.fromkeys(r for arm in cfg.arms for r in cfg.arm_rates(arm)))
     datasets = dict(zip(rates, draw_datasets(cfg.dataset, rates)))
     base = datasets[rates[0]]
@@ -295,6 +309,34 @@ def _build_jobs(cfg: ScenarioConfig) -> list:
     return [RunJob(cfg, arm, float(rate), datasets[rate], fold, rows)
             for arm in cfg.arms for rate in cfg.arm_rates(arm)
             for fold, rows in enumerate(folds)]
+
+
+def _check_artifact_names(cfg: ScenarioConfig) -> None:
+    """ConfigError, before any output exists, for an arm whose artifact file
+    names are longer than the output directory's file system allows."""
+    limit = _name_max(cfg.output_dir)
+    for arm in cfg.arms:
+        for rate in cfg.arm_rates(arm):
+            name = _stem(arm.name, rate, cfg.k_folds - 1) + _CHECKPOINT_SUFFIX
+            size = len(os.fsencode(name))
+            if size > limit:
+                raise ConfigError(
+                    f"arm {arm.name[:40]!r}{'...' if len(arm.name) > 40 else ''}: its artifact "
+                    f"file names reach {size} bytes, more than the {limit} the file system "
+                    f"of {cfg.output_dir!r} allows"
+                )
+
+
+def _name_max(path: str) -> int:
+    """The longest file name, in bytes, that the file system holding `path`
+    (or its nearest existing ancestor, as it may not exist yet) allows."""
+    path = os.path.abspath(path)
+    while not os.path.isdir(path) and os.path.dirname(path) != path:
+        path = os.path.dirname(path)
+    try:
+        return os.pathconf(path, "PC_NAME_MAX")
+    except (OSError, ValueError):  # no such limit to ask for
+        return 255
 
 
 def _check_training_splits(cfg: ScenarioConfig, datasets: dict, folds: list) -> None:

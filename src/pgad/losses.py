@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,13 +86,15 @@ def _row_reduce(ufunc, x: np.ndarray) -> np.ndarray:
     Many rows of fewer than 8 entries, such as a stack of class logits, are
     folded from the left, column by column: np.add.reduce sums such a row in
     that order, so the bits are the same, but NumPy reduces a short last
-    axis one row at a time, which takes longer from about 64 rows on.
+    axis one row at a time, which takes longer from about 64 rows on, and
+    from about 8 rows on for two columns, which fold in one ufunc call.
     """
-    if not 0 < x.shape[-1] < 8 or x.size < 64 * x.shape[-1]:
+    c = x.shape[-1]
+    if not 1 < c < 8 or x.size < (8 if c == 2 else 64) * c:
         return ufunc.reduce(x, axis=-1, keepdims=True)
-    out = x[..., :1].copy()
-    for c in range(1, x.shape[-1]):
-        ufunc(out, x[..., c : c + 1], out=out)
+    out = ufunc(x[..., :1], x[..., 1:2])
+    for col in range(2, c):
+        ufunc(out, x[..., col : col + 1], out=out)
     return out
 
 
@@ -100,6 +103,20 @@ def _shifted_lse(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     top = _row_reduce(np.maximum, z)
     shifted = z - top
     return top, shifted, np.log(_row_reduce(np.add, np.exp(shifted)))
+
+
+@lru_cache(maxsize=64)
+def _row_starts(n: int, c: int) -> np.ndarray:
+    """The flat index of the first entry of each of n rows of c entries, read-only."""
+    starts = np.arange(0, n * c, c)
+    starts.flags.writeable = False
+    return starts
+
+
+def _outside(labels: np.ndarray, c: int) -> bool:
+    """Whether any int64 label lies outside [0, c): one reduction, as a negative
+    label read as uint64 is at least 2**63."""
+    return bool(labels.size) and np.maximum.reduce(labels.view(np.uint64), axis=None) >= c
 
 
 def _in_run(exc: Exception, where) -> Exception:
@@ -117,6 +134,13 @@ def _rows_of_each_run(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if idx.ndim == 1:
         return table[idx]
     return table[np.arange(len(idx))[:, None], idx]
+
+
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """x[..., i, i] for i below the row count of (..., N_a, N_b) matrices with
+    N_a <= N_b, as a strided view of each flattened matrix: it writes
+    through to x only when x is C-contiguous (reshape copies otherwise)."""
+    return x.reshape(x.shape[:-2] + (-1,))[..., :: x.shape[-1] + 1]
 
 
 def run_sums(values: np.ndarray, rows=None):
@@ -150,9 +174,11 @@ def ce_loss(logits: np.ndarray, labels):
     axis.  Returns (negative log-likelihoods of the labels' shape, softmax -
     onehot).  The batch loss is the mean of the first, with gradient the
     second over N; a subset's loss is the mean of a slice, as each row
-    depends on its own logits only.
+    depends on its own logits only.  So a training step takes the teacher's
+    and the student's logits as one stack, one call for both.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    # C order, so the rows of the gradient below are a view of it
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
     if logits.ndim not in (2, 3):
         raise ShapeError(f"expected logits (N, C) or (R, N, C), got shape {logits.shape}")
     n, c = logits.shape[-2:]
@@ -161,15 +187,16 @@ def ce_loss(logits: np.ndarray, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != logits.shape[:-1]:
         raise ShapeError(f"expected labels of shape {logits.shape[:-1]}, got {labels.shape}")
-    if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= c:
+    if _outside(labels, c):
         raise _in_run(LabelError(f"labels must lie in [0, {c})"),
                       np.argwhere((labels < 0) | (labels >= c))[0])
 
     logp = _log_softmax(logits)
-    rows, cols, by_row = np.arange(labels.size), labels.reshape(-1), logp.reshape(-1, c)
-    nll = -by_row[rows, cols]
+    picks = _row_starts(labels.size, c) + labels.reshape(-1)  # each label's flat index
+    flat = logp.reshape(-1)
+    nll = -flat[picks]
     grad = np.exp(logp, out=logp)
-    by_row[rows, cols] -= 1.0  # a view of grad
+    flat[picks] -= 1.0  # a view of grad
     return nll.reshape(labels.shape), grad
 
 
@@ -196,12 +223,13 @@ def kd_loss(
     if (n == 0) if rows is None else not n.all():
         raise EmptyBatchError("kd_loss needs at least one sample")
 
-    log_ps = _log_softmax(s / temperature)
-    log_pt = _log_softmax(t / temperature)
-    pt = np.exp(log_pt)
+    # Both sides in one log-softmax pass: every row is reduced on its own.
+    log_ps, log_pt = log_p = _log_softmax(
+        np.concatenate((s, t)).reshape((2,) + s.shape) / temperature)
+    ps, pt = np.exp(log_p)
     kl_per_sample = _row_reduce(np.add, pt * (log_pt - log_ps))[..., 0]
     value = np.maximum(temperature**2 * (run_sums(kl_per_sample, rows) / n), 0.0)
-    grad = temperature * (np.exp(log_ps) - pt)
+    grad = temperature * (ps - pt)
     if rows is None:
         grad /= n
     else:
@@ -225,27 +253,30 @@ def similarity_matrix(feats_a: np.ndarray, feats_b: np.ndarray, temperature: flo
             or a.shape[-1] != b.shape[-1]):
         raise ShapeError(f"expected (N_a, H) and (N_b, H) features with the same run axes, "
                          f"got {a.shape} and {b.shape}")
-    na = np.sqrt(np.add.reduce(a * a, axis=-1))
-    nb = np.sqrt(np.add.reduce(b * b, axis=-1))
-    if np.logical_or.reduce(na < 1e-12, axis=None) or np.logical_or.reduce(nb < 1e-12, axis=None):
-        zero = np.concatenate((na, nb), axis=-1) < 1e-12
+    # Both sides' rows as one array: a row's norm and unit vector are its own
+    # reduction and quotients, so they keep their bits in half the ufunc calls.
+    n_a = a.shape[-2]
+    rows = np.concatenate((a, b), axis=-2)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
+    if np.minimum.reduce(norms, axis=None) < 1e-12:
         raise _in_run(DegenerateInputError("cosine similarity is undefined for a zero vector"),
-                      np.argwhere(zero)[0])
-    a_hat = a / na[..., None]
-    b_hat = b / nb[..., None]
-    sims = (a_hat @ b_hat.mT) / temperature
+                      np.argwhere(norms[..., 0] < 1e-12)[0])
+    hats = rows / norms
+    a_hat, b_hat = hats[..., :n_a, :], hats[..., n_a:, :]
+    sims = a_hat @ b_hat.mT
+    sims /= temperature
 
     def vjp(d_sims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d_sims = np.asarray(d_sims, dtype=np.float64)
         if d_sims.shape != sims.shape:
             raise ShapeError(f"expected upstream grad of shape {sims.shape}, got {d_sims.shape}")
-        d_a_hat = (d_sims @ b_hat) / temperature
-        d_b_hat = (d_sims.mT @ a_hat) / temperature
-        d_a = ((d_a_hat - np.add.reduce(d_a_hat * a_hat, axis=-1, keepdims=True) * a_hat)
-               / na[..., None])
-        d_b = ((d_b_hat - np.add.reduce(d_b_hat * b_hat, axis=-1, keepdims=True) * b_hat)
-               / nb[..., None])
-        return d_a, d_b
+        d_hats = np.empty_like(hats)
+        np.matmul(d_sims, b_hat, out=d_hats[..., :n_a, :])
+        np.matmul(d_sims.mT, a_hat, out=d_hats[..., n_a:, :])
+        d_hats /= temperature
+        d_rows = d_hats - np.add.reduce(d_hats * hats, axis=-1, keepdims=True) * hats
+        d_rows /= norms
+        return d_rows[..., :n_a, :], d_rows[..., n_a:, :]
 
     return sims, vjp
 
@@ -257,7 +288,7 @@ def pair_loss(sim_matrix: np.ndarray) -> tuple[float, np.ndarray]:
     values come back as an (R,) array.  The denominator of each row runs
     over all columns, so there must be at least as many columns as rows.
     """
-    sims = np.asarray(sim_matrix, dtype=np.float64)
+    sims = np.ascontiguousarray(sim_matrix, dtype=np.float64)  # so the gradient is, too
     if sims.ndim not in (2, 3):
         raise ShapeError(f"expected similarity matrix, got shape {sims.shape}")
     n_a, n_b = sims.shape[-2:]
@@ -268,11 +299,11 @@ def pair_loss(sim_matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
     top, shifted, log_sum = _shifted_lse(sims)
     lse = log_sum[..., 0] + top[..., 0]
-    rows = np.arange(n_a)
-    value = np.add.reduce(lse - sims[..., rows, rows], axis=-1) / n_a
+    value = np.add.reduce(lse - _diagonal(sims), axis=-1) / n_a
     shifted -= log_sum
     grad = np.exp(shifted, out=shifted)  # the row softmax
-    grad[..., rows, rows] -= 1.0
+    diagonal = _diagonal(grad)
+    diagonal -= 1.0
     grad /= n_a
     return _per_run(value), grad
 
@@ -308,12 +339,8 @@ def proto_loss(
         return _per_run(np.zeros(feats.shape[:-2])), np.zeros_like(feats), True
     if feats.shape[-1] != protos.dim:
         raise ShapeError(f"feature dim {feats.shape[-1]} != prototype dim {protos.dim}")
-    all_stale = np.logical_and.reduce(protos.stale, axis=-1, keepdims=True)
-    if np.logical_or.reduce(all_stale, axis=None):
-        raise _in_run(ProtocolError("no usable prototype: every class is stale"),
-                      np.argwhere(all_stale)[0])
 
-    if assignment == "nearest":
+    if assignment == "nearest":  # raises for a run whose every class is stale
         idx, _ = nearest_prototypes_batch(feats, protos)
     elif assignment == "true_class":
         if labels is None:
@@ -321,8 +348,7 @@ def proto_loss(
         idx = np.asarray(labels, dtype=np.int64)
         if idx.shape != feats.shape[:-1]:
             raise ShapeError(f"expected labels of shape {feats.shape[:-1]}, got {idx.shape}")
-        if (np.minimum.reduce(idx, axis=None) < 0
-                or np.maximum.reduce(idx, axis=None) >= protos.num_classes):
+        if _outside(idx, protos.num_classes):
             raise _in_run(LabelError(f"labels must lie in [0, {protos.num_classes})"),
                           np.argwhere((idx < 0) | (idx >= protos.num_classes))[0])
     else:
@@ -334,6 +360,11 @@ def proto_loss(
     if assignment == "true_class":
         stale = _rows_of_each_run(protos.stale, idx)  # no prototype to match
         if np.logical_or.reduce(stale, axis=None):
+            # A run whose every class is stale has every row stale.
+            all_stale = np.logical_and.reduce(protos.stale, axis=-1, keepdims=True)
+            if np.logical_or.reduce(all_stale, axis=None):
+                raise _in_run(ProtocolError("no usable prototype: every class is stale"),
+                              np.argwhere(all_stale)[0])
             matched = ~stale if rows is None else rows & ~stale
             n = np.add.reduce(matched, axis=-1)
     if matched is not None:
@@ -358,17 +389,24 @@ def total_loss(
     run axis, whose report then holds (R,) arrays; the first run with a bad
     term is named as `exc.run`.
     """
-    terms = np.array((l_tea, l_stu, l_kl, l_pair, l_proto), dtype=np.float64)
-    # the smallest term is NaN if any is
-    if not (np.minimum.reduce(terms, axis=None) >= 0.0
-            and np.maximum.reduce(terms, axis=None) < math.inf):
-        bad = ~np.isfinite(terms) | (terms < 0.0)
+    terms = (l_tea, l_stu, l_kl, l_pair, l_proto)
+    one_run = getattr(l_tea, "ndim", 0) == 0  # a float or a NumPy scalar
+    if one_run:  # Python floats, checked without building an array
+        terms = tuple(map(float, terms))
+        healthy = all(0.0 <= term < math.inf for term in terms)
+    else:  # the smallest term is NaN if any is
+        terms = np.array(terms, dtype=np.float64)
+        healthy = (np.minimum.reduce(terms, axis=None) >= 0.0
+                   and np.maximum.reduce(terms, axis=None) < math.inf)
+    if not healthy:
+        values = np.array(terms)
+        bad = ~np.isfinite(values) | (values < 0.0)
         where = np.argwhere(bad.T)[0]  # the first run's first bad term
-        run_terms = terms[(slice(None),) + tuple(where[:-1])]
+        run_terms = values[(slice(None),) + tuple(where[:-1])]
         name, term = TERM_NAMES[where[-1]], run_terms[where[-1]]
         kind = "is not finite" if not math.isfinite(term) else "is negative"
         raise _in_run(NumericHealthError(f"loss term {name} {kind}: {term}"), where)
-    l_tea, l_stu, l_kl, l_pair, l_proto = terms if terms.ndim > 1 else terms.tolist()
+    l_tea, l_stu, l_kl, l_pair, l_proto = terms
     total = (
         weights.tea * l_tea
         + weights.stu * l_stu
@@ -376,7 +414,7 @@ def total_loss(
         + weights.pair * l_pair
         + weights.proto * l_proto
     )
-    if terms.ndim == 1:
+    if one_run:
         if not math.isfinite(total):
             raise NumericHealthError(f"total loss is not finite: {total}")
     elif not np.logical_and.reduce(np.isfinite(total)):

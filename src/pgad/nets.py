@@ -20,9 +20,12 @@ of the same layout: each run's own nets stay bound to its row, which is
 what checkpoints and evaluation read, and the R runs also come back as one
 TeacherNet and one StudentNet along the run axis (stack_runs), whose parts
 view the buffer's columns as (R, out, in) weights and (R, out) biases; a
-stack of one run is bound to its row without the axis.  An in-place
-optimizer step on the buffer is then the update of every net, and the
-backward chains fill the gradient buffer without a concatenation
+stack of one run is bound to its row without the axis.  When a stacked
+teacher's two encoders have one spec, their values are adjacent in each
+row, so they are also one Mlp with an axis of 2 (TeacherNet.encoders),
+and teacher_features and teacher_backward run both in one pass.  An
+in-place optimizer step on the buffer is then the update of every net,
+and the backward chains fill the gradient buffer without a concatenation
 (joint_buffers returns both buffers).
 
 Each network has one forward and one backward chain here, and the
@@ -131,9 +134,10 @@ class Mlp:
     def view(cls, spec: MlpSpec, flat: np.ndarray, grad: np.ndarray) -> "Mlp":
         """An Mlp of `spec` whose parameters and gradient are the views `flat`
         and `grad` themselves, not copies: (param_count,) for one net, or
-        (R, param_count) for R nets along the run axis."""
+        (R, param_count) for R nets along the run axis, or (..., 2,
+        param_count) for a teacher's two encoders (TeacherNet.on_runs)."""
         for buffer in (flat, grad):
-            if (buffer.dtype != np.float64 or buffer.ndim not in (1, 2)
+            if (buffer.dtype != np.float64 or buffer.ndim not in (1, 2, 3)
                     or buffer.shape[-1] != spec.param_count or buffer.strides[-1] != 8):
                 raise ShapeError(f"expected a float64 buffer of {spec.param_count} contiguous "
                                  f"values per run, got {buffer.dtype} {buffer.shape}")
@@ -147,8 +151,12 @@ class Mlp:
         self._flat, self.grad = flat, grad
         self.weights, self.biases = _layer_views(flat, self.spec.layer_widths)
         self._grad_weights, self._grad_biases = _layer_views(grad, self.spec.layer_widths)
-        # forward's operands: per layer, W^T and the bias as a row that broadcasts
-        self._layers = [(w.mT, b[..., None, :]) for w, b in zip(self.weights, self.biases)]
+        # forward's operands: per layer, W^T and the bias as a row that broadcasts,
+        # the tanh layers apart from the affine last one; and the leading axes
+        # of the batches forward takes, the buffer's: none for one net
+        layers = [(w.mT, b[..., None, :]) for w, b in zip(self.weights, self.biases)]
+        self._hidden, self._out = layers[:-1], layers[-1]
+        self._lead = flat.shape[:-1]
 
     @property
     def param_count(self) -> int:
@@ -179,21 +187,23 @@ class Mlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Outputs for an (N, in) batch, or for an (R, N, in) batch along the run axis."""
         x = np.asarray(x, dtype=np.float64)
-        lead = self._flat.shape[:-1]
+        lead = self._lead
         if x.shape[:-2] != lead or x.ndim != len(lead) + 2:
             raise ShapeError(f"expected a batch of shape {lead + ('N', self.spec.in_dim)}, "
                              f"got shape {x.shape}")
-        if x.shape[-1] != self.spec.in_dim:
+        if x.shape[-1] != self.spec.layer_widths[0]:
             raise ShapeError(f"expected input dim {self.spec.in_dim}, got {x.shape[-1]}")
         acts = [x]
-        last = len(self._layers) - 1
         h = x
-        for i, (w_t, b) in enumerate(self._layers):
+        for w_t, b in self._hidden:
             h = h @ w_t
             h += b
-            if i != last:
-                np.tanh(h, out=h)
+            np.tanh(h, out=h)
             acts.append(h)
+        w_t, b = self._out
+        h = h @ w_t
+        h += b
+        acts.append(h)
         self._cache = acts
         return h
 
@@ -211,20 +221,19 @@ class Mlp:
         if grad_out.shape != acts[-1].shape:
             raise ShapeError(f"expected upstream grad of shape {acts[-1].shape}, got {grad_out.shape}")
 
-        last = len(self.weights) - 1
         delta = grad_out
-        for i in range(last, -1, -1):
-            if i != last:  # times tanh's derivative 1 - a*a, from the layer's output a
-                a = acts[i + 1]
-                d_act = a * a
-                np.subtract(1.0, d_act, out=d_act)
-                delta = np.multiply(delta, d_act, out=d_act)
+        for i in range(len(acts) - 2, -1, -1):  # layer i maps acts[i] to acts[i + 1]
             np.matmul(delta.mT, acts[i], out=self._grad_weights[i])
             np.add.reduce(delta, axis=-2, out=self._grad_biases[i])
-            if i == 0 and not input_grad:
-                return None
+            if i == 0:
+                return delta @ self.weights[0] if input_grad else None
             delta = delta @ self.weights[i]
-        return delta
+            # times tanh's derivative 1 - a*a at layer i - 1's output a, which is
+            # not read again: worked in place
+            a = acts[i]
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            delta = np.multiply(delta, a, out=a)
 
 
 class _Net:
@@ -343,6 +352,23 @@ class TeacherNet(_Net):
     get_params = _get_params
     set_params = _set_params
 
+    # enc_a and enc_b as one Mlp with an axis of 2 before the batch: a run
+    # stack's, when the encoders have one spec (on_runs); None otherwise.
+    encoders: Optional[Mlp] = None
+
+    def on_runs(self, flat: np.ndarray, grad: np.ndarray) -> "TeacherNet":
+        """_Net.on_runs, whose encoders also form one stacked Mlp when they have
+        one spec: their values lead each row, enc_a's then enc_b's, so they
+        are views of one (..., 2, n) block, and teacher_features and
+        teacher_backward run both in one pass; each keeps its bits."""
+        net = super().on_runs(flat, grad)
+        spec, n = net.enc_a.spec, net.enc_a.param_count
+        if net.enc_b.spec == spec:
+            shape = net._flat.shape[:-1] + (2, n)
+            net.encoders = Mlp.view(spec, np.reshape(net._flat[..., : 2 * n], shape, copy=False),
+                                    np.reshape(net.grad[..., : 2 * n], shape, copy=False))
+        return net
+
 
 class StudentNet(_Net):
     """Single-modality classifier: modality-A encoder plus linear head."""
@@ -380,8 +406,11 @@ def teacher_features(net: TeacherNet, a: np.ndarray, b: np.ndarray) -> tuple[np.
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"batch sizes differ: a is {a.shape}, b is {b.shape}")
-    h_a = net.enc_a.forward(a)
-    h_b = net.enc_b.forward(b)
+    if net.encoders is None or a.shape != b.shape:  # (the latter: ShapeError below)
+        h_a, h_b = net.enc_a.forward(a), net.enc_b.forward(b)
+    else:
+        h = net.encoders.forward(np.stack((a, b), axis=-3))
+        h_a, h_b = h[..., 0, :, :], h[..., 1, :, :]
     fused = net.fusion.forward(np.concatenate([h_a, h_b], axis=-1))
     return h_b, fused
 
@@ -407,9 +436,14 @@ def teacher_backward(
     d_fused = net.head.backward(d_logits)
     d_concat = net.fusion.backward(d_fused)
     feat = net.feat_dim
-    net.enc_a.backward(d_concat[..., :feat], input_grad=False)
-    d_b = d_concat[..., feat:]
-    net.enc_b.backward(d_b if d_h_b is None else d_b + d_h_b, input_grad=False)
+    d_a, d_b = d_concat[..., :feat], d_concat[..., feat:]
+    if d_h_b is not None:
+        d_b = d_b + d_h_b
+    if net.encoders is None:
+        net.enc_a.backward(d_a, input_grad=False)
+        net.enc_b.backward(d_b, input_grad=False)
+    else:
+        net.encoders.backward(np.stack((d_a, d_b), axis=-3), input_grad=False)
     return net.grad
 
 
@@ -484,10 +518,13 @@ def joint_buffers(teacher: TeacherNet, student: StudentNet) -> tuple[np.ndarray,
     part of `teacher` and `student` to, one run's nets or the runs along the
     run axis; UsageError if there are none."""
     params, grad = teacher._flat.base, teacher.grad.base
-    parts = teacher._parts + student._parts
-    if params is None or any(p._flat.base is not params or p.grad.base is not grad for p in parts):
-        raise UsageError("teacher and student must be bound together (bind_joint_params)")
-    return params, grad
+    if params is not None:
+        for part in teacher._parts + student._parts:
+            if part._flat.base is not params or part.grad.base is not grad:
+                break
+        else:
+            return params, grad
+    raise UsageError("teacher and student must be bound together (bind_joint_params)")
 
 
 _NET_KINDS = {"teacher": TeacherNet, "student": StudentNet}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +66,14 @@ class PrototypeSet:
         return ~self.stale
 
 
+@lru_cache(maxsize=16)
+def _classes(num_classes: int) -> np.ndarray:
+    """np.arange(num_classes), built once and read-only."""
+    classes = np.arange(num_classes)
+    classes.flags.writeable = False
+    return classes
+
+
 def empty_prototypes(num_classes: int, dim: int) -> PrototypeSet:
     """All-stale set: no class has been observed yet."""
     return PrototypeSet(values=np.zeros((num_classes, dim)),
@@ -80,10 +89,11 @@ def compute_batch_prototypes(
     (R, N) along the run axis.  Each run's means run over its first
     n_rows rows (an int for one run, R ints along the run axis; default:
     all N), so a training step passes its batch stack and each run's
-    genuine count.  Classes absent from those rows come back stale with
-    count 0.  No counted row at all is allowed and yields an all-stale set;
-    the trainer is responsible for falling back to a running set in that
-    case.
+    genuine count.  A label of a counted row outside [0, num_classes)
+    raises LabelError; the check costs one reduction over the counts.
+    Classes absent from those rows come back stale with count 0.  No
+    counted row at all is allowed and yields an all-stale set; the trainer
+    is responsible for falling back to a running set in that case.
     """
     fused_feats = np.asarray(fused_feats, dtype=np.float64)
     if fused_feats.ndim not in (2, 3):
@@ -93,23 +103,28 @@ def compute_batch_prototypes(
         raise ShapeError(
             f"expected labels of shape {fused_feats.shape[:-1]}, got shape {labels.shape}"
         )
+    counted = None  # (R, N) mask of the rows each run counts when they differ
     if n_rows is not None:  # no run counts the rows past the largest count
         n_rows = np.asarray(n_rows)
-        top = int(np.maximum.reduce(n_rows, axis=None))
+        top = int(n_rows) if n_rows.ndim == 0 else int(np.maximum.reduce(n_rows))
         fused_feats, labels = fused_feats[..., :top, :], labels[..., :top]
-    if labels.size:
-        low, high = np.minimum.reduce(labels, axis=None), np.maximum.reduce(labels, axis=None)
-        if low < 0 or high >= num_classes:
-            raise LabelError(f"labels must lie in [0, {num_classes}), got range [{low}, {high}]")
+        if n_rows.ndim and np.minimum.reduce(n_rows) < top:
+            counted = np.arange(labels.shape[-1]) < n_rows[..., None]
 
     # member[i, ..., c]: row i of a run counts toward class c.  The rows hold
     # each class's features and zeros elsewhere, rows outermost, so one reduce
     # over them adds a class's rows one after another for every run and class
     # at once; adding a zero row leaves a sum as it was.
-    member = labels.T[..., None] == np.arange(num_classes)
-    if n_rows is not None and np.minimum.reduce(n_rows, axis=None) < top:
-        member &= (np.arange(labels.shape[-1]) < n_rows[..., None]).T[..., None]
+    member = labels.T[..., None] == _classes(num_classes)
+    if counted is not None:
+        member &= counted.T[..., None]
     counts = np.add.reduce(member, axis=0, dtype=np.int64)
+    # A counted row of no class has a label outside [0, num_classes).
+    n_counted = labels.size if counted is None else np.add.reduce(counted, axis=None)
+    if np.add.reduce(counts, axis=None) != n_counted:
+        seen = labels if counted is None else labels[counted]
+        raise LabelError(f"labels must lie in [0, {num_classes}), got range "
+                         f"[{np.minimum.reduce(seen)}, {np.maximum.reduce(seen)}]")
     if fused_feats.shape[-1] == 1:
         # NumPy sums one column of values pairwise, not one after another, so a
         # one-dimensional mean reduces its run's class rows alone.
@@ -141,10 +156,9 @@ def update_running_prototypes(
     if not (0.0 <= momentum < 1.0):
         raise ShapeError(f"momentum must be in [0, 1), got {momentum}")
 
-    present = ~batch.stale[..., None]
-    blend = momentum * running.values + (1.0 - momentum) * batch.values
-    values = np.where(present & ~running.stale[..., None], blend,
-                      np.where(present, batch.values, running.values))
+    values = momentum * running.values + (1.0 - momentum) * batch.values
+    np.copyto(values, batch.values, where=running.stale[..., None])
+    np.copyto(values, running.values, where=batch.stale[..., None])
     # a class stale in the batch has count 0 there, so its running count stays
     return PrototypeSet(values=values, counts=running.counts + batch.counts)
 

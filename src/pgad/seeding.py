@@ -58,3 +58,9 @@ def derive_seed(root: int, *parts) -> int:
         state = splitmix64(state ^ _token(part))
     return state
 
+
+def seed_stream(root: int, *parts):
+    """The function last -> derive_seed(root, *parts, last), with the state of
+    the shared parts derived once: a fit's batch seeds, one per step."""
+    state = derive_seed(root, *parts)
+    return lambda last: splitmix64(state ^ _token(last))

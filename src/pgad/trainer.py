@@ -26,6 +26,19 @@ fit_runs of one run, whose nets, batch and prototypes have no run axis.
 A failure that belongs to one run carries its index as `exc.run`, which
 the harness turns into its rate and fold.
 
+Most steps are those of one run: every pool job is a one-run fit.  Such a
+step runs the same code as a stack and pays only for work that belongs
+to it.  The fit derives each run's batch-seed prefix once
+(seeding.seed_stream), so a step's seed is one scramble.  One run's
+batch is allocated without a run axis and needs no size or count
+grouping.  One cross-entropy call takes the teacher's and the student's
+logits stacked, and one log-softmax pass takes both sides of the
+distillation term; the pair term's norms and unit vectors take both
+sides' rows in one array.  A batch without a stale class returns its
+prototypes without the fallback fill.  The epoch traces are running sums
+of the step reports, added from 0 in step order as sum() adds them, so
+they keep their bits.
+
 The networks' forward and backward chains, and the layout of their
 gradients, live in nets (teacher_features, teacher_forward,
 teacher_backward, student_forward, student_backward); this module only
@@ -80,7 +93,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -136,7 +149,7 @@ from .prototypes import (
     update_running_prototypes,
     with_fallback,
 )
-from .seeding import derive_seed
+from .seeding import seed_stream
 from .synthdata import Dataset, Sample
 
 PROTO_STRATEGIES = ("none", "all", "paired")
@@ -219,8 +232,12 @@ class AdamState:
         return cls(m=block[0], v=block[1], t=0, scratch=block[2:])
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(NamedTuple):
+    """One run's step: its loss report, the sampling ratio at its updated
+    theta (the one its next batch is drawn with), the learning rate, and its
+    genuine, pseudo and stale-class counts.  A named tuple, as a fit builds
+    one per run and step."""
+
     step: int
     report: LossReport
     ratio: float
@@ -351,9 +368,10 @@ def step_gradients(
     together by nets.bind_joint_params (UsageError otherwise), and `pools`,
     `plans` and `thetas` hold one entry per run, in row order.  The plans
     must have one size N: the runs' batches form one (k, N, ...) stack that
-    each net chain, each cross-entropy, the distillation and prototype
-    terms and the theta surrogate run over once, each run's mean reducing
-    exactly its own rows; the pair term runs once per group of runs with
+    each net chain, the distillation and prototype terms and the theta
+    surrogate run over once, each run's mean reducing exactly its own rows,
+    and one cross-entropy call takes the teacher's and the student's logits
+    of the stack together; the pair term runs once per group of runs with
     the same genuine count, as its products change bits with the row
     count.  Each run gets the bits it gets on its own.
 
@@ -385,17 +403,17 @@ def step_gradients(
     _, grads = joint_buffers(teacher, student)
     w = cfg.loss_weights
     k, n = len(plans), plans[0].size
-    lead = (k,) if k > 1 else ()  # one run's nets have no run axis
-    runs = range(k)
+    lead = (k,) if k > 1 else ()  # one run's nets have no run axis, nor has its batch
 
     # Rows: genuine pairs, then recipients (modality A) or donors (modality B),
     # each run's taken from its Dataset into its slot of the (k, N, ...) stack.
     first = pools[0][0].data
-    labels = np.empty((k, n), dtype=np.int64)
-    feats_a = np.empty((k, n, first.feat_a.shape[1]))
-    feats_b = np.empty((k, n, first.feat_b.shape[1]))
-    n_gs = [plan.n_genuine for plan in plans]
-    for i, ((paired, unpaired), plan, n_g) in enumerate(zip(pools, plans, n_gs)):
+    labels = np.empty(lead + (n,), dtype=np.int64)
+    feats_a = np.empty(lead + (n, first.feat_a.shape[1]))
+    feats_b = np.empty(lead + (n, first.feat_b.shape[1]))
+    n_gs = []
+    for i, ((paired, unpaired), plan) in enumerate(zip(pools, plans)):
+        n_g = plan.n_genuine
         try:
             if n_g == 0:
                 if sampling_ratio(cfg.ams_mode, thetas[i], cfg.fixed_ratio) == 0.0:
@@ -407,130 +425,146 @@ def step_gradients(
             b_rows, r_rows = plan.rows(paired, unpaired)
         except (NumericHealthError, ProtocolError, UsageError) as exc:
             raise _blame(exc, [i])
+        n_gs.append(n_g)
         data, b_rows = paired.data, paired.rows[b_rows]
         a_rows = np.concatenate((b_rows[:n_g], unpaired.rows[r_rows]))
         # The pools checked their rows against the Dataset, so "wrap" takes
         # them as "raise" would, without buffering the output.
-        data.labels.take(a_rows, 0, labels[i], "wrap")
-        data.feat_a.take(a_rows, 0, feats_a[i], "wrap")
-        data.feat_b.take(b_rows, 0, feats_b[i], "wrap")
+        slot = (i,) if k > 1 else ()
+        data.labels.take(a_rows, 0, labels[slot], "wrap")
+        data.feat_a.take(a_rows, 0, feats_a[slot], "wrap")
+        data.feat_b.take(b_rows, 0, feats_b[slot], "wrap")
     # Each run's genuine rows lead its batch.  When every run splits at one count
     # (always so for one run), the terms take the genuine and the pseudo rows as
     # slices; otherwise they take the whole stack and (k, N) row masks.
-    every_run = (slice(None),) * len(lead)
-    if len(set(n_gs)) == 1:
+    n_genuine = np.array(n_gs) if k > 1 else n_gs[0]
+    some_pseudo = min(n_gs) < n
+    genuine_rows = pseudo_rows = None
+    if n_gs.count(n_gs[0]) == k:
+        every_run = (slice(None),) * len(lead)
         genuine, pseudo = every_run + (slice(n_gs[0]),), every_run + (slice(n_gs[0], None),)
-        genuine_rows = pseudo_rows = None
     else:
         genuine = pseudo = ()
-        genuine_rows = np.arange(n) < np.array(n_gs)[:, None]
+        genuine_rows = np.arange(n) < n_genuine[:, None]
         pseudo_rows = ~genuine_rows
-    labels, feats_a, feats_b = (x.reshape(lead + x.shape[1:]) for x in (labels, feats_a, feats_b))
 
     h_b, fused, logits_t = teacher_forward(teacher, feats_a, feats_b)
     protos = None
     if effective_protos is not None:
         try:
-            protos = effective_protos(fused, labels, np.array(n_gs).reshape(lead))
+            protos = effective_protos(fused, labels, n_genuine)
         except Exception as exc:
-            raise _blame(exc, runs)
+            raise _blame(exc, range(k))
     feat_s, logits_s = student_forward(student, feats_a)
 
     # Per-run term values (floats for one run), and upstream gradients, each
     # allocated only when a term feeds it.
-    l_tea = l_stu = l_kl = l_proto = np.zeros(k) if k > 1 else 0.0
-    l_pair = np.zeros(k)
-    d_logits_t = d_logits_s = d_feat_s = d_h_b = nll_t = nll_s = None
-    if w.tea > 0.0:
-        nll_t, d_logits_t = ce_loss(logits_t, labels)
-        l_tea = np.add.reduce(nll_t, axis=-1) / n
-        d_logits_t /= n
-        d_logits_t *= w.tea
-    if w.stu > 0.0:
-        nll_s, d_logits_s = ce_loss(logits_s, labels)
-        l_stu = np.add.reduce(nll_s, axis=-1) / n
-        d_logits_s /= n
-        d_logits_s *= w.stu
+    zero = np.zeros(k) if k > 1 else 0.0
+    l_ce, l_kl, l_proto, l_pair = [zero, zero], zero, zero, zero  # l_ce: teacher, student
+    d_ce = [None, None]
+    ce_weights = (w.tea, w.stu)
+    on = [side for side in (0, 1) if ce_weights[side] > 0.0]
+    nll = np.zeros((0,) + labels.shape)  # per side that is on, each row's loss
+    if on:
+        # One cross-entropy call over the logits of the sides that are on, stacked
+        # side first: every row's loss and gradient are its own.
+        sides = (logits_t, logits_s)
+        stacked = [sides[side] for side in on]
+        try:
+            nll, d_logits = ce_loss(np.concatenate(stacked), np.concatenate([labels] * len(on)))
+        except Exception as exc:
+            if getattr(exc, "run", None) is not None:
+                exc.run %= k
+            raise
+        nll = nll.reshape((len(on),) + labels.shape)
+        means = np.add.reduce(nll, axis=-1) / n
+        d_logits /= n
+        d_logits = d_logits.reshape((len(on),) + logits_t.shape)
+        for j, side in enumerate(on):
+            l_ce[side], d_ce[side] = means[j], d_logits[j]
+            if ce_weights[side] != 1.0:  # x * 1.0 is x, bit for bit
+                d_ce[side] *= ce_weights[side]
+    d_logits_t, d_logits_s = d_ce
+    d_feat_s = d_h_b = None
     try:
         if w.kl > 0.0:
             if d_logits_s is None:
-                d_logits_s = np.zeros_like(logits_s)
+                d_logits_s = np.zeros(logits_s.shape)
             l_kl, g = kd_loss(logits_s[genuine], logits_t[genuine], cfg.kd_temperature,
                               genuine_rows)
             g *= w.kl
             _add_rows(d_logits_s[genuine], g, genuine_rows)
-        if w.proto > 0.0 and protos is not None and min(n_gs) < n:  # some run has pseudo rows
+        if w.proto > 0.0 and protos is not None and some_pseudo:
             l_proto, g, _ = proto_loss(feat_s[pseudo], protos, cfg.proto_assignment,
                                        labels[pseudo], pseudo_rows)
-            d_feat_s = np.zeros_like(feat_s)
+            d_feat_s = np.zeros(feat_s.shape)
             g *= w.proto
             _add_rows(d_feat_s[pseudo], g, pseudo_rows)
     except Exception as exc:
-        raise _blame(exc, runs)
+        raise _blame(exc, range(k))
     if w.pair > 0.0:
         # One call per group of runs sharing n_g: on the group's (N, ...) rows if
         # it is one run, else on a (k_g, N, ...) stack.
         if d_feat_s is None:
-            d_feat_s = np.zeros_like(feat_s)
-        groups: dict = {}
-        for i, count in enumerate(n_gs):
-            groups.setdefault(count, []).append(i)
+            d_feat_s = np.zeros(feat_s.shape)
+        if genuine_rows is None:
+            groups = {n_gs[0]: range(k)}
+        else:
+            groups = {}
+            for i, count in enumerate(n_gs):
+                groups.setdefault(count, []).append(i)
+            l_pair, d_h_b = np.zeros(k), np.empty_like(h_b)
         for count, group in groups.items():
             sel = _entries(group, k)
             rows = sel + (slice(count),)
             try:
                 sims, vjp = similarity_matrix(feat_s[rows], h_b[sel], cfg.sim_temperature)
-                l_pair[group], d_sims = pair_loss(sims)
+                value, d_sims = pair_loss(sims)
                 d_anchor, d_b = vjp(d_sims)
             except Exception as exc:
                 raise _blame(exc, group)
             if len(groups) == 1:
-                d_h_b = d_b
+                l_pair, d_h_b = value, d_b
             else:
-                if d_h_b is None:
-                    d_h_b = np.empty_like(h_b)
-                d_h_b[sel] = d_b
+                l_pair[group], d_h_b[sel] = value, d_b
             d_anchor *= w.pair
-            d_feat_s[rows] += d_anchor
+            d_feat_s[rows] += d_anchor  # `rows` may hold an index array: no view
         d_h_b *= w.pair
 
     try:
-        report = total_loss(l_tea, l_stu, l_kl, l_pair if k > 1 else l_pair[0], l_proto, w)
+        report = total_loss(l_ce[0], l_ce[1], l_kl, l_pair, l_proto, w)
     except NumericHealthError as exc:
-        raise _blame(exc, runs)
+        raise _blame(exc, range(k))
     reports = [report] if k == 1 else [LossReport(*terms) for terms in zip(*(
         getattr(report, f.name).tolist() for f in fields(LossReport)))]
     teacher_backward(
-        teacher, np.zeros_like(logits_t) if d_logits_t is None else d_logits_t, d_h_b
+        teacher, np.zeros(logits_t.shape) if d_logits_t is None else d_logits_t, d_h_b
     )
     student_backward(
-        student, np.zeros_like(logits_s) if d_logits_s is None else d_logits_s, d_feat_s
+        student, np.zeros(logits_s.shape) if d_logits_s is None else d_logits_s, d_feat_s
     )
 
     grads[:, -1] = 0.0
-    if cfg.ams_mode == "dynamic" and min(n_gs) < n:
-        # Per run, the sums of its genuine rows' and of its pseudo rows' losses.
-        def split_sums(nll: np.ndarray) -> list:
-            return [run_sums(nll[sel], mask).reshape(k).tolist()
-                    for sel, mask in ((genuine, genuine_rows), (pseudo, pseudo_rows))]
-
-        sums_t = split_sums(nll_t) if w.tea > 0.0 else [[0.0] * k] * 2
-        sums_s = split_sums(nll_s) if w.stu > 0.0 else [[0.0] * k] * 2
+    if cfg.ams_mode == "dynamic" and some_pseudo:
+        # Per side that is on, each run's sums of its genuine rows' and of its
+        # pseudo rows' losses, as [part][side][run] floats.
+        if genuine_rows is None:
+            sums = [np.add.reduce(nll[(slice(None),) + part], axis=-1).reshape(-1, k).tolist()
+                    for part in (genuine, pseudo)]
+        else:
+            sums = [[run_sums(side, mask).tolist() for side in nll]
+                    for mask in (genuine_rows, pseudo_rows)]
         for i, (theta, count, report) in enumerate(zip(thetas, n_gs, reports)):
             n_p = n - count
             if n_p == 0:
                 continue
-            loss_genuine = (
-                (w.tea * (sums_t[0][i] / count) if w.tea > 0.0 else 0.0)
-                + (w.stu * (sums_s[0][i] / count) if w.stu > 0.0 else 0.0)
-                + w.kl * report.l_kl
-                + w.pair * report.l_pair
-            )
-            loss_pseudo = (
-                (w.tea * (sums_t[1][i] / n_p) if w.tea > 0.0 else 0.0)
-                + (w.stu * (sums_s[1][i] / n_p) if w.stu > 0.0 else 0.0)
-                + w.proto * report.l_proto
-            )
+            # Each side's weighted subset means; 0.0 for a side that is off.
+            ce_g, ce_p = [0.0, 0.0], [0.0, 0.0]
+            for j, side in enumerate(on):
+                ce_g[side] = ce_weights[side] * (sums[0][j][i] / count)
+                ce_p[side] = ce_weights[side] * (sums[1][j][i] / n_p)
+            loss_genuine = ce_g[0] + ce_g[1] + w.kl * report.l_kl + w.pair * report.l_pair
+            loss_pseudo = ce_p[0] + ce_p[1] + w.proto * report.l_proto
             try:
                 grads[i, -1] = theta_gradient(theta, loss_genuine, loss_pseudo)
             except NumericHealthError as exc:
@@ -580,8 +614,9 @@ def train_step(
     hold one entry per run, and `protos` the runs' (R, C, H) sets (one
     run's (C, H) set, as its nets have no run axis): their running sets
     under the "paired" strategy, whose refresh from the batch stack runs
-    once per step_gradients call, and fixed epoch-level sets under "all".  The runs whose plans have the same size share one
-    step_gradients call (every run, unless a plan has a shortfall).  Each
+    once per step_gradients call, and fixed epoch-level sets under "all".
+    The runs whose plans have the same size share one step_gradients call
+    (every run, unless a plan has a shortfall).  Each
     run's gradient row is clipped on its own; then one Adam update writes
     `params` and `adam` in place, which updates the nets and each theta
     (params[:, -1]); a trace's ratio is the one at the updated theta.  A
@@ -591,8 +626,10 @@ def train_step(
     (_decay_mask).  A failure that belongs to one run carries its index as
     `exc.run` (see _blame).
     """
-    bound, grads = joint_buffers(teacher, student)
-    if bound is not params:
+    # step_gradients checks that the nets are bound together; here, that their
+    # buffer is `params`.
+    if teacher._flat.base is not params:
+        joint_buffers(teacher, student)  # UsageError if they are not bound together
         raise UsageError("teacher and student are bound to another buffer than params")
 
     k = len(plans)
@@ -609,26 +646,32 @@ def train_step(
             return None
 
         def batch_prototypes(fused, labels, n_genuine) -> PrototypeSet:
-            """Batch prototypes from the step's own teacher forward of the genuine rows."""
+            """Batch prototypes from the step's own teacher forward of the genuine rows;
+            a set with no stale class has nothing to fill from the running set."""
             batch = compute_batch_prototypes(fused, labels, teacher.num_classes, n_genuine)
             running = update_running_prototypes(own, batch, cfg.proto_momentum)
             refreshed.append((runs, running))
             n_stale[slice(None) if runs is None else runs] = np.add.reduce(batch.stale, axis=-1)
-            return with_fallback(batch, running)
+            if np.logical_or.reduce(batch.stale, axis=None):
+                return with_fallback(batch, running)
+            return batch
 
         return batch_prototypes
 
     if cfg.proto_strategy == "all":
         n_stale[:] = np.add.reduce(protos.stale, axis=-1)
     thetas = params[:, -1].tolist()
+    sizes = [plan.size for plan in plans]
     by_size: dict = {}
-    for run, plan in enumerate(plans):
-        by_size.setdefault(plan.size, []).append(run)
+    if sizes.count(sizes[0]) != k:
+        for run, size in enumerate(sizes):
+            by_size.setdefault(size, []).append(run)
     try:
-        if len(by_size) == 1:
-            reports, _ = step_gradients(teacher, student, pools, plans,
-                                        prototypes_of(None), thetas, cfg)
+        if not by_size:
+            reports, grads = step_gradients(teacher, student, pools, plans,
+                                            prototypes_of(None), thetas, cfg)
         else:  # each size group steps on copies of its rows
+            _, grads = joint_buffers(teacher, student)
             reports = [None] * k
             for group in by_size.values():
                 rows = params[group]
@@ -675,16 +718,8 @@ def train_step(
             ratio = sampling_ratio(cfg.ams_mode, theta, cfg.fixed_ratio)
         except NumericHealthError as exc:
             raise _blame(exc, [run])
-        traces.append(StepTrace(
-            step=step,
-            report=reports[run],
-            ratio=ratio,
-            theta=theta,
-            lr=lr,
-            n_genuine=plan.n_genuine,
-            n_pseudo=plan.n_pseudo,
-            n_stale=stale,
-        ))
+        traces.append(StepTrace(step, reports[run], ratio, theta, lr, plan.n_genuine,
+                                plan.n_pseudo, stale))
     return new_protos, traces
 
 
@@ -803,28 +838,43 @@ def _fit_lockstep(
     protos = _along_runs([empty_prototypes(num_classes, feat_dim)] * len(nets))
     epoch_traces: list[list] = [[] for _ in nets]
     step = 0
+    batch_size = cfg.batch_size
+    # Each run's pools and batch seeds (a function of the step), and the
+    # sampling ratios the runs' next batches are drawn with.
+    draws = [(paired, unpaired, seed_stream(run_cfg.seed, "batch"))
+             for (paired, unpaired), run_cfg in zip(pools, cfgs)]
     ratios = [sampling_ratio(cfg.ams_mode, 0.0, cfg.fixed_ratio)] * len(nets)
 
     for epoch in range(cfg.epochs):
         if cfg.proto_strategy == "all":
             protos = _along_runs(_each_run(global_prototypes, zip(teachers, pools)))
-        step_traces: list[list] = [[] for _ in nets]
+        sums = [[0] * 6 for _ in nets]  # each run's report terms, summed in step order
         for _ in range(steps_per_epoch):
-            plans = _each_run(build_batch, (
-                (*run_pools, cfg.batch_size, ratio, derive_seed(run_cfg.seed, "batch", step))
-                for run_pools, ratio, run_cfg in zip(pools, ratios, cfgs)
-            ))
+            plans = []
+            for run, ((paired, unpaired, batch_seed), ratio) in enumerate(zip(draws, ratios)):
+                try:
+                    plans.append(build_batch(paired, unpaired, batch_size, ratio,
+                                             batch_seed(step)))
+                except Exception as exc:
+                    raise _blame(exc, [run])
             lr = cosine_lr(step, total_steps, cfg.learning_rate)
             protos, traces = train_step(
                 teacher, student, pools, plans, protos, params, adam, cfg, lr, step,
                 decay_mask,
             )
-            ratios = [trace.ratio for trace in traces]
-            for run_traces, trace in zip(step_traces, traces):
-                run_traces.append(trace)
+            ratios = []
+            for terms, trace in zip(sums, traces):
+                ratios.append(trace.ratio)
+                report = trace.report
+                terms[0] += report.l_tea
+                terms[1] += report.l_stu
+                terms[2] += report.l_kl
+                terms[3] += report.l_pair
+                terms[4] += report.l_proto
+                terms[5] += report.total
             step += 1
-        for run_epochs, run_traces in zip(epoch_traces, step_traces):
-            run_epochs.append(_epoch_trace(epoch, run_traces))
+        for run_epochs, terms, trace in zip(epoch_traces, sums, traces):
+            run_epochs.append(_epoch_trace(epoch, terms, steps_per_epoch, trace))
 
     return [
         FitResult(teacher=t, student=s, epoch_traces=traces,
@@ -849,22 +899,14 @@ def global_prototypes(
     return compute_batch_prototypes(fused, paired.labels, teacher.num_classes)
 
 
-def _epoch_trace(epoch: int, step_traces: list) -> EpochTrace:
-    reports = [t.report for t in step_traces]
-    n = len(reports)
-    last = step_traces[-1]
-    return EpochTrace(
-        epoch=epoch,
-        l_tea=sum(r.l_tea for r in reports) / n,
-        l_stu=sum(r.l_stu for r in reports) / n,
-        l_kl=sum(r.l_kl for r in reports) / n,
-        l_pair=sum(r.l_pair for r in reports) / n,
-        l_proto=sum(r.l_proto for r in reports) / n,
-        total=sum(r.total for r in reports) / n,
-        theta=last.theta,
-        ratio=last.ratio,
-        lr=last.lr,
-    )
+def _epoch_trace(epoch: int, sums: list, n: int, last: StepTrace) -> EpochTrace:
+    """The epoch's mean report terms from their sums over its n steps, which the
+    fit adds up from 0 in step order, as sum() would; theta, ratio and lr are
+    the last step's."""
+    l_tea, l_stu, l_kl, l_pair, l_proto, total = (value / n for value in sums)
+    return EpochTrace(epoch=epoch, l_tea=l_tea, l_stu=l_stu, l_kl=l_kl, l_pair=l_pair,
+                      l_proto=l_proto, total=total, theta=last.theta, ratio=last.ratio,
+                      lr=last.lr)
 
 
 def export_trace_csv(traces: Sequence[EpochTrace], path) -> None:

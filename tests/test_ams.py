@@ -1,6 +1,7 @@
 """Batch composition between genuine and pseudo pairs, and the theta surrogate."""
 
 import hashlib
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -285,6 +286,82 @@ def test_build_batch_prepared_pools_match_plain_lists_and_reference(
         assert by_id[rec].label == by_id[donor].label == label
     assert len(plan.genuine) + len(plan.pseudo) + plan.shortfall == batch_size
     assert plan.shortfall >= 0
+
+
+@st.composite
+def class_pools(draw):
+    """A (paired, unpaired) pool pair drawn class by class: each class has
+    1-40 paired samples, often only 1-3 (scarce donors), and 0-60 unpaired
+    ones, with ids shuffled across classes and pools."""
+    num_classes = draw(st.integers(1, 3))
+    sizes = []
+    for _ in range(num_classes):
+        n_paired = draw(st.integers(1, 3) | st.integers(1, 40))
+        sizes.append((n_paired, draw(st.integers(0, 60))))
+    total = sum(p + u for p, u in sizes)
+    ids = draw(st.permutations(range(total)))
+    feat = np.zeros(2)
+    paired, unpaired, at = [], [], 0
+    for label, (n_paired, n_unpaired) in enumerate(sizes):
+        for k in range(n_paired + n_unpaired):
+            sample = Sample(id=ids[at], label=label, feat_a=feat,
+                            feat_b=feat if k < n_paired else None)
+            (paired if k < n_paired else unpaired).append(sample)
+            at += 1
+    return paired, unpaired
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_pair=class_pools(), batch_size=st.integers(2, 64), r=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_build_batch_matches_the_reference_over_pool_compositions(pool_pair, batch_size, r, seed):
+    """With plentiful donors every recipient of the first draws is served;
+    with scarce ones recipients are skipped, the scans grow and genuine
+    pairs top the batch up.  Either way the plan is the reference's."""
+    paired, unpaired = pool_pair
+    plan = build_batch(*prepare_pools(paired, unpaired), batch_size, r, seed)
+    assert (plan.genuine, plan.pseudo, plan.shortfall) == reference_plan(
+        paired, unpaired, batch_size, r, seed)
+
+
+def test_the_pseudo_pair_draw_runs_every_branch_on_the_reference_cases():
+    """The compositions below reach each branch of ams._pseudo_pairs: every
+    recipient served, the recipient prefix grown, a class without chosen
+    recipients, and the donor window grown; each plan is the reference's."""
+    import sys
+
+    from pgad import ams
+
+    code = ams._pseudo_pairs.__code__
+    lines, first = inspect.getsourcelines(ams._pseudo_pairs)
+    branch_lines = {name: first + next(i for i, line in enumerate(lines) if text in line)
+                    for name, text in (("all served", "chosen = recipients[:remainder]"),
+                                       ("prefix grown", "n *= 2"),
+                                       ("class skipped", "continue"),
+                                       ("window grown", "m *= 2"))}
+    ran = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    cases = [(pools(0.5, 20, 3), 16, 0.5), (pools(0.9, 10, 5, num_classes=3), 16, 0.0),
+             (pools(0.9, 10, 5, num_classes=3), 16, 0.5), (pools(0.7, 30, 17, 3), 16, 0.25),
+             (pools(0.5, 20, 3, num_classes=3), 4, 0.75)]
+    sys.settrace(tracer)
+    try:
+        plans = [(case, seed, build_batch(*prepare_pools(*case[0][1:]), *case[1:], seed))
+                 for case in cases for seed in range(40)]
+    finally:
+        sys.settrace(None)
+    for ((_, paired, unpaired), batch_size, r), seed, plan in plans:
+        assert (plan.genuine, plan.pseudo, plan.shortfall) == reference_plan(
+            paired, unpaired, batch_size, r, seed)
+    for name, line in branch_lines.items():
+        assert line in ran, name
 
 
 def lookup_rows(pool, ids):

@@ -94,6 +94,34 @@ def test_arm_spec_validation():
             replace(ArmSpec(name="full"), **bad)
 
 
+def test_an_arm_name_too_long_for_its_file_names_fails_before_any_output(tmp_path):
+    """An arm name starts every artifact file name of the arm, so one that makes
+    a name longer than the file system allows is refused before any output
+    exists, not after earlier arms wrote their files."""
+    out = tmp_path / "out"
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    suffix = "_rate0.5_fold1_student.txt"  # the longest name of a run: its checkpoint
+    base = dict(
+        name="long",
+        dataset=DatasetConfig(num_classes=2, samples_per_class=12, dim_a=3, dim_b=3,
+                              class_separation=4.0, noise_scale=1.0, missing_rate=0.0, seed=1),
+        train=TrainConfig(epochs=1, batch_size=4), missing_rates=(0.5,), k_folds=2,
+        output_dir=str(out),
+    )
+    too_long = "b" * (limit - len(suffix) + 1)
+    cfg = ScenarioConfig(arms=(ArmSpec(name="a"), ArmSpec(name=too_long)), **base)
+    with pytest.raises(ConfigError, match=f"reach {limit + 1} bytes, more than the {limit}"):
+        run_scenario(cfg)
+    assert not out.exists()
+    wide = "é" * ((limit - len(suffix)) // 2 + 1)  # two bytes per character
+    with pytest.raises(ConfigError, match="more than the"):
+        run_scenario(replace(cfg, arms=(ArmSpec(name=wide),)))
+    assert not out.exists()
+    longest = too_long[:-1]  # exactly at the limit
+    run_scenario(replace(cfg, arms=(ArmSpec(name="a"), ArmSpec(name=longest))))
+    assert (out / "checkpoints" / (longest + suffix)).exists()
+
+
 def test_scenario_validation(tmp_path):
     """Checked when built, by the constructor and by replace alike."""
     cfg = tiny_scenario(str(tmp_path))
@@ -1098,6 +1126,7 @@ def json_and_value(tp):
     return ints()
 
 
+ARM_NAME_CHARS = st.characters(exclude_characters=",/\\ \0")
 RATE = floats(0, 1)
 RATES = as_tuple(st.lists(RATE, min_size=1, max_size=3, unique_by=lambda p: p[1]))
 POSITIVE = floats(0, exclude_min=True)
@@ -1127,8 +1156,11 @@ VALID = {
     (DatasetConfig, "class_separation"): NONNEGATIVE,
     (DatasetConfig, "noise_scale"): POSITIVE,
     (DatasetConfig, "missing_rate"): floats(0, 0),
-    (ArmSpec, "name"): st.text(st.characters(exclude_characters=",/\\ \0"), min_size=1,
-                               max_size=6).map(lambda s: (s, s)),
+    # short names, and names long enough that some artifact file names exceed
+    # the file system's limit of (usually) 255 bytes
+    (ArmSpec, "name"): (st.text(ARM_NAME_CHARS, min_size=1, max_size=6)
+                        | st.text(ARM_NAME_CHARS, min_size=200, max_size=300)
+                        ).map(lambda s: (s, s)),
     (ArmSpec, "ams"): choices(["none", "fixed", "dynamic"]),
     (ArmSpec, "proto_strategy"): choices(["none", "all", "paired"]),
     (ArmSpec, "rates"): st.just((None, None)) | RATES,
@@ -1190,11 +1222,12 @@ def capped(cfg: ScenarioConfig, out: str) -> ScenarioConfig:
 def test_a_scenario_that_builds_completes_or_fails_before_writing_a_file(pair):
     """A tiny scenario run in this process, where an arm's rates, folds and
     size groups step in one lockstep stack, either completes or fails before
-    any file exists under its output directory.  A loss or gradient that
-    turns non-finite (NumericHealthError) is the one failure allowed after
-    earlier runs wrote their files.  The drawn scales reach float overflow,
-    which NumPy reports as a warning and the program as NumericHealthError;
-    the warnings are silenced, so the program's own error is what is seen."""
+    its output directory exists.  A loss or gradient that turns non-finite
+    (NumericHealthError) is the one failure allowed after the output
+    directory was made and earlier runs wrote their files.  The drawn
+    scales reach float overflow, which NumPy reports as a warning and the
+    program as NumericHealthError; the warnings are silenced, so the
+    program's own error is what is seen."""
     import tempfile
 
     from pgad.errors import NumericHealthError
@@ -1204,8 +1237,8 @@ def test_a_scenario_that_builds_completes_or_fails_before_writing_a_file(pair):
         try:
             summary = run_scenario(cfg)
         except Exception as exc:
-            written = [name for _, _, names in os.walk(cfg.output_dir) for name in names]
-            assert not written or isinstance(exc.__cause__, NumericHealthError), repr(exc)
+            assert (not os.path.exists(cfg.output_dir)
+                    or isinstance(exc.__cause__, NumericHealthError)), repr(exc)
         else:
             assert len(summary.cells) == sum(len(cfg.arm_rates(arm)) for arm in cfg.arms)
 

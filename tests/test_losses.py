@@ -535,3 +535,125 @@ def test_kd_and_proto_over_a_full_stack_equal_their_grouped_values(data):
                                     labels[group, count:])
         assert proto_value[group].tobytes() == value.tobytes()
         assert proto_grad[group, count:].tobytes() == grad.tobytes()
+
+
+# ---------------------------------------------------------------- merged kernels
+
+# Row counts around the short-row thresholds of the row reductions: two
+# columns fold from 8 rows on, up to seven columns from 64 rows on.
+ROW_COUNTS = [1, 3, 7, 8, 9, 31, 32, 63, 64, 65, 130]
+
+
+def plain_log_softmax(z):
+    """log-softmax with NumPy's own row reductions, one matrix at a time."""
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def two_pass_kd(s, t, temperature):
+    """kd_loss as two log-softmax passes, one per side, over plain reductions."""
+    log_ps, log_pt = plain_log_softmax(s / temperature), plain_log_softmax(t / temperature)
+    pt = np.exp(log_pt)
+    kl = np.add.reduce(pt * (log_pt - log_ps), axis=-1)
+    n = s.shape[-2]
+    value = np.maximum(temperature**2 * (np.add.reduce(kl, axis=-1) / n), 0.0)
+    return value, temperature * (np.exp(log_ps) - pt) / n
+
+
+@pytest.mark.parametrize("c", range(2, 8))
+@pytest.mark.parametrize("runs", [None, 3])
+def test_one_cross_entropy_over_both_sides_equals_the_separate_calls(c, runs):
+    """A training step takes cross-entropy once over its teacher and student
+    logits, stacked side first (one run's (N, C) pair, or R runs' (R, N, C)
+    pairs); each side gets the bits of its own call, and of NumPy's own row
+    reductions, on either side of the short-row thresholds."""
+    rng = np.random.default_rng(c)
+    lead = () if runs is None else (runs,)
+    for n in ROW_COUNTS:
+        logits_t, logits_s = rng.standard_normal((2,) + lead + (n, c)) * 10.0 ** rng.integers(
+            -2, 3, size=(2,) + lead + (n, c))
+        labels = rng.integers(0, c, size=lead + (n,))
+        nll, grad = ce_loss(np.concatenate((logits_t, logits_s)).reshape(-1, n, c),
+                            np.concatenate((labels, labels)).reshape(-1, n))
+        nll, grad = nll.reshape((2,) + labels.shape), grad.reshape((2,) + logits_t.shape)
+        if runs is None:  # a one-run step stacks its two sides as one (2N, C) batch
+            flat_nll, flat_grad = ce_loss(np.concatenate((logits_t, logits_s)),
+                                          np.concatenate((labels, labels)))
+            assert flat_nll.tobytes() == nll.tobytes() and flat_grad.tobytes() == grad.tobytes()
+        for side, logits in enumerate((logits_t, logits_s)):
+            alone_nll, alone_grad = ce_loss(logits, labels)
+            assert nll[side].tobytes() == alone_nll.tobytes(), (n, side)
+            assert grad[side].tobytes() == alone_grad.tobytes(), (n, side)
+            f_nll, f_grad = ce_loss(np.asfortranarray(logits), labels)  # any memory order
+            assert f_nll.tobytes() == alone_nll.tobytes() and f_grad.tobytes() == alone_grad.tobytes()
+            logp = plain_log_softmax(logits)
+            picked = np.take_along_axis(logp, labels[..., None], -1)[..., 0]
+            assert alone_nll.tobytes() == (-picked).tobytes(), (n, side)
+        means = np.add.reduce(nll, axis=-1) / n
+        for side in range(2):
+            assert means[side].tobytes() == (np.add.reduce(nll[side], axis=-1) / n).tobytes()
+
+
+@pytest.mark.parametrize("c", range(2, 8))
+@pytest.mark.parametrize("runs", [None, 3])
+def test_one_pass_distillation_equals_two_passes(c, runs):
+    """kd_loss takes the log-softmax of both sides in one pass over their
+    stack; each run's value and gradient keep the bits of one pass per side
+    over NumPy's own row reductions."""
+    rng = np.random.default_rng(10 + c)
+    lead = () if runs is None else (runs,)
+    for n in ROW_COUNTS:
+        s, t = rng.standard_normal((2,) + lead + (n, c)) * 4
+        for temperature in (0.5, 2.0, 3.7):
+            value, grad = kd_loss(s, t, temperature)
+            want_value, want_grad = two_pass_kd(s, t, temperature)
+            assert np.asarray(value).tobytes() == want_value.tobytes(), (n, temperature)
+            assert grad.tobytes() == want_grad.tobytes(), (n, temperature)
+
+
+def test_pair_loss_reads_and_writes_the_diagonal_as_fancy_indexing_does():
+    """pair_loss takes each matrix's diagonal as a strided view; its values
+    and gradient equal the fancy-indexed form, square or wide, one run or a
+    stack, and a matrix that is not C-contiguous gets the same bits."""
+    rng = np.random.default_rng(21)
+    for shape in [(1, 1), (5, 5), (4, 9), (3, 6, 11), (2, 7, 7)]:
+        sims = rng.standard_normal(shape) * 3
+        n_a = shape[-2]
+        rows = np.arange(n_a)
+        shifted = sims - np.maximum.reduce(sims, axis=-1, keepdims=True)
+        log_sum = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+        lse = log_sum[..., 0] + np.maximum.reduce(sims, axis=-1)
+        want = np.add.reduce(lse - sims[..., rows, rows], axis=-1) / n_a
+        want_grad = np.exp(shifted - log_sum)
+        want_grad[..., rows, rows] -= 1.0
+        want_grad /= n_a
+        for matrix in (sims, np.asfortranarray(sims), np.repeat(sims, 2, axis=-1)[..., ::2]):
+            value, grad = pair_loss(matrix)
+            assert np.asarray(value).tobytes() == want.tobytes(), shape
+            assert grad.tobytes() == want_grad.tobytes(), shape
+
+
+@pytest.mark.parametrize("runs", [None, 3])
+def test_similarity_over_both_sides_rows_keeps_the_per_side_bits(runs):
+    """similarity_matrix takes the norms and unit vectors of both sides' rows
+    in one array, and its VJP both sides' unit-vector gradients; the
+    similarities and the gradients keep the bits of per-side norms,
+    quotients and products."""
+    rng = np.random.default_rng(33)
+    lead = () if runs is None else (runs,)
+    for n_a, n_b, dim in [(1, 1, 1), (3, 8, 4), (24, 48, 16), (65, 70, 9)]:
+        a = rng.standard_normal(lead + (n_a, dim)) * 10.0 ** rng.integers(-2, 3)
+        b = rng.standard_normal(lead + (n_b, dim)) * 10.0 ** rng.integers(-2, 3)
+        temperature = 0.1
+        sims, vjp = similarity_matrix(a, b, temperature)
+        na = np.sqrt(np.add.reduce(a * a, axis=-1))[..., None]
+        nb = np.sqrt(np.add.reduce(b * b, axis=-1))[..., None]
+        a_hat, b_hat = a / na, b / nb
+        assert sims.tobytes() == ((a_hat @ b_hat.mT) / temperature).tobytes(), (n_a, n_b)
+        d_sims = rng.standard_normal(sims.shape)
+        d_a_hat = (d_sims @ b_hat) / temperature
+        d_b_hat = (d_sims.mT @ a_hat) / temperature
+        want_a = (d_a_hat - np.add.reduce(d_a_hat * a_hat, axis=-1, keepdims=True) * a_hat) / na
+        want_b = (d_b_hat - np.add.reduce(d_b_hat * b_hat, axis=-1, keepdims=True) * b_hat) / nb
+        d_a, d_b = vjp(d_sims)
+        assert d_a.tobytes() == want_a.tobytes() and d_b.tobytes() == want_b.tobytes(), (n_a, n_b)

@@ -521,33 +521,58 @@ def test_checkpoint_loads_an_edited_file_or_raises_protocol_error(tmp_path_facto
 def test_nets_along_the_run_axis_give_each_run_its_own_bits():
     """bind_joint_params lays three runs out as rows; the stacked nets' chains
     over (3, N, ...) batches equal each run's own chains, parameter and
-    gradient, bit for bit, and the stacked parts view the runs' rows."""
-    rng = np.random.default_rng(3)
-    runs = [(TeacherNet.create(4, 3, 2, feat_dim=3, hidden_width=5, seed=i),
-             StudentNet.create(4, 2, feat_dim=3, hidden_width=5, seed=10 + i), 0.1 * i)
-            for i in range(3)]
-    params, teacher, student = bind_joint_params(runs)
-    _, grad = joint_buffers(teacher, student)
-    assert params.shape == grad.shape == (3, runs[0][0].param_count + runs[0][1].param_count + 1)
-    assert teacher.enc_a.weights[0].shape == (3, 5, 4)
-    assert all(np.shares_memory(p._flat, params) for p in teacher._parts + student._parts)
-    a, b = rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 6, 3))
-    d_logits, d_h = rng.standard_normal((3, 6, 2)), rng.standard_normal((3, 6, 3))
-    stacked = [*teacher_forward(teacher, a, b), *student_forward(student, a)]
-    teacher_backward(teacher, d_logits, d_h)
-    student_backward(student, d_logits, d_h)
-    stacked_grad = grad.copy()
-    for i, (t, s, theta) in enumerate(runs):
-        alone = [*teacher_forward(t, a[i], b[i]), *student_forward(s, a[i])]
-        assert all(x[i].tobytes() == y.tobytes() for x, y in zip(stacked, alone))
-        teacher_backward(t, d_logits[i], d_h[i])
-        student_backward(s, d_logits[i], d_h[i])
-        assert grad[i, :-1].tobytes() == stacked_grad[i, :-1].tobytes()
-        assert params[i, -1] == theta
-    with pytest.raises(ShapeError):
-        teacher_forward(teacher, a[0], b[0])  # nets along the run axis take (3, N, in)
-    with pytest.raises(UsageError):
-        save_checkpoint(student, "unused")
+    gradient, bit for bit, and the stacked parts view the runs' rows.  With
+    encoders of one spec (dim_b 4) the stack runs both in one pass."""
+    for dim_b in (3, 4):
+        rng = np.random.default_rng(3)
+        runs = [(TeacherNet.create(4, dim_b, 2, feat_dim=3, hidden_width=5, seed=i),
+                 StudentNet.create(4, 2, feat_dim=3, hidden_width=5, seed=10 + i), 0.1 * i)
+                for i in range(3)]
+        params, teacher, student = bind_joint_params(runs)
+        _, grad = joint_buffers(teacher, student)
+        assert params.shape == grad.shape == (
+            3, runs[0][0].param_count + runs[0][1].param_count + 1)
+        assert teacher.enc_a.weights[0].shape == (3, 5, 4)
+        assert all(np.shares_memory(p._flat, params) for p in teacher._parts + student._parts)
+        assert (teacher.encoders is not None) == (dim_b == 4)
+        a, b = rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 6, dim_b))
+        d_logits, d_h = rng.standard_normal((3, 6, 2)), rng.standard_normal((3, 6, 3))
+        stacked = [*teacher_forward(teacher, a, b), *student_forward(student, a)]
+        teacher_backward(teacher, d_logits, d_h)
+        student_backward(student, d_logits, d_h)
+        stacked_grad = grad.copy()
+        for i, (t, s, theta) in enumerate(runs):
+            alone = [*teacher_forward(t, a[i], b[i]), *student_forward(s, a[i])]
+            assert all(x[i].tobytes() == y.tobytes() for x, y in zip(stacked, alone))
+            teacher_backward(t, d_logits[i], d_h[i])
+            student_backward(s, d_logits[i], d_h[i])
+            assert grad[i, :-1].tobytes() == stacked_grad[i, :-1].tobytes()
+            assert params[i, -1] == theta
+        with pytest.raises(ShapeError):
+            teacher_forward(teacher, a[0], b[0])  # nets along the run axis take (3, N, in)
+        with pytest.raises(UsageError):
+            save_checkpoint(student, "unused")
+
+
+def test_a_one_run_stack_runs_both_encoders_in_one_pass_with_its_own_bits():
+    """One run's stacked teacher views its two encoders of one spec as one
+    (2, ...) Mlp; its chains equal the run's own net's, which runs them one
+    by one, value and gradient, bit for bit."""
+    rng = np.random.default_rng(4)
+    t, s = TeacherNet.create(4, 4, 2, feat_dim=3, hidden_width=5, seed=1), StudentNet.create(
+        4, 2, feat_dim=3, hidden_width=5, seed=2)
+    _, teacher, _ = bind_joint_params([(t, s, 0.0)])
+    assert t.encoders is None and teacher.encoders.weights[0].shape == (2, 5, 4)
+    assert np.shares_memory(teacher.encoders.grad, t.enc_b.grad)
+    a, b = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    d_logits, d_h = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
+    stacked = teacher_forward(teacher, a, b)
+    stacked_grad = teacher_backward(teacher, d_logits, d_h).copy()
+    alone = teacher_forward(t, a, b)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(stacked, alone))
+    assert teacher_backward(t, d_logits, d_h).tobytes() == stacked_grad.tobytes()
+    with pytest.raises(UsageError):  # the stacked encoders' cache was consumed
+        teacher_backward(teacher, d_logits, d_h)
 
 
 def test_bind_joint_params_rejects_runs_it_cannot_stack():

@@ -287,6 +287,23 @@ def test_step_gradients_zero_weights_skip_terms():
     assert grads[-1] == 0.0
 
 
+def test_step_gradients_theta_without_cross_entropy():
+    """With both cross-entropy weights at zero no cross-entropy is computed,
+    and theta's surrogate splits the remaining terms alone."""
+    ds, paired, unpaired = make_data()
+    plan, pools = mixed_plan(ds, paired, unpaired)
+    teacher, student = joint_nets()
+    cfg = TrainConfig(loss_weights=LossWeights(tea=0, stu=0, kl=0.5, pair=0.5, proto=0.5),
+                      proto_assignment="true_class")
+    protos = global_prototypes(teacher, pools)
+    report, grads = one_run_gradients(teacher, student, pools, plan, constant(protos), 0.3, cfg)
+    assert report.l_tea == report.l_stu == 0.0 and report.l_kl > 0.0
+    w = cfg.loss_weights
+    r = sampling_ratio("dynamic", 0.3, cfg.fixed_ratio)
+    loss_genuine = w.kl * report.l_kl + w.pair * report.l_pair
+    assert grads[-1] == (loss_genuine - w.proto * report.l_proto) * r * (1.0 - r)
+
+
 def test_step_gradients_student_only_leaves_teacher_untouched():
     ds, paired, unpaired = make_data()
     plan, pools = mixed_plan(ds, paired, unpaired)
